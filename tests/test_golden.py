@@ -1,0 +1,101 @@
+"""Golden digests: the determinism contract checked against stored SHA-256
+digests of the bytes each pipeline writes, not only by running it twice.
+
+A change that alters any of these bytes must update the digest here and say
+why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from secflow import cli
+from secflow.model import ACTION_ORDER
+
+GOLDEN = {
+    "compare/results.csv":
+        "9ebc573113c26054478cdaf91c0c3f39247291de0f9630b1b8cf72b693cf8c14",
+    "compare/windows.csv":
+        "5458754ec463585683cb2988eeebb04f6fc9101678db70e652974c2b1f71fc80",
+    "compare/events.jsonl":
+        "7d29aff070158cd1c691be16150e5cf24f9839efaf4a89a3f722cf4117892336",
+    "train-rl/qtable.json":
+        "28a58e4f76d308f14af3a46b3e2356b28b8a5b75c6206463d9941ff43f75d7bf",
+    "simulate-lowest-cost/results.csv":
+        "df177b02903183b4e760c3d0ed52e93de72953e597ad0c6f9d40586a04856e7c",
+    "simulate-lowest-cost/events.jsonl":
+        "bbfe51b670afaaf1795da98f92b0cd82d9d9aba68b5eacf332ab757ebdbef317",
+    "simulate-adaptive/results.csv":
+        "1147d866ec96e406c9e2e90cb12ebe1e3f2de864a527dc791fede097e69c9d04",
+    "simulate-adaptive/events.jsonl":
+        "31f4378489636940ca5f8eb6234d274ce82738fb86b927c1c6137094e1dbb52c",
+}
+
+SEED = "5"
+RUNTIME = ["--wf-class", "small", "--rate", "0.8", "--seed", SEED]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Every output of the pipelines, keyed like GOLDEN."""
+    root = tmp_path_factory.mktemp("golden")
+    out = {}
+
+    compare_cfg = {"seed": 5, "runs": 12, "rate": 0.8, "window": 5,
+                   "classes": "small", "train_n": 300}
+    results_csv, windows_csv, experiments = cli.run_compare(compare_cfg)
+    out["compare/results.csv"] = results_csv.encode()
+    out["compare/windows.csv"] = windows_csv.encode()
+    out["compare/events.jsonl"] = b"".join(
+        cli._events_jsonl(experiments[key].runs).encode() for key in sorted(experiments)
+    )
+
+    data, art = root / "data", root / "art"
+    models = str(art / "models.json")
+    qtable = root / "qtable.json"
+    steps = [
+        ["gen-data", "--n", "300", "--seed", SEED, "--intensity-mode", "banded",
+         "--out", str(data)],
+        ["train-detect", "--data", str(data), "--out", str(art), "--seed", SEED],
+        ["train-severity", "--data", str(data), "--out", str(art), "--seed", SEED],
+        ["train-rl", "--models", models, "--episodes", "6", *RUNTIME,
+         "--out", str(qtable)],
+        ["simulate", "--models", models, "--strategy", "lowest-cost", "--runs", "6",
+         *RUNTIME, "--out", str(root / "simulate-lowest-cost")],
+        ["simulate", "--models", models, "--strategy", "adaptive", "--runs", "6",
+         "--qtable", str(qtable), *RUNTIME, "--out", str(root / "simulate-adaptive")],
+    ]
+    for argv in steps:
+        assert cli.main(argv) == 0, argv
+    out["train-rl/qtable.json"] = qtable.read_bytes()
+    for name in ("simulate-lowest-cost", "simulate-adaptive"):
+        for fname in ("results.csv", "events.jsonl"):
+            out[f"{name}/{fname}"] = (root / name / fname).read_bytes()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digest(outputs, name):
+    assert _sha(outputs[name]) == GOLDEN[name]
+
+
+def test_adaptive_run_picks_a_non_cheapest_candidate(outputs):
+    """At least one adapted event chose a kind other than the lowest-cost
+    one, so the decision built from a learned choice is exercised."""
+    order = {k.value: i for i, k in enumerate(ACTION_ORDER)}
+    picked_other = 0
+    for line in outputs["simulate-adaptive/events.jsonl"].decode().splitlines():
+        for event in json.loads(line)["events"]:
+            if event["outcome"] != "adapted":
+                continue
+            cheapest = min(
+                event["candidates"],
+                key=lambda c: (c["cost"], -c["mitigation"], order[c["kind"]]),
+            )
+            picked_other += event["chosen"] != cheapest["kind"]
+    assert picked_other > 0
