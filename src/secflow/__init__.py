@@ -15,7 +15,6 @@ from .model import (
     SecurityVector,
     Service,
     Severity,
-    Strategy,
     Task,
     TenantConfig,
     Workflow,

@@ -231,14 +231,17 @@ def _events_jsonl(results):
 
 
 def cmd_simulate(cfg):
+    strategy = _get(cfg, "strategy", "lowest-cost")
+    qtable_path = _get(cfg, "qtable")
+    if qtable_path and strategy == "lowest-cost":
+        raise UsageError(f"--qtable {qtable_path} needs --strategy adaptive; "
+                         "lowest-cost uses no Q-table")
     workflow, cloud, detectors, sev = _load_runtime(cfg)
     out = Path(_get(cfg, "out", "results"))
     seed = int(_get(cfg, "seed", 0))
-    strategy = _get(cfg, "strategy", "lowest-cost")
     runs = int(_get(cfg, "runs", 100))
     rate = float(_get(cfg, "rate", 0.3))
     qtable = None
-    qtable_path = _get(cfg, "qtable")
     if qtable_path:
         qtable = rl.table_from_json(Path(qtable_path).read_text())
     result = sim.run_experiment(

@@ -130,13 +130,6 @@ class StratificationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
-    features: np.ndarray
-    label: str
-    intensity: float
-
-
 @dataclass
 class Dataset:
     kind: DatasetKind
@@ -147,9 +140,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.labels)
-
-    def record(self, idx: int) -> TelemetryRecord:
-        return TelemetryRecord(self.X[idx], str(self.labels[idx]), float(self.intensity[idx]))
 
     def to_csv(self) -> str:
         """Feature columns in schema order plus a final lowercase 'label'

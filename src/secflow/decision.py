@@ -1,11 +1,12 @@
 """Adaptation decision engine: trigger check, candidate-set intersection,
-cost ranking (or delegated policy prediction), backup-service resolution, and
-application of tenant- and middleware-level actions to a running instance."""
+cost ranking, backup-service resolution, the decision for a chosen candidate
+(the cheapest, or one a learned policy picked), and application of tenant-
+and middleware-level actions to a running instance."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .datagen import DatasetKind
 from .model import (
@@ -72,8 +73,7 @@ class AdaptationDecision:
     kind: ActionKind
     params: ActionParams
     level: DecisionLevel
-    breakdowns: tuple  # audit trail over the whole candidate set
-    trigger_score: float
+    mitigation: float  # the chosen candidate's mitigation score
     backup: Service | None = None
 
 
@@ -88,7 +88,29 @@ class SelectionResult:
     status: SelectionStatus
     trigger_score: float
     decision: AdaptationDecision | None = None
-    breakdowns: tuple = ()
+    breakdowns: tuple = ()  # audit trail over the whole candidate set
+    backup: Service | None = None  # resolved for Rework/Redundancy candidates
+
+
+def cost_rank(b: CostBreakdown):
+    """Lowest adaptation cost first; ties: higher mitigation score, then
+    declaration order. Unique per kind."""
+    return (b.total, -b.mitigation, ACTION_ORDER.index(b.kind))
+
+
+def decision_for(result: SelectionResult, kind: ActionKind) -> AdaptationDecision:
+    """The decision that applies candidate `kind` of a selection; a kind
+    outside its candidate set raises ValueError."""
+    chosen = next((b for b in result.breakdowns if b.kind == kind), None)
+    if chosen is None:
+        raise ValueError(f"{kind!r} is outside the candidate set")
+    return AdaptationDecision(
+        kind=kind,
+        params=chosen.params,
+        level=DecisionLevel.MIDDLEWARE if kind in MIDDLEWARE_KINDS else DecisionLevel.TENANT,
+        mitigation=chosen.mitigation,
+        backup=result.backup if kind in (ActionKind.REWORK, ActionKind.REDUNDANCY) else None,
+    )
 
 
 def find_backup_service(
@@ -147,16 +169,14 @@ def select_action(
     trust: TrustRepository,
     current: Service,
     overheads: OverheadConfig = OverheadConfig(),
-    chooser=None,
 ) -> SelectionResult:
     """Run the selection algorithm for one detected attack.
 
     Below the tenant's trigger threshold, nothing happens. Otherwise the
     candidate set is the intersection of the severity tier's mitigation
     actions with the task's feasible actions (Rework/Redundancy drop out when
-    no backup resolves). With no `chooser`, the lowest adaptation cost wins
-    (ties: higher mitigation score, then declaration order); an adaptive
-    policy passes `chooser(breakdowns) -> ActionKind` instead.
+    no backup resolves). The decision applies the lowest adaptation cost
+    (`cost_rank`); `decision_for` applies any other candidate instead.
     """
     afr = trust.afr(event.service_id, event.attack_type)
     score = attack_score(task.requirements, spec.impact, afr, event.l)
@@ -202,28 +222,9 @@ def select_action(
         )
         for k in final
     )
-
-    if chooser is None:
-        chosen = min(
-            breakdowns,
-            key=lambda b: (b.total, -b.mitigation, ACTION_ORDER.index(b.kind)),
-        ).kind
-    else:
-        chosen = chooser(breakdowns)
-        if chosen not in final:
-            raise ValueError(f"chooser returned {chosen!r} outside the candidate set")
-    level = (
-        DecisionLevel.MIDDLEWARE if chosen in MIDDLEWARE_KINDS else DecisionLevel.TENANT
-    )
-    decision = AdaptationDecision(
-        kind=chosen,
-        params=params[chosen],
-        level=level,
-        breakdowns=breakdowns,
-        trigger_score=score,
-        backup=backup if chosen in (ActionKind.REWORK, ActionKind.REDUNDANCY) else None,
-    )
-    return SelectionResult(SelectionStatus.SELECTED, score, decision, breakdowns)
+    result = SelectionResult(SelectionStatus.SELECTED, score, None, breakdowns, backup)
+    cheapest = min(breakdowns, key=cost_rank).kind
+    return replace(result, decision=decision_for(result, cheapest))
 
 
 def apply_tenant_action(state, event: AttackEvent, decision: AdaptationDecision):
@@ -235,7 +236,7 @@ def apply_tenant_action(state, event: AttackEvent, decision: AdaptationDecision)
     assert decision.level is DecisionLevel.TENANT
     kind = decision.kind
     task_id = event.task_id
-    mitigation = state.mitigation_of(event, decision)
+    mitigation = decision.mitigation
     if kind is ActionKind.SKIP:
         state.skip_task(task_id)
         state.add_adaptation(task_id, kind, price=0.0, time=0.0, value_delta=0.0,
@@ -273,7 +274,7 @@ def apply_middleware_action(
     assert decision.level is DecisionLevel.MIDDLEWARE
     kind = decision.kind
     task_id = event.task_id
-    mitigation = state.mitigation_of(event, decision)
+    mitigation = decision.mitigation
     if kind is ActionKind.REWORK:
         if decision.backup is None:
             raise NoBackupError(f"rework on {task_id!r} lost its backup service")

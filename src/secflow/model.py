@@ -303,11 +303,6 @@ class SchedulingPlan:
                 raise ValidationError(f"task {t.id} bound to unknown service {sid!r}")
 
 
-class Strategy(enum.Enum):
-    LOWEST_COST = "lowest-cost"
-    ADAPTIVE = "adaptive"
-
-
 @dataclass(frozen=True)
 class TenantConfig:
     w_price: float = 0.25
@@ -315,7 +310,6 @@ class TenantConfig:
     w_security: float = 0.25
     w_value: float = 0.25
     adapt_trigger_threshold: float = 0.1
-    strategy: Strategy = Strategy.LOWEST_COST
 
     def __post_init__(self):
         weights = (self.w_price, self.w_time, self.w_security, self.w_value)

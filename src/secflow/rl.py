@@ -88,7 +88,6 @@ class QTable:
     config: RLConfig = field(default_factory=RLConfig)
     entries: dict = field(default_factory=dict)  # (state, action_key) -> q
     visits: dict = field(default_factory=dict)
-    terminal_states: set = field(default_factory=set)
     discretization: dict = field(default_factory=dict)  # persisted with the table
 
     def q(self, state, action) -> float:
@@ -105,11 +104,7 @@ def q_update(table: QTable, state, action, r: float, next_state, next_candidates
     A terminal transition passes next_state=None (valued 0)."""
     key = (state, _action_key(action))
     old = table.entries.get(key, 0.0)
-    if next_state is None:
-        future = 0.0
-        table.terminal_states.add("terminal")
-    else:
-        future = table.best_value(next_state, next_candidates)
+    future = 0.0 if next_state is None else table.best_value(next_state, next_candidates)
     cfg = table.config
     table.entries[key] = old + cfg.alpha * (r + cfg.gamma * future - old)
     table.visits[key] = table.visits.get(key, 0) + 1

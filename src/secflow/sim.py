@@ -1,7 +1,13 @@
 """Discrete workflow-execution engine: runs scheduled instances, injects
 attacks into synthesized per-task telemetry, routes detections through the
 severity and decision modules, applies adaptations under uncertain overhead
-costs, and aggregates run results."""
+costs, and aggregates run results.
+
+One generator, `instance_episode`, executes an instance. At every adaptation
+decision it yields the candidates cheapest-first and applies the one it is
+sent. The lowest-cost strategy (`run_instance`) is the driver that always
+sends the cheapest; the adaptive strategy is the Q-learning driver in `rl`.
+"""
 
 from __future__ import annotations
 
@@ -20,10 +26,11 @@ from .decision import (
     SelectionStatus,
     apply_middleware_action,
     apply_tenant_action,
+    cost_rank,
+    decision_for,
     select_action,
 )
 from .model import (
-    ACTION_ORDER,
     ActionKind,
     AttackType,
     ControlEdge,
@@ -60,14 +67,6 @@ class UncertaintyConfig:
             raise ValueError("failure delta must be in [0,1]")
 
 
-class TaskStatus(enum.Enum):
-    PENDING = "pending"
-    RUNNING = "running"
-    DONE = "done"
-    SKIPPED = "skipped"
-    FAILED = "failed"
-
-
 @dataclass
 class RunResult:
     price: float
@@ -96,14 +95,12 @@ class ExecutionState:
     task entries plus the adaptation entries."""
 
     def __init__(self, workflow: Workflow, unc: UncertaintyConfig, noise_rng):
-        self.workflow = workflow
         self.unc = unc
         self._noise_rng = noise_rng
         self.base = {}  # task id -> [price, time, value]
-        self.status = {t.id: TaskStatus.PENDING for t in workflow.tasks}
         self.adaptations = []  # dicts: task, kind, price, time, value_delta, mitigation
         self.degraded = {}  # task id -> count of degraded inputs
-        self.violations = []  # triggered AttackEvents
+        self.violations = 0  # attacks that reached a decision
         self.action_history = []  # ActionKinds applied so far
         self.nominal_prefix = 0.0  # nominal time of tasks processed so far
         self._data_succ = {}
@@ -114,12 +111,7 @@ class ExecutionState:
 
     def start_task(self, task_id, price, time, value, nominal_time):
         self.base[task_id] = [price, time, value]
-        self.status[task_id] = TaskStatus.RUNNING
         self.nominal_prefix += nominal_time
-
-    def finish_task(self, task_id):
-        if self.status[task_id] is TaskStatus.RUNNING:
-            self.status[task_id] = TaskStatus.DONE
 
     def base_price(self, task_id):
         return self.base[task_id][0]
@@ -132,14 +124,12 @@ class ExecutionState:
 
     def skip_task(self, task_id):
         self.base[task_id] = [0.0, 0.0, 0.0]
-        self.status[task_id] = TaskStatus.SKIPPED
         for succ in self._data_succ.get(task_id, ()):
             self.degraded[succ] = self.degraded.get(succ, 0) + 1
 
     def fail_task(self, task_id):
         # a failed task consumed its time and price but delivers no value
         self.base[task_id][2] = 0.0
-        self.status[task_id] = TaskStatus.FAILED
 
     def damage_task(self, task_id, factor):
         self.base[task_id][2] *= factor
@@ -165,12 +155,6 @@ class ExecutionState:
         )
         self.action_history.append(kind)
 
-    def mitigation_of(self, event, decision):
-        for b in decision.breakdowns:
-            if b.kind == decision.kind:
-                return b.mitigation
-        raise KeyError(f"chosen kind {decision.kind!r} missing from breakdowns")
-
     def late_multiplier(self):
         if self.accumulated_time() > self.unc.late_threshold_factor * self.nominal_prefix:
             return self.unc.rework_delay_multiplier_when_late
@@ -178,9 +162,13 @@ class ExecutionState:
 
     # -- aggregates --------------------------------------------------------
 
-    def task_duration(self, task_id):
-        extra = sum(a["time"] for a in self.adaptations if a["task"] == task_id)
-        return self.base.get(task_id, [0.0, 0.0, 0.0])[1] + extra
+    def durations(self):
+        """Per started task: base time plus its adaptations' times, summed in
+        ledger order."""
+        extra = {}
+        for a in self.adaptations:
+            extra[a["task"]] = extra.get(a["task"], 0) + a["time"]
+        return {tid: v[1] + extra.get(tid, 0) for tid, v in self.base.items()}
 
     def accumulated_time(self):
         return sum(v[1] for v in self.base.values()) + sum(
@@ -198,15 +186,16 @@ class ExecutionState:
         }
 
 
-def _executed_set(workflow: Workflow, branch_rng):
-    """Resolve Bernoulli branch conditions: a task executes when it has no
-    incoming control edges or at least one taken edge from an executed task.
-    Unconditional edges from executed tasks are always taken."""
+def _executed_set(workflow: Workflow, order, branch_rng):
+    """Resolve Bernoulli branch conditions over the topological `order`: a
+    task executes when it has no incoming control edges or at least one taken
+    edge from an executed task. Unconditional edges from executed tasks are
+    always taken."""
     incoming = {t.id: [] for t in workflow.tasks}
     for e in workflow.control_edges:
         incoming[e.dst].append(e)
     executed = set()
-    for tid in workflow.topological_order():
+    for tid in order:
         edges = incoming[tid]
         if not edges:
             executed.add(tid)
@@ -220,15 +209,16 @@ def _executed_set(workflow: Workflow, branch_rng):
     return executed
 
 
-def makespan(workflow: Workflow, executed, durations):
+def makespan(workflow: Workflow, executed, durations, order=None):
     """Critical-path completion time; tasks outside the executed set take
-    zero time but still propagate their predecessors' finish times."""
+    zero time but still propagate their predecessors' finish times. `order`
+    is the workflow's topological order, for a caller that already has it."""
     finish = {}
     pred = {t.id: [] for t in workflow.tasks}
     for e in workflow.control_edges:
         pred[e.dst].append(e.src)
     best = 0.0
-    for tid in workflow.topological_order():
+    for tid in order if order is not None else workflow.topological_order():
         start = max((finish[p] for p in pred[tid]), default=0.0)
         finish[tid] = start + (durations.get(tid, 0.0) if tid in executed else 0.0)
         best = max(best, finish[tid])
@@ -257,22 +247,21 @@ def run_instance(
     seed: int,
     attack_catalog: dict | None = None,
     overheads: OverheadConfig = OverheadConfig(),
-    policy=None,
-    discretizer=None,
 ) -> RunResult:
-    """Execute one workflow instance. `policy(state_key, breakdowns) ->
-    ActionKind` overrides the lowest-cost choice (frozen adaptive strategy);
-    None picks the lowest adaptation cost. Deterministic given `seed`."""
-    gen = _execute(
+    """Execute one workflow instance under the lowest-cost strategy: drive
+    `instance_episode`, sending the cheapest candidate at every decision.
+    Deterministic given `seed`."""
+    gen = instance_episode(
         workflow, plan, cloud, detectors, severity_model, cfg, trust,
-        attack_rate, unc, seed, attack_catalog, overheads, policy, False,
-        discretizer,
+        attack_rate, unc, seed, attack_catalog, overheads,
     )
     try:
-        next(gen)
+        event = next(gen)
+        while True:
+            cheapest = event[2][0] if event[0] == "decide" else None
+            event = gen.send(cheapest)
     except StopIteration as stop:
         return stop.value
-    raise AssertionError("non-interactive execution must not yield")
 
 
 def instance_episode(
@@ -280,21 +269,10 @@ def instance_episode(
     attack_rate, unc, seed,
     attack_catalog=None, overheads=OverheadConfig(), discretizer=None,
 ):
-    """Interactive variant for Q-learning: a generator speaking the rl
-    module's ("decide", state, candidates) / ("reward", r) protocol, with the
-    RunResult as its return value."""
-    return _execute(
-        workflow, plan, cloud, detectors, severity_model, cfg, trust,
-        attack_rate, unc, seed, attack_catalog, overheads, None, True,
-        discretizer,
-    )
-
-
-def _execute(
-    workflow, plan, cloud, detectors, severity_model, cfg, trust,
-    attack_rate, unc, seed, attack_catalog, overheads, policy, interactive,
-    discretizer,
-):
+    """Execute one workflow instance as a generator speaking the rl module's
+    protocol: at each adaptation decision it yields ("decide", state_key,
+    kinds ranked cheapest-first) and applies the kind it is sent, then yields
+    ("reward", r) and expects None. Returns the RunResult."""
     if attack_catalog is None:
         attack_catalog = builtin_attack_catalog()
     if discretizer is None:
@@ -311,15 +289,15 @@ def _execute(
     )
 
     state = ExecutionState(workflow, unc, noise_rng)
-    executed = _executed_set(workflow, branch_rng)
+    order = workflow.topological_order()
+    executed = _executed_set(workflow, order, branch_rng)
     tasks = workflow.task_map()
 
     injected = detected = adapted = unmitigated = failures = false_alarms = 0
     events = []
 
-    for tid in workflow.topological_order():
+    for tid in order:
         if tid not in executed:
-            state.status[tid] = TaskStatus.SKIPPED
             continue
         task = tasks[tid]
         svc = service_map[plan.bindings[tid]]
@@ -345,7 +323,6 @@ def _execute(
             )[0]
             if detectors[kind].predict(record) != NORMAL:
                 false_alarms += 1
-            state.finish_task(tid)
             continue
 
         injected += 1
@@ -371,7 +348,6 @@ def _execute(
                 {"task": tid, "service": svc.id, "type": true_type.value,
                  "outcome": "undetected"}
             )
-            state.finish_task(tid)
             continue
 
         detected += 1
@@ -388,16 +364,9 @@ def _execute(
             task_id=tid,
             service_id=svc.id,
         )
-        chooser = None
-        if policy is not None or interactive:
-            acc = state.accumulated()
-            state_key = rl.workflow_state_key(
-                pred_type, level, len(state.violations), state.action_history,
-                acc, discretizer,
-            )
         result = select_action(
             task, event, attack_catalog[pred_type], cfg, cloud, trust, svc,
-            overheads=overheads, chooser=None,
+            overheads=overheads,
         )
         if result.status is SelectionStatus.NOT_TRIGGERED:
             # below the trigger threshold nothing adapts, but the attack is
@@ -407,7 +376,6 @@ def _execute(
                 {"task": tid, "service": svc.id, "type": pred_type.value,
                  "outcome": "below-threshold", "score": result.trigger_score}
             )
-            state.finish_task(tid)
             continue
         if result.status is SelectionStatus.UNMITIGABLE:
             unmitigated += 1
@@ -416,29 +384,19 @@ def _execute(
                 {"task": tid, "service": svc.id, "type": pred_type.value,
                  "outcome": "unmitigable", "score": result.trigger_score}
             )
-            state.finish_task(tid)
             continue
 
         # a real decision point; candidates are presented cheapest-first so a
         # cold-start greedy choice degrades to the nominal-cost ranking
-        state.violations.append(event)
-        breakdowns = result.breakdowns
-        ranked = sorted(
-            breakdowns,
-            key=lambda b: (b.total, -b.mitigation, ACTION_ORDER.index(b.kind)),
+        state_key = rl.workflow_state_key(
+            pred_type, level, state.violations, state.action_history,
+            state.accumulated(), discretizer,
         )
-        if interactive:
-            chosen_kind = yield ("decide", state_key, [b.kind for b in ranked])
-        elif policy is not None:
-            chosen_kind = policy(state_key, breakdowns)
-        else:
-            chosen_kind = result.decision.kind
-        if chosen_kind != result.decision.kind:
-            result = select_action(
-                task, event, attack_catalog[pred_type], cfg, cloud, trust, svc,
-                overheads=overheads, chooser=lambda bs: chosen_kind,
-            )
-        decision = result.decision
+        state.violations += 1
+        breakdowns = result.breakdowns
+        ranked = sorted(breakdowns, key=cost_rank)
+        chosen = yield ("decide", state_key, [b.kind for b in ranked])
+        decision = decision_for(result, chosen)
         base_value_before = state.base_value(tid)
         if decision.level is DecisionLevel.TENANT:
             apply_tenant_action(state, event, decision)
@@ -446,9 +404,8 @@ def _execute(
             apply_middleware_action(state, event, decision, trust)
         # mitigation is only as good as the chosen action: relative to the
         # strongest candidate, a weaker mitigation leaves residual damage
-        chosen_b = next(b for b in breakdowns if b.kind == decision.kind)
         ms_best = max(b.mitigation for b in breakdowns)
-        rel = chosen_b.mitigation / ms_best if ms_best > 0 else 1.0
+        rel = decision.mitigation / ms_best if ms_best > 0 else 1.0
         state.damage_task(tid, 1.0 - (1.0 - rel) * (1.0 - true_damage))
         adapted += 1
         events.append(
@@ -474,40 +431,37 @@ def _execute(
                 ],
             }
         )
-        if interactive:
-            # the learning signal uses the realized outcome of the applied
-            # action (noisy overheads, late-rework penalty, destroyed value
-            # after a skip) against the candidates' nominal spread — exactly
-            # the information a nominal-cost ranking cannot see
-            entry = state.adaptations[-1]
-            realized = {
-                "price": entry["price"],
-                "time": entry["time"],
-                "mitigation": entry["mitigation"],
-                "value": state.base_value(tid) + entry["value_delta"],
-            }
+        # the learning signal uses the realized outcome of the applied
+        # action (noisy overheads, late-rework penalty, destroyed value
+        # after a skip) against the candidates' nominal spread — exactly
+        # the information a nominal-cost ranking cannot see
+        entry = state.adaptations[-1]
+        realized = {
+            "price": entry["price"],
+            "time": entry["time"],
+            "mitigation": entry["mitigation"],
+            "value": state.base_value(tid) + entry["value_delta"],
+        }
 
-            def _cand_value(b):
-                # nominal final task value if the candidate were applied
-                if b.kind is ActionKind.INSERT:
-                    return base_value_before + b.value
-                return b.value
+        def _cand_value(b):
+            # nominal final task value if the candidate were applied
+            if b.kind is ActionKind.INSERT:
+                return base_value_before + b.value
+            return b.value
 
-            mins, maxs = {}, {}
-            for name, get in (
-                ("price", lambda b: b.price),
-                ("time", lambda b: b.time),
-                ("mitigation", lambda b: b.mitigation),
-                ("value", _cand_value),
-            ):
-                vals = [get(b) for b in breakdowns]
-                mins[name] = min(vals)
-                maxs[name] = max(vals)
-            yield ("reward", rl.reward(realized, mins, maxs, rl.RewardWeights()))
-        state.finish_task(tid)
+        mins, maxs = {}, {}
+        for name, get in (
+            ("price", lambda b: b.price),
+            ("time", lambda b: b.time),
+            ("mitigation", lambda b: b.mitigation),
+            ("value", _cand_value),
+        ):
+            vals = [get(b) for b in breakdowns]
+            mins[name] = min(vals)
+            maxs[name] = max(vals)
+        yield ("reward", rl.reward(realized, mins, maxs, rl.RewardWeights()))
 
-    durations = {tid: state.task_duration(tid) for tid in state.base}
-    total_time = makespan(workflow, executed, durations)
+    total_time = makespan(workflow, executed, state.durations(), order)
     acc = state.accumulated()
     return RunResult(
         price=acc["price"],
@@ -589,11 +543,14 @@ def run_experiment(
     between rounds in run-index order. Deterministic given `seed`."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if window < 1:
+        raise ValueError("window must be >= 1")
     if trust is None:
         trust = TrustRepository.from_cloud(cloud)
     from .scheduling import schedule  # deferred to avoid cycle at import time
 
     plan = schedule(workflow, cloud, trust, cfg)
+    catalog = builtin_attack_catalog()
     run_seeds = np.random.SeedSequence(seed).generate_state(n_runs + 1)[1:]
 
     # settle the trust repository's attack-frequency estimates before the
@@ -602,7 +559,7 @@ def run_experiment(
     for i in range(burn_in):
         burn = run_instance(
             workflow, plan, cloud, detectors, severity_model, cfg, trust,
-            attack_rate, unc, int(burn_seeds[i]), overheads=overheads,
+            attack_rate, unc, int(burn_seeds[i]), catalog, overheads,
         )
         _reconcile_trust(trust, cloud, burn)
 
@@ -611,7 +568,7 @@ def run_experiment(
         for i in range(n_runs):
             result = run_instance(
                 workflow, plan, cloud, detectors, severity_model, cfg, trust,
-                attack_rate, unc, int(run_seeds[i]), overheads=overheads,
+                attack_rate, unc, int(run_seeds[i]), catalog, overheads,
             )
             _reconcile_trust(trust, cloud, result)
             results.append(result)
@@ -619,7 +576,7 @@ def run_experiment(
         table = qtable if qtable is not None else rl.QTable(config=rl_config)
         disc = _discretizer_from_table(table) or _warmup_discretizer(
             workflow, plan, cloud, detectors, severity_model, cfg, trust,
-            attack_rate, unc, seed, overheads,
+            attack_rate, unc, seed, catalog, overheads,
         )
         table.discretization = disc.boundaries
         policy_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
@@ -628,8 +585,7 @@ def run_experiment(
         for i in range(n_runs):
             gen = instance_episode(
                 workflow, plan, cloud, detectors, severity_model, cfg, trust,
-                attack_rate, unc, int(run_seeds[i]), overheads=overheads,
-                discretizer=disc,
+                attack_rate, unc, int(run_seeds[i]), catalog, overheads, disc,
             )
             result = rl.run_training_episode(
                 table, gen, epsilon, policy_rng, rl.RewardWeights(), running
@@ -678,7 +634,7 @@ def _discretizer_from_table(table: rl.QTable):
 
 def _warmup_discretizer(
     workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate,
-    unc, seed, overheads, warmup_runs=20,
+    unc, seed, catalog, overheads, warmup_runs=20,
 ):
     """Fix the workflow-state quantile buckets from a short lowest-cost warmup
     (trust snapshot restored afterwards)."""
@@ -688,7 +644,7 @@ def _warmup_discretizer(
     for s in warm_seeds:
         res = run_instance(
             workflow, plan, cloud, detectors, severity_model, cfg, trust,
-            attack_rate, unc, int(s), overheads=overheads,
+            attack_rate, unc, int(s), catalog, overheads,
         )
         # accumulated-at-decision values are approximated by fractions of the
         # run totals; quartiles over these anchor the buckets

@@ -119,6 +119,15 @@ class TestSeverityAndSimulate:
         for line in events:
             json.loads(line)
 
+    def test_simulate_qtable_with_lowest_cost_is_usage_error(self, workdir, capsys):
+        (workdir / "qtable.json").write_text("{}")
+        code = _run(
+            ["simulate", "--models", "art/models.json", "--qtable", "qtable.json",
+             "--strategy", "lowest-cost", "--runs", "1"]
+        )
+        assert code == 2
+        assert "qtable.json" in capsys.readouterr().err
+
     def test_simulate_without_severity_is_usage_error(self, workdir):
         _gen_data(workdir)
         assert _run(["train-detect", "--data", "data", "--out", "art",

@@ -15,6 +15,7 @@ from secflow.decision import (
     SelectionStatus,
     apply_middleware_action,
     apply_tenant_action,
+    decision_for,
     find_backup_service,
     select_action,
 )
@@ -156,23 +157,23 @@ class TestSelectAction:
         )
         assert res.status is SelectionStatus.UNMITIGABLE
 
-    def test_chooser_overrides_lowest_cost(self):
+    def test_decision_for_overrides_lowest_cost(self):
         task, cloud, trust, svc = self._setup(afr=1.0)
         event = _event(level=Severity.HIGH)
         res = select_action(
             task, event, CATALOG[AttackType.DOS], TenantConfig(), cloud, trust, svc,
-            chooser=lambda bs: ActionKind.REDUNDANCY,
         )
-        assert res.decision.kind is ActionKind.REDUNDANCY
+        decision = decision_for(res, ActionKind.REDUNDANCY)
+        assert decision.kind is ActionKind.REDUNDANCY
 
-    def test_chooser_outside_candidates_rejected(self):
+    def test_decision_for_outside_candidates_rejected(self):
         task, cloud, trust, svc = self._setup(afr=1.0)
         event = _event(level=Severity.HIGH)
+        res = select_action(
+            task, event, CATALOG[AttackType.DOS], TenantConfig(), cloud, trust, svc,
+        )
         with pytest.raises(ValueError):
-            select_action(
-                task, event, CATALOG[AttackType.DOS], TenantConfig(), cloud, trust,
-                svc, chooser=lambda bs: ActionKind.SKIP,
-            )
+            decision_for(res, ActionKind.SKIP)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -218,7 +219,7 @@ class TestApplyTenant:
         data = (DataEdge("t0", "t1", "d0"), DataEdge("t0", "t2", "d1"))
         return Workflow(tasks=tasks, control_edges=edges, data_edges=data)
 
-    def _selected(self, kinds, at=AttackType.DOS, level=Severity.MEDIUM, chooser=None):
+    def _selected(self, kinds, at=AttackType.DOS, level=Severity.MEDIUM):
         task = make_task(cia=(1.0, 1.0, 1.0), value=1.0, kinds=kinds)
         cloud = make_cloud(
             [
@@ -230,7 +231,7 @@ class TestApplyTenant:
         event = _event(at=at, level=level)
         res = select_action(
             task, event, CATALOG[at], TenantConfig(), cloud, trust,
-            cloud.service_map()["p0-s0"], chooser=chooser,
+            cloud.service_map()["p0-s0"],
         )
         assert res.status is SelectionStatus.SELECTED
         return res.decision, event, trust
@@ -285,11 +286,11 @@ class TestApplyMiddleware:
         event = _event(at=at, level=level)
         res = select_action(
             task, event, CATALOG[at], TenantConfig(), cloud, trust,
-            cloud.service_map()["p0-s0"], chooser=lambda bs: chosen,
+            cloud.service_map()["p0-s0"],
         )
         assert res.status is SelectionStatus.SELECTED
         before = state.accumulated()
-        apply_middleware_action(state, event, res.decision, trust)
+        apply_middleware_action(state, event, decision_for(res, chosen), trust)
         return before, state.accumulated(), trust
 
     def test_rework_charges_backup(self):

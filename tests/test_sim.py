@@ -221,6 +221,15 @@ class TestRunExperiment:
                 burn_in=0,
             )
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_nonpositive_window_rejected(self, window):
+        wf, cloud = self._setup()
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            run_experiment(
+                wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 1, "lowest-cost", 0.0,
+                window=window, burn_in=0,
+            )
+
     def test_aggregate_csv_header(self):
         wf, cloud = self._setup()
         exp = run_experiment(
