@@ -10,7 +10,6 @@ from .model import (
     ControlEdge,
     DataEdge,
     MultiCloud,
-    OverheadConfig,
     SchedulingPlan,
     SecurityVector,
     Service,
@@ -34,7 +33,6 @@ from .rl import QTable, RLConfig, RewardWeights, train
 from .decision import AttackEvent, select_action
 from .sim import (
     RunResult,
-    UncertaintyConfig,
     WorkflowClass,
     generate_multicloud,
     generate_workflow_class,

@@ -28,7 +28,6 @@ from .model import (
     serialize_multicloud,
     serialize_workflow,
 )
-from .scheduling import TrustRepository
 
 DEFAULT_MIX = {"normal": 0.5, "dos": 0.125, "probe": 0.125, "u2r": 0.125, "r2l": 0.125}
 
@@ -56,7 +55,10 @@ def _load_config(args):
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"config {args.config} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError(f"config {args.config} must be a JSON object")
         cfg.update(loaded)
@@ -195,16 +197,19 @@ def _load_runtime(cfg):
         cloud = parse_multicloud(Path(cloud_path).read_text())
     else:
         cloud = sim.generate_multicloud(seed)
-    detectors_by_key, severity_obj = detection.load_models(
-        _get(cfg, "models", required=True)
-    )
+    models_path = _get(cfg, "models", required=True)
+    detectors_by_key, severity_obj = detection.load_models(models_path)
     model_kind = _get(cfg, "detector", "random_forest")
-    detectors = {
-        kind: detectors_by_key[f"{kind.value}/{model_kind}"]
-        for kind in (DatasetKind.NTD, DatasetKind.CLF)
-    }
+    detectors = {}
+    for kind in (DatasetKind.NTD, DatasetKind.CLF):
+        key = f"{kind.value}/{model_kind}"
+        if key not in detectors_by_key:
+            raise UsageError(f"model file {models_path} carries no {key!r} detector; "
+                             "run train-detect")
+        detectors[kind] = detectors_by_key[key]
     if severity_obj is None:
-        raise UsageError("model file carries no severity model; run train-severity")
+        raise UsageError(f"model file {models_path} carries no severity model; "
+                         "run train-severity")
     sev = severity.severity_from_obj(severity_obj)
     return workflow, cloud, detectors, sev
 

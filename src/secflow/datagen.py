@@ -163,10 +163,16 @@ class Dataset:
 
 def dataset_from_csv(kind: DatasetKind, csv_text: str, meta_text: str | None = None) -> Dataset:
     rows = list(csv.reader(io.StringIO(csv_text)))
+    if not rows:
+        raise DataConfigError(f"empty {kind.value} CSV: no header")
     header, body = rows[0], rows[1:]
     expected = list(FEATURES[kind]) + ["label"]
     if header != expected:
         raise DataConfigError(f"unexpected {kind.value} header: {header}")
+    for idx, r in enumerate(body):
+        if len(r) != len(expected):
+            raise DataConfigError(
+                f"{kind.value} row {idx}: {len(r)} fields, header has {len(expected)}")
     X = np.array([[float(v) for v in r[:-1]] for r in body], dtype=float)
     labels = np.array([r[-1] for r in body])
     intensity = np.zeros(len(body))

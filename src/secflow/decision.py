@@ -18,7 +18,6 @@ from .model import (
     BackupParams,
     MIDDLEWARE_KINDS,
     MultiCloud,
-    OverheadConfig,
     Service,
     Severity,
     Task,
@@ -138,7 +137,6 @@ def candidate_params(
     kind: ActionKind,
     task: Task,
     service: Service,
-    overheads: OverheadConfig,
     backup: Service | None,
 ) -> ActionParams:
     """Resolve a candidate's price/time/MI/value: explicit modeling-time params
@@ -155,7 +153,6 @@ def candidate_params(
         task_time=service.response_time,
         task_price=service.price,
         task_value=task.value,
-        overheads=overheads,
         backup=backup_params,
     )
 
@@ -168,7 +165,6 @@ def select_action(
     cloud: MultiCloud,
     trust: TrustRepository,
     current: Service,
-    overheads: OverheadConfig = OverheadConfig(),
 ) -> SelectionResult:
     """Run the selection algorithm for one detected attack.
 
@@ -197,7 +193,7 @@ def select_action(
     if not final:
         return SelectionResult(SelectionStatus.UNMITIGABLE, score)
 
-    params = {k: candidate_params(k, task, current, overheads, backup) for k in final}
+    params = {k: candidate_params(k, task, current, backup) for k in final}
     ms = {
         k: mitigation_score(task.requirements, spec.impact, p.mitigation_impact)
         for k, p in params.items()
@@ -240,7 +236,7 @@ def apply_tenant_action(state, event: AttackEvent, decision: AdaptationDecision)
     if kind is ActionKind.SKIP:
         state.skip_task(task_id)
         state.add_adaptation(task_id, kind, price=0.0, time=0.0, value_delta=0.0,
-                             mitigation=mitigation, noisy=False)
+                             mitigation=mitigation)
         return
     if kind is ActionKind.SWITCH:
         base_value = state.base_value(task_id)

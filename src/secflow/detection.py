@@ -16,6 +16,7 @@ MODEL_FORMAT_VERSION = 1
 DEFAULT_N_TREES = 50
 DEFAULT_MAX_DEPTH = 10
 DEFAULT_MIN_LEAF = 2
+RIDGE = 1e-6  # regularization of the linear model's normal equations
 
 
 class TrainingError(ValueError):
@@ -218,7 +219,7 @@ def train_random_forest(
     )
 
 
-def train_linear(train: Dataset, ridge: float = 1e-6) -> DetectorModel:
+def train_linear(train: Dataset) -> DetectorModel:
     """One-vs-rest least squares with an intercept and ridge regularization;
     prediction is the argmax of the per-class scores."""
     if len(train) == 0:
@@ -228,7 +229,7 @@ def train_linear(train: Dataset, ridge: float = 1e-6) -> DetectorModel:
     Y = np.zeros((len(train), len(classes)))
     for j, c in enumerate(classes):
         Y[train.labels == c, j] = 1.0
-    gram = X.T @ X + ridge * np.eye(X.shape[1])
+    gram = X.T @ X + RIDGE * np.eye(X.shape[1])
     try:
         weights = np.linalg.solve(gram, X.T @ Y)
     except np.linalg.LinAlgError as exc:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -59,7 +60,6 @@ class ActionKind(enum.Enum):
     RECONFIGURATION = "reconfiguration"
 
 
-TENANT_KINDS = frozenset({ActionKind.SKIP, ActionKind.SWITCH, ActionKind.INSERT})
 MIDDLEWARE_KINDS = frozenset(
     {ActionKind.REWORK, ActionKind.REDUNDANCY, ActionKind.RECONFIGURATION}
 )
@@ -395,30 +395,25 @@ def builtin_attack_catalog():
     }
 
 
-@dataclass(frozen=True)
-class OverheadConfig:
-    """Symbolic overheads of the action-properties catalog, as fractions of the
-    violated task's own time/price/value."""
-
-    insert_time_frac: float = 0.2
-    insert_price_frac: float = 0.2
-    insert_value_frac: float = 0.1
-    switch_time_frac: float = 0.1
-    switch_value_frac: float = 0.9
-    reconfig_time_frac: float = 0.1
-    reconfig_price_frac: float = 0.1
-    reconfig_value_frac: float = 0.1
-    redundancy_value_frac: float = 0.25
+# Symbolic overheads of the action-properties catalog, as fractions of the
+# violated task's own time/price/value.
+INSERT_TIME_FRAC = 0.2
+INSERT_PRICE_FRAC = 0.2
+INSERT_VALUE_FRAC = 0.1
+SWITCH_TIME_FRAC = 0.1
+SWITCH_VALUE_FRAC = 0.9
+RECONFIG_TIME_FRAC = 0.1
+RECONFIG_PRICE_FRAC = 0.1
+RECONFIG_VALUE_FRAC = 0.1
+REDUNDANCY_VALUE_FRAC = 0.25
 
 
 @dataclass(frozen=True)
 class BackupParams:
-    """Price/time of the runtime-resolved backup service (plus optional value
-    bonus for redundant execution)."""
+    """Price/time of the runtime-resolved backup service."""
 
     time: float
     price: float
-    value_bonus: float | None = None
 
 
 class MissingBackupError(ModelError):
@@ -430,7 +425,6 @@ def builtin_action_properties(
     task_time: float,
     task_price: float,
     task_value: float,
-    overheads: OverheadConfig = OverheadConfig(),
     backup: BackupParams | None = None,
 ) -> ActionParams:
     """Instantiate the catalog row for `kind` against a concrete task.
@@ -439,43 +433,39 @@ def builtin_action_properties(
     `task_value` is the task's value. Rework and Redundancy require `backup`.
     """
     mi = ACTION_MITIGATION_IMPACT[kind]
-    oh = overheads
     if kind is ActionKind.SKIP:
         return ActionParams(0.0, 0.0, mi, 0.0)
     if kind is ActionKind.INSERT:
         return ActionParams(
-            oh.insert_price_frac * task_price,
-            oh.insert_time_frac * task_time,
+            INSERT_PRICE_FRAC * task_price,
+            INSERT_TIME_FRAC * task_time,
             mi,
-            oh.insert_value_frac * task_value,
+            INSERT_VALUE_FRAC * task_value,
         )
     if kind is ActionKind.SWITCH:
         return ActionParams(
             task_price,
-            oh.switch_time_frac * task_time,
+            SWITCH_TIME_FRAC * task_time,
             mi,
-            oh.switch_value_frac * task_value,
+            SWITCH_VALUE_FRAC * task_value,
         )
     if kind is ActionKind.RECONFIGURATION:
         return ActionParams(
-            task_price + oh.reconfig_price_frac * task_price,
-            task_time + oh.reconfig_time_frac * task_time,
+            task_price + RECONFIG_PRICE_FRAC * task_price,
+            task_time + RECONFIG_TIME_FRAC * task_time,
             mi,
-            task_value + oh.reconfig_value_frac * task_value,
+            task_value + RECONFIG_VALUE_FRAC * task_value,
         )
     if backup is None:
         raise MissingBackupError(f"{kind.value} requires a backup service")
     if kind is ActionKind.REWORK:
         return ActionParams(backup.price, backup.time, mi, task_value)
     if kind is ActionKind.REDUNDANCY:
-        bonus = backup.value_bonus
-        if bonus is None:
-            bonus = oh.redundancy_value_frac * task_value
         return ActionParams(
             task_price + backup.price,
             max(backup.time, task_time),
             mi,
-            task_value + bonus,
+            task_value + REDUNDANCY_VALUE_FRAC * task_value,
         )
     raise ModelError(f"unknown action kind {kind!r}")
 
@@ -493,17 +483,34 @@ def builtin_action_properties(
 # entries must not carry price/time.
 
 
-def parse_workflow(document: str) -> Workflow:
+@contextmanager
+def _fields(path, obj):
+    """Read the fields of the JSON object `obj` found at `path`: a non-object
+    or a missing field raises ParseError naming the path."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: must be an object")
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing field {exc.args[0]!r}") from None
+
+
+def _load_document(document: str) -> dict:
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at offset {exc.pos}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("$: document must be an object")
+    return doc
+
+
+def parse_workflow(document: str) -> Workflow:
+    doc = _load_document(document)
     tasks = []
     for idx, td in enumerate(doc.get("tasks", [])):
         path = f"$.tasks[{idx}]"
-        try:
+        with _fields(path, td):
             actions = {}
             for aidx, ad in enumerate(td.get("actions", [])):
                 apath = f"{path}.actions[{aidx}]"
@@ -538,22 +545,21 @@ def parse_workflow(document: str) -> Workflow:
                     feasible_actions=actions,
                 )
             )
-        except KeyError as exc:
-            raise ParseError(f"{path}: missing field {exc.args[0]!r}") from None
-    control = tuple(
-        ControlEdge(
-            src=str(e["from"]),
-            dst=str(e["to"]),
-            cond=str(e.get("cond", "")),
-            prob=float(e.get("prob", 1.0 if not e.get("cond") else 0.5)),
-        )
-        for e in doc.get("control_edges", [])
-    )
-    data = tuple(
-        DataEdge(src=str(e["from"]), dst=str(e["to"]), data=str(e.get("data", "")))
-        for e in doc.get("data_edges", [])
-    )
-    return Workflow(tasks=tuple(tasks), control_edges=control, data_edges=data)
+    control = []
+    for idx, e in enumerate(doc.get("control_edges", [])):
+        with _fields(f"$.control_edges[{idx}]", e):
+            control.append(ControlEdge(
+                src=str(e["from"]),
+                dst=str(e["to"]),
+                cond=str(e.get("cond", "")),
+                prob=float(e.get("prob", 1.0 if not e.get("cond") else 0.5)),
+            ))
+    data = []
+    for idx, e in enumerate(doc.get("data_edges", [])):
+        with _fields(f"$.data_edges[{idx}]", e):
+            data.append(DataEdge(src=str(e["from"]), dst=str(e["to"]),
+                                 data=str(e.get("data", ""))))
+    return Workflow(tasks=tuple(tasks), control_edges=tuple(control), data_edges=tuple(data))
 
 
 def serialize_workflow(workflow: Workflow) -> str:
@@ -598,26 +604,38 @@ def serialize_workflow(workflow: Workflow) -> str:
 def parse_multicloud(document: str) -> MultiCloud:
     """MultiCloud JSON: {"providers":[{"id","services":[{"id","price","time",
     "c","i","a","afr":{"dos":..,"probe":..,"u2r":..,"r2l":..}}]}]}."""
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at offset {exc.pos}: {exc.msg}") from exc
+    doc = _load_document(document)
     providers = []
-    for pd in doc.get("providers", []):
-        pid = str(pd["id"])
-        services = tuple(
-            Service(
-                id=str(sd["id"]),
-                provider_id=pid,
-                price=float(sd["price"]),
-                response_time=float(sd["time"]),
-                guarantees=SecurityVector(sd["c"], sd["i"], sd["a"]),
-                afr={AttackType(k): float(v) for k, v in sd.get("afr", {}).items()},
-            )
-            for sd in pd.get("services", [])
-        )
-        providers.append((pid, services))
+    for pidx, pd in enumerate(doc.get("providers", [])):
+        ppath = f"$.providers[{pidx}]"
+        with _fields(ppath, pd):
+            pid = str(pd["id"])
+            services = []
+            for sidx, sd in enumerate(pd.get("services", [])):
+                spath = f"{ppath}.services[{sidx}]"
+                with _fields(spath, sd):
+                    services.append(Service(
+                        id=str(sd["id"]),
+                        provider_id=pid,
+                        price=float(sd["price"]),
+                        response_time=float(sd["time"]),
+                        guarantees=SecurityVector(sd["c"], sd["i"], sd["a"]),
+                        afr=_parse_afr(f"{spath}.afr", sd.get("afr", {})),
+                    ))
+        providers.append((pid, tuple(services)))
     return MultiCloud(providers=tuple(providers))
+
+
+def _parse_afr(path, rates):
+    afr = {}
+    with _fields(path, rates):
+        for name, rate in rates.items():
+            try:
+                at = AttackType(name)
+            except ValueError:
+                raise ParseError(f"{path}: unknown attack type {name!r}") from None
+            afr[at] = float(rate)
+    return afr
 
 
 def serialize_multicloud(cloud: MultiCloud) -> str:

@@ -60,6 +60,10 @@ class RewardWeights:
             raise RLDomainError("mitigation/value weights must be >= 0")
 
 
+#: The weights of every simulated reward: the per-decision reward, the
+#: terminal bonus and the pooled composite reward.
+REWARD_WEIGHTS = RewardWeights()
+
 ATTR_NAMES = ("price", "time", "mitigation", "value")
 
 
@@ -134,8 +138,6 @@ def train(
     episodes: int,
     cfg: RLConfig = RLConfig(),
     seed: int = 0,
-    weights: RewardWeights = RewardWeights(),
-    table: QTable | None = None,
 ) -> QTable:
     """Run `episodes` episodes from `episode_factory(index, episode_seed)`,
     choosing epsilon-greedily and applying the Q update online. Epsilon decays
@@ -143,8 +145,7 @@ def train(
     given (config, seed)."""
     if episodes < 1:
         raise RLDomainError("episodes must be >= 1")
-    if table is None:
-        table = QTable(config=cfg)
+    table = QTable(config=cfg)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     episode_seeds = np.random.SeedSequence(seed).generate_state(episodes + 1)[1:]
     epsilon = cfg.epsilon
@@ -152,8 +153,7 @@ def train(
     for ep in range(episodes):
         try:
             _run_episode(
-                table, episode_factory, ep, int(episode_seeds[ep]), epsilon, rng,
-                weights, running,
+                table, episode_factory, ep, int(episode_seeds[ep]), epsilon, rng, running
             )
         except Exception as exc:
             raise RuntimeError(f"episode {ep} failed: {exc}") from exc
@@ -161,12 +161,12 @@ def train(
     return table
 
 
-def _run_episode(table, episode_factory, index, ep_seed, epsilon, rng, weights, running):
+def _run_episode(table, episode_factory, index, ep_seed, epsilon, rng, running):
     gen = episode_factory(index, ep_seed)
-    return run_training_episode(table, gen, epsilon, rng, weights, running)
+    return run_training_episode(table, gen, epsilon, rng, running)
 
 
-def run_training_episode(table, gen, epsilon, rng, weights, running):
+def run_training_episode(table, gen, epsilon, rng, running):
     """Drive one episode generator with epsilon-greedy choices and online Q
     updates. Returns the generator's StopIteration value; if that value is an
     object exposing ``reward_attrs()`` (or a plain dict), its totals feed the
@@ -198,7 +198,7 @@ def run_training_episode(table, gen, epsilon, rng, weights, running):
         totals = totals.reward_attrs()
     if pending is not None:
         st, a, r = pending
-        r += _terminal_bonus(totals, weights, running)
+        r += _terminal_bonus(totals, running)
         q_update(table, st, a, r, None, ())
     elif totals is not None:
         _update_running(totals, running)
@@ -212,7 +212,7 @@ def _update_running(totals, running):
             running[name] = [min(lo, totals[name]), max(hi, totals[name])]
 
 
-def _terminal_bonus(totals, weights, running):
+def _terminal_bonus(totals, running):
     """Whole-workflow reward term, normalized against the running min/max of
     each attribute across the episodes seen so far."""
     if not totals:
@@ -224,7 +224,7 @@ def _terminal_bonus(totals, weights, running):
             continue
         lo, hi = running[name]
         if np.isfinite(lo) and np.isfinite(hi) and hi > lo:
-            bonus += getattr(weights, name) * (totals[name] - lo) / (hi - lo)
+            bonus += getattr(REWARD_WEIGHTS, name) * (totals[name] - lo) / (hi - lo)
     return bonus
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .model import (
@@ -14,7 +13,7 @@ from .model import (
 )
 from .scoring import normalize
 
-DEFAULT_EWMA_BETA = 0.1
+EWMA_BETA = 0.1
 
 
 class UnschedulableError(RuntimeError):
@@ -49,19 +48,13 @@ class TrustRepository:
         rates = [self.afr_history[(service_id, at)] for at in AttackType]
         self.trust[service_id] = min(1.0, max(0.0, 1.0 - sum(rates) / len(rates)))
 
-    def update(
-        self,
-        service_id: str,
-        attack_type: AttackType,
-        detected: bool,
-        beta: float = DEFAULT_EWMA_BETA,
-    ):
+    def update(self, service_id: str, attack_type: AttackType, detected: bool):
         """EWMA update of the per-type rate, then trust = 1 - mean rate."""
         key = (service_id, attack_type)
         if key not in self.afr_history:
             raise KeyError(f"unknown service {service_id!r}")
         old = self.afr_history[key]
-        new = (1.0 - beta) * old + beta * (1.0 if detected else 0.0)
+        new = (1.0 - EWMA_BETA) * old + EWMA_BETA * (1.0 if detected else 0.0)
         self.afr_history[key] = min(1.0, max(0.0, new))
         self._recompute_trust(service_id)
 
@@ -72,21 +65,6 @@ class TrustRepository:
             raise KeyError(f"unknown service {service_id!r}")
         self.afr_history[key] = min(1.0, max(0.0, self.afr_history[key] * factor))
         self._recompute_trust(service_id)
-
-    def to_json(self) -> str:
-        afr = {}
-        for (sid, at), rate in self.afr_history.items():
-            afr.setdefault(sid, {})[at.value] = rate
-        return json.dumps({"trust": self.trust, "afr": afr}, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrustRepository":
-        doc = json.loads(text)
-        repo = cls(trust=dict(doc.get("trust", {})))
-        for sid, rates in doc.get("afr", {}).items():
-            for at_name, rate in rates.items():
-                repo.afr_history[(sid, AttackType(at_name))] = float(rate)
-        return repo
 
 
 def eligible_services(task, cloud: MultiCloud):

@@ -87,14 +87,14 @@ def _kmeans_pp_init(X, k, rng):
     return np.array(centroids)
 
 
-def kmeans(X: np.ndarray, k: int, rng, max_iter=KMEANS_MAX_ITER, tol=KMEANS_TOL):
+def kmeans(X: np.ndarray, k: int, rng):
     """Lloyd's algorithm with k-means++ seeding. Returns (centroids, labels)
     or raises FittingError if every reseed leaves an empty cluster."""
     if len(X) < k:
         raise FittingError(f"need at least {k} records, got {len(X)}")
     for _ in range(KMEANS_RESEEDS):
         centroids = _kmeans_pp_init(X, k, rng)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
             labels = d2.argmin(axis=1)
             new = np.empty_like(centroids)
@@ -109,7 +109,7 @@ def kmeans(X: np.ndarray, k: int, rng, max_iter=KMEANS_MAX_ITER, tol=KMEANS_TOL)
                 break
             shift = np.max(np.abs(new - centroids))
             centroids = new
-            if shift <= tol:
+            if shift <= KMEANS_TOL:
                 break
         else:
             empty = False

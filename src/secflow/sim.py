@@ -36,7 +36,6 @@ from .model import (
     ControlEdge,
     DataEdge,
     MultiCloud,
-    OverheadConfig,
     SchedulingPlan,
     SecurityVector,
     Service,
@@ -51,20 +50,20 @@ from .scoring import attack_score
 from .severity import AssessmentError
 
 
-@dataclass(frozen=True)
-class UncertaintyConfig:
-    """Knobs for the uncertain overhead costs of adaptation actions."""
+# The uncertain overhead costs of adaptation actions.
+#: Factor on a rework's time once the instance runs late.
+REWORK_DELAY_MULTIPLIER_WHEN_LATE = 1.5
+#: An instance runs late once its accumulated time exceeds this factor times
+#: the nominal time of the tasks processed so far.
+LATE_THRESHOLD_FACTOR = 1.2
+#: Failure probability that each degraded input (a skipped data predecessor)
+#: adds to a task.
+SKIP_DOWNSTREAM_FAILURE_DELTA = 0.2
+#: An adaptation with a nonzero price or time pays both times exp(N(0, sigma)).
+OVERHEAD_NOISE_SIGMA = 0.25
 
-    rework_delay_multiplier_when_late: float = 1.5
-    late_threshold_factor: float = 1.2
-    skip_downstream_failure_delta: float = 0.2
-    overhead_noise_sigma: float = 0.25
-
-    def __post_init__(self):
-        if self.rework_delay_multiplier_when_late < 1.0:
-            raise ValueError("rework delay multiplier must be >= 1")
-        if not (0.0 <= self.skip_downstream_failure_delta <= 1.0):
-            raise ValueError("failure delta must be in [0,1]")
+#: The built-in attack catalog every instance reads.
+ATTACK_CATALOG = builtin_attack_catalog()
 
 
 @dataclass
@@ -94,8 +93,7 @@ class ExecutionState:
     """Mutable per-instance ledger. Totals are always the fold of the base
     task entries plus the adaptation entries."""
 
-    def __init__(self, workflow: Workflow, unc: UncertaintyConfig, noise_rng):
-        self.unc = unc
+    def __init__(self, workflow: Workflow, noise_rng):
         self._noise_rng = noise_rng
         self.base = {}  # task id -> [price, time, value]
         self.adaptations = []  # dicts: task, kind, price, time, value_delta, mitigation
@@ -134,13 +132,9 @@ class ExecutionState:
     def damage_task(self, task_id, factor):
         self.base[task_id][2] *= factor
 
-    def add_adaptation(
-        self, task_id, kind, price, time, value_delta, mitigation, noisy=True
-    ):
-        if noisy and self.unc.overhead_noise_sigma > 0 and (price > 0 or time > 0):
-            factor = float(
-                np.exp(self._noise_rng.normal(0.0, self.unc.overhead_noise_sigma))
-            )
+    def add_adaptation(self, task_id, kind, price, time, value_delta, mitigation):
+        if price > 0 or time > 0:
+            factor = float(np.exp(self._noise_rng.normal(0.0, OVERHEAD_NOISE_SIGMA)))
             price *= factor
             time *= factor
         self.adaptations.append(
@@ -156,8 +150,8 @@ class ExecutionState:
         self.action_history.append(kind)
 
     def late_multiplier(self):
-        if self.accumulated_time() > self.unc.late_threshold_factor * self.nominal_prefix:
-            return self.unc.rework_delay_multiplier_when_late
+        if self.accumulated_time() > LATE_THRESHOLD_FACTOR * self.nominal_prefix:
+            return REWORK_DELAY_MULTIPLIER_WHEN_LATE
         return 1.0
 
     # -- aggregates --------------------------------------------------------
@@ -243,17 +237,13 @@ def run_instance(
     cfg: TenantConfig,
     trust: TrustRepository,
     attack_rate: float,
-    unc: UncertaintyConfig,
     seed: int,
-    attack_catalog: dict | None = None,
-    overheads: OverheadConfig = OverheadConfig(),
 ) -> RunResult:
     """Execute one workflow instance under the lowest-cost strategy: drive
     `instance_episode`, sending the cheapest candidate at every decision.
     Deterministic given `seed`."""
     gen = instance_episode(
-        workflow, plan, cloud, detectors, severity_model, cfg, trust,
-        attack_rate, unc, seed, attack_catalog, overheads,
+        workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed
     )
     try:
         event = next(gen)
@@ -265,16 +255,13 @@ def run_instance(
 
 
 def instance_episode(
-    workflow, plan, cloud, detectors, severity_model, cfg, trust,
-    attack_rate, unc, seed,
-    attack_catalog=None, overheads=OverheadConfig(), discretizer=None,
+    workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed,
+    discretizer=None,
 ):
     """Execute one workflow instance as a generator speaking the rl module's
     protocol: at each adaptation decision it yields ("decide", state_key,
     kinds ranked cheapest-first) and applies the kind it is sent, then yields
     ("reward", r) and expects None. Returns the RunResult."""
-    if attack_catalog is None:
-        attack_catalog = builtin_attack_catalog()
     if discretizer is None:
         discretizer = rl.StateDiscretizer(boundaries={})
     plan.validate(workflow, cloud)
@@ -288,7 +275,7 @@ def instance_episode(
         np.random.default_rng(c) for c in ss.spawn(5)
     )
 
-    state = ExecutionState(workflow, unc, noise_rng)
+    state = ExecutionState(workflow, noise_rng)
     order = workflow.topological_order()
     executed = _executed_set(workflow, order, branch_rng)
     tasks = workflow.task_map()
@@ -306,9 +293,7 @@ def instance_episode(
         # degraded inputs raise the task's failure probability
         fail_draw = fail_rng.random()
         n_flags = state.degraded.get(tid, 0)
-        if n_flags > 0 and fail_draw < min(
-            1.0, n_flags * unc.skip_downstream_failure_delta
-        ):
+        if n_flags > 0 and fail_draw < min(1.0, n_flags * SKIP_DOWNSTREAM_FAILURE_DELTA):
             state.fail_task(tid)
             failures += 1
             continue
@@ -338,7 +323,7 @@ def instance_episode(
         # AFR so the learned live rate cannot argue the damage away
         afr_static = svc.afr.get(true_type, 0.0)
         true_damage = 1.0 - attack_score(
-            task.requirements, attack_catalog[true_type].impact, afr_static, intensity
+            task.requirements, ATTACK_CATALOG[true_type].impact, afr_static, intensity
         )
 
         if predicted == NORMAL:
@@ -365,8 +350,7 @@ def instance_episode(
             service_id=svc.id,
         )
         result = select_action(
-            task, event, attack_catalog[pred_type], cfg, cloud, trust, svc,
-            overheads=overheads,
+            task, event, ATTACK_CATALOG[pred_type], cfg, cloud, trust, svc
         )
         if result.status is SelectionStatus.NOT_TRIGGERED:
             # below the trigger threshold nothing adapts, but the attack is
@@ -459,7 +443,7 @@ def instance_episode(
             vals = [get(b) for b in breakdowns]
             mins[name] = min(vals)
             maxs[name] = max(vals)
-        yield ("reward", rl.reward(realized, mins, maxs, rl.RewardWeights()))
+        yield ("reward", rl.reward(realized, mins, maxs, rl.REWARD_WEIGHTS))
 
     total_time = makespan(workflow, executed, state.durations(), order)
     acc = state.accumulated()
@@ -526,13 +510,10 @@ def run_experiment(
     n_runs: int,
     strategy: str,
     attack_rate: float,
-    unc: UncertaintyConfig = UncertaintyConfig(),
+    *,
     seed: int = 0,
     window: int = 100,
-    rl_config: rl.RLConfig = rl.RLConfig(),
     qtable: rl.QTable | None = None,
-    trust: TrustRepository | None = None,
-    overheads: OverheadConfig = OverheadConfig(),
     burn_in: int = 50,
 ) -> ExperimentResult:
     """Run `n_runs` rounds of one workflow under a strategy.
@@ -545,12 +526,12 @@ def run_experiment(
         raise ValueError("n_runs must be >= 1")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if trust is None:
-        trust = TrustRepository.from_cloud(cloud)
+    if strategy not in ("lowest-cost", "adaptive"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    trust = TrustRepository.from_cloud(cloud)
     from .scheduling import schedule  # deferred to avoid cycle at import time
 
     plan = schedule(workflow, cloud, trust, cfg)
-    catalog = builtin_attack_catalog()
     run_seeds = np.random.SeedSequence(seed).generate_state(n_runs + 1)[1:]
 
     # settle the trust repository's attack-frequency estimates before the
@@ -559,7 +540,7 @@ def run_experiment(
     for i in range(burn_in):
         burn = run_instance(
             workflow, plan, cloud, detectors, severity_model, cfg, trust,
-            attack_rate, unc, int(burn_seeds[i]), catalog, overheads,
+            attack_rate, int(burn_seeds[i]),
         )
         _reconcile_trust(trust, cloud, burn)
 
@@ -568,15 +549,15 @@ def run_experiment(
         for i in range(n_runs):
             result = run_instance(
                 workflow, plan, cloud, detectors, severity_model, cfg, trust,
-                attack_rate, unc, int(run_seeds[i]), catalog, overheads,
+                attack_rate, int(run_seeds[i]),
             )
             _reconcile_trust(trust, cloud, result)
             results.append(result)
-    elif strategy == "adaptive":
-        table = qtable if qtable is not None else rl.QTable(config=rl_config)
+    else:
+        table = qtable if qtable is not None else rl.QTable()
         disc = _discretizer_from_table(table) or _warmup_discretizer(
             workflow, plan, cloud, detectors, severity_model, cfg, trust,
-            attack_rate, unc, seed, catalog, overheads,
+            attack_rate, seed,
         )
         table.discretization = disc.boundaries
         policy_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
@@ -585,18 +566,14 @@ def run_experiment(
         for i in range(n_runs):
             gen = instance_episode(
                 workflow, plan, cloud, detectors, severity_model, cfg, trust,
-                attack_rate, unc, int(run_seeds[i]), catalog, overheads, disc,
+                attack_rate, int(run_seeds[i]), disc,
             )
-            result = rl.run_training_episode(
-                table, gen, epsilon, policy_rng, rl.RewardWeights(), running
-            )
+            result = rl.run_training_episode(table, gen, epsilon, policy_rng, running)
             _reconcile_trust(trust, cloud, result)
             results.append(result)
             epsilon = max(
                 table.config.epsilon_floor, epsilon * table.config.epsilon_decay
             )
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     attrs = [r.reward_attrs() for r in results]
     mean = {k: float(np.mean([a[k] for a in attrs])) for k in rl.ATTR_NAMES}
@@ -626,6 +603,10 @@ def _reconcile_trust(trust: TrustRepository, cloud: MultiCloud, result: RunResul
             trust.update(s.id, at, detected=(s.id, at.value) in hit)
 
 
+#: Lowest-cost instances that fix an adaptive experiment's state buckets.
+WARMUP_RUNS = 20
+
+
 def _discretizer_from_table(table: rl.QTable):
     if table.discretization:
         return rl.StateDiscretizer(boundaries=table.discretization)
@@ -633,18 +614,17 @@ def _discretizer_from_table(table: rl.QTable):
 
 
 def _warmup_discretizer(
-    workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate,
-    unc, seed, catalog, overheads, warmup_runs=20,
+    workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed
 ):
     """Fix the workflow-state quantile buckets from a short lowest-cost warmup
     (trust snapshot restored afterwards)."""
     snapshot = (dict(trust.trust), dict(trust.afr_history))
     samples = {"time": [], "price": [], "value": []}
-    warm_seeds = np.random.SeedSequence([seed, 13]).generate_state(warmup_runs)
+    warm_seeds = np.random.SeedSequence([seed, 13]).generate_state(WARMUP_RUNS)
     for s in warm_seeds:
         res = run_instance(
             workflow, plan, cloud, detectors, severity_model, cfg, trust,
-            attack_rate, unc, int(s), catalog, overheads,
+            attack_rate, int(s),
         )
         # accumulated-at-decision values are approximated by fractions of the
         # run totals; quartiles over these anchor the buckets
@@ -656,7 +636,7 @@ def _warmup_discretizer(
     return rl.StateDiscretizer.from_samples(samples)
 
 
-def composite_rewards(results, weights: rl.RewardWeights = rl.RewardWeights()):
+def composite_rewards(results):
     """Per-run composite reward with min-max normalization over the pooled
     result list (degenerate attributes contribute 0)."""
     attrs = [r.reward_attrs() for r in results]
@@ -665,7 +645,7 @@ def composite_rewards(results, weights: rl.RewardWeights = rl.RewardWeights()):
         vals = np.array([a[name] for a in attrs])
         lo, hi = vals.min(), vals.max()
         if hi > lo:
-            out += getattr(weights, name) * (vals - lo) / (hi - lo)
+            out += getattr(rl.REWARD_WEIGHTS, name) * (vals - lo) / (hi - lo)
     return out
 
 

@@ -16,6 +16,14 @@ from secflow.model import (
 )
 
 
+class NoNoise:
+    """An overhead-noise stream whose every draw is 0.0. exp(0.0) == 1.0, so a
+    ledger fed by it records each adaptation's nominal price and time."""
+
+    def normal(self, loc=0.0, scale=1.0):
+        return 0.0
+
+
 def make_task(tid="t0", cia=(0.5, 0.5, 0.5), value=1.0, kinds=None):
     if kinds is None:
         kinds = list(ActionKind)

@@ -27,7 +27,6 @@ from secflow.scoring import adaptation_cost, attack_score, mitigation_score, nor
 from secflow.severity import fit_severity
 from secflow.sim import (
     ExecutionState,
-    UncertaintyConfig,
     WorkflowClass,
     composite_rewards,
     generate_multicloud,
@@ -35,7 +34,7 @@ from secflow.sim import (
     run_experiment,
 )
 from secflow.model import Workflow
-from tests.conftest import make_cloud, make_service, make_task
+from tests.conftest import NoNoise, make_cloud, make_service, make_task
 
 MIX = {"normal": 0.5, "dos": 0.125, "probe": 0.125, "u2r": 0.125, "r2l": 0.125}
 CATALOG = builtin_attack_catalog()
@@ -311,14 +310,13 @@ N_CASES = 1000
 
 def test_criterion_6a_ledger_conservation():
     rng = np.random.default_rng(6001)
-    unc = UncertaintyConfig(overhead_noise_sigma=0.0)
     for _ in range(N_CASES):
         n_tasks = int(rng.integers(1, 6))
         wf = Workflow(
             tasks=tuple(make_task(f"t{i}") for i in range(n_tasks)),
             control_edges=(), data_edges=(),
         )
-        state = ExecutionState(wf, unc, rng)
+        state = ExecutionState(wf, NoNoise())
         expected = {"price": 0.0, "time": 0.0, "value": 0.0, "mitigation": 0.0}
         for i in range(n_tasks):
             p, t, v = rng.uniform(0, 10, 3)
@@ -330,7 +328,7 @@ def test_criterion_6a_ledger_conservation():
             tid = f"t{int(rng.integers(n_tasks))}"
             p, t, dv, ms = rng.uniform(0, 5, 4)
             state.add_adaptation(tid, ActionKind.INSERT, price=p, time=t,
-                                 value_delta=dv, mitigation=ms, noisy=False)
+                                 value_delta=dv, mitigation=ms)
             expected["price"] += p
             expected["time"] += t
             expected["value"] += dv

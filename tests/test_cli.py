@@ -128,6 +128,16 @@ class TestSeverityAndSimulate:
         assert code == 2
         assert "qtable.json" in capsys.readouterr().err
 
+    def test_simulate_without_detector_is_usage_error(self, workdir, capsys):
+        self._pipeline(workdir)
+        code = _run(
+            ["simulate", "--models", "art/models.json", "--runs", "1",
+             "--set", "detector=svm"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'ntd/svm'" in err and "art/models.json" in err
+
     def test_simulate_without_severity_is_usage_error(self, workdir):
         _gen_data(workdir)
         assert _run(["train-detect", "--data", "data", "--out", "art",
@@ -187,6 +197,12 @@ class TestUsageErrors:
 
     def test_bad_set_syntax_exit_2(self, workdir):
         assert _run(["gen-data", "--set", "novalue"]) == 2
+
+    def test_invalid_config_json_exit_2(self, workdir, capsys):
+        (workdir / "bad.json").write_text("{n: 10}")
+        assert _run(["gen-data", "--config", "bad.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("secflow: usage error: config bad.json is not valid JSON")
 
 
 class TestGenBench:

@@ -118,6 +118,18 @@ class TestCsvRoundTrip:
         with pytest.raises(DataConfigError):
             dataset_from_csv(DatasetKind.CLF, "a,b,label\n1,2,normal\n")
 
+    def test_empty_text_rejected(self):
+        with pytest.raises(DataConfigError, match="empty clf CSV"):
+            dataset_from_csv(DatasetKind.CLF, "")
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0.1,0.2,0.3,normal\n0.5,dos\n", "clf row 1: 2 fields, header has 4"),
+        ("0.1,0.2,0.3,0.4,normal\n", "clf row 0: 5 fields, header has 4"),
+    ])
+    def test_row_field_count_must_match_header(self, rows, message):
+        with pytest.raises(DataConfigError, match=message):
+            dataset_from_csv(DatasetKind.CLF, "cpu_util,ram_util,bw_util,label\n" + rows)
+
 
 class TestSplit:
     def test_sizes_80_20(self):

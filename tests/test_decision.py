@@ -1,7 +1,6 @@
 """Decision engine: trigger, candidate intersection, backup resolution, and
 tenant/middleware action application."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,15 +23,14 @@ from secflow.model import (
     AttackType,
     ControlEdge,
     DataEdge,
-    OverheadConfig,
     Severity,
     TenantConfig,
     Workflow,
     builtin_attack_catalog,
 )
 from secflow.scheduling import TrustRepository
-from secflow.sim import ExecutionState, UncertaintyConfig
-from tests.conftest import make_cloud, make_service, make_task
+from secflow.sim import ExecutionState
+from tests.conftest import NoNoise, make_cloud, make_service, make_task
 
 CATALOG = builtin_attack_catalog()
 
@@ -50,8 +48,7 @@ def _event(at=AttackType.DOS, level=Severity.HIGH, detected_in=DatasetKind.NTD,
 
 
 def _noiseless_state(workflow):
-    unc = UncertaintyConfig(overhead_noise_sigma=0.0)
-    return ExecutionState(workflow, unc, np.random.default_rng(0))
+    return ExecutionState(workflow, NoNoise())
 
 
 class TestFindBackup:
@@ -327,9 +324,9 @@ class TestLedgerConservation:
         state.start_task("t0", 2.0, 10.0, 1.0, 10.0)
         state.start_task("t1", 1.0, 5.0, 0.5, 5.0)
         state.add_adaptation("t0", ActionKind.INSERT, price=0.4, time=2.0,
-                             value_delta=0.1, mitigation=1.2, noisy=False)
+                             value_delta=0.1, mitigation=1.2)
         state.add_adaptation("t1", ActionKind.REWORK, price=3.0, time=8.0,
-                             value_delta=0.0, mitigation=0.9, noisy=False)
+                             value_delta=0.0, mitigation=0.9)
         acc = state.accumulated()
         assert acc["price"] == pytest.approx(2.0 + 1.0 + 0.4 + 3.0, abs=1e-9)
         assert acc["time"] == pytest.approx(10.0 + 5.0 + 2.0 + 8.0, abs=1e-9)

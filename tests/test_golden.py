@@ -20,6 +20,18 @@ GOLDEN = {
         "5458754ec463585683cb2988eeebb04f6fc9101678db70e652974c2b1f71fc80",
     "compare/events.jsonl":
         "7d29aff070158cd1c691be16150e5cf24f9839efaf4a89a3f722cf4117892336",
+    "gen-data/ntd.csv":
+        "de92904bddc424b9feea98ed4a1a884784f2b402aa72573e851701779e648761",
+    "gen-data/ntd.meta.csv":
+        "5849939ef022b09f91aa8031bb8007dede90505a9a1b20c787cb95e5fe005bb2",
+    "gen-data/clf.csv":
+        "6937736dae469fb0e80df70cb4bb4789b6de1c740590d6f4b285b471fd232efa",
+    "gen-data/clf.meta.csv":
+        "188096d72704e2c4e451ea75c159a159a23ac78ff8b1ad977a349cf37a7ac3cf",
+    "train/metrics.csv":
+        "4b8205f7d2bdf44351bb82f1c35212608f839d2a857e7242081e977175c31a27",
+    "train/models.json":
+        "67e894fc0bd82fd314245709415e56a5525f79dc198d13e6e7b03f5c81ce2a62",
     "train-rl/qtable.json":
         "28a58e4f76d308f14af3a46b3e2356b28b8a5b75c6206463d9941ff43f75d7bf",
     "simulate-lowest-cost/results.csv":
@@ -72,6 +84,10 @@ def outputs(tmp_path_factory):
     ]
     for argv in steps:
         assert cli.main(argv) == 0, argv
+    for fname in ("ntd.csv", "ntd.meta.csv", "clf.csv", "clf.meta.csv"):
+        out[f"gen-data/{fname}"] = (data / fname).read_bytes()
+    for fname in ("metrics.csv", "models.json"):
+        out[f"train/{fname}"] = (art / fname).read_bytes()
     out["train-rl/qtable.json"] = qtable.read_bytes()
     for name in ("simulate-lowest-cost", "simulate-adaptive"):
         for fname in ("results.csv", "events.jsonl"):

@@ -13,7 +13,7 @@ from secflow.model import (
     BackupParams,
     ControlEdge,
     MissingBackupError,
-    OverheadConfig,
+    ParseError,
     SecurityVector,
     Severity,
     Task,
@@ -96,11 +96,11 @@ class TestActionProperties:
             task_time=10.0,
             task_price=2.0,
             task_value=1.0,
-            backup=BackupParams(time=8.0, price=3.0, value_bonus=0.5),
+            backup=BackupParams(time=8.0, price=3.0),
         )
         assert p.time == 10.0  # max(8, 10)
         assert p.price == 5.0  # 2 + 3
-        assert p.value == 1.5
+        assert p.value == 1.25  # 1 + 25%
         assert p.mitigation_impact.as_tuple() == (0.5, 0.8, 0.9)
 
     def test_reconfiguration_ten_percent_overheads(self):
@@ -273,6 +273,37 @@ class TestRoundTrip:
             ]
         )
         assert parse_multicloud(serialize_multicloud(cloud)) == cloud
+
+
+_TASK = {"id": "t0", "c": 0.1, "i": 0.1, "a": 0.1, "value": 1.0}
+_SERVICE = {"id": "p0-s0", "price": 1.0, "time": 2.0, "c": 1.0, "i": 1.0, "a": 1.0}
+
+
+@pytest.mark.parametrize(
+    "parse, doc, message",
+    [
+        (parse_workflow, {"tasks": [_TASK], "control_edges": [{"from": "t0"}]},
+         "$.control_edges[0]: missing field 'to'"),
+        (parse_workflow, {"tasks": [_TASK], "data_edges": [["t0", "t0"]]},
+         "$.data_edges[0]: must be an object"),
+        (parse_multicloud,
+         {"providers": [{"id": "p0", "services": [
+             _SERVICE, {k: v for k, v in _SERVICE.items() if k != "price"}]}]},
+         "$.providers[0].services[1]: missing field 'price'"),
+        (parse_multicloud, {"providers": [{"services": []}]},
+         "$.providers[0]: missing field 'id'"),
+        (parse_multicloud, [{"id": "p0"}], "$: document must be an object"),
+        (parse_multicloud,
+         {"providers": [{"id": "p0", "services": [dict(_SERVICE, afr={"dos": 0.1, "xss": 0.2})]}]},
+         "$.providers[0].services[0].afr: unknown attack type 'xss'"),
+    ],
+    ids=["control-edge-field", "data-edge-object", "service-field", "provider-field",
+         "cloud-document-object", "afr-attack-type"],
+)
+def test_malformed_document_names_its_path(parse, doc, message):
+    with pytest.raises(ParseError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == message
 
 
 class TestTenantConfig:

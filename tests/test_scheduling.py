@@ -121,10 +121,3 @@ class TestTrustRepository:
                 assert after <= before + 1e-12
             else:
                 assert after >= before - 1e-12
-
-    def test_json_round_trip(self):
-        repo = self._repo()
-        repo.update("p0-s0", AttackType.U2R, detected=True)
-        restored = TrustRepository.from_json(repo.to_json())
-        assert restored.trust == repo.trust
-        assert restored.afr_history == repo.afr_history

@@ -12,10 +12,10 @@ from secflow.model import (
     Workflow,
 )
 from secflow.scheduling import TrustRepository
+from secflow import sim
 from secflow.severity import fit_severity
 from secflow.sim import (
     CLASS_TASK_RANGE,
-    UncertaintyConfig,
     WorkflowClass,
     composite_rewards,
     generate_multicloud,
@@ -60,7 +60,7 @@ class TestAttackFreeIdentities:
         result = run_instance(
             wf, make_plan(wf, "p0-s0"), cloud, DETECTORS, SEVERITY, TenantConfig(),
             TrustRepository.from_cloud(cloud), attack_rate=0.0,
-            unc=UncertaintyConfig(), seed=0,
+            seed=0,
         )
         assert result.time == pytest.approx(10.0)
         assert result.price == pytest.approx(2.0)
@@ -73,7 +73,7 @@ class TestAttackFreeIdentities:
         result = run_instance(
             wf, make_plan(wf, "p0-s0"), cloud, DETECTORS, SEVERITY, TenantConfig(),
             TrustRepository.from_cloud(cloud), attack_rate=0.0,
-            unc=UncertaintyConfig(), seed=0,
+            seed=0,
         )
         assert result.time == pytest.approx(30.0)
         assert result.price == pytest.approx(6.0)
@@ -105,7 +105,7 @@ class TestAttackFreeIdentities:
         result = run_instance(
             wf, SchedulingPlan(bindings=plan_bindings), cloud, DETECTORS, SEVERITY,
             TenantConfig(), TrustRepository.from_cloud(cloud), attack_rate=0.0,
-            unc=UncertaintyConfig(), seed=0,
+            seed=0,
         )
         # critical path 1 + max(5, 9) + 1
         assert result.time == pytest.approx(11.0)
@@ -139,7 +139,7 @@ class TestInjection:
         return run_instance(
             wf, make_plan(wf, "p0-s0"), cloud, DETECTORS, SEVERITY, TenantConfig(),
             TrustRepository.from_cloud(cloud), attack_rate=rate,
-            unc=UncertaintyConfig(), seed=seed, **kw,
+            seed=seed, **kw,
         )
 
     def test_rate_one_attacks_every_task(self):
@@ -213,12 +213,17 @@ class TestRunExperiment:
         )
         assert len(exp.windows) == 3
 
-    def test_unknown_strategy_rejected(self):
+    def test_unknown_strategy_rejected(self, monkeypatch):
+        """Rejected before the burn-in rounds run any instance."""
         wf, cloud = self._setup()
-        with pytest.raises(ValueError):
+
+        def no_instance(*args, **kwargs):
+            raise AssertionError("an instance ran before the strategy was checked")
+
+        monkeypatch.setattr(sim, "run_instance", no_instance)
+        with pytest.raises(ValueError, match="'psychic'"):
             run_experiment(
                 wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 1, "psychic", 0.0,
-                burn_in=0,
             )
 
     @pytest.mark.parametrize("window", [0, -5])
