@@ -42,18 +42,87 @@ class DecisionTree:
     right: np.ndarray  # (m,) int child index
     proba: np.ndarray  # (m, n_classes) leaf class probabilities
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+
+def _tree_depth(tree: DecisionTree, path: str) -> int:
+    """Depth of the deepest leaf below the root. Raises EvaluationError naming
+    the child pointer that leaves the tree's own [0, m) or reaches a node a
+    second time (a shared subtree or a cycle): once the forest is stacked,
+    either would walk into a neighbouring tree or never reach a leaf."""
+    feature = tree.feature.tolist()
+    sides = (("left", tree.left.tolist()), ("right", tree.right.tolist()))
+    m = len(feature)
+    reached = [False] * m
+    reached[0] = True
+    stack = [(0, 0)]
+    depth = 0
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if feature[node] < 0:
+            continue
+        for side, children in sides:
+            child = children[node]
+            if not 0 <= child < m:
+                raise EvaluationError(f"{path}.{side}[{node}]: child {child} outside [0, {m})")
+            if reached[child]:
+                raise EvaluationError(f"{path}.{side}[{node}]: node {child} reached twice")
+            reached[child] = True
+            stack.append((child, d + 1))
+    return depth
+
+
+@dataclass(frozen=True)
+class _Forest:
+    """Every tree of one forest in one node array, walked all at once.
+
+    Tree k's nodes follow tree k-1's, with child indices offset to match.
+    Each leaf loops to itself (feature 0, threshold +inf, both children
+    itself), so after as many steps as the deepest leaf is deep, every walk
+    rests on its leaf. The comparisons are those of a tree-by-tree walk on the
+    same float64 values, so the votes are the same."""
+
+    trees: object  # the `DetectorModel.trees` value stacked here, matched by identity
+    roots: np.ndarray  # (n_trees,) node index of each tree's root
+    feature: np.ndarray  # (nodes,)
+    threshold: np.ndarray  # (nodes,)
+    children: np.ndarray  # (2 * nodes,): node i goes to children[2i + (x <= threshold)]
+    vote: np.ndarray  # (nodes,) class index a leaf votes for
+    depth: int
+
+    @classmethod
+    def stack(cls, trees) -> "_Forest":
+        sizes = [len(t.feature) for t in trees]
+        roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
+        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+        threshold = np.concatenate([t.threshold for t in trees]).astype(float)
+        left = np.concatenate([t.left + r for t, r in zip(trees, roots)]).astype(np.intp)
+        right = np.concatenate([t.right + r for t, r in zip(trees, roots)]).astype(np.intp)
+        leaf = np.flatnonzero(feature < 0)
+        feature[leaf] = 0
+        threshold[leaf] = np.inf
+        left[leaf] = right[leaf] = leaf
+        return cls(
+            trees=trees,
+            roots=roots,
+            feature=feature,
+            threshold=threshold,
+            children=np.column_stack([right, left]).ravel(),
+            vote=np.concatenate([t.proba.argmax(axis=1) for t in trees]),
+            depth=max(_tree_depth(t, f"trees[{k}]") for k, t in enumerate(trees)),
+        )
+
+    def predict(self, X: np.ndarray, n_classes: int) -> np.ndarray:
+        """Class index per row: the majority of the per-tree votes, ties to
+        the earliest class."""
         n = X.shape[0]
-        node = np.zeros(n, dtype=int)
-        active = self.feature[node] >= 0
-        while active.any():
-            idx = np.flatnonzero(active)
-            f = self.feature[node[idx]]
-            go_left = X[idx, f] <= self.threshold[node[idx]]
-            node[idx[go_left]] = self.left[node[idx[go_left]]]
-            node[idx[~go_left]] = self.right[node[idx[~go_left]]]
-            active = self.feature[node] >= 0
-        return self.proba[node]
+        rows = np.arange(n)[:, None]
+        node = np.broadcast_to(self.roots, (n, len(self.roots)))
+        for _ in range(self.depth):
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            node = self.children[2 * node + go_left]
+        cells = (rows * n_classes + self.vote[node]).ravel()
+        counts = np.bincount(cells, minlength=n * n_classes).reshape(n, n_classes)
+        return counts.argmax(axis=1)
 
 
 def _gini_from_counts(counts):
@@ -143,8 +212,15 @@ class DetectorModel:
     dataset_kind: str
     feature_names: tuple
     classes: tuple  # declaration order; prediction ties break on this order
-    trees: list = field(default_factory=list)
+    trees: tuple = ()  # replaced as a whole, never edited in place
     weights: np.ndarray | None = None  # (d+1, n_classes) for linear
+    _forest: _Forest | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _stacked(self) -> _Forest:
+        # restacked whenever `trees` is reassigned
+        if self._forest is None or self._forest.trees is not self.trees:
+            self._forest = _Forest.stack(self.trees)
+        return self._forest
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
@@ -152,12 +228,7 @@ class DetectorModel:
                 f"expected {len(self.feature_names)} features, got shape {X.shape}"
             )
         if self.kind == "random_forest":
-            # majority vote over per-tree argmax votes; ties -> earliest class
-            votes = np.zeros((X.shape[0], len(self.classes)))
-            for tree in self.trees:
-                proba = tree.predict_proba(X)
-                votes[np.arange(X.shape[0]), proba.argmax(axis=1)] += 1
-            idx = votes.argmax(axis=1)
+            idx = self._stacked().predict(X, len(self.classes))
         else:
             scores = np.column_stack([X, np.ones(X.shape[0])]) @ self.weights
             idx = scores.argmax(axis=1)
@@ -215,7 +286,7 @@ def train_random_forest(
         dataset_kind=train.kind.value,
         feature_names=train.feature_names,
         classes=classes,
-        trees=trees,
+        trees=tuple(trees),
     )
 
 
@@ -279,14 +350,50 @@ def _tree_to_obj(tree: DecisionTree):
     }
 
 
-def _tree_from_obj(obj):
-    return DecisionTree(
-        feature=np.array(obj["feature"], dtype=int),
-        threshold=np.array(obj["threshold"], dtype=float),
-        left=np.array(obj["left"], dtype=int),
-        right=np.array(obj["right"], dtype=int),
-        proba=np.array(obj["proba"], dtype=float),
-    )
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "proba")
+
+
+def _require(obj, keys, path):
+    if not isinstance(obj, dict):
+        raise EvaluationError(f"{path}: must be an object")
+    for key in keys:
+        if key not in obj:
+            raise EvaluationError(f"{path}: missing field {key!r}")
+
+
+def _tree_from_obj(obj, path, n_features, n_classes):
+    """A tree from its JSON object, refusing any that the stacked forest walk
+    could not walk within the tree's own nodes."""
+    _require(obj, _TREE_FIELDS, path)
+    for key in _TREE_FIELDS:
+        if not isinstance(obj[key], list):
+            raise EvaluationError(f"{path}.{key}: must be an array")
+    m = len(obj["feature"])
+    if m == 0:
+        raise EvaluationError(f"{path}.feature: a tree needs at least its root node")
+    for key in _TREE_FIELDS[1:]:
+        if len(obj[key]) != m:
+            raise EvaluationError(f"{path}.{key}: {len(obj[key])} entries, feature has {m}")
+    for i, row in enumerate(obj["proba"]):
+        if not isinstance(row, list) or len(row) != n_classes:
+            raise EvaluationError(f"{path}.proba[{i}]: must hold {n_classes} probabilities, "
+                                  "one per class")
+    try:
+        tree = DecisionTree(
+            feature=np.array(obj["feature"], dtype=int),
+            threshold=np.array(obj["threshold"], dtype=float),
+            left=np.array(obj["left"], dtype=int),
+            right=np.array(obj["right"], dtype=int),
+            proba=np.array(obj["proba"], dtype=float),
+        )
+    except (TypeError, ValueError) as exc:
+        raise EvaluationError(f"{path}: {exc}") from None
+    bad = np.flatnonzero((tree.feature < -1) | (tree.feature >= n_features))
+    if len(bad):
+        raise EvaluationError(f"{path}.feature[{bad[0]}]: feature {tree.feature[bad[0]]} "
+                              f"outside [-1, {n_features})")
+    _tree_depth(tree, path)
+    return tree
 
 
 def model_to_obj(model: DetectorModel):
@@ -303,15 +410,28 @@ def model_to_obj(model: DetectorModel):
     return obj
 
 
-def model_from_obj(obj) -> DetectorModel:
-    return DetectorModel(
+def model_from_obj(obj, path="$") -> DetectorModel:
+    """A detector from its JSON object, found at JSON path `path`. A missing
+    field or a malformed tree raises EvaluationError naming its path."""
+    _require(obj, ("kind", "dataset_kind", "feature_names", "classes"), path)
+    model = DetectorModel(
         kind=obj["kind"],
         dataset_kind=obj["dataset_kind"],
         feature_names=tuple(obj["feature_names"]),
         classes=tuple(obj["classes"]),
-        trees=[_tree_from_obj(t) for t in obj.get("trees", [])],
-        weights=np.array(obj["weights"], dtype=float) if "weights" in obj else None,
     )
+    if model.kind == "random_forest":
+        _require(obj, ("trees",), path)
+        if not isinstance(obj["trees"], list) or not obj["trees"]:
+            raise EvaluationError(f"{path}.trees: must be a non-empty array")
+        model.trees = tuple(
+            _tree_from_obj(t, f"{path}.trees[{k}]", len(model.feature_names), len(model.classes))
+            for k, t in enumerate(obj["trees"])
+        )
+    else:
+        _require(obj, ("weights",), path)
+        model.weights = np.array(obj["weights"], dtype=float)
+    return model
 
 
 def save_models(path, models: dict, severity_obj=None):
@@ -331,6 +451,10 @@ def load_models(path):
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise EvaluationError(f"unsupported model file version {doc.get('version')!r}")
-    detectors = {key: model_from_obj(obj) for key, obj in doc["detectors"].items()}
+        raise EvaluationError(f"{path}: unsupported model file version {doc.get('version')!r}")
+    _require(doc, ("detectors",), path)
+    detectors = {
+        key: model_from_obj(obj, f"{path}: detectors[{json.dumps(key)}]")
+        for key, obj in doc["detectors"].items()
+    }
     return detectors, doc.get("severity")

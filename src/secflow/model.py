@@ -495,6 +495,23 @@ def _fields(path, obj):
         raise ParseError(f"{path}: missing field {exc.args[0]!r}") from None
 
 
+def _number(path, value):
+    """`value` as a float; a value float() refuses raises ParseError naming `path`."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}: must be a number, got {value!r}") from None
+
+
+def _security_vector(named):
+    """A SecurityVector from (path, value) pairs: a value that is not a number
+    in [0,1] raises ParseError naming its path."""
+    for path, value in named:
+        if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+            raise ParseError(f"{path}: must be in [0,1], got {value!r}")
+    return SecurityVector(*(value for _, value in named))
+
+
 def _load_document(document: str) -> dict:
     try:
         doc = json.loads(document)
@@ -514,45 +531,26 @@ def parse_workflow(document: str) -> Workflow:
             actions = {}
             for aidx, ad in enumerate(td.get("actions", [])):
                 apath = f"{path}.actions[{aidx}]"
-                try:
-                    kind = ActionKind(ad["kind"])
-                except (KeyError, ValueError):
-                    raise ValidationError(
-                        f"{apath}: unknown action kind {ad.get('kind')!r}"
-                    ) from None
-                if kind in MIDDLEWARE_KINDS:
-                    if any(k in ad for k in ("price", "time")):
-                        raise ValidationError(
-                            f"{apath}: middleware action cannot carry static price/time"
-                        )
-                    actions[kind] = None
-                elif "price" in ad:
-                    actions[kind] = ActionParams(
-                        price=float(ad["price"]),
-                        time=float(ad["time"]),
-                        mitigation_impact=SecurityVector(*ad["mi"])
-                        if "mi" in ad
-                        else ACTION_MITIGATION_IMPACT[kind],
-                        value=float(ad["value"]),
-                    )
-                else:
-                    actions[kind] = None
+                with _fields(apath, ad):
+                    kind, params = _parse_action(apath, ad)
+                actions[kind] = params
             tasks.append(
                 Task(
                     id=str(td["id"]),
-                    requirements=SecurityVector(td["c"], td["i"], td["a"]),
-                    value=float(td["value"]),
+                    requirements=_security_vector([(f"{path}.{k}", td[k]) for k in "cia"]),
+                    value=_number(f"{path}.value", td["value"]),
                     feasible_actions=actions,
                 )
             )
     control = []
     for idx, e in enumerate(doc.get("control_edges", [])):
-        with _fields(f"$.control_edges[{idx}]", e):
+        epath = f"$.control_edges[{idx}]"
+        with _fields(epath, e):
             control.append(ControlEdge(
                 src=str(e["from"]),
                 dst=str(e["to"]),
                 cond=str(e.get("cond", "")),
-                prob=float(e.get("prob", 1.0 if not e.get("cond") else 0.5)),
+                prob=_number(f"{epath}.prob", e.get("prob", 1.0 if not e.get("cond") else 0.5)),
             ))
     data = []
     for idx, e in enumerate(doc.get("data_edges", [])):
@@ -560,6 +558,34 @@ def parse_workflow(document: str) -> Workflow:
             data.append(DataEdge(src=str(e["from"]), dst=str(e["to"]),
                                  data=str(e.get("data", ""))))
     return Workflow(tasks=tuple(tasks), control_edges=tuple(control), data_edges=tuple(data))
+
+
+def _parse_action(path, ad):
+    """One (kind, params) entry of a task's feasible actions; params is None
+    where the decision layer instantiates them."""
+    try:
+        kind = ActionKind(ad["kind"])
+    except (KeyError, ValueError):
+        raise ValidationError(f"{path}: unknown action kind {ad.get('kind')!r}") from None
+    if kind in MIDDLEWARE_KINDS:
+        if any(k in ad for k in ("price", "time")):
+            raise ValidationError(f"{path}: middleware action cannot carry static price/time")
+        return kind, None
+    if "price" not in ad:
+        return kind, None
+    if "mi" in ad:
+        mi = ad["mi"]
+        if not (isinstance(mi, list) and len(mi) == 3):
+            raise ParseError(f"{path}.mi: must be an array of 3 numbers, got {mi!r}")
+        impact = _security_vector([(f"{path}.mi[{j}]", v) for j, v in enumerate(mi)])
+    else:
+        impact = ACTION_MITIGATION_IMPACT[kind]
+    return kind, ActionParams(
+        price=_number(f"{path}.price", ad["price"]),
+        time=_number(f"{path}.time", ad["time"]),
+        mitigation_impact=impact,
+        value=_number(f"{path}.value", ad["value"]),
+    )
 
 
 def serialize_workflow(workflow: Workflow) -> str:
@@ -617,9 +643,9 @@ def parse_multicloud(document: str) -> MultiCloud:
                     services.append(Service(
                         id=str(sd["id"]),
                         provider_id=pid,
-                        price=float(sd["price"]),
-                        response_time=float(sd["time"]),
-                        guarantees=SecurityVector(sd["c"], sd["i"], sd["a"]),
+                        price=_number(f"{spath}.price", sd["price"]),
+                        response_time=_number(f"{spath}.time", sd["time"]),
+                        guarantees=_security_vector([(f"{spath}.{k}", sd[k]) for k in "cia"]),
                         afr=_parse_afr(f"{spath}.afr", sd.get("afr", {})),
                     ))
         providers.append((pid, tuple(services)))
@@ -634,7 +660,7 @@ def _parse_afr(path, rates):
                 at = AttackType(name)
             except ValueError:
                 raise ParseError(f"{path}: unknown attack type {name!r}") from None
-            afr[at] = float(rate)
+            afr[at] = _number(f"{path}.{name}", rate)
     return afr
 
 

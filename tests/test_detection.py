@@ -1,10 +1,23 @@
 """Detectors: random forest, linear one-vs-rest, metrics, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
-from secflow.datagen import CLF_FEATURES, Dataset, DatasetKind, NORMAL, generate, split
+from secflow.datagen import (
+    CLF_FEATURES,
+    LABELS,
+    Dataset,
+    DatasetKind,
+    NORMAL,
+    generate,
+    split,
+)
 from secflow.detection import (
+    DEFAULT_MAX_DEPTH,
+    DecisionTree,
+    DetectorModel,
     EvaluationError,
     PredictionError,
     TrainingError,
@@ -14,6 +27,52 @@ from secflow.detection import (
     train_linear,
     train_random_forest,
 )
+
+UNIFORM_MIX = {label: 1.0 / len(LABELS) for label in LABELS}
+
+
+def _reference_predict(model, X):
+    """Tree-by-tree scalar walk: each tree votes for the most probable class
+    of the leaf the row reaches; most votes win, ties to the earliest class."""
+    labels = []
+    for x in X:
+        votes = [0] * len(model.classes)
+        for tree in model.trees:
+            node = 0
+            while tree.feature[node] >= 0:
+                if x[tree.feature[node]] <= tree.threshold[node]:
+                    node = tree.left[node]
+                else:
+                    node = tree.right[node]
+            votes[int(np.argmax(tree.proba[node]))] += 1
+        labels.append(model.classes[votes.index(max(votes))])
+    return labels
+
+
+def _depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
+
+
+def _leaf(proba):
+    return DecisionTree(
+        feature=np.array([-1]),
+        threshold=np.array([0.0]),
+        left=np.array([-1]),
+        right=np.array([-1]),
+        proba=np.array([proba], dtype=float),
+    )
+
+
+def _forest(trees, classes=(NORMAL, "dos")):
+    return DetectorModel(
+        kind="random_forest",
+        dataset_kind=DatasetKind.CLF.value,
+        feature_names=CLF_FEATURES,
+        classes=classes,
+        trees=tuple(trees),
+    )
 
 
 def _dataset(X, labels, kind=DatasetKind.CLF, names=CLF_FEATURES):
@@ -62,14 +121,13 @@ class TestRandomForest:
         assert list(a.predict_batch(probe.X)) == list(b.predict_batch(probe.X))
 
     def test_majority_vote_matches_per_tree_tally(self):
-        ds = generate(DatasetKind.CLF, 300, {NORMAL: 0.5, "probe": 0.5}, seed=5)
-        probe = generate(DatasetKind.CLF, 40, {NORMAL: 0.5, "probe": 0.5}, seed=6)
-        model = train_random_forest(ds, n_trees=15, seed=2)
-        for x in probe.X:
-            votes = np.zeros(len(model.classes))
-            for tree in model.trees:
-                votes[tree.predict_proba(x[None, :])[0].argmax()] += 1
-            assert model.predict(x) == model.classes[int(votes.argmax())]
+        for kind in (DatasetKind.NTD, DatasetKind.CLF):
+            ds = generate(kind, 1500, UNIFORM_MIX, seed=5)
+            train, held_out = split(ds, 0.8, seed=5)
+            model = train_random_forest(train, n_trees=15, seed=2)
+            expected = _reference_predict(model, held_out.X)
+            assert list(model.predict_batch(held_out.X)) == expected
+            assert [model.predict(x) for x in held_out.X] == expected
 
     def test_prediction_invariant_under_tree_reordering(self):
         ds = generate(DatasetKind.CLF, 300, {NORMAL: 0.5, "u2r": 0.5}, seed=7)
@@ -78,6 +136,52 @@ class TestRandomForest:
         before = list(model.predict_batch(probe.X))
         model.trees = list(reversed(model.trees))
         assert list(model.predict_batch(probe.X)) == before
+
+    def test_reassigned_trees_predict_as_that_subset(self):
+        ds = generate(DatasetKind.NTD, 800, UNIFORM_MIX, seed=9)
+        probe = generate(DatasetKind.NTD, 300, UNIFORM_MIX, seed=10)
+        model = train_random_forest(ds, n_trees=9, seed=4)
+        full = list(model.predict_batch(probe.X))
+        model.trees = model.trees[2:4]
+        subset = list(model.predict_batch(probe.X))
+        assert subset == _reference_predict(model, probe.X)
+        assert subset != full
+        assert [model.predict(x) for x in probe.X] == subset
+
+    def test_deep_forest_survives_save_and_load(self, tmp_path):
+        # labels independent of the features: the trees grow to max_depth
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(1500, 3))
+        ds = _dataset(X[:1200], rng.choice([NORMAL, "dos"], size=1200))
+        model = train_random_forest(ds, n_trees=10, max_depth=14, min_leaf=1, seed=5)
+        assert max(_depth(t) for t in model.trees) > DEFAULT_MAX_DEPTH
+        path = tmp_path / "models.json"
+        save_models(path, {"clf/random_forest": model})
+        loaded = load_models(path)[0]["clf/random_forest"]
+        expected = _reference_predict(model, X[1200:])
+        assert list(loaded.predict_batch(X[1200:])) == expected
+        assert [loaded.predict(x) for x in X[1200:]] == expected
+
+    def test_forest_of_single_leaves(self):
+        model = _forest([_leaf([0.2, 0.8]), _leaf([0.9, 0.1]), _leaf([0.4, 0.6])])
+        X = np.random.default_rng(0).normal(size=(5, 3))
+        assert list(model.predict_batch(X)) == ["dos"] * 5
+        assert model.predict(X[0]) == "dos"
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_two_class_tie_goes_to_earliest_class(self, order):
+        split_tree = DecisionTree(
+            feature=np.array([1, -1, -1]),
+            threshold=np.array([0.5, 0.0, 0.0]),
+            left=np.array([1, -1, -1]),
+            right=np.array([2, -1, -1]),
+            proba=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        )
+        trees = [split_tree, _leaf([0.0, 1.0]), _leaf([1.0, 0.0]), _leaf([0.0, 1.0])]
+        # a row going left ties 2:2, one going right votes 3:1 for NORMAL
+        model = _forest([trees[i] for i in order] + trees[2:], classes=("dos", NORMAL))
+        X = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert list(model.predict_batch(X)) == ["dos", NORMAL]
 
     def test_empty_dataset_rejected(self):
         empty = _dataset(np.zeros((0, 3)), [])
@@ -195,3 +299,61 @@ class TestSerialization:
             assert list(restored[key].predict_batch(probe.X)) == list(
                 models[key].predict_batch(probe.X)
             )
+
+
+def _break_missing_key(tree):
+    del tree["right"]
+    return "trees[1]: missing field 'right'"
+
+
+def _break_unequal_length(tree):
+    tree["threshold"].pop()
+    m = len(tree["feature"])
+    return f"trees[1].threshold: {m - 1} entries, feature has {m}"
+
+
+def _break_child_range(tree):
+    m = len(tree["feature"])
+    tree["left"][0] = m
+    return f"trees[1].left[0]: child {m} outside [0, {m})"
+
+
+def _break_shared_node(tree):
+    tree["right"][0] = tree["left"][0]
+    return f"trees[1].right[0]: node {tree['left'][0]} reached twice"
+
+
+def _break_cycle(tree):
+    tree["right"][0] = 0
+    return "trees[1].right[0]: node 0 reached twice"
+
+
+def _break_feature_range(tree):
+    tree["feature"][0] = len(CLF_FEATURES)
+    return f"trees[1].feature[0]: feature {len(CLF_FEATURES)} outside [-1, {len(CLF_FEATURES)})"
+
+
+def _break_proba_width(tree):
+    tree["proba"][2].pop()
+    return "trees[1].proba[2]: must hold 2 probabilities, one per class"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_break_missing_key, _break_unequal_length, _break_child_range, _break_shared_node,
+     _break_cycle, _break_feature_range, _break_proba_width],
+    ids=["missing-key", "unequal-length", "child-range", "shared-node", "cycle",
+         "feature-range", "proba-width"],
+)
+def test_malformed_forest_refused_at_load(tmp_path, corrupt):
+    ds = generate(DatasetKind.CLF, 300, {NORMAL: 0.5, "dos": 0.5}, seed=5)
+    model = train_random_forest(ds, n_trees=3, seed=1)
+    assert all(t.feature[0] >= 0 for t in model.trees)  # every root splits
+    path = tmp_path / "models.json"
+    save_models(path, {"clf/random_forest": model})
+    doc = json.loads(path.read_text())
+    where = corrupt(doc["detectors"]["clf/random_forest"]["trees"][1])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(EvaluationError) as exc:
+        load_models(path)
+    assert str(exc.value) == f'{path}: detectors["clf/random_forest"].{where}'

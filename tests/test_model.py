@@ -296,9 +296,26 @@ _SERVICE = {"id": "p0-s0", "price": 1.0, "time": 2.0, "c": 1.0, "i": 1.0, "a": 1
         (parse_multicloud,
          {"providers": [{"id": "p0", "services": [dict(_SERVICE, afr={"dos": 0.1, "xss": 0.2})]}]},
          "$.providers[0].services[0].afr: unknown attack type 'xss'"),
+        (parse_workflow, {"tasks": [dict(_TASK, actions=["skip"])]},
+         "$.tasks[0].actions[0]: must be an object"),
+        (parse_workflow,
+         {"tasks": [dict(_TASK, actions=[{"kind": "switch", "price": "cheap", "time": 1.0,
+                                          "value": 1.0}])]},
+         "$.tasks[0].actions[0].price: must be a number, got 'cheap'"),
+        (parse_multicloud,
+         {"providers": [{"id": "p0", "services": [dict(_SERVICE, afr={"dos": "often"})]}]},
+         "$.providers[0].services[0].afr.dos: must be a number, got 'often'"),
+        (parse_workflow, {"tasks": [dict(_TASK, c=2)]}, "$.tasks[0].c: must be in [0,1], got 2"),
+        (parse_workflow,
+         {"tasks": [dict(_TASK, actions=[{"kind": "insert", "price": 1.0, "time": 1.0,
+                                          "value": 1.0, "mi": [0.5, 1.5, 0.5]}])]},
+         "$.tasks[0].actions[0].mi[1]: must be in [0,1], got 1.5"),
+        (parse_multicloud, {"providers": [{"id": "p0", "services": [dict(_SERVICE, a=-0.5)]}]},
+         "$.providers[0].services[0].a: must be in [0,1], got -0.5"),
     ],
     ids=["control-edge-field", "data-edge-object", "service-field", "provider-field",
-         "cloud-document-object", "afr-attack-type"],
+         "cloud-document-object", "afr-attack-type", "action-object", "action-number",
+         "afr-number", "task-cia-range", "action-mi-range", "service-cia-range"],
 )
 def test_malformed_document_names_its_path(parse, doc, message):
     with pytest.raises(ParseError) as exc:

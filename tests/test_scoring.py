@@ -111,6 +111,13 @@ class TestNormalize:
         with pytest.raises(ScoringDomainError):
             normalize({"a": float("nan"), "b": 1.0})
 
+    def test_spread_at_equal_tol_reads_as_equal(self):
+        assert normalize({"a": 0.0, "b": 1e-12}) == {"a": 0.0, "b": 0.0}
+
+    def test_spread_rounded_past_equal_tol_reads_as_real(self):
+        # 1 + 1e-12 rounds to a double 1.00009e-12 above 1
+        assert normalize({"a": 1.0, "b": 1.0 + 1e-12}) == {"a": 0.0, "b": 1.0}
+
     @settings(max_examples=200)
     @given(
         st.dictionaries(
@@ -154,7 +161,12 @@ class TestAdaptationCost:
         ms=st.floats(0, 1),
         v=st.floats(0, 1),
         shift=st.floats(-100, 100),
-        prices=st.lists(st.floats(0, 100), min_size=2, max_size=6),
+        # A spread within a few ulps of EQUAL_TOL can round across it when
+        # shifted, so there shift invariance fails in floating point; the
+        # boundary itself is pinned by TestNormalize.
+        prices=st.lists(st.floats(0, 100), min_size=2, max_size=6).filter(
+            lambda ps: max(ps) == min(ps) or max(ps) - min(ps) >= 1e-6
+        ),
     )
     def test_ranking_invariant_under_price_shift(self, p, t, ms, v, shift, prices):
         # min-max normalization is shift-invariant, so the normalized prices
