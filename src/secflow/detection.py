@@ -43,34 +43,6 @@ class DecisionTree:
     proba: np.ndarray  # (m, n_classes) leaf class probabilities
 
 
-def _tree_depth(tree: DecisionTree, path: str) -> int:
-    """Depth of the deepest leaf below the root. Raises EvaluationError naming
-    the child pointer that leaves the tree's own [0, m) or reaches a node a
-    second time (a shared subtree or a cycle): once the forest is stacked,
-    either would walk into a neighbouring tree or never reach a leaf."""
-    feature = tree.feature.tolist()
-    sides = (("left", tree.left.tolist()), ("right", tree.right.tolist()))
-    m = len(feature)
-    reached = [False] * m
-    reached[0] = True
-    stack = [(0, 0)]
-    depth = 0
-    while stack:
-        node, d = stack.pop()
-        depth = max(depth, d)
-        if feature[node] < 0:
-            continue
-        for side, children in sides:
-            child = children[node]
-            if not 0 <= child < m:
-                raise EvaluationError(f"{path}.{side}[{node}]: child {child} outside [0, {m})")
-            if reached[child]:
-                raise EvaluationError(f"{path}.{side}[{node}]: node {child} reached twice")
-            reached[child] = True
-            stack.append((child, d + 1))
-    return depth
-
-
 @dataclass(frozen=True)
 class _Forest:
     """Every tree of one forest in one node array, walked all at once.
@@ -91,24 +63,55 @@ class _Forest:
 
     @classmethod
     def stack(cls, trees) -> "_Forest":
-        sizes = [len(t.feature) for t in trees]
+        """Raises EvaluationError naming the first child pointer that leaves
+        its tree's own [0, m) or reaches a node a second time (a shared
+        subtree or a cycle): stacked, either would walk into a neighbouring
+        tree or never reach a leaf."""
+        sizes = np.array([len(t.feature) for t in trees])
         roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
         feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
         threshold = np.concatenate([t.threshold for t in trees]).astype(float)
-        left = np.concatenate([t.left + r for t, r in zip(trees, roots)]).astype(np.intp)
-        right = np.concatenate([t.right + r for t, r in zip(trees, roots)]).astype(np.intp)
-        leaf = np.flatnonzero(feature < 0)
+        # pointer 2i is node i's left child and 2i + 1 its right one, numbered
+        # within the node's own tree; only internal nodes' pointers are used
+        local = np.column_stack([np.concatenate([t.left for t in trees]),
+                                 np.concatenate([t.right for t in trees])]).ravel()
+        used = np.repeat(feature >= 0, 2)
+
+        def pointer(p):
+            k = int(np.searchsorted(roots, p // 2, side="right")) - 1
+            return k, f"trees[{k}].{('left', 'right')[p % 2]}[{p // 2 - roots[k]}]"
+
+        outside = used & ((local < 0) | (local >= np.repeat(sizes, 2 * sizes)))
+        if outside.any():
+            p = int(np.argmax(outside))
+            k, name = pointer(p)
+            raise EvaluationError(f"{name}: child {local[p]} outside [0, {sizes[k]})")
+        child = np.where(used, local + np.repeat(roots, 2 * sizes),
+                         np.repeat(np.arange(len(feature)), 2))
+        arrivals = np.bincount(child[used], minlength=len(feature))
+        arrivals[roots] += 1
+        if arrivals.max() > 1:
+            reached = set(roots.tolist())
+            for p in np.flatnonzero(used).tolist():
+                if child[p] in reached:
+                    raise EvaluationError(f"{pointer(p)[1]}: node {local[p]} reached twice")
+                reached.add(child[p])
+        child = child.reshape(-1, 2)  # (left, right) of each node; a leaf's are itself
+        depth, level = 0, roots
+        while len(level := level[feature[level] >= 0]):
+            level = child[level].ravel()
+            depth += 1
+        leaf = feature < 0
         feature[leaf] = 0
         threshold[leaf] = np.inf
-        left[leaf] = right[leaf] = leaf
         return cls(
             trees=trees,
             roots=roots,
             feature=feature,
             threshold=threshold,
-            children=np.column_stack([right, left]).ravel(),
+            children=child[:, ::-1].ravel(),
             vote=np.concatenate([t.proba.argmax(axis=1) for t in trees]),
-            depth=max(_tree_depth(t, f"trees[{k}]") for k, t in enumerate(trees)),
+            depth=depth,
         )
 
     def predict(self, X: np.ndarray, n_classes: int) -> np.ndarray:
@@ -362,8 +365,8 @@ def _require(obj, keys, path):
 
 
 def _tree_from_obj(obj, path, n_features, n_classes):
-    """A tree from its JSON object, refusing any that the stacked forest walk
-    could not walk within the tree's own nodes."""
+    """A tree from its JSON object, refusing arrays the forest cannot stack;
+    `_Forest.stack` checks the child pointers."""
     _require(obj, _TREE_FIELDS, path)
     for key in _TREE_FIELDS:
         if not isinstance(obj[key], list):
@@ -392,7 +395,6 @@ def _tree_from_obj(obj, path, n_features, n_classes):
     if len(bad):
         raise EvaluationError(f"{path}.feature[{bad[0]}]: feature {tree.feature[bad[0]]} "
                               f"outside [-1, {n_features})")
-    _tree_depth(tree, path)
     return tree
 
 
@@ -428,6 +430,10 @@ def model_from_obj(obj, path="$") -> DetectorModel:
             _tree_from_obj(t, f"{path}.trees[{k}]", len(model.feature_names), len(model.classes))
             for k, t in enumerate(obj["trees"])
         )
+        try:
+            model._stacked()  # checks every child pointer
+        except EvaluationError as exc:
+            raise EvaluationError(f"{path}.{exc}") from None
     else:
         _require(obj, ("weights",), path)
         model.weights = np.array(obj["weights"], dtype=float)
