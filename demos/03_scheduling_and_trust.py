@@ -21,7 +21,7 @@ def main():
     print("initial bindings:")
     for tid in sorted(plan.bindings):
         sid = plan.bindings[tid]
-        print(f"  {tid} -> {sid}  (trust {trust.trust[sid]:.3f})")
+        print(f"  {tid} -> {sid}  (trust {trust.score(sid):.3f})")
 
     # every bound service observes a detected DoS; trust drops via the EWMA
     for sid in set(plan.bindings.values()):

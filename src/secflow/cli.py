@@ -210,7 +210,10 @@ def _load_runtime(cfg):
     if severity_obj is None:
         raise UsageError(f"model file {models_path} carries no severity model; "
                          "run train-severity")
-    sev = severity.severity_from_obj(severity_obj)
+    try:
+        sev = severity.severity_from_obj(severity_obj)
+    except ValueError as exc:
+        raise ValueError(f"{models_path}: {exc}") from None
     return workflow, cloud, detectors, sev
 
 
@@ -248,7 +251,10 @@ def cmd_simulate(cfg):
     rate = float(_get(cfg, "rate", 0.3))
     qtable = None
     if qtable_path:
-        qtable = rl.table_from_json(Path(qtable_path).read_text())
+        try:
+            qtable = rl.table_from_json(Path(qtable_path).read_text())
+        except rl.RLDomainError as exc:
+            raise rl.RLDomainError(f"{qtable_path}: {exc}") from None
     result = sim.run_experiment(
         workflow, cloud, detectors, sev, _tenant_config(cfg), runs, strategy,
         rate, seed=seed, qtable=qtable,

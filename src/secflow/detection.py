@@ -450,15 +450,22 @@ def save_models(path, models: dict, severity_obj=None):
     if severity_obj is not None:
         doc["severity"] = severity_obj
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # the C encoder; json.dump encodes in Python
 
 
 def load_models(path):
+    """Detectors and the raw severity object from a model file; a malformed
+    document raises EvaluationError naming the file and the JSON path."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise EvaluationError(f"{path}: $: not valid JSON: {exc}") from None
+    _require(doc, (), f"{path}: $")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise EvaluationError(f"{path}: unsupported model file version {doc.get('version')!r}")
     _require(doc, ("detectors",), path)
+    _require(doc["detectors"], (), f"{path}: detectors")
     detectors = {
         key: model_from_obj(obj, f"{path}: detectors[{json.dumps(key)}]")
         for key, obj in doc["detectors"].items()

@@ -1,25 +1,22 @@
 """Tabular Q-learning for adaptation-action selection.
 
-Training is driven by episode generators speaking a small event protocol:
-the generator yields ("decide", state_key, candidates) and expects the chosen
-candidate via send(); after applying it, it yields ("reward", r) and expects
-send(None). On return, its StopIteration value may carry the episode's final
-workflow totals (price/time/value/mitigation), which feed the terminal bonus
-reward normalized against running min/max across episodes.
+`train` is the one training loop. It drives episode generators speaking a
+small event protocol: the generator yields ("decide", state_key, candidates)
+and expects the chosen candidate via send(); after applying it, it yields
+("reward", r) and expects send(None). On return, its StopIteration value may
+be an object whose ``reward_attrs()`` gives the episode's final workflow
+totals (price/time/value/mitigation), which feed the terminal bonus reward
+normalized against running min/max across episodes.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-
-DEFAULT_ALPHA = 0.1
-DEFAULT_GAMMA = 0.9
-DEFAULT_EPSILON = 0.3
-DEFAULT_EPSILON_DECAY = 0.995
-DEFAULT_EPSILON_FLOOR = 0.01
 
 
 class RLDomainError(ValueError):
@@ -28,11 +25,11 @@ class RLDomainError(ValueError):
 
 @dataclass(frozen=True)
 class RLConfig:
-    alpha: float = DEFAULT_ALPHA
-    gamma: float = DEFAULT_GAMMA
-    epsilon: float = DEFAULT_EPSILON
-    epsilon_decay: float = DEFAULT_EPSILON_DECAY
-    epsilon_floor: float = DEFAULT_EPSILON_FLOOR
+    alpha: float = 0.1
+    gamma: float = 0.9
+    epsilon: float = 0.3
+    epsilon_decay: float = 0.995
+    epsilon_floor: float = 0.01
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
@@ -83,6 +80,13 @@ def reward(attrs: dict, mins: dict, maxs: dict, weights: RewardWeights) -> float
     return total
 
 
+def attr_bounds(rows) -> tuple:
+    """The (mins, maxs) of each attribute over a list of attribute dicts: the
+    normalization `reward` takes."""
+    return ({n: min(r[n] for r in rows) for n in ATTR_NAMES},
+            {n: max(r[n] for r in rows) for n in ATTR_NAMES})
+
+
 def _action_key(action):
     return action.value if hasattr(action, "value") else str(action)
 
@@ -97,18 +101,15 @@ class QTable:
     def q(self, state, action) -> float:
         return self.entries.get((state, _action_key(action)), 0.0)
 
-    def best_value(self, state, candidates) -> float:
-        if not candidates:
-            return 0.0
-        return max(self.q(state, a) for a in candidates)
-
 
 def q_update(table: QTable, state, action, r: float, next_state, next_candidates):
     """One Bellman backup: Q += alpha * (r + gamma * max_a' Q(st',a') - Q).
     A terminal transition passes next_state=None (valued 0)."""
     key = (state, _action_key(action))
     old = table.entries.get(key, 0.0)
-    future = 0.0 if next_state is None else table.best_value(next_state, next_candidates)
+    future = 0.0
+    if next_state is not None:
+        future = max((table.q(next_state, a) for a in next_candidates), default=0.0)
     cfg = table.config
     table.entries[key] = old + cfg.alpha * (r + cfg.gamma * future - old)
     table.visits[key] = table.visits.get(key, 0) + 1
@@ -119,70 +120,46 @@ def predict(table: QTable, state, candidates):
     on candidate declaration order."""
     if not candidates:
         raise RLDomainError("empty candidate set")
-    best, best_q = candidates[0], table.q(state, candidates[0])
-    for a in candidates[1:]:
-        qa = table.q(state, a)
-        if qa > best_q:
-            best, best_q = a, qa
-    return best
+    return max(candidates, key=lambda a: table.q(state, a))  # max keeps the first
 
 
-def _epsilon_greedy(table, state, candidates, epsilon, rng):
-    if rng.random() < epsilon:
-        return candidates[int(rng.integers(len(candidates)))]
-    return predict(table, state, candidates)
-
-
-def train(
-    episode_factory,
-    episodes: int,
-    cfg: RLConfig = RLConfig(),
-    seed: int = 0,
-) -> QTable:
-    """Run `episodes` episodes from `episode_factory(index, episode_seed)`,
-    choosing epsilon-greedily and applying the Q update online. Epsilon decays
-    multiplicatively per episode down to the configured floor. Deterministic
-    given (config, seed)."""
-    if episodes < 1:
-        raise RLDomainError("episodes must be >= 1")
-    table = QTable(config=cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    episode_seeds = np.random.SeedSequence(seed).generate_state(episodes + 1)[1:]
+def train(table: QTable, episodes, rng):
+    """The epsilon-greedy Q-learning loop: drive each episode generator of the
+    iterable `episodes` through `run_training_episode`, drawing exploration
+    from `rng`, and yield each episode's outcome. Epsilon starts at
+    `table.config.epsilon` and decays multiplicatively per episode down to
+    the configured floor. An episode that raises is re-raised as RuntimeError
+    naming its index."""
+    cfg = table.config
     epsilon = cfg.epsilon
-    running = {n: [np.inf, -np.inf] for n in ATTR_NAMES}  # terminal-bonus min/max
-    for ep in range(episodes):
+    # terminal-bonus min/max of each attribute across the episodes so far
+    running = ({n: np.inf for n in ATTR_NAMES}, {n: -np.inf for n in ATTR_NAMES})
+    for ep, gen in enumerate(episodes):
         try:
-            _run_episode(
-                table, episode_factory, ep, int(episode_seeds[ep]), epsilon, rng, running
-            )
+            outcome = run_training_episode(table, gen, epsilon, rng, running)
         except Exception as exc:
             raise RuntimeError(f"episode {ep} failed: {exc}") from exc
+        yield outcome
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
-    return table
-
-
-def _run_episode(table, episode_factory, index, ep_seed, epsilon, rng, running):
-    gen = episode_factory(index, ep_seed)
-    return run_training_episode(table, gen, epsilon, rng, running)
 
 
 def run_training_episode(table, gen, epsilon, rng, running):
     """Drive one episode generator with epsilon-greedy choices and online Q
-    updates. Returns the generator's StopIteration value; if that value is an
-    object exposing ``reward_attrs()`` (or a plain dict), its totals feed the
-    terminal bonus."""
-    pending = None  # (state, action, reward)
-    outcome = None
+    updates. Returns the generator's StopIteration value; if it is not None,
+    its ``reward_attrs()`` totals widen the `running` (mins, maxs) and add the
+    terminal bonus, normalized against them, to the last decision's reward."""
+    pending = None  # (state, action, reward) of the last decision
     try:
         event = next(gen)
         while True:
             if event[0] == "decide":
                 _, state, candidates = event
                 if pending is not None:
-                    st, a, r = pending
-                    q_update(table, st, a, r, state, candidates)
-                    pending = None
-                action = _epsilon_greedy(table, state, candidates, epsilon, rng)
+                    q_update(table, *pending, state, candidates)
+                if rng.random() < epsilon:
+                    action = candidates[int(rng.integers(len(candidates)))]
+                else:
+                    action = predict(table, state, candidates)
                 pending = (state, action, 0.0)
                 event = gen.send(action)
             elif event[0] == "reward":
@@ -193,96 +170,57 @@ def run_training_episode(table, gen, epsilon, rng, running):
                 raise RLDomainError(f"unknown episode event {event[0]!r}")
     except StopIteration as stop:
         outcome = stop.value
-    totals = outcome
-    if totals is not None and not isinstance(totals, dict):
-        totals = totals.reward_attrs()
+    bonus = 0.0
+    if outcome is not None:
+        totals = outcome.reward_attrs()
+        mins, maxs = running
+        for name in ATTR_NAMES:
+            mins[name] = min(mins[name], totals[name])
+            maxs[name] = max(maxs[name], totals[name])
+        bonus = reward(totals, mins, maxs, REWARD_WEIGHTS)
     if pending is not None:
         st, a, r = pending
-        r += _terminal_bonus(totals, running)
-        q_update(table, st, a, r, None, ())
-    elif totals is not None:
-        _update_running(totals, running)
+        q_update(table, st, a, r + bonus, None, ())
     return outcome
-
-
-def _update_running(totals, running):
-    for name in ATTR_NAMES:
-        if name in totals:
-            lo, hi = running[name]
-            running[name] = [min(lo, totals[name]), max(hi, totals[name])]
-
-
-def _terminal_bonus(totals, running):
-    """Whole-workflow reward term, normalized against the running min/max of
-    each attribute across the episodes seen so far."""
-    if not totals:
-        return 0.0
-    _update_running(totals, running)
-    bonus = 0.0
-    for name in ATTR_NAMES:
-        if name not in totals:
-            continue
-        lo, hi = running[name]
-        if np.isfinite(lo) and np.isfinite(hi) and hi > lo:
-            bonus += getattr(REWARD_WEIGHTS, name) * (totals[name] - lo) / (hi - lo)
-    return bonus
 
 
 # ---------------------------------------------------------------------------
 # Workflow-state discretization
 
 VIOLATION_BUCKETS = 4  # 0, 1, 2, 3+
+#: The accumulated attributes the state key buckets by three cuts each, and
+#: the prefix of each bucket in the key.
+BUCKETS = {"time": "t", "price": "p", "value": "u"}
 
 
-@dataclass
-class StateDiscretizer:
-    """Quantile bucket boundaries for the accumulated time/price/value parts
-    of the workflow state. Boundaries are fixed at training start and
-    persisted alongside the table."""
-
-    boundaries: dict  # attr -> [q25, q50, q75]
-
-    @classmethod
-    def from_samples(cls, samples: dict) -> "StateDiscretizer":
-        boundaries = {}
-        for attr, values in samples.items():
-            arr = np.asarray(values, dtype=float)
-            if len(arr) == 0:
-                boundaries[attr] = [0.0, 0.0, 0.0]
-            else:
-                boundaries[attr] = [float(np.quantile(arr, q)) for q in (0.25, 0.5, 0.75)]
-        return cls(boundaries=boundaries)
-
-    def bucket(self, attr: str, value: float) -> int:
-        cuts = self.boundaries.get(attr, [0.0, 0.0, 0.0])
-        return int(np.searchsorted(cuts, value, side="right"))
+def quartile_boundaries(samples: dict) -> dict:
+    """Bucket cuts for the state key: the 25/50/75% quantiles of each
+    attribute's samples. They are fixed at training start and persisted as
+    `QTable.discretization`."""
+    return {
+        attr: [float(np.quantile(np.asarray(v, dtype=float), q)) for q in (0.25, 0.5, 0.75)]
+        for attr, v in samples.items()
+    }
 
 
 def workflow_state_key(
-    attack_type,
-    level,
-    n_violations: int,
-    action_history,
-    accumulated: dict,
-    disc: StateDiscretizer,
+    attack_type, level, history, accumulated: dict, discretization: dict
 ) -> str:
     """Canonical string key combining the task state (attack type, severity)
-    with the discretized workflow state."""
-    counts = {}
-    for a in action_history:
-        k = _action_key(a)
-        counts[k] = counts.get(k, 0) + 1
-    history = ",".join(f"{k}:{counts[k]}" for k in sorted(counts)) or "-"
-    vb = min(n_violations, VIOLATION_BUCKETS - 1)
+    with the discretized workflow state: the violation bucket (one per
+    decision so far, 3+ capped), the counts of the action kinds in `history`,
+    and the buckets of the accumulated time/price/value under the cuts of
+    `discretization` (an attribute without cuts has cuts 0, 0, 0)."""
+    counts = Counter(_action_key(a) for a in history)
     parts = [
         _action_key(attack_type),
         _action_key(level),
-        f"v{vb}",
-        history,
-        f"t{disc.bucket('time', accumulated.get('time', 0.0))}",
-        f"p{disc.bucket('price', accumulated.get('price', 0.0))}",
-        f"u{disc.bucket('value', accumulated.get('value', 0.0))}",
+        f"v{min(len(history), VIOLATION_BUCKETS - 1)}",
+        ",".join(f"{k}:{counts[k]}" for k in sorted(counts)) or "-",
     ]
+    for attr, prefix in BUCKETS.items():
+        cuts = discretization.get(attr, (0.0, 0.0, 0.0))
+        parts.append(f"{prefix}{bisect.bisect_right(cuts, accumulated.get(attr, 0.0))}")
     return "|".join(parts)
 
 
@@ -301,10 +239,43 @@ def table_to_json(table: QTable) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _require(obj, keys, path):
+    if not isinstance(obj, dict):
+        raise RLDomainError(f"{path}: must be an object")
+    for key in keys:
+        if key not in obj:
+            raise RLDomainError(f"{path}: missing field {key!r}")
+
+
 def table_from_json(text: str) -> QTable:
-    doc = json.loads(text)
-    table = QTable(config=RLConfig(**doc["config"]), discretization=doc.get("discretization", {}))
-    for e in doc["entries"]:
-        table.entries[(e["state"], e["action"])] = float(e["q"])
-        table.visits[(e["state"], e["action"])] = int(e["n"])
+    """A Q-table from its JSON document. Malformed input raises RLDomainError
+    naming the JSON path; a non-empty `discretization` must hold three
+    ascending finite cuts for each of time, price and value."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise RLDomainError(f"$: not valid JSON: {exc}") from None
+    _require(doc, ("config", "entries"), "$")
+    disc = doc.get("discretization", {})
+    _require(disc, (), "$.discretization")
+    for attr in BUCKETS if disc else ():
+        cuts = disc.get(attr)
+        if not (isinstance(cuts, list) and len(cuts) == 3
+                and all(isinstance(c, (int, float)) and np.isfinite(c) for c in cuts)
+                and cuts == sorted(cuts)):
+            raise RLDomainError(f"$.discretization.{attr}: must be 3 ascending finite "
+                                f"cuts, got {cuts!r}")
+    if not isinstance(doc["entries"], list):
+        raise RLDomainError("$.entries: must be an array")
+    try:
+        table = QTable(config=RLConfig(**doc["config"]), discretization=disc)
+    except (TypeError, ValueError) as exc:
+        raise RLDomainError(f"$.config: {exc}") from None
+    for i, e in enumerate(doc["entries"]):
+        _require(e, ("state", "action", "q", "n"), f"$.entries[{i}]")
+        try:
+            table.entries[(e["state"], e["action"])] = float(e["q"])
+            table.visits[(e["state"], e["action"])] = int(e["n"])
+        except (TypeError, ValueError) as exc:
+            raise RLDomainError(f"$.entries[{i}]: {exc}") from None
     return table

@@ -22,13 +22,10 @@ class UnschedulableError(RuntimeError):
 
 @dataclass
 class TrustRepository:
-    """Per-service trust scores and the live attack-frequency history.
+    """Live attack-frequency rates per (service, attack type), and the trust
+    score computed from them. One writer updates it in run order: trust
+    reconciliation between instances, middleware actions during one."""
 
-    Mutated only between workflow instances by a single writer; reads during
-    an instance see a frozen snapshot.
-    """
-
-    trust: dict = field(default_factory=dict)  # service id -> [0,1]
     afr_history: dict = field(default_factory=dict)  # (service id, AttackType) -> [0,1]
 
     @classmethod
@@ -38,25 +35,24 @@ class TrustRepository:
         for s in cloud.services():
             for at in AttackType:
                 repo.afr_history[(s.id, at)] = float(s.afr.get(at, 0.0))
-            repo._recompute_trust(s.id)
         return repo
 
     def afr(self, service_id: str, attack_type: AttackType) -> float:
         return self.afr_history[(service_id, attack_type)]
 
-    def _recompute_trust(self, service_id: str):
+    def score(self, service_id: str) -> float:
+        """Trust in [0,1]: 1 - the service's mean attack-frequency rate."""
         rates = [self.afr_history[(service_id, at)] for at in AttackType]
-        self.trust[service_id] = min(1.0, max(0.0, 1.0 - sum(rates) / len(rates)))
+        return min(1.0, max(0.0, 1.0 - sum(rates) / len(rates)))
 
     def update(self, service_id: str, attack_type: AttackType, detected: bool):
-        """EWMA update of the per-type rate, then trust = 1 - mean rate."""
+        """EWMA update of the per-type rate."""
         key = (service_id, attack_type)
         if key not in self.afr_history:
             raise KeyError(f"unknown service {service_id!r}")
         old = self.afr_history[key]
         new = (1.0 - EWMA_BETA) * old + EWMA_BETA * (1.0 if detected else 0.0)
         self.afr_history[key] = min(1.0, max(0.0, new))
-        self._recompute_trust(service_id)
 
     def scale_afr(self, service_id: str, attack_type: AttackType, factor: float):
         """Multiplicative AFR adjustment (used by reconfiguration actions)."""
@@ -64,7 +60,6 @@ class TrustRepository:
         if key not in self.afr_history:
             raise KeyError(f"unknown service {service_id!r}")
         self.afr_history[key] = min(1.0, max(0.0, self.afr_history[key] * factor))
-        self._recompute_trust(service_id)
 
 
 def eligible_services(task, cloud: MultiCloud):
@@ -102,7 +97,7 @@ def schedule(
             return (
                 cfg.w_price * price_n[s.id]
                 + cfg.w_time * time_n[s.id]
-                - cfg.w_security * trust.trust.get(s.id, 1.0)
+                - cfg.w_security * trust.score(s.id)
             )
 
         best = min(pool, key=lambda s: (score(s), s.id))

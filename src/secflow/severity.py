@@ -4,6 +4,7 @@ severity by their mean hidden intensity."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,7 +215,6 @@ def fit_severity(datasets: dict, seed: int) -> SeverityModel:
 
 # ---------------------------------------------------------------------------
 # Serialization (embedded in the shared model JSON file)
-
 def severity_to_obj(model: SeverityModel):
     return {
         f"{kind.value}/{at.value}": {
@@ -230,15 +230,24 @@ def severity_to_obj(model: SeverityModel):
 
 
 def severity_from_obj(obj) -> SeverityModel:
+    """The severity model from its object in the model file. A malformed
+    entry raises ValueError naming its JSON path."""
+    if not isinstance(obj, dict):
+        raise ValueError("severity: must be an object")
     entries = {}
     for key, e in obj.items():
-        kind_name, at_name = key.split("/")
-        entries[(DatasetKind(kind_name), AttackType(at_name))] = SeverityEntry(
-            feature_indices=list(e["feature_indices"]),
-            scale_mean=np.array(e["scale_mean"]),
-            scale_std=np.array(e["scale_std"]),
-            centroids=np.array(e["centroids"]),
-            cluster_mean_intensity=np.array(e["cluster_mean_intensity"]),
-            cluster_level=[Severity(v) for v in e["cluster_level"]],
-        )
+        try:
+            kind_name, at_name = key.split("/")
+            entries[(DatasetKind(kind_name), AttackType(at_name))] = SeverityEntry(
+                feature_indices=list(e["feature_indices"]),
+                scale_mean=np.array(e["scale_mean"]),
+                scale_std=np.array(e["scale_std"]),
+                centroids=np.array(e["centroids"]),
+                cluster_mean_intensity=np.array(e["cluster_mean_intensity"]),
+                cluster_level=[Severity(v) for v in e["cluster_level"]],
+            )
+        except KeyError as exc:
+            raise ValueError(f"severity[{json.dumps(key)}]: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"severity[{json.dumps(key)}]: {exc}") from None
     return SeverityModel(entries=entries)

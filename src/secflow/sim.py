@@ -98,8 +98,6 @@ class ExecutionState:
         self.base = {}  # task id -> [price, time, value]
         self.adaptations = []  # dicts: task, kind, price, time, value_delta, mitigation
         self.degraded = {}  # task id -> count of degraded inputs
-        self.violations = 0  # attacks that reached a decision
-        self.action_history = []  # ActionKinds applied so far
         self.nominal_prefix = 0.0  # nominal time of tasks processed so far
         self._data_succ = {}
         for e in workflow.data_edges:
@@ -147,7 +145,6 @@ class ExecutionState:
                 "mitigation": mitigation,
             }
         )
-        self.action_history.append(kind)
 
     def late_multiplier(self):
         if self.accumulated_time() > LATE_THRESHOLD_FACTOR * self.nominal_prefix:
@@ -256,14 +253,14 @@ def run_instance(
 
 def instance_episode(
     workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed,
-    discretizer=None,
+    discretization=None,
 ):
     """Execute one workflow instance as a generator speaking the rl module's
     protocol: at each adaptation decision it yields ("decide", state_key,
     kinds ranked cheapest-first) and applies the kind it is sent, then yields
-    ("reward", r) and expects None. Returns the RunResult."""
-    if discretizer is None:
-        discretizer = rl.StateDiscretizer(boundaries={})
+    ("reward", r) and expects None. The state key buckets the ledger's totals
+    by the cuts of `discretization` (see `rl.workflow_state_key`). Returns the
+    RunResult."""
     plan.validate(workflow, cloud)
     service_map = cloud.service_map()
     for key in (DatasetKind.NTD, DatasetKind.CLF):
@@ -373,10 +370,9 @@ def instance_episode(
         # a real decision point; candidates are presented cheapest-first so a
         # cold-start greedy choice degrades to the nominal-cost ranking
         state_key = rl.workflow_state_key(
-            pred_type, level, state.violations, state.action_history,
-            state.accumulated(), discretizer,
+            pred_type, level, [a["kind"] for a in state.adaptations],
+            state.accumulated(), discretization or {},
         )
-        state.violations += 1
         breakdowns = result.breakdowns
         ranked = sorted(breakdowns, key=cost_rank)
         chosen = yield ("decide", state_key, [b.kind for b in ranked])
@@ -426,24 +422,13 @@ def instance_episode(
             "mitigation": entry["mitigation"],
             "value": state.base_value(tid) + entry["value_delta"],
         }
-
-        def _cand_value(b):
-            # nominal final task value if the candidate were applied
-            if b.kind is ActionKind.INSERT:
-                return base_value_before + b.value
-            return b.value
-
-        mins, maxs = {}, {}
-        for name, get in (
-            ("price", lambda b: b.price),
-            ("time", lambda b: b.time),
-            ("mitigation", lambda b: b.mitigation),
-            ("value", _cand_value),
-        ):
-            vals = [get(b) for b in breakdowns]
-            mins[name] = min(vals)
-            maxs[name] = max(vals)
-        yield ("reward", rl.reward(realized, mins, maxs, rl.REWARD_WEIGHTS))
+        nominal = [
+            {"price": b.price, "time": b.time, "mitigation": b.mitigation,
+             # the final task value if the candidate were applied
+             "value": base_value_before + b.value if b.kind is ActionKind.INSERT else b.value}
+            for b in breakdowns
+        ]
+        yield ("reward", rl.reward(realized, *rl.attr_bounds(nominal), rl.REWARD_WEIGHTS))
 
     total_time = makespan(workflow, executed, state.durations(), order)
     acc = state.accumulated()
@@ -555,25 +540,24 @@ def run_experiment(
             results.append(result)
     else:
         table = qtable if qtable is not None else rl.QTable()
-        disc = _discretizer_from_table(table) or _warmup_discretizer(
-            workflow, plan, cloud, detectors, severity_model, cfg, trust,
-            attack_rate, seed,
-        )
-        table.discretization = disc.boundaries
-        policy_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-        epsilon = table.config.epsilon
-        running = {n: [np.inf, -np.inf] for n in rl.ATTR_NAMES}
-        for i in range(n_runs):
-            gen = instance_episode(
+        if not table.discretization:
+            table.discretization = _warmup_discretizer(
                 workflow, plan, cloud, detectors, severity_model, cfg, trust,
-                attack_rate, int(run_seeds[i]), disc,
+                attack_rate, seed,
             )
-            result = rl.run_training_episode(table, gen, epsilon, policy_rng, running)
+        # a round's generator runs only once rl.train reaches it, after the
+        # trust reconciliation of the round before
+        episodes = (
+            instance_episode(
+                workflow, plan, cloud, detectors, severity_model, cfg, trust,
+                attack_rate, int(s), table.discretization,
+            )
+            for s in run_seeds
+        )
+        policy_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+        for result in rl.train(table, episodes, policy_rng):
             _reconcile_trust(trust, cloud, result)
             results.append(result)
-            epsilon = max(
-                table.config.epsilon_floor, epsilon * table.config.epsilon_decay
-            )
 
     attrs = [r.reward_attrs() for r in results]
     mean = {k: float(np.mean([a[k] for a in attrs])) for k in rl.ATTR_NAMES}
@@ -607,19 +591,13 @@ def _reconcile_trust(trust: TrustRepository, cloud: MultiCloud, result: RunResul
 WARMUP_RUNS = 20
 
 
-def _discretizer_from_table(table: rl.QTable):
-    if table.discretization:
-        return rl.StateDiscretizer(boundaries=table.discretization)
-    return None
-
-
 def _warmup_discretizer(
     workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed
 ):
-    """Fix the workflow-state quantile buckets from a short lowest-cost warmup
+    """Fix the workflow-state quartile cuts from a short lowest-cost warmup
     (trust snapshot restored afterwards)."""
-    snapshot = (dict(trust.trust), dict(trust.afr_history))
-    samples = {"time": [], "price": [], "value": []}
+    snapshot = dict(trust.afr_history)
+    samples = {attr: [] for attr in rl.BUCKETS}
     warm_seeds = np.random.SeedSequence([seed, 13]).generate_state(WARMUP_RUNS)
     for s in warm_seeds:
         res = run_instance(
@@ -628,25 +606,18 @@ def _warmup_discretizer(
         )
         # accumulated-at-decision values are approximated by fractions of the
         # run totals; quartiles over these anchor the buckets
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            samples["time"].append(res.time * frac)
-            samples["price"].append(res.price * frac)
-            samples["value"].append(res.value * frac)
-    trust.trust, trust.afr_history = snapshot
-    return rl.StateDiscretizer.from_samples(samples)
+        for attr, values in samples.items():
+            values.extend(getattr(res, attr) * frac for frac in (0.25, 0.5, 0.75, 1.0))
+    trust.afr_history = snapshot
+    return rl.quartile_boundaries(samples)
 
 
 def composite_rewards(results):
     """Per-run composite reward with min-max normalization over the pooled
     result list (degenerate attributes contribute 0)."""
     attrs = [r.reward_attrs() for r in results]
-    out = np.zeros(len(results))
-    for name in rl.ATTR_NAMES:
-        vals = np.array([a[name] for a in attrs])
-        lo, hi = vals.min(), vals.max()
-        if hi > lo:
-            out += getattr(rl.REWARD_WEIGHTS, name) * (vals - lo) / (hi - lo)
-    return out
+    bounds = rl.attr_bounds(attrs)
+    return np.array([rl.reward(a, *bounds, rl.REWARD_WEIGHTS) for a in attrs])
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ def test_criterion_4_q_learning_matches_value_iteration():
     # sanity: the benchmark is non-trivial (greedy-on-immediate differs)
     assert oracle[0] == "up" and MDP_REWARDS[(0, "jump")] > MDP_REWARDS[(0, "up")]
 
-    def factory(index, seed):
+    def factory():
         def episode():
             state = 0
             while state != MDP_TERMINAL:
@@ -239,7 +239,10 @@ def test_criterion_4_q_learning_matches_value_iteration():
         return episode()
 
     episodes = 10_000
-    table = train(factory, episodes=episodes, cfg=RLConfig(gamma=0.9), seed=0)
+    table = QTable(config=RLConfig(gamma=0.9))
+    rng = np.random.default_rng(np.random.SeedSequence(0))
+    for _ in train(table, (factory() for _ in range(episodes)), rng):
+        pass
     learned = {
         s: predict(table, f"s{s}", list(MDP_ACTIONS)) for s in range(MDP_TERMINAL)
     }
@@ -429,9 +432,9 @@ def test_criterion_6e_trust_monotonicity():
         for _ in range(int(rng.integers(1, 6))):
             at = list(AttackType)[int(rng.integers(4))]
             detected = bool(rng.random() < 0.5)
-            before = repo.trust["p0-s0"]
+            before = repo.score("p0-s0")
             repo.update("p0-s0", at, detected=detected)
-            after = repo.trust["p0-s0"]
+            after = repo.score("p0-s0")
             if detected:
                 assert after <= before + 1e-12
             else:

@@ -205,6 +205,65 @@ class TestUsageErrors:
         assert err.startswith("secflow: usage error: config bad.json is not valid JSON")
 
 
+@pytest.fixture(scope="module")
+def models_file(tmp_path_factory):
+    """A small detector + severity model file, built once for the
+    input-file error tests."""
+    root = tmp_path_factory.mktemp("models")
+    data, art = str(root / "data"), str(root / "art")
+    assert _run(["gen-data", "--n", "300", "--seed", "42", "--out", data]) == 0
+    assert _run(["train-detect", "--data", data, "--out", art]) == 0
+    assert _run(["train-severity", "--data", data, "--out", art]) == 0
+    return root / "art" / "models.json"
+
+
+class TestInputFileErrors:
+    """A malformed Q-table or model file fails with one line naming the file
+    and the JSON path."""
+
+    def _error(self, capsys, argv):
+        assert _run(["simulate", "--runs", "1", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        return err
+
+    def _qtable_error(self, workdir, capsys, models_file, doc):
+        (workdir / "q.json").write_text(json.dumps(doc))
+        return self._error(capsys, ["--models", str(models_file), "--strategy",
+                                    "adaptive", "--qtable", "q.json"])
+
+    def test_qtable_entry_without_q(self, workdir, capsys, models_file):
+        doc = {"config": {}, "entries": [{"state": "s", "action": "skip", "n": 1}]}
+        err = self._qtable_error(workdir, capsys, models_file, doc)
+        assert "q.json: $.entries[0]: missing field 'q'" in err
+
+    def test_qtable_array(self, workdir, capsys, models_file):
+        err = self._qtable_error(workdir, capsys, models_file, [])
+        assert "q.json: $: must be an object" in err
+
+    def test_qtable_short_discretization(self, workdir, capsys, models_file):
+        doc = {"config": {}, "entries": [], "discretization": {"time": [1.0]}}
+        err = self._qtable_error(workdir, capsys, models_file, doc)
+        assert "q.json: $.discretization.time: must be 3 ascending finite cuts" in err
+
+    def test_models_not_json(self, workdir, capsys):
+        (workdir / "m.json").write_text("not json")
+        err = self._error(capsys, ["--models", "m.json"])
+        assert "m.json: $: not valid JSON: Expecting value" in err
+
+    def test_models_array(self, workdir, capsys):
+        (workdir / "m.json").write_text("[]")
+        err = self._error(capsys, ["--models", "m.json"])
+        assert "m.json: $: must be an object" in err
+
+    def test_severity_entry_without_centroids(self, workdir, capsys, models_file):
+        doc = json.loads(models_file.read_text())
+        del doc["severity"]["ntd/dos"]["centroids"]
+        (workdir / "m.json").write_text(json.dumps(doc))
+        err = self._error(capsys, ["--models", "m.json"])
+        assert 'm.json: severity["ntd/dos"]: missing field \'centroids\'' in err
+
+
 class TestGenBench:
     def test_emits_parseable_pair(self, workdir):
         from secflow.model import parse_multicloud, parse_workflow

@@ -8,9 +8,9 @@ from secflow.rl import (
     RLConfig,
     RLDomainError,
     RewardWeights,
-    StateDiscretizer,
     predict,
     q_update,
+    quartile_boundaries,
     reward,
     table_from_json,
     table_to_json,
@@ -114,11 +114,20 @@ class TestPredict:
         assert predict(table, "s", candidates) == best
 
 
+def _train(factory, episodes, cfg=RLConfig(), seed=0):
+    """A fresh table trained through `train` on `factory(index)` episodes."""
+    table = QTable(config=cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for _ in train(table, (factory(i) for i in range(episodes)), rng):
+        pass
+    return table
+
+
 def _chain_episode_factory(rewards_by_action):
     """3-state deterministic chain: states s0 -> s1 -> s2(terminal); two
     actions per state with fixed rewards."""
 
-    def factory(index, seed):
+    def factory(index):
         def gen():
             total = 0.0
             for state in ("s0", "s1"):
@@ -136,7 +145,7 @@ def _chain_episode_factory(rewards_by_action):
 class TestTrain:
     def test_chain_mdp_matches_value_iteration(self):
         factory = _chain_episode_factory({"good": 1.0, "bad": 0.0})
-        table = train(factory, episodes=2000, cfg=RLConfig(), seed=0)
+        table = _train(factory, episodes=2000, cfg=RLConfig(), seed=0)
         # value iteration on the chain: picking "good" is optimal in both states
         for state in ("s0", "s1"):
             assert predict(table, state, ["good", "bad"]) == "good"
@@ -144,7 +153,7 @@ class TestTrain:
 
     def test_zero_epsilon_sticks_to_tiebreak_arm(self):
         # single-state bandit; epsilon=0 explores only the first candidate
-        def factory(index, seed):
+        def factory(index):
             def gen():
                 action = yield ("decide", "s", ["zero", "one"])
                 yield ("reward", 1.0 if action == "one" else 0.0)
@@ -153,12 +162,12 @@ class TestTrain:
             return gen()
 
         cfg = RLConfig(epsilon=0.0, epsilon_floor=0.0)
-        table = train(factory, episodes=500, cfg=cfg, seed=0)
+        table = _train(factory, episodes=500, cfg=cfg, seed=0)
         assert table.visits.get(("s", "one")) is None
         assert predict(table, "s", ["zero", "one"]) == "zero"
 
     def test_exploring_bandit_finds_reward_arm(self):
-        def factory(index, seed):
+        def factory(index):
             def gen():
                 action = yield ("decide", "s", ["zero", "one"])
                 yield ("reward", 1.0 if action == "one" else 0.0)
@@ -167,29 +176,29 @@ class TestTrain:
             return gen()
 
         cfg = RLConfig(epsilon=0.1, epsilon_decay=1.0, epsilon_floor=0.1)
-        table = train(factory, episodes=5000, cfg=cfg, seed=0)
+        table = _train(factory, episodes=5000, cfg=cfg, seed=0)
         assert predict(table, "s", ["zero", "one"]) == "one"
 
     def test_zero_reward_environment_all_zero(self):
         factory = _chain_episode_factory({"good": 0.0, "bad": 0.0})
-        table = train(factory, episodes=200, seed=0)
+        table = _train(factory, episodes=200, seed=0)
         assert all(v == 0.0 for v in table.entries.values())
 
     def test_reproducible_serialization(self):
         factory = _chain_episode_factory({"good": 1.0, "bad": 0.2})
-        a = train(factory, episodes=300, seed=5)
-        b = train(factory, episodes=300, seed=5)
+        a = _train(factory, episodes=300, seed=5)
+        b = _train(factory, episodes=300, seed=5)
         assert table_to_json(a) == table_to_json(b)
 
     def test_q_values_bounded_for_bounded_rewards(self):
         factory = _chain_episode_factory({"good": 1.0, "bad": -1.0})
         cfg = RLConfig(gamma=0.9)
-        table = train(factory, episodes=1000, cfg=cfg, seed=1)
+        table = _train(factory, episodes=1000, cfg=cfg, seed=1)
         bound = 1.0 / (1.0 - cfg.gamma)
         assert all(abs(v) <= bound + 1e-9 for v in table.entries.values())
 
     def test_episode_failure_carries_index(self):
-        def factory(index, seed):
+        def factory(index):
             def gen():
                 if index == 3:
                     raise RuntimeError("boom")
@@ -200,11 +209,7 @@ class TestTrain:
             return gen()
 
         with pytest.raises(RuntimeError, match="episode 3"):
-            train(factory, episodes=10, seed=0)
-
-    def test_bad_episode_count_rejected(self):
-        with pytest.raises(RLDomainError):
-            train(lambda i, s: iter(()), episodes=0)
+            _train(factory, episodes=10, seed=0)
 
 
 class TestConfigValidation:
@@ -219,27 +224,28 @@ class TestConfigValidation:
 
 class TestStateKeys:
     def test_key_structure(self):
-        disc = StateDiscretizer(boundaries={"time": [1, 2, 3]})
         key = workflow_state_key(
-            "dos", "high", 5, ["skip", "skip", "rework"],
-            {"time": 2.5, "price": 0.0, "value": 0.0}, disc,
+            "dos", "high", ["skip", "skip", "rework", "skip", "insert"],
+            {"time": 2.5, "price": 0.0, "value": 0.0}, {"time": [1, 2, 3]},
         )
         parts = key.split("|")
         assert parts[0] == "dos"
         assert parts[1] == "high"
-        assert parts[2] == "v3"  # violation count capped at 3+
-        assert parts[3] == "rework:1,skip:2"
+        assert parts[2] == "v3"  # one violation per decision, capped at 3+
+        assert parts[3] == "insert:1,rework:1,skip:3"
         assert parts[4] == "t2"  # 2.5 falls in bucket 2 of [1,2,3]
 
-    def test_discretizer_from_samples_quartiles(self):
-        disc = StateDiscretizer.from_samples({"time": list(range(101))})
-        assert disc.boundaries["time"] == [25.0, 50.0, 75.0]
-        assert disc.bucket("time", 10) == 0
-        assert disc.bucket("time", 60) == 2
-        assert disc.bucket("time", 99) == 3
+    def test_quartile_boundaries_bucket_the_key(self):
+        cuts = quartile_boundaries({"time": list(range(101))})
+        assert cuts == {"time": [25.0, 50.0, 75.0]}
+        for time, bucket in ((10, 0), (60, 2), (99, 3)):
+            key = workflow_state_key("dos", "high", [], {"time": time}, cuts)
+            assert key.split("|")[4] == f"t{bucket}"
 
     def test_table_json_round_trip_preserves_discretization(self):
-        table = QTable(discretization={"time": [1.0, 2.0, 3.0]})
+        table = QTable(discretization={
+            "time": [1.0, 2.0, 3.0], "price": [0.5, 0.5, 2.0], "value": [0.0, 1.0, 4.0],
+        })
         table.entries[("s", "a")] = 0.5
         table.visits[("s", "a")] = 3
         restored = table_from_json(table_to_json(table))

@@ -104,7 +104,7 @@ class TestTrustRepository:
             repo.update("p0-s0", AttackType.DOS, detected=True)
         assert repo.afr("p0-s0", AttackType.DOS) == pytest.approx(1.0, abs=1e-9)
         # trust = 1 - mean over attack types; only dos is saturated
-        assert repo.trust["p0-s0"] == pytest.approx(1.0 - 1.0 / 4.0, abs=1e-9)
+        assert repo.score("p0-s0") == pytest.approx(1.0 - 1.0 / 4.0, abs=1e-9)
 
     def test_unknown_service_raises(self):
         repo = self._repo()
@@ -114,9 +114,9 @@ class TestTrustRepository:
     def test_detection_never_increases_trust(self):
         repo = self._repo()
         for detected in (True, True, False, True, False):
-            before = repo.trust["p0-s0"]
+            before = repo.score("p0-s0")
             repo.update("p0-s0", AttackType.PROBE, detected=detected)
-            after = repo.trust["p0-s0"]
+            after = repo.score("p0-s0")
             if detected:
                 assert after <= before + 1e-12
             else:
