@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 
@@ -71,7 +72,7 @@ def reward(attrs: dict, mins: dict, maxs: dict, weights: RewardWeights) -> float
     for name in ATTR_NAMES:
         att, lo, hi = attrs[name], mins[name], maxs[name]
         for v in (att, lo, hi):
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise RLDomainError(f"non-finite {name} input: {v!r}")
         if hi < lo:
             raise RLDomainError(f"max < min for {name}")
@@ -261,7 +262,7 @@ def table_from_json(text: str) -> QTable:
     for attr in BUCKETS if disc else ():
         cuts = disc.get(attr)
         if not (isinstance(cuts, list) and len(cuts) == 3
-                and all(isinstance(c, (int, float)) and np.isfinite(c) for c in cuts)
+                and all(isinstance(c, (int, float)) and math.isfinite(c) for c in cuts)
                 and cuts == sorted(cuts)):
             raise RLDomainError(f"$.discretization.{attr}: must be 3 ascending finite "
                                 f"cuts, got {cuts!r}")
