@@ -122,6 +122,24 @@ SIGNATURES = {
 _UNIT_FEATURES = {"serror_rate", "same_srv_rate", "cpu_util", "ram_util", "bw_util"}
 
 
+def _feature_params(kind, label):
+    """Per feature of `kind`, in schema order: None for the categorical
+    protocol_type, else (mean, sd, signature (offset, slope) or None, capped
+    at 1)."""
+    base = _NTD_BASE if kind is DatasetKind.NTD else _CLF_BASE
+    sig = SIGNATURES[kind].get(label, {})
+    return tuple(
+        None if base[name] is None
+        else (*base[name], sig.get(name), name in _UNIT_FEATURES)
+        for name in FEATURES[kind]
+    )
+
+
+# The one definition of every (kind, label) distribution that both draws read.
+_PARAMS = {(kind, label): _feature_params(kind, label)
+           for kind in DatasetKind for label in LABELS}
+
+
 class DataConfigError(ValueError):
     pass
 
@@ -229,7 +247,7 @@ def generate(
         intensity = (
             np.zeros(cnt) if label == NORMAL else _draw_intensity(rng, cnt, intensity_mode)
         )
-        X = sample_features(kind, label, intensity, rng)
+        X = _sample_columns(kind, label, intensity, rng)
         rows.append(X)
         labels.extend([label] * cnt)
         intensities.append(intensity)
@@ -241,27 +259,37 @@ def generate(
     return Dataset(kind, names, X[perm], labels[perm], intensity[perm])
 
 
-def sample_features(kind: DatasetKind, label: str, intensity: np.ndarray, rng) -> np.ndarray:
-    """Draw feature rows for one label; `intensity` gives the per-row severity
-    signal (ignored for normal records)."""
+def sample_features(kind: DatasetKind, label: str, intensity: float, rng) -> list:
+    """Draw one record of `label` as a list of floats; `intensity` is its
+    severity signal (ignored for normal records). Scalar draws, one per
+    feature in schema order, consume `rng` exactly as one row of
+    `_sample_columns` does."""
+    record = []
+    for params in _PARAMS[kind, label]:
+        if params is None:  # categorical protocol_type
+            record.append(float(rng.integers(0, 3)))
+            continue
+        mean, sd, sig, capped = params
+        value = max(rng.normal(mean if sig is None else mean + (sig[0] + sig[1] * intensity),
+                               sd), 0.0)
+        record.append(min(value, 1.0) if capped else value)
+    return record
+
+
+def _sample_columns(kind: DatasetKind, label: str, intensity: np.ndarray, rng) -> np.ndarray:
+    """Draw len(intensity) rows of `label` column by column, as `generate`
+    lays out its stream."""
     n = len(intensity)
-    base = _NTD_BASE if kind is DatasetKind.NTD else _CLF_BASE
-    sig = SIGNATURES[kind].get(label, {})
     cols = []
-    for name in FEATURES[kind]:
-        if base[name] is None:  # categorical protocol_type
+    for params in _PARAMS[kind, label]:
+        if params is None:  # categorical protocol_type
             cols.append(rng.integers(0, 3, size=n).astype(float))
             continue
-        mean, sd = base[name]
-        shift = np.zeros(n)
-        if name in sig:
-            offset, slope = sig[name]
-            shift = offset + slope * intensity
-        col = rng.normal(mean + shift, sd)
+        mean, sd, sig, capped = params
+        col = rng.normal(mean if sig is None else mean + (sig[0] + sig[1] * intensity),
+                         sd, size=n)
         col = np.maximum(col, 0.0)
-        if name in _UNIT_FEATURES:
-            col = np.minimum(col, 1.0)
-        cols.append(col)
+        cols.append(np.minimum(col, 1.0) if capped else col)
     return np.column_stack(cols)
 
 

@@ -119,7 +119,7 @@ class _Forest:
         the earliest class."""
         n = X.shape[0]
         rows = np.arange(n)[:, None]
-        node = np.broadcast_to(self.roots, (n, len(self.roots)))
+        node = self.roots  # broadcasts against `rows` to (n, n_trees)
         for _ in range(self.depth):
             go_left = X[rows, self.feature[node]] <= self.threshold[node]
             node = self.children[2 * node + go_left]

@@ -91,7 +91,12 @@ class RunResult:
 
 class ExecutionState:
     """Mutable per-instance ledger. Totals are always the fold of the base
-    task entries plus the adaptation entries."""
+    task entries plus the adaptation entries.
+
+    Only the task in progress (the last one started) has its base entry
+    changed, so the totals are kept as a left fold of the finished tasks'
+    entries plus the current one, and running sums of the append-only
+    adaptations: the same additions in the same order as summing the ledger."""
 
     def __init__(self, workflow: Workflow, noise_rng):
         self._noise_rng = noise_rng
@@ -102,11 +107,16 @@ class ExecutionState:
         self._data_succ = {}
         for e in workflow.data_edges:
             self._data_succ.setdefault(e.src, set()).add(e.dst)
+        # int zeros, as `sum` starts from, so every total has sum's value and type
+        self._done = [0, 0, 0]  # fold of the finished tasks' [price, time, value]
+        self._current = [0, 0, 0]  # base entry of the task in progress
+        self._adapted = dict.fromkeys(("price", "time", "value_delta", "mitigation"), 0)
 
     # -- ledger access -----------------------------------------------------
 
     def start_task(self, task_id, price, time, value, nominal_time):
-        self.base[task_id] = [price, time, value]
+        self._done = [d + c for d, c in zip(self._done, self._current)]
+        self._current = self.base[task_id] = [price, time, value]
         self.nominal_prefix += nominal_time
 
     def base_price(self, task_id):
@@ -119,7 +129,8 @@ class ExecutionState:
         return self.base[task_id][2]
 
     def skip_task(self, task_id):
-        self.base[task_id] = [0.0, 0.0, 0.0]
+        # in place: the entry may be `_current`, which the totals read
+        self.base[task_id][:] = (0.0, 0.0, 0.0)
         for succ in self._data_succ.get(task_id, ()):
             self.degraded[succ] = self.degraded.get(succ, 0) + 1
 
@@ -135,16 +146,17 @@ class ExecutionState:
             factor = float(np.exp(self._noise_rng.normal(0.0, OVERHEAD_NOISE_SIGMA)))
             price *= factor
             time *= factor
-        self.adaptations.append(
-            {
-                "task": task_id,
-                "kind": kind,
-                "price": price,
-                "time": time,
-                "value_delta": value_delta,
-                "mitigation": mitigation,
-            }
-        )
+        entry = {
+            "task": task_id,
+            "kind": kind,
+            "price": price,
+            "time": time,
+            "value_delta": value_delta,
+            "mitigation": mitigation,
+        }
+        self.adaptations.append(entry)
+        for attr in self._adapted:
+            self._adapted[attr] += entry[attr]
 
     def late_multiplier(self):
         if self.accumulated_time() > LATE_THRESHOLD_FACTOR * self.nominal_prefix:
@@ -162,18 +174,15 @@ class ExecutionState:
         return {tid: v[1] + extra.get(tid, 0) for tid, v in self.base.items()}
 
     def accumulated_time(self):
-        return sum(v[1] for v in self.base.values()) + sum(
-            a["time"] for a in self.adaptations
-        )
+        return (self._done[1] + self._current[1]) + self._adapted["time"]
 
     def accumulated(self):
+        price, time, value = (d + c for d, c in zip(self._done, self._current))
         return {
-            "price": sum(v[0] for v in self.base.values())
-            + sum(a["price"] for a in self.adaptations),
-            "time": self.accumulated_time(),
-            "value": sum(v[2] for v in self.base.values())
-            + sum(a["value_delta"] for a in self.adaptations),
-            "mitigation": sum(a["mitigation"] for a in self.adaptations),
+            "price": price + self._adapted["price"],
+            "time": time + self._adapted["time"],
+            "value": value + self._adapted["value_delta"],
+            "mitigation": self._adapted["mitigation"],
         }
 
 
@@ -277,8 +286,11 @@ def instance_episode(
     executed = _executed_set(workflow, order, branch_rng)
     tasks = workflow.task_map()
 
-    injected = detected = adapted = unmitigated = failures = false_alarms = 0
+    injected = detected = adapted = unmitigated = failures = 0
     events = []
+    # clean telemetry per detector kind, classified in one batch at the end:
+    # its alarms are only counted, and nothing in the loop reads the count
+    clean = {DatasetKind.NTD: [], DatasetKind.CLF: []}
 
     for tid in order:
         if tid not in executed:
@@ -300,20 +312,14 @@ def instance_episode(
             # clean telemetry still flows through the detector; alarms on it
             # are counted and dismissed after verification
             kind = DatasetKind.NTD if telem_rng.random() < 0.5 else DatasetKind.CLF
-            record = datagen.sample_features(
-                kind, NORMAL, np.zeros(1), telem_rng
-            )[0]
-            if detectors[kind].predict(record) != NORMAL:
-                false_alarms += 1
+            clean[kind].append(datagen.sample_features(kind, NORMAL, 0.0, telem_rng))
             continue
 
         injected += 1
         true_type = _sample_attack_type(trust, svc.id, attack_rng)
         intensity = 1.0 - attack_rng.random()  # (0, 1]
         kind = DatasetKind.NTD if telem_rng.random() < 0.5 else DatasetKind.CLF
-        record = datagen.sample_features(
-            kind, true_type.value, np.array([intensity]), telem_rng
-        )[0]
+        record = datagen.sample_features(kind, true_type.value, intensity, telem_rng)
         predicted = detectors[kind].predict(record)
 
         # actual harm of a landed attack is anchored to the service's static
@@ -430,6 +436,10 @@ def instance_episode(
         ]
         yield ("reward", rl.reward(realized, *rl.attr_bounds(nominal), rl.REWARD_WEIGHTS))
 
+    false_alarms = sum(
+        int(np.count_nonzero(detectors[kind].predict_batch(np.array(records)) != NORMAL))
+        for kind, records in clean.items() if records
+    )
     total_time = makespan(workflow, executed, state.durations(), order)
     acc = state.accumulated()
     return RunResult(

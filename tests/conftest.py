@@ -80,3 +80,22 @@ def default_tenant():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+#: A label mix with so few normal records that a small forest labels many
+#: clean records as attacks, so every RunResult counter, `false_alarms`
+#: included, comes out nonzero.
+WEAK_MIX = {"normal": 0.02, "dos": 0.245, "probe": 0.245, "u2r": 0.245, "r2l": 0.245}
+
+
+def weak_models(seed=7, n=100, n_trees=5):
+    """(detectors, severity model) fitted on `n` WEAK_MIX records a kind."""
+    from secflow.datagen import DatasetKind, generate
+    from secflow.detection import train_random_forest
+    from secflow.severity import fit_severity
+
+    datasets = {kind: generate(kind, n, WEAK_MIX, seed + i)
+                for i, kind in enumerate(DatasetKind)}
+    detectors = {kind: train_random_forest(ds, n_trees=n_trees, seed=seed)
+                 for kind, ds in datasets.items()}
+    return detectors, fit_severity(datasets, seed)

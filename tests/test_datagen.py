@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from secflow import datagen
 from secflow.datagen import (
     ATTACK_LABELS,
     CLF_FEATURES,
     DataConfigError,
     Dataset,
     DatasetKind,
+    LABELS,
     NORMAL,
     NTD_FEATURES,
     StratificationError,
@@ -182,3 +184,41 @@ def test_all_attack_labels_have_signatures_in_both_kinds():
         for label in ATTACK_LABELS:
             ds = generate(kind, 50, {label: 1.0}, seed=1)
             assert set(ds.labels) == {label}
+
+
+def _reference_row(kind, label, intensity, rng):
+    """One row of the column-by-column array draw: the batch draw with n = 1,
+    written out from the distribution's source tables."""
+    base = datagen._NTD_BASE if kind is DatasetKind.NTD else datagen._CLF_BASE
+    sig = datagen.SIGNATURES[kind].get(label, {})
+    intensity = np.array([intensity])
+    cols = []
+    for name in datagen.FEATURES[kind]:
+        if base[name] is None:
+            cols.append(rng.integers(0, 3, size=1).astype(float))
+            continue
+        mean, sd = base[name]
+        shift = np.zeros(1)
+        if name in sig:
+            offset, slope = sig[name]
+            shift = offset + slope * intensity
+        col = np.maximum(rng.normal(mean + shift, sd), 0.0)
+        if name in datagen._UNIT_FEATURES:
+            col = np.minimum(col, 1.0)
+        cols.append(col)
+    return np.column_stack(cols)[0]
+
+
+@pytest.mark.parametrize("kind", list(DatasetKind))
+@pytest.mark.parametrize("label", LABELS)
+@pytest.mark.parametrize("mode", ["uniform", "banded"])
+def test_scalar_draw_matches_one_row_of_the_array_draw(kind, label, mode):
+    n = 40
+    intensities = (np.zeros(n) if label == NORMAL
+                   else datagen._draw_intensity(np.random.default_rng(3), n, mode))
+    scalar, batch = np.random.default_rng(11), np.random.default_rng(11)
+    for intensity in intensities:
+        record = datagen.sample_features(kind, label, float(intensity), scalar)
+        assert all(type(v) is float for v in record)
+        assert record == _reference_row(kind, label, intensity, batch).tolist()
+    assert scalar.random() == batch.random()

@@ -1,6 +1,7 @@
 """Decision engine: trigger, candidate intersection, backup resolution, and
 tenant/middleware action application."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -332,3 +333,38 @@ class TestLedgerConservation:
         assert acc["time"] == pytest.approx(10.0 + 5.0 + 2.0 + 8.0, abs=1e-9)
         assert acc["value"] == pytest.approx(1.0 + 0.5 + 0.1, abs=1e-9)
         assert acc["mitigation"] == pytest.approx(1.2 + 0.9, abs=1e-9)
+
+    def test_running_totals_equal_ledger_rescans_exactly(self):
+        """The running totals against a rescan of the whole ledger, bit for
+        bit, while the task in progress is skipped, failed or damaged."""
+        rng = np.random.default_rng(404)
+        n_tasks = 6
+        wf = Workflow(tasks=tuple(make_task(f"t{i}") for i in range(n_tasks)),
+                      control_edges=(), data_edges=())
+        for _ in range(200):
+            state = _noiseless_state(wf)
+            for i in range(n_tasks):
+                tid = f"t{i}"
+                state.start_task(tid, *rng.uniform(0, 10, 3), 1.0)
+                for _ in range(int(rng.integers(0, 3))):
+                    op = int(rng.integers(4))
+                    if op == 0:
+                        state.skip_task(tid)
+                    elif op == 1:
+                        state.fail_task(tid)
+                    elif op == 2:
+                        state.damage_task(tid, rng.uniform())
+                    else:
+                        p, t, dv, ms = rng.uniform(0, 5, 4)
+                        state.add_adaptation(f"t{int(rng.integers(i + 1))}",
+                                             ActionKind.INSERT, price=p, time=t,
+                                             value_delta=dv, mitigation=ms)
+                    base, adapt = state.base.values(), state.adaptations
+                    assert state.accumulated() == {
+                        "price": sum(v[0] for v in base) + sum(a["price"] for a in adapt),
+                        "time": sum(v[1] for v in base) + sum(a["time"] for a in adapt),
+                        "value": sum(v[2] for v in base)
+                        + sum(a["value_delta"] for a in adapt),
+                        "mitigation": sum(a["mitigation"] for a in adapt),
+                    }
+                    assert state.accumulated_time() == state.accumulated()["time"]

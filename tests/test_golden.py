@@ -5,13 +5,15 @@ A change that alters any of these bytes must update the digest here and say
 why in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from secflow import cli
-from secflow.model import ACTION_ORDER
+from secflow import cli, sim
+from secflow.model import ACTION_ORDER, TenantConfig
+from tests.conftest import weak_models
 
 GOLDEN = {
     "compare/results.csv":
@@ -115,3 +117,34 @@ def test_adaptive_run_picks_a_non_cheapest_candidate(outputs):
             )
             picked_other += event["chosen"] != cheapest["kind"]
     assert picked_other > 0
+
+
+# results.csv carries neither `false_alarms` nor `unmitigated`, so the digests
+# above cannot see them; this one covers every RunResult counter and float.
+RUN_RESULT_GOLDEN = {
+    "lowest-cost": "1ae40d6241f3f972dc372e7d635ff5644d6c581232fb11b1bb132d6df9b1fdcc",
+    "adaptive": "1cb52f13e508041a4558c3a7eb331e6c1e083400d6143869b51e85116f929422",
+}
+
+
+def _run_result_lines(runs):
+    names = [f.name for f in dataclasses.fields(sim.RunResult) if f.name != "events"]
+    return "".join(
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                 for v in (getattr(r, name) for name in names)) + "\n"
+        for r in runs
+    )
+
+
+@pytest.mark.parametrize("strategy", sorted(RUN_RESULT_GOLDEN))
+def test_run_result_digest(strategy):
+    detectors, severity_model = weak_models()
+    workflow = sim.generate_workflow_class(sim.WorkflowClass.MEDIUM, 8)
+    cloud = sim.generate_multicloud(4)
+    exp = sim.run_experiment(
+        workflow, cloud, detectors, severity_model, TenantConfig(), 20, strategy, 0.5,
+        seed=9, burn_in=5,
+    )
+    for counter in ("false_alarms", "unmitigated", "failures"):
+        assert sum(getattr(r, counter) for r in exp.runs) > 0, counter
+    assert _sha(_run_result_lines(exp.runs).encode()) == RUN_RESULT_GOLDEN[strategy]

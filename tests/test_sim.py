@@ -168,6 +168,44 @@ class TestInjection:
             }
 
 
+class _AlwaysDos:
+    """A detector that labels every record `dos`."""
+
+    def predict(self, features):
+        return "dos"
+
+    def predict_batch(self, X):
+        return np.array(["dos"] * len(X))
+
+
+class TestFalseAlarms:
+    def test_every_clean_task_of_an_alarming_detector_is_a_false_alarm(self):
+        """At attack rate 0 nothing fails, so every executed task is clean
+        and is one false alarm; a chain with coin-flip edges executes a
+        prefix, of which the price (2.0 a task) gives the length."""
+        wf = _chain_workflow([(10.0, 1.0)] * 8)
+        wf = Workflow(
+            tasks=wf.tasks,
+            control_edges=tuple(
+                ControlEdge(e.src, e.dst, cond=f"c{i}", prob=0.8) if i % 3 == 2 else e
+                for i, e in enumerate(wf.control_edges)
+            ),
+            data_edges=(),
+        )
+        cloud = make_cloud([make_service("p0-s0", price=2.0, time=10.0)])
+        detectors = {kind: _AlwaysDos() for kind in DatasetKind}
+        executed = []
+        for seed in range(12):
+            result = run_instance(
+                wf, make_plan(wf, "p0-s0"), cloud, detectors, SEVERITY, TenantConfig(),
+                TrustRepository.from_cloud(cloud), attack_rate=0.0, seed=seed,
+            )
+            assert result.failures == 0 and result.injected == 0
+            executed.append(result.price / 2.0)
+            assert result.false_alarms == executed[-1]
+        assert min(executed) < 8 == max(executed)
+
+
 class TestRunExperiment:
     def _setup(self, seed=0):
         wf = generate_workflow_class(WorkflowClass.SMALL, seed)
