@@ -270,8 +270,8 @@ def sample_features(kind: DatasetKind, label: str, intensity: float, rng) -> lis
             record.append(float(rng.integers(0, 3)))
             continue
         mean, sd, sig, capped = params
-        value = max(rng.normal(mean if sig is None else mean + (sig[0] + sig[1] * intensity),
-                               sd), 0.0)
+        loc = mean if sig is None else mean + (sig[0] + sig[1] * intensity)
+        value = max(rng.normal(loc, sd), 0.0)
         record.append(min(value, 1.0) if capped else value)
     return record
 
@@ -286,9 +286,8 @@ def _sample_columns(kind: DatasetKind, label: str, intensity: np.ndarray, rng) -
             cols.append(rng.integers(0, 3, size=n).astype(float))
             continue
         mean, sd, sig, capped = params
-        col = rng.normal(mean if sig is None else mean + (sig[0] + sig[1] * intensity),
-                         sd, size=n)
-        col = np.maximum(col, 0.0)
+        loc = mean if sig is None else mean + (sig[0] + sig[1] * intensity)
+        col = np.maximum(rng.normal(loc, sd, size=n), 0.0)
         cols.append(np.minimum(col, 1.0) if capped else col)
     return np.column_stack(cols)
 

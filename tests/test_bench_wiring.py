@@ -1,6 +1,7 @@
 """The benchmark wraps secflow's layer functions by name from outside
 (`perfbench/spans.py`). A rename under src/ must fail here, in a second, and
-not only when the benchmark runs."""
+not only when the benchmark runs; so must a change to how often an instance
+calls the wrapped hot-path functions."""
 
 from collections import Counter
 
