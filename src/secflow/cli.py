@@ -23,6 +23,8 @@ from . import datagen, detection, rl, severity, sim
 from .datagen import DatasetKind
 from .model import (
     TenantConfig,
+    load_document,
+    parse_file,
     parse_multicloud,
     parse_workflow,
     serialize_multicloud,
@@ -54,14 +56,7 @@ def _load_config(args):
     SECFLOW_SEED env var beats the file for the seed."""
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config {args.config} is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config {args.config} must be a JSON object")
-        cfg.update(loaded)
+        cfg.update(parse_file(args.config, lambda text: load_document(text, UsageError)))
     env_seed = os.environ.get("SECFLOW_SEED")
     if env_seed is not None:
         try:
@@ -123,12 +118,10 @@ def cmd_gen_data(cfg):
     return 0
 
 
-def _load_dataset(data_dir, kind, with_meta=True):
+def _load_dataset(data_dir, kind):
     data_path = Path(data_dir) / f"{kind.value}.csv"
     meta_path = Path(data_dir) / f"{kind.value}.meta.csv"
-    meta_text = None
-    if with_meta and meta_path.exists():
-        meta_text = meta_path.read_text()
+    meta_text = meta_path.read_text() if meta_path.exists() else None
     return datagen.dataset_from_csv(kind, data_path.read_text(), meta_text)
 
 
@@ -188,13 +181,13 @@ def _load_runtime(cfg):
     seed = int(_get(cfg, "seed", 0))
     wf_path = _get(cfg, "workflow")
     if wf_path:
-        workflow = parse_workflow(Path(wf_path).read_text())
+        workflow = parse_file(wf_path, parse_workflow)
     else:
         wf_class = sim.WorkflowClass(_get(cfg, "wf_class", "small"))
         workflow = sim.generate_workflow_class(wf_class, seed)
     cloud_path = _get(cfg, "cloud")
     if cloud_path:
-        cloud = parse_multicloud(Path(cloud_path).read_text())
+        cloud = parse_file(cloud_path, parse_multicloud)
     else:
         cloud = sim.generate_multicloud(seed)
     models_path = _get(cfg, "models", required=True)
@@ -210,11 +203,7 @@ def _load_runtime(cfg):
     if severity_obj is None:
         raise UsageError(f"model file {models_path} carries no severity model; "
                          "run train-severity")
-    try:
-        sev = severity.severity_from_obj(severity_obj)
-    except ValueError as exc:
-        raise ValueError(f"{models_path}: {exc}") from None
-    return workflow, cloud, detectors, sev
+    return workflow, cloud, detectors, severity.severity_from_obj(severity_obj)
 
 
 def cmd_train_rl(cfg):
@@ -251,10 +240,7 @@ def cmd_simulate(cfg):
     rate = float(_get(cfg, "rate", 0.3))
     qtable = None
     if qtable_path:
-        try:
-            qtable = rl.table_from_json(Path(qtable_path).read_text())
-        except rl.RLDomainError as exc:
-            raise rl.RLDomainError(f"{qtable_path}: {exc}") from None
+        qtable = parse_file(qtable_path, rl.table_from_json)
     result = sim.run_experiment(
         workflow, cloud, detectors, sev, _tenant_config(cfg), runs, strategy,
         rate, seed=seed, qtable=qtable,

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import Dataset, LABELS, NORMAL
+from .model import array_at, fields_at, floats_at, load_document, parse_file
+from .severity import severity_from_obj
 
 MODEL_FORMAT_VERSION = 1
 
@@ -62,11 +64,11 @@ class _Forest:
     depth: int
 
     @classmethod
-    def stack(cls, trees) -> "_Forest":
-        """Raises EvaluationError naming the first child pointer that leaves
-        its tree's own [0, m) or reaches a node a second time (a shared
-        subtree or a cycle): stacked, either would walk into a neighbouring
-        tree or never reach a leaf."""
+    def stack(cls, trees, path="$") -> "_Forest":
+        """Raises EvaluationError naming (under the model's JSON `path`) the
+        first child pointer that leaves its tree's own [0, m) or reaches a node
+        a second time (a shared subtree or a cycle): stacked, either would walk
+        into a neighbouring tree or never reach a leaf."""
         sizes = np.array([len(t.feature) for t in trees])
         roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
         feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
@@ -79,7 +81,7 @@ class _Forest:
 
         def pointer(p):
             k = int(np.searchsorted(roots, p // 2, side="right")) - 1
-            return k, f"trees[{k}].{('left', 'right')[p % 2]}[{p // 2 - roots[k]}]"
+            return k, f"{path}.trees[{k}].{('left', 'right')[p % 2]}[{p // 2 - roots[k]}]"
 
         outside = used & ((local < 0) | (local >= np.repeat(sizes, 2 * sizes)))
         if outside.any():
@@ -238,12 +240,8 @@ class DetectorModel:
         return np.array([self.classes[i] for i in idx])
 
     def predict(self, features) -> str:
-        x = np.asarray(features, dtype=float)
-        if x.ndim != 1 or len(x) != len(self.feature_names):
-            raise PredictionError(
-                f"expected {len(self.feature_names)} features, got {x.shape}"
-            )
-        return str(self.predict_batch(x[None, :])[0])
+        """The class of one record; `predict_batch` checks its feature count."""
+        return str(self.predict_batch(np.asarray(features, dtype=float).reshape(1, -1))[0])
 
 
 @dataclass
@@ -343,52 +341,28 @@ def evaluate(model: DetectorModel, test: Dataset) -> DetectionMetrics:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _tree_to_obj(tree: DecisionTree):
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "proba": tree.proba.tolist(),
-    }
-
-
-_TREE_FIELDS = ("feature", "threshold", "left", "right", "proba")
-
-
-def _require(obj, keys, path):
-    if not isinstance(obj, dict):
-        raise EvaluationError(f"{path}: must be an object")
-    for key in keys:
-        if key not in obj:
-            raise EvaluationError(f"{path}: missing field {key!r}")
+# each tree array and the dtype it loads as, in file order
+_TREE_FIELDS = {"feature": int, "threshold": float, "left": int, "right": int, "proba": float}
 
 
 def _tree_from_obj(obj, path, n_features, n_classes):
     """A tree from its JSON object, refusing arrays the forest cannot stack;
     `_Forest.stack` checks the child pointers."""
-    _require(obj, _TREE_FIELDS, path)
-    for key in _TREE_FIELDS:
-        if not isinstance(obj[key], list):
-            raise EvaluationError(f"{path}.{key}: must be an array")
-    m = len(obj["feature"])
-    if m == 0:
-        raise EvaluationError(f"{path}.feature: a tree needs at least its root node")
-    for key in _TREE_FIELDS[1:]:
-        if len(obj[key]) != m:
-            raise EvaluationError(f"{path}.{key}: {len(obj[key])} entries, feature has {m}")
-    for i, row in enumerate(obj["proba"]):
+    with fields_at(path, obj, EvaluationError):
+        columns = {key: obj[key] for key in _TREE_FIELDS}
+    m = len(columns["feature"]) if isinstance(columns["feature"], list) else 0
+    for key, column in columns.items():
+        if not (isinstance(column, list) and m):
+            raise EvaluationError(f"{path}.{key}: must be a non-empty array")
+        if len(column) != m:
+            raise EvaluationError(f"{path}.{key}: {len(column)} entries, feature has {m}")
+    for i, row in enumerate(columns["proba"]):
         if not isinstance(row, list) or len(row) != n_classes:
             raise EvaluationError(f"{path}.proba[{i}]: must hold {n_classes} probabilities, "
                                   "one per class")
     try:
-        tree = DecisionTree(
-            feature=np.array(obj["feature"], dtype=int),
-            threshold=np.array(obj["threshold"], dtype=float),
-            left=np.array(obj["left"], dtype=int),
-            right=np.array(obj["right"], dtype=int),
-            proba=np.array(obj["proba"], dtype=float),
-        )
+        tree = DecisionTree(**{key: np.array(columns[key], dtype=dtype)
+                               for key, dtype in _TREE_FIELDS.items()})
     except (TypeError, ValueError) as exc:
         raise EvaluationError(f"{path}: {exc}") from None
     bad = np.flatnonzero((tree.feature < -1) | (tree.feature >= n_features))
@@ -406,37 +380,36 @@ def model_to_obj(model: DetectorModel):
         "classes": list(model.classes),
     }
     if model.kind == "random_forest":
-        obj["trees"] = [_tree_to_obj(t) for t in model.trees]
+        obj["trees"] = [{key: getattr(t, key).tolist() for key in _TREE_FIELDS}
+                        for t in model.trees]
     else:
         obj["weights"] = model.weights.tolist()
     return obj
 
 
-def model_from_obj(obj, path="$") -> DetectorModel:
-    """A detector from its JSON object, found at JSON path `path`. A missing
-    field or a malformed tree raises EvaluationError naming its path."""
-    _require(obj, ("kind", "dataset_kind", "feature_names", "classes"), path)
-    model = DetectorModel(
-        kind=obj["kind"],
-        dataset_kind=obj["dataset_kind"],
-        feature_names=tuple(obj["feature_names"]),
-        classes=tuple(obj["classes"]),
+def model_from_obj(obj, path) -> DetectorModel:
+    """A detector from its JSON object at JSON path `path`; a missing field, an
+    unknown kind, a wrong shape or a malformed tree raises EvaluationError."""
+    with fields_at(path, obj, EvaluationError):
+        kind = obj["kind"]
+        if kind not in ("random_forest", "linear"):
+            raise EvaluationError(f"{path}.kind: must be 'random_forest' or 'linear', got {kind!r}")
+        names, classes = (tuple(array_at(f"{path}.{key}", obj[key], EvaluationError))
+                          for key in ("feature_names", "classes"))
+        model = DetectorModel(kind=kind, dataset_kind=obj["dataset_kind"],
+                              feature_names=names, classes=classes)
+        params = obj["trees" if kind == "random_forest" else "weights"]
+    if kind == "linear":
+        model.weights = floats_at(f"{path}.weights", params,
+                                  (len(names) + 1, len(classes)), EvaluationError)
+        return model
+    if not isinstance(params, list) or not params:
+        raise EvaluationError(f"{path}.trees: must be a non-empty array")
+    model.trees = tuple(
+        _tree_from_obj(t, f"{path}.trees[{k}]", len(names), len(classes))
+        for k, t in enumerate(params)
     )
-    if model.kind == "random_forest":
-        _require(obj, ("trees",), path)
-        if not isinstance(obj["trees"], list) or not obj["trees"]:
-            raise EvaluationError(f"{path}.trees: must be a non-empty array")
-        model.trees = tuple(
-            _tree_from_obj(t, f"{path}.trees[{k}]", len(model.feature_names), len(model.classes))
-            for k, t in enumerate(obj["trees"])
-        )
-        try:
-            model._stacked()  # checks every child pointer
-        except EvaluationError as exc:
-            raise EvaluationError(f"{path}.{exc}") from None
-    else:
-        _require(obj, ("weights",), path)
-        model.weights = np.array(obj["weights"], dtype=float)
+    model._forest = _Forest.stack(model.trees, path)  # checks every child pointer
     return model
 
 
@@ -454,20 +427,20 @@ def save_models(path, models: dict, severity_obj=None):
 
 
 def load_models(path):
-    """Detectors and the raw severity object from a model file; a malformed
-    document raises EvaluationError naming the file and the JSON path."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise EvaluationError(f"{path}: $: not valid JSON: {exc}") from None
-    _require(doc, (), f"{path}: $")
+    """Detectors and the raw severity object from a model file; malformed input
+    raises `<file>: <JSON path>: <message>` (ValueError for severity, else EvaluationError)."""
+    return parse_file(path, _models_from_json)
+
+
+def _models_from_json(text):
+    doc = load_document(text, EvaluationError)
     if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise EvaluationError(f"{path}: unsupported model file version {doc.get('version')!r}")
-    _require(doc, ("detectors",), path)
-    _require(doc["detectors"], (), f"{path}: detectors")
-    detectors = {
-        key: model_from_obj(obj, f"{path}: detectors[{json.dumps(key)}]")
-        for key, obj in doc["detectors"].items()
-    }
-    return detectors, doc.get("severity")
+        raise EvaluationError(f"$.version: unsupported model file version {doc.get('version')!r}")
+    with fields_at("$", doc, EvaluationError):
+        with fields_at("$.detectors", doc["detectors"], EvaluationError) as detectors:
+            models = {key: model_from_obj(obj, f"$.detectors[{json.dumps(key)}]")
+                      for key, obj in detectors.items()}
+    severity_obj = doc.get("severity")
+    if severity_obj is not None:
+        severity_from_obj(severity_obj)  # checks every entry before any run
+    return models, severity_obj

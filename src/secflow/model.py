@@ -11,6 +11,8 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class ModelError(ValueError):
     """Base class for model construction/validation failures."""
@@ -484,15 +486,35 @@ def builtin_action_properties(
 
 
 @contextmanager
-def _fields(path, obj):
-    """Read the fields of the JSON object `obj` found at `path`: a non-object
-    or a missing field raises ParseError naming the path."""
+def fields_at(path, obj, error=ParseError):
+    """Read the fields of the JSON object `obj` found at JSON path `path`: a
+    non-object or a missing field raises `error` naming the path. A path is
+    `$` for the document, then `.field`, `[index]` or `["map key"]` steps."""
     if not isinstance(obj, dict):
-        raise ParseError(f"{path}: must be an object")
+        raise error(f"{path}: must be an object")
     try:
-        yield
+        yield obj
     except KeyError as exc:
-        raise ParseError(f"{path}: missing field {exc.args[0]!r}") from None
+        raise error(f"{path}: missing field {exc.args[0]!r}") from None
+
+
+def array_at(path, value, error=ParseError):
+    """The JSON array `value` found at `path`; anything else raises `error`."""
+    if not isinstance(value, list):
+        raise error(f"{path}: must be an array")
+    return value
+
+
+def floats_at(path, value, shape, error=ParseError):
+    """The JSON array `value` found at `path` as a float array of `shape`;
+    anything else, or a non-finite entry, raises `error` naming the path."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.shape != shape or not np.isfinite(array).all():
+        raise error(f"{path}: must be {' × '.join(map(str, shape))} finite numbers")
+    return array
 
 
 def _number(path, value):
@@ -512,26 +534,38 @@ def _security_vector(named):
     return SecurityVector(*(value for _, value in named))
 
 
-def _load_document(document: str) -> dict:
+def load_document(document: str, error=ParseError) -> dict:
+    """The JSON object that `document` holds; bad JSON, or JSON that is not
+    an object, raises `error` naming the path `$`."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at offset {exc.pos}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("$: document must be an object")
-    return doc
+        raise error(f"$: not valid JSON: {exc}") from None
+    with fields_at("$", doc, error):
+        return doc
+
+
+def parse_file(path, parse):
+    """`parse(text)` of the file at `path`; the ValueError it raises is raised
+    again as the same type as `<file>: <JSON path>: <message>`."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def parse_workflow(document: str) -> Workflow:
-    doc = _load_document(document)
+    doc = load_document(document)
     tasks = []
-    for idx, td in enumerate(doc.get("tasks", [])):
+    for idx, td in enumerate(array_at("$.tasks", doc.get("tasks", []))):
         path = f"$.tasks[{idx}]"
-        with _fields(path, td):
+        with fields_at(path, td):
             actions = {}
-            for aidx, ad in enumerate(td.get("actions", [])):
+            for aidx, ad in enumerate(array_at(f"{path}.actions", td.get("actions", []))):
                 apath = f"{path}.actions[{aidx}]"
-                with _fields(apath, ad):
+                with fields_at(apath, ad):
                     kind, params = _parse_action(apath, ad)
                 actions[kind] = params
             tasks.append(
@@ -543,9 +577,9 @@ def parse_workflow(document: str) -> Workflow:
                 )
             )
     control = []
-    for idx, e in enumerate(doc.get("control_edges", [])):
+    for idx, e in enumerate(array_at("$.control_edges", doc.get("control_edges", []))):
         epath = f"$.control_edges[{idx}]"
-        with _fields(epath, e):
+        with fields_at(epath, e):
             control.append(ControlEdge(
                 src=str(e["from"]),
                 dst=str(e["to"]),
@@ -553,8 +587,8 @@ def parse_workflow(document: str) -> Workflow:
                 prob=_number(f"{epath}.prob", e.get("prob", 1.0 if not e.get("cond") else 0.5)),
             ))
     data = []
-    for idx, e in enumerate(doc.get("data_edges", [])):
-        with _fields(f"$.data_edges[{idx}]", e):
+    for idx, e in enumerate(array_at("$.data_edges", doc.get("data_edges", []))):
+        with fields_at(f"$.data_edges[{idx}]", e):
             data.append(DataEdge(src=str(e["from"]), dst=str(e["to"]),
                                  data=str(e.get("data", ""))))
     return Workflow(tasks=tuple(tasks), control_edges=tuple(control), data_edges=tuple(data))
@@ -630,16 +664,16 @@ def serialize_workflow(workflow: Workflow) -> str:
 def parse_multicloud(document: str) -> MultiCloud:
     """MultiCloud JSON: {"providers":[{"id","services":[{"id","price","time",
     "c","i","a","afr":{"dos":..,"probe":..,"u2r":..,"r2l":..}}]}]}."""
-    doc = _load_document(document)
+    doc = load_document(document)
     providers = []
-    for pidx, pd in enumerate(doc.get("providers", [])):
+    for pidx, pd in enumerate(array_at("$.providers", doc.get("providers", []))):
         ppath = f"$.providers[{pidx}]"
-        with _fields(ppath, pd):
+        with fields_at(ppath, pd):
             pid = str(pd["id"])
             services = []
-            for sidx, sd in enumerate(pd.get("services", [])):
+            for sidx, sd in enumerate(array_at(f"{ppath}.services", pd.get("services", []))):
                 spath = f"{ppath}.services[{sidx}]"
-                with _fields(spath, sd):
+                with fields_at(spath, sd):
                     services.append(Service(
                         id=str(sd["id"]),
                         provider_id=pid,
@@ -654,7 +688,7 @@ def parse_multicloud(document: str) -> MultiCloud:
 
 def _parse_afr(path, rates):
     afr = {}
-    with _fields(path, rates):
+    with fields_at(path, rates):
         for name, rate in rates.items():
             try:
                 at = AttackType(name)

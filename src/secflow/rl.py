@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .model import array_at, fields_at, load_document
+
 
 class RLDomainError(ValueError):
     pass
@@ -240,43 +242,31 @@ def table_to_json(table: QTable) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _require(obj, keys, path):
-    if not isinstance(obj, dict):
-        raise RLDomainError(f"{path}: must be an object")
-    for key in keys:
-        if key not in obj:
-            raise RLDomainError(f"{path}: missing field {key!r}")
-
-
 def table_from_json(text: str) -> QTable:
     """A Q-table from its JSON document. Malformed input raises RLDomainError
     naming the JSON path; a non-empty `discretization` must hold three
     ascending finite cuts for each of time, price and value."""
+    doc = load_document(text, RLDomainError)
+    with fields_at("$", doc, RLDomainError):
+        config, entries = doc["config"], array_at("$.entries", doc["entries"], RLDomainError)
+    with fields_at("$.discretization", doc.get("discretization", {}), RLDomainError) as disc:
+        for attr in BUCKETS if disc else ():
+            cuts = disc.get(attr)
+            if not (isinstance(cuts, list) and len(cuts) == 3
+                    and all(isinstance(c, (int, float)) and math.isfinite(c) for c in cuts)
+                    and cuts == sorted(cuts)):
+                raise RLDomainError(f"$.discretization.{attr}: must be 3 ascending finite "
+                                    f"cuts, got {cuts!r}")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RLDomainError(f"$: not valid JSON: {exc}") from None
-    _require(doc, ("config", "entries"), "$")
-    disc = doc.get("discretization", {})
-    _require(disc, (), "$.discretization")
-    for attr in BUCKETS if disc else ():
-        cuts = disc.get(attr)
-        if not (isinstance(cuts, list) and len(cuts) == 3
-                and all(isinstance(c, (int, float)) and math.isfinite(c) for c in cuts)
-                and cuts == sorted(cuts)):
-            raise RLDomainError(f"$.discretization.{attr}: must be 3 ascending finite "
-                                f"cuts, got {cuts!r}")
-    if not isinstance(doc["entries"], list):
-        raise RLDomainError("$.entries: must be an array")
-    try:
-        table = QTable(config=RLConfig(**doc["config"]), discretization=disc)
+        table = QTable(config=RLConfig(**config), discretization=disc)
     except (TypeError, ValueError) as exc:
         raise RLDomainError(f"$.config: {exc}") from None
-    for i, e in enumerate(doc["entries"]):
-        _require(e, ("state", "action", "q", "n"), f"$.entries[{i}]")
+    for i, e in enumerate(entries):
+        with fields_at(f"$.entries[{i}]", e, RLDomainError):
+            key, q, n = (e["state"], e["action"]), e["q"], e["n"]
         try:
-            table.entries[(e["state"], e["action"])] = float(e["q"])
-            table.visits[(e["state"], e["action"])] = int(e["n"])
+            table.entries[key] = float(q)
+            table.visits[key] = int(n)
         except (TypeError, ValueError) as exc:
             raise RLDomainError(f"$.entries[{i}]: {exc}") from None
     return table

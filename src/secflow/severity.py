@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Dataset, DatasetKind, NORMAL
-from .model import Severity, SEVERITY_LEVEL, SEVERITY_ORDER, AttackType
+from .datagen import FEATURES, Dataset, DatasetKind, NORMAL
+from .model import Severity, SEVERITY_LEVEL, SEVERITY_ORDER, AttackType, fields_at, floats_at
 
 K_CLUSTERS = 3
 CHI2_BINS = 10
@@ -230,24 +230,39 @@ def severity_to_obj(model: SeverityModel):
 
 
 def severity_from_obj(obj) -> SeverityModel:
-    """The severity model from its object in the model file. A malformed
-    entry raises ValueError naming its JSON path."""
-    if not isinstance(obj, dict):
-        raise ValueError("severity: must be an object")
+    """The severity model from its object at `$.severity` in the model file; an
+    entry whose fields or shapes are wrong raises ValueError naming its path."""
     entries = {}
-    for key, e in obj.items():
-        try:
-            kind_name, at_name = key.split("/")
-            entries[(DatasetKind(kind_name), AttackType(at_name))] = SeverityEntry(
-                feature_indices=list(e["feature_indices"]),
-                scale_mean=np.array(e["scale_mean"]),
-                scale_std=np.array(e["scale_std"]),
-                centroids=np.array(e["centroids"]),
-                cluster_mean_intensity=np.array(e["cluster_mean_intensity"]),
-                cluster_level=[Severity(v) for v in e["cluster_level"]],
-            )
-        except KeyError as exc:
-            raise ValueError(f"severity[{json.dumps(key)}]: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"severity[{json.dumps(key)}]: {exc}") from None
+    with fields_at("$.severity", obj, ValueError):
+        for key, e in obj.items():
+            path = f"$.severity[{json.dumps(key)}]"
+            kind_name, _, at_name = key.partition("/")
+            try:
+                kind, at = DatasetKind(kind_name), AttackType(at_name)
+            except ValueError:
+                raise ValueError(f"{path}: key must be '<dataset kind>/<attack type>'") from None
+            entries[(kind, at)] = _entry_from_obj(e, path, len(FEATURES[kind]))
     return SeverityModel(entries=entries)
+
+
+def _entry_from_obj(e, path, n_features) -> SeverityEntry:
+    with fields_at(path, e, ValueError):
+        indices, centroids, levels = e["feature_indices"], e["centroids"], e["cluster_level"]
+        if not (isinstance(indices, list) and indices
+                and all(type(i) is int and 0 <= i < n_features for i in indices)):
+            raise ValueError(f"{path}.feature_indices: must be a non-empty array of feature "
+                             f"indices in [0, {n_features})")
+        n, k = len(indices), len(centroids) if isinstance(centroids, list) else 0
+        centroids = floats_at(f"{path}.centroids", centroids, (max(k, 1), n), ValueError)
+        if not (isinstance(levels, list) and len(levels) == k
+                and all(v in [s.value for s in Severity] for v in levels)):
+            raise ValueError(f"{path}.cluster_level: must be {k} severity levels")
+        return SeverityEntry(
+            feature_indices=list(indices),
+            scale_mean=floats_at(f"{path}.scale_mean", e["scale_mean"], (n,), ValueError),
+            scale_std=floats_at(f"{path}.scale_std", e["scale_std"], (n,), ValueError),
+            centroids=centroids,
+            cluster_mean_intensity=floats_at(f"{path}.cluster_mean_intensity",
+                                             e["cluster_mean_intensity"], (k,), ValueError),
+            cluster_level=[Severity(v) for v in levels],
+        )

@@ -202,7 +202,7 @@ class TestUsageErrors:
         (workdir / "bad.json").write_text("{n: 10}")
         assert _run(["gen-data", "--config", "bad.json"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("secflow: usage error: config bad.json is not valid JSON")
+        assert err.startswith("secflow: usage error: bad.json: $: not valid JSON")
 
 
 @pytest.fixture(scope="module")
@@ -217,51 +217,121 @@ def models_file(tmp_path_factory):
     return root / "art" / "models.json"
 
 
+def _edit(*keys, to):
+    """A models-file case: the fitted document with the value at `keys`
+    replaced by to(old value)."""
+    def edit(doc):
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = to(parent[keys[-1]])
+    return edit
+
+
+def _rename_dos_entry(doc):
+    doc["severity"]["ntd-dos"] = doc["severity"].pop("ntd/dos")
+
+
+_DOS = ("severity", "ntd/dos")
+_NTD_RF = ("detectors", "ntd/random_forest")
+
+# the flags that hand `simulate` each input file; --models is always given
+_FLAGS = {"wf.json": ["--workflow"], "cloud.json": ["--cloud"], "m.json": ["--models"],
+          "q.json": ["--strategy", "adaptive", "--qtable"], "cfg.json": ["--config"]}
+
+
 class TestInputFileErrors:
-    """A malformed Q-table or model file fails with one line naming the file
-    and the JSON path."""
+    """A malformed input file fails with one line naming the file and the
+    JSON path: `secflow: error: <file>: $<path>: <message>`, or `usage error`
+    with exit code 2 for --config."""
 
-    def _error(self, capsys, argv):
-        assert _run(["simulate", "--runs", "1", *argv]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1, err
-        return err
+    def _fails_with(self, workdir, capsys, models_file, name, content, line):
+        if callable(content):
+            doc = json.loads(models_file.read_text())
+            content(doc)
+            content = json.dumps(doc)
+        (workdir / name).write_text(content)
+        argv = ["simulate", "--runs", "1", "--models", str(models_file), *_FLAGS[name], name]
+        code, kind = (2, "usage error") if name == "cfg.json" else (1, "error")
+        assert _run(argv) == code
+        assert capsys.readouterr().err == f"secflow: {kind}: {line}\n"
 
-    def _qtable_error(self, workdir, capsys, models_file, doc):
-        (workdir / "q.json").write_text(json.dumps(doc))
-        return self._error(capsys, ["--models", str(models_file), "--strategy",
-                                    "adaptive", "--qtable", "q.json"])
+    @pytest.mark.parametrize(
+        "name, content, line",
+        [
+            ("wf.json", '{"tasks": [{"id": "t0"}]}', "wf.json: $.tasks[0]: missing field 'c'"),
+            ("wf.json", '{"tasks": 5}', "wf.json: $.tasks: must be an array"),
+            ("cloud.json", '{"providers": [{"id": "p0", "services": [{"id": "s0"}]}]}',
+             "cloud.json: $.providers[0].services[0]: missing field 'price'"),
+            ("cloud.json", "{", "cloud.json: $: not valid JSON: Expecting property name "
+             "enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("m.json", '{"version": 1}', "m.json: $: missing field 'detectors'"),
+            ("m.json", '{"version": 2, "detectors": {}}',
+             "m.json: $.version: unsupported model file version 2"),
+            ("q.json", '{"config": {"alpha": 2}, "entries": []}',
+             "q.json: $.config: alpha must be in (0,1]"),
+            ("cfg.json", "[1]", "cfg.json: $: must be an object"),
+            ("m.json", _edit(*_NTD_RF, "kind", to=lambda _: "svm"),
+             'm.json: $.detectors["ntd/random_forest"].kind: must be \'random_forest\' or '
+             "'linear', got 'svm'"),
+            ("m.json", _edit(*_NTD_RF, "classes", to=lambda _: 5),
+             'm.json: $.detectors["ntd/random_forest"].classes: must be an array'),
+            ("m.json", _edit("detectors", "ntd/linear", "weights", to=lambda w: w[:-1]),
+             'm.json: $.detectors["ntd/linear"].weights: must be 9 × 5 finite numbers'),
+            ("m.json", _rename_dos_entry,
+             'm.json: $.severity["ntd-dos"]: key must be \'<dataset kind>/<attack type>\''),
+            ("m.json", _edit(*_DOS, "feature_indices", to=lambda ix: [99] + ix[1:]),
+             'm.json: $.severity["ntd/dos"].feature_indices: must be a non-empty array of '
+             "feature indices in [0, 8)"),
+            ("m.json", _edit(*_DOS, "scale_mean", to=lambda v: v[:-1]),
+             'm.json: $.severity["ntd/dos"].scale_mean: must be 5 finite numbers'),
+            ("m.json", _edit(*_DOS, "scale_std", to=lambda v: v[:-1]),
+             'm.json: $.severity["ntd/dos"].scale_std: must be 5 finite numbers'),
+            ("m.json", _edit(*_DOS, "centroids", to=lambda c: [[0.0]] * 3),
+             'm.json: $.severity["ntd/dos"].centroids: must be 3 × 5 finite numbers'),
+            ("m.json", _edit(*_DOS, "cluster_level", to=lambda v: v[:-1]),
+             'm.json: $.severity["ntd/dos"].cluster_level: must be 3 severity levels'),
+            ("m.json", _edit(*_DOS, "cluster_mean_intensity", to=lambda v: v[:-1]),
+             'm.json: $.severity["ntd/dos"].cluster_mean_intensity: must be 3 finite numbers'),
+        ],
+        ids=["workflow-task-field", "workflow-tasks-array", "cloud-service-field",
+             "cloud-not-json", "models-without-detectors", "models-version", "qtable-config-range",
+             "config-array", "detector-kind", "detector-classes", "detector-weights-shape",
+             "severity-key", "severity-index-range", "severity-scale-mean-length",
+             "severity-scale-std-length", "severity-centroids-shape",
+             "severity-cluster-level-length", "severity-intensity-length"],
+    )
+    def test_one_line_names_file_and_path(self, workdir, capsys, models_file, name, content,
+                                          line):
+        self._fails_with(workdir, capsys, models_file, name, content, line)
 
     def test_qtable_entry_without_q(self, workdir, capsys, models_file):
         doc = {"config": {}, "entries": [{"state": "s", "action": "skip", "n": 1}]}
-        err = self._qtable_error(workdir, capsys, models_file, doc)
-        assert "q.json: $.entries[0]: missing field 'q'" in err
+        self._fails_with(workdir, capsys, models_file, "q.json", json.dumps(doc),
+                         "q.json: $.entries[0]: missing field 'q'")
 
     def test_qtable_array(self, workdir, capsys, models_file):
-        err = self._qtable_error(workdir, capsys, models_file, [])
-        assert "q.json: $: must be an object" in err
+        self._fails_with(workdir, capsys, models_file, "q.json", "[]",
+                         "q.json: $: must be an object")
 
     def test_qtable_short_discretization(self, workdir, capsys, models_file):
         doc = {"config": {}, "entries": [], "discretization": {"time": [1.0]}}
-        err = self._qtable_error(workdir, capsys, models_file, doc)
-        assert "q.json: $.discretization.time: must be 3 ascending finite cuts" in err
+        self._fails_with(workdir, capsys, models_file, "q.json", json.dumps(doc),
+                         "q.json: $.discretization.time: must be 3 ascending finite cuts, "
+                         "got [1.0]")
 
-    def test_models_not_json(self, workdir, capsys):
-        (workdir / "m.json").write_text("not json")
-        err = self._error(capsys, ["--models", "m.json"])
-        assert "m.json: $: not valid JSON: Expecting value" in err
+    def test_models_not_json(self, workdir, capsys, models_file):
+        self._fails_with(workdir, capsys, models_file, "m.json", "not json",
+                         "m.json: $: not valid JSON: Expecting value: line 1 column 1 (char 0)")
 
-    def test_models_array(self, workdir, capsys):
-        (workdir / "m.json").write_text("[]")
-        err = self._error(capsys, ["--models", "m.json"])
-        assert "m.json: $: must be an object" in err
+    def test_models_array(self, workdir, capsys, models_file):
+        self._fails_with(workdir, capsys, models_file, "m.json", "[]",
+                         "m.json: $: must be an object")
 
     def test_severity_entry_without_centroids(self, workdir, capsys, models_file):
-        doc = json.loads(models_file.read_text())
-        del doc["severity"]["ntd/dos"]["centroids"]
-        (workdir / "m.json").write_text(json.dumps(doc))
-        err = self._error(capsys, ["--models", "m.json"])
-        assert 'm.json: severity["ntd/dos"]: missing field \'centroids\'' in err
+        self._fails_with(workdir, capsys, models_file, "m.json",
+                         lambda doc: doc["severity"]["ntd/dos"].pop("centroids"),
+                         'm.json: $.severity["ntd/dos"]: missing field \'centroids\'')
 
 
 class TestGenBench:

@@ -356,4 +356,4 @@ def test_malformed_forest_refused_at_load(tmp_path, corrupt):
     path.write_text(json.dumps(doc))
     with pytest.raises(EvaluationError) as exc:
         load_models(path)
-    assert str(exc.value) == f'{path}: detectors["clf/random_forest"].{where}'
+    assert str(exc.value) == f'{path}: $.detectors["clf/random_forest"].{where}'

@@ -292,7 +292,7 @@ _SERVICE = {"id": "p0-s0", "price": 1.0, "time": 2.0, "c": 1.0, "i": 1.0, "a": 1
          "$.providers[0].services[1]: missing field 'price'"),
         (parse_multicloud, {"providers": [{"services": []}]},
          "$.providers[0]: missing field 'id'"),
-        (parse_multicloud, [{"id": "p0"}], "$: document must be an object"),
+        (parse_multicloud, [{"id": "p0"}], "$: must be an object"),
         (parse_multicloud,
          {"providers": [{"id": "p0", "services": [dict(_SERVICE, afr={"dos": 0.1, "xss": 0.2})]}]},
          "$.providers[0].services[0].afr: unknown attack type 'xss'"),
@@ -312,10 +312,13 @@ _SERVICE = {"id": "p0-s0", "price": 1.0, "time": 2.0, "c": 1.0, "i": 1.0, "a": 1
          "$.tasks[0].actions[0].mi[1]: must be in [0,1], got 1.5"),
         (parse_multicloud, {"providers": [{"id": "p0", "services": [dict(_SERVICE, a=-0.5)]}]},
          "$.providers[0].services[0].a: must be in [0,1], got -0.5"),
+        (parse_multicloud, {"providers": [{"id": "p0", "services": {"s0": _SERVICE}}]},
+         "$.providers[0].services: must be an array"),
     ],
     ids=["control-edge-field", "data-edge-object", "service-field", "provider-field",
          "cloud-document-object", "afr-attack-type", "action-object", "action-number",
-         "afr-number", "task-cia-range", "action-mi-range", "service-cia-range"],
+         "afr-number", "task-cia-range", "action-mi-range", "service-cia-range",
+         "services-array"],
 )
 def test_malformed_document_names_its_path(parse, doc, message):
     with pytest.raises(ParseError) as exc:
