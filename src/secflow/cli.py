@@ -32,6 +32,9 @@ from .model import (
 )
 
 DEFAULT_MIX = {"normal": 0.5, "dos": 0.125, "probe": 0.125, "u2r": 0.125, "r2l": 0.125}
+KIND_CHOICES = tuple(kind.value for kind in DatasetKind) + ("both",)
+WF_CLASSES = tuple(wf_class.value for wf_class in sim.WorkflowClass)
+_CAST_NAMES = {int: "an integer", float: "a number"}
 
 
 class UsageError(ValueError):
@@ -71,12 +74,32 @@ def _load_config(args):
     return cfg
 
 
-def _get(cfg, key, default=None, required=False):
+def _get(cfg, key, default=None, cast=None, required=False):
+    """Option `key` of `cfg`, else `default`, through `_cast` when `cast` is
+    given."""
     if key in cfg:
-        return cfg[key]
-    if required:
+        value = cfg[key]
+    elif required:
         raise UsageError(f"missing required option {key!r}")
-    return default
+    else:
+        value = default
+    return value if cast is None else _cast(key, value, cast)
+
+
+def _cast(key, value, cast):
+    """`value` as `cast` (int or float), or checked against `cast`, a tuple
+    of the accepted strings; a value it refuses is a usage error naming the
+    option `key`."""
+    if isinstance(cast, tuple):
+        if value in cast:
+            return value
+        what = "one of " + ", ".join(cast)
+    else:
+        try:
+            return cast(value)
+        except (TypeError, ValueError, OverflowError):
+            what = _CAST_NAMES[cast]
+    raise UsageError(f"option {key!r} must be {what}, got {value!r}")
 
 
 def _write(path, text):
@@ -86,7 +109,7 @@ def _write(path, text):
 
 
 def _kinds(cfg):
-    raw = _get(cfg, "kind", "both")
+    raw = _get(cfg, "kind", "both", KIND_CHOICES)
     if raw == "both":
         return [DatasetKind.NTD, DatasetKind.CLF]
     return [DatasetKind(raw)]
@@ -94,11 +117,11 @@ def _kinds(cfg):
 
 def _tenant_config(cfg):
     return TenantConfig(
-        w_price=float(_get(cfg, "w_price", 0.25)),
-        w_time=float(_get(cfg, "w_time", 0.25)),
-        w_security=float(_get(cfg, "w_security", 0.25)),
-        w_value=float(_get(cfg, "w_value", 0.25)),
-        adapt_trigger_threshold=float(_get(cfg, "threshold", 0.1)),
+        w_price=_get(cfg, "w_price", 0.25, float),
+        w_time=_get(cfg, "w_time", 0.25, float),
+        w_security=_get(cfg, "w_security", 0.25, float),
+        w_value=_get(cfg, "w_value", 0.25, float),
+        adapt_trigger_threshold=_get(cfg, "threshold", 0.1, float),
     )
 
 
@@ -107,9 +130,9 @@ def _tenant_config(cfg):
 
 def cmd_gen_data(cfg):
     out = Path(_get(cfg, "out", "data"))
-    n = int(_get(cfg, "n", 2000))
-    seed = int(_get(cfg, "seed", 0))
-    mode = _get(cfg, "intensity_mode", "uniform")
+    n = _get(cfg, "n", 2000, int)
+    seed = _get(cfg, "seed", 0, int)
+    mode = _get(cfg, "intensity_mode", "uniform", datagen.INTENSITY_MODES)
     mix = _get(cfg, "mix", DEFAULT_MIX)
     for kind in _kinds(cfg):
         ds = datagen.generate(kind, n, mix, seed, intensity_mode=mode)
@@ -137,8 +160,8 @@ def _metrics_csv(rows):
 def cmd_train_detect(cfg):
     data_dir = _get(cfg, "data", "data")
     out = Path(_get(cfg, "out", "artifacts"))
-    seed = int(_get(cfg, "seed", 0))
-    frac = float(_get(cfg, "train_fraction", 0.7))
+    seed = _get(cfg, "seed", 0, int)
+    frac = _get(cfg, "train_fraction", 0.7, float)
     out.mkdir(parents=True, exist_ok=True)
     models, rows = {}, []
     for kind in _kinds(cfg):
@@ -164,7 +187,7 @@ def cmd_train_detect(cfg):
 def cmd_train_severity(cfg):
     data_dir = _get(cfg, "data", "data")
     out = Path(_get(cfg, "out", "artifacts"))
-    seed = int(_get(cfg, "seed", 0))
+    seed = _get(cfg, "seed", 0, int)
     datasets = {kind: _load_dataset(data_dir, kind) for kind in _kinds(cfg)}
     model = severity.fit_severity(datasets, seed)
     out.mkdir(parents=True, exist_ok=True)
@@ -178,12 +201,12 @@ def cmd_train_severity(cfg):
 
 def _load_runtime(cfg):
     """Workflow, cloud, detectors, severity model from files or generators."""
-    seed = int(_get(cfg, "seed", 0))
+    seed = _get(cfg, "seed", 0, int)
     wf_path = _get(cfg, "workflow")
     if wf_path:
         workflow = parse_file(wf_path, parse_workflow)
     else:
-        wf_class = sim.WorkflowClass(_get(cfg, "wf_class", "small"))
+        wf_class = sim.WorkflowClass(_get(cfg, "wf_class", "small", WF_CLASSES))
         workflow = sim.generate_workflow_class(wf_class, seed)
     cloud_path = _get(cfg, "cloud")
     if cloud_path:
@@ -208,9 +231,9 @@ def _load_runtime(cfg):
 
 def cmd_train_rl(cfg):
     workflow, cloud, detectors, sev = _load_runtime(cfg)
-    seed = int(_get(cfg, "seed", 0))
-    episodes = int(_get(cfg, "episodes", 300))
-    rate = float(_get(cfg, "rate", 0.3))
+    seed = _get(cfg, "seed", 0, int)
+    episodes = _get(cfg, "episodes", 300, int)
+    rate = _get(cfg, "rate", 0.3, float)
     table = rl.QTable(config=rl.RLConfig())
     sim.run_experiment(
         workflow, cloud, detectors, sev, _tenant_config(cfg), episodes,
@@ -228,16 +251,16 @@ def _events_jsonl(results):
 
 
 def cmd_simulate(cfg):
-    strategy = _get(cfg, "strategy", "lowest-cost")
+    strategy = _get(cfg, "strategy", "lowest-cost", sim.STRATEGIES)
     qtable_path = _get(cfg, "qtable")
     if qtable_path and strategy == "lowest-cost":
         raise UsageError(f"--qtable {qtable_path} needs --strategy adaptive; "
                          "lowest-cost uses no Q-table")
     workflow, cloud, detectors, sev = _load_runtime(cfg)
     out = Path(_get(cfg, "out", "results"))
-    seed = int(_get(cfg, "seed", 0))
-    runs = int(_get(cfg, "runs", 100))
-    rate = float(_get(cfg, "rate", 0.3))
+    seed = _get(cfg, "seed", 0, int)
+    runs = _get(cfg, "runs", 100, int)
+    rate = _get(cfg, "rate", 0.3, float)
     qtable = None
     if qtable_path:
         qtable = parse_file(qtable_path, rl.table_from_json)
@@ -263,14 +286,15 @@ def _windows_csv(window_rows):
 def run_compare(cfg):
     """LowestCost-vs-Adaptive sweep over the workflow classes; returns
     (results_csv_text, windows_csv_text, per-(class,strategy) ExperimentResult)."""
-    seed = int(_get(cfg, "seed", 0))
-    runs = int(_get(cfg, "runs", 1000))
-    rate = float(_get(cfg, "rate", 0.3))
-    window = int(_get(cfg, "window", 100))
-    n_data = int(_get(cfg, "train_n", 1500))
+    seed = _get(cfg, "seed", 0, int)
+    runs = _get(cfg, "runs", 1000, int)
+    rate = _get(cfg, "rate", 0.3, float)
+    window = _get(cfg, "window", 100, int)
+    n_data = _get(cfg, "train_n", 1500, int)
     class_names = _get(cfg, "classes", ["small", "medium", "large"])
     if isinstance(class_names, str):
         class_names = class_names.split(",")
+    class_names = [_cast("classes", name, WF_CLASSES) for name in class_names]
     tenant = _tenant_config(cfg)
 
     # self-contained model fitting from generated telemetry
@@ -379,9 +403,9 @@ def cmd_report(cfg):
 
 def cmd_gen_bench(cfg):
     """Emit a generated workflow/multicloud pair as JSON for reuse."""
-    seed = int(_get(cfg, "seed", 0))
+    seed = _get(cfg, "seed", 0, int)
     out = Path(_get(cfg, "out", "bench"))
-    wf_class = sim.WorkflowClass(_get(cfg, "wf_class", "small"))
+    wf_class = sim.WorkflowClass(_get(cfg, "wf_class", "small", WF_CLASSES))
     _write(out / "workflow.json",
            serialize_workflow(sim.generate_workflow_class(wf_class, seed)))
     _write(out / "cloud.json", serialize_multicloud(sim.generate_multicloud(seed)))
@@ -407,16 +431,16 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="generate labeled telemetry CSVs")
     _add_common(p)
-    p.add_argument("--kind", choices=["ntd", "clf", "both"], default=None)
+    p.add_argument("--kind", choices=KIND_CHOICES, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--intensity-mode", dest="intensity_mode",
-                   choices=["uniform", "banded"], default=None)
+                   choices=datagen.INTENSITY_MODES, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-detect", help="fit detectors and emit metrics")
     _add_common(p)
-    p.add_argument("--kind", choices=["ntd", "clf", "both"], default=None)
+    p.add_argument("--kind", choices=KIND_CHOICES, default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
     p.add_argument("--out", default=None)
@@ -424,7 +448,7 @@ def build_parser():
 
     p = sub.add_parser("train-severity", help="fit the severity model")
     _add_common(p)
-    p.add_argument("--kind", choices=["ntd", "clf", "both"], default=None)
+    p.add_argument("--kind", choices=KIND_CHOICES, default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train_severity)
@@ -435,7 +459,7 @@ def build_parser():
     p.add_argument("--cloud", default=None)
     p.add_argument("--models", default=None)
     p.add_argument("--wf-class", dest="wf_class",
-                   choices=["small", "medium", "large"], default=None)
+                   choices=WF_CLASSES, default=None)
     p.add_argument("--episodes", type=int, default=None)
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--out", default=None)
@@ -448,7 +472,7 @@ def build_parser():
     p.add_argument("--models", default=None)
     p.add_argument("--qtable", default=None)
     p.add_argument("--wf-class", dest="wf_class", default=None)
-    p.add_argument("--strategy", choices=["lowest-cost", "adaptive"], default=None)
+    p.add_argument("--strategy", choices=sim.STRATEGIES, default=None)
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--out", default=None)
@@ -474,7 +498,7 @@ def build_parser():
     p = sub.add_parser("gen-bench", help="emit a generated workflow/cloud pair")
     _add_common(p)
     p.add_argument("--wf-class", dest="wf_class",
-                   choices=["small", "medium", "large"], default=None)
+                   choices=WF_CLASSES, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_bench)
 

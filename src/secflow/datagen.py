@@ -201,6 +201,9 @@ def dataset_from_csv(kind: DatasetKind, csv_text: str, meta_text: str | None = N
     return Dataset(kind, FEATURES[kind], X, labels, intensity)
 
 
+INTENSITY_MODES = ("uniform", "banded")
+
+
 def _draw_intensity(rng, n, mode):
     if mode == "banded":
         # Three tight bands centered on the intensity terciles.
@@ -228,6 +231,9 @@ def generate(
     for label in attack_mix:
         if label not in LABELS:
             raise DataConfigError(f"unknown label {label!r}")
+    if intensity_mode not in INTENSITY_MODES:
+        raise DataConfigError(f"unknown intensity_mode {intensity_mode!r}; "
+                              "expected uniform or banded")
 
     # largest-remainder apportionment of n among labels, deterministic
     items = [(label, frac) for label, frac in attack_mix.items() if frac > 0]

@@ -466,6 +466,8 @@ class WorkflowClass(enum.Enum):
     LARGE = "large"
 
 
+STRATEGIES = ("lowest-cost", "adaptive")
+
 CLASS_TASK_RANGE = {
     WorkflowClass.SMALL: (3, 10),
     WorkflowClass.MEDIUM: (10, 50),
@@ -521,7 +523,7 @@ def run_experiment(
         raise ValueError("n_runs must be >= 1")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if strategy not in ("lowest-cost", "adaptive"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     trust = TrustRepository.from_cloud(cloud)
     from .scheduling import schedule  # deferred to avoid cycle at import time

@@ -204,6 +204,40 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("secflow: usage error: bad.json: $: not valid JSON")
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["gen-data", "--set", "n=many"], "option 'n' must be an integer, got 'many'"),
+            (["compare", "--set", "window=[1]"], "option 'window' must be an integer, got [1]"),
+            (["gen-data", "--set", "seed=1e400"], "option 'seed' must be an integer, got inf"),
+            (["compare", "--set", "rate=high"], "option 'rate' must be a number, got 'high'"),
+            (["gen-data", "--set", "kind=xyz"],
+             "option 'kind' must be one of ntd, clf, both, got 'xyz'"),
+            (["gen-bench", "--set", "wf_class=huge"],
+             "option 'wf_class' must be one of small, medium, large, got 'huge'"),
+            (["compare", "--set", "classes=small,huge"],
+             "option 'classes' must be one of small, medium, large, got 'huge'"),
+            (["simulate", "--set", "strategy=greedy"],
+             "option 'strategy' must be one of lowest-cost, adaptive, got 'greedy'"),
+            (["gen-data", "--set", "intensity_mode=xyz"],
+             "option 'intensity_mode' must be one of uniform, banded, got 'xyz'"),
+        ],
+        ids=["int-word", "int-list", "int-overflow", "float-word", "kind", "wf-class",
+             "classes", "strategy", "intensity-mode"],
+    )
+    def test_bad_option_value_names_the_key(self, workdir, capsys, argv, line):
+        assert _run(argv + ["--out", "out"]) == 2
+        assert capsys.readouterr().err == f"secflow: usage error: {line}\n"
+        assert not (workdir / "out").exists()
+
+    def test_config_values_cast_as_flags(self, workdir):
+        # a string integer and a float seed are cast with int(), as they always were
+        (workdir / "cfg.json").write_text(json.dumps({"n": "400", "seed": 42.0, "out": "a"}))
+        assert _run(["gen-data", "--config", "cfg.json"]) == 0
+        _gen_data(workdir)
+        for name in ("ntd.csv", "clf.csv"):
+            assert (workdir / "a" / name).read_bytes() == (workdir / "data" / name).read_bytes()
+
 
 @pytest.fixture(scope="module")
 def models_file(tmp_path_factory):

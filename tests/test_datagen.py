@@ -62,6 +62,11 @@ class TestGenerate:
         with pytest.raises(DataConfigError):
             generate(DatasetKind.NTD, 10, {"worm": 1.0}, seed=0)
 
+    def test_unknown_intensity_mode_rejected(self):
+        with pytest.raises(DataConfigError, match="unknown intensity_mode 'xyz'"):
+            generate(DatasetKind.NTD, 10, {NORMAL: 0.5, "dos": 0.5}, seed=0,
+                     intensity_mode="xyz")
+
     def test_attack_records_carry_positive_intensity(self):
         ds = generate(DatasetKind.NTD, 400, {NORMAL: 0.5, "probe": 0.5}, seed=3)
         attack = ds.intensity[ds.labels == "probe"]

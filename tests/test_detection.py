@@ -1,9 +1,12 @@
 """Detectors: random forest, linear one-vs-rest, metrics, serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from secflow.cli import DEFAULT_MIX
 
 from secflow.datagen import (
     CLF_FEATURES,
@@ -23,6 +26,7 @@ from secflow.detection import (
     TrainingError,
     evaluate,
     load_models,
+    model_to_obj,
     save_models,
     train_linear,
     train_random_forest,
@@ -96,6 +100,158 @@ def _xor_dataset(n_per=40, jitter=0.05, seed=0):
         rows.append(pts)
         labels.extend([label] * n_per)
     return _dataset(np.vstack(rows), labels)
+
+
+def _gini_from_counts(counts):
+    # counts: (..., n_classes); returns gini impurity per row
+    total = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = counts / total
+    g = 1.0 - np.nansum(p * p, axis=-1)
+    return np.where(total[..., 0] > 0, g, 0.0)
+
+
+def _reference_grow_tree(X, y, n_classes, max_depth, min_leaf, max_features, rng):
+    """One tree grown node by node, recursively: the grower the forest
+    grower must reproduce byte for byte."""
+    features, thresholds, lefts, rights, probas = [], [], [], [], []
+
+    def leaf(idx):
+        counts = np.bincount(y[idx], minlength=n_classes).astype(float)
+        node = len(features)
+        features.append(-1)
+        thresholds.append(0.0)
+        lefts.append(-1)
+        rights.append(-1)
+        probas.append(counts / counts.sum())
+        return node
+
+    def best_split(idx):
+        n = len(idx)
+        ys = y[idx]
+        parent_counts = np.bincount(ys, minlength=n_classes).astype(float)
+        cand = rng.choice(X.shape[1], size=max_features, replace=False)
+        best = None  # (impurity, feature, threshold)
+        for f in cand:
+            vals = X[idx, f]
+            order = np.argsort(vals, kind="stable")
+            sv, sy = vals[order], ys[order]
+            # cumulative class counts over sorted rows; split between distinct values
+            onehot = np.zeros((n, n_classes))
+            onehot[np.arange(n), sy] = 1.0
+            cum = np.cumsum(onehot, axis=0)
+            cut = np.flatnonzero(sv[:-1] < sv[1:])  # split after position i
+            cut = cut[(cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)]
+            if len(cut) == 0:
+                continue
+            left_counts = cum[cut]
+            right_counts = parent_counts - left_counts
+            nl = cut + 1.0
+            nr = n - nl
+            impurity = (
+                nl * _gini_from_counts(left_counts) + nr * _gini_from_counts(right_counts)
+            ) / n
+            k = int(np.argmin(impurity))
+            if best is None or impurity[k] < best[0]:
+                best = (impurity[k], int(f), (sv[cut[k]] + sv[cut[k] + 1]) / 2.0)
+        return best
+
+    def build(idx, depth):
+        ys = y[idx]
+        if depth >= max_depth or len(idx) < 2 * min_leaf or len(np.unique(ys)) == 1:
+            return leaf(idx)
+        found = best_split(idx)
+        if found is None:
+            return leaf(idx)
+        _, f, thr = found
+        node = len(features)
+        features.append(f)
+        thresholds.append(thr)
+        lefts.append(-1)
+        rights.append(-1)
+        probas.append(np.zeros(n_classes))
+        mask = X[idx, f] <= thr
+        lefts[node] = build(idx[mask], depth + 1)
+        rights[node] = build(idx[~mask], depth + 1)
+        return node
+
+    build(np.arange(len(y)), 0)
+    return DecisionTree(
+        feature=np.array(features, dtype=int),
+        threshold=np.array(thresholds, dtype=float),
+        left=np.array(lefts, dtype=int),
+        right=np.array(rights, dtype=int),
+        proba=np.vstack(probas),
+    )
+
+
+def _reference_forest(train, n_trees=50, max_depth=DEFAULT_MAX_DEPTH, min_leaf=2, seed=0):
+    """`train_random_forest` with its trees grown one at a time by the
+    reference grower, each from its own generator and bootstrap."""
+    classes = tuple(c for c in LABELS if c in set(train.labels))
+    y = np.array([classes.index(label) for label in train.labels])
+    max_features = max(1, int(np.sqrt(train.X.shape[1])))
+    trees = []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        boot = rng.integers(0, len(y), size=len(y))
+        trees.append(_reference_grow_tree(train.X[boot], y[boot], len(classes), max_depth,
+                                          min_leaf, max_features, rng))
+    return DetectorModel(kind="random_forest", dataset_kind=train.kind.value,
+                         feature_names=train.feature_names, classes=classes, trees=tuple(trees))
+
+
+def _train_detect_split(kind, seed=0):
+    """The training rows of a train-detect round: 2,800 of 4,000 records."""
+    return split(generate(kind, 4000, DEFAULT_MIX, seed=seed), 0.7, seed=seed)[0]
+
+
+def _small_ntd():
+    return split(generate(DatasetKind.NTD, 800, DEFAULT_MIX, seed=3), 0.7, seed=3)[0]
+
+
+def _const_feature():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(300, 3))
+    X[:, 1] = 3.0
+    return _dataset(X, rng.choice([NORMAL, "dos", "probe"], size=300))
+
+
+_GROWTH_CASES = {
+    "ntd-50-trees": (lambda: _train_detect_split(DatasetKind.NTD), {}),
+    "clf-50-trees": (lambda: _train_detect_split(DatasetKind.CLF, seed=1), {"seed": 1}),
+    "depth-14-min-leaf-1": (_small_ntd, {"n_trees": 10, "max_depth": 14, "min_leaf": 1}),
+    "depth-1-min-leaf-15": (_small_ntd, {"n_trees": 10, "max_depth": 1, "min_leaf": 15}),
+    "min-leaf-0": (_small_ntd, {"n_trees": 10, "min_leaf": 0, "seed": 2}),
+    "one-tree": (_small_ntd, {"n_trees": 1, "seed": 3}),
+    "single-class": (lambda: _dataset(np.random.default_rng(0).normal(size=(60, 3)),
+                                      ["dos"] * 60), {"n_trees": 5}),
+    "constant-feature": (_const_feature, {"n_trees": 10}),
+    # every row identical: no cut is valid, so each root is a leaf after its draw
+    "identical-rows": (lambda: _dataset(np.ones((40, 3)), [NORMAL, "dos"] * 20),
+                       {"n_trees": 5}),
+}
+
+
+@pytest.mark.parametrize("case", list(_GROWTH_CASES))
+def test_forest_equals_tree_by_tree_growth(case):
+    make, params = _GROWTH_CASES[case]
+    train = make()
+    grown = train_random_forest(train, **params)
+    expected = _reference_forest(train, **params)
+    assert json.dumps(model_to_obj(grown)) == json.dumps(model_to_obj(expected))
+
+
+def test_forest_fit_memory_is_bounded():
+    # a train-detect NTD fit; growing every tree's node in one step peaks at about 44 MB
+    train = _train_detect_split(DatasetKind.NTD)
+    tracemalloc.start()
+    try:
+        train_random_forest(train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 class TestRandomForest:
