@@ -34,7 +34,6 @@ from .model import (
 DEFAULT_MIX = {"normal": 0.5, "dos": 0.125, "probe": 0.125, "u2r": 0.125, "r2l": 0.125}
 KIND_CHOICES = tuple(kind.value for kind in DatasetKind) + ("both",)
 WF_CLASSES = tuple(wf_class.value for wf_class in sim.WorkflowClass)
-_CAST_NAMES = {int: "an integer", float: "a number"}
 
 
 class UsageError(ValueError):
@@ -98,7 +97,7 @@ def _cast(key, value, cast):
         try:
             return cast(value)
         except (TypeError, ValueError, OverflowError):
-            what = _CAST_NAMES[cast]
+            what = "an integer" if cast is int else "a number"
     raise UsageError(f"option {key!r} must be {what}, got {value!r}")
 
 

@@ -138,7 +138,9 @@ class _Forest:
 
 def _gini(counts, sizes):
     """Gini impurity of each row of class `counts` (k, n_classes) holding
-    `sizes` (k,) rows: 1 - sum of p * p, the squares added in class order."""
+    `sizes` (k,) rows: 1 - sum of p * p, the squares added in class order
+    (as `np.sum` adds fewer than 8 terms), so the floats match a per-node
+    `np.sum(p * p, axis=-1)`."""
     square_sum = 0.0
     for c in range(counts.shape[1]):
         p = counts[:, c] / sizes
