@@ -293,6 +293,9 @@ def run_compare(cfg):
     class_names = _get(cfg, "classes", ["small", "medium", "large"])
     if isinstance(class_names, str):
         class_names = class_names.split(",")
+    elif not isinstance(class_names, list):
+        raise UsageError(f"option 'classes' must be a list or a comma-separated string of "
+                         f"{', '.join(WF_CLASSES)}, got {class_names!r}")
     class_names = [_cast("classes", name, WF_CLASSES) for name in class_names]
     tenant = _tenant_config(cfg)
 

@@ -192,6 +192,10 @@ def dataset_from_csv(kind: DatasetKind, csv_text: str, meta_text: str | None = N
             raise DataConfigError(
                 f"{kind.value} row {idx}: {len(r)} fields, header has {len(expected)}")
     X = np.array([[float(v) for v in r[:-1]] for r in body], dtype=float)
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0].tolist()
+        raise DataConfigError(f"{kind.value} row {row}, column {FEATURES[kind][col]}: "
+                              f"non-finite value {body[row][col]!r}")
     labels = np.array([r[-1] for r in body])
     intensity = np.zeros(len(body))
     if meta_text is not None:

@@ -59,13 +59,19 @@ class _Forest:
     Each leaf loops to itself (feature 0, threshold +inf, both children
     itself), so after as many steps as the deepest leaf is deep, every walk
     rests on its leaf. The comparisons are those of a tree-by-tree walk on the
-    same float64 values, so the votes are the same."""
+    same float64 values, so the votes are the same.
+
+    A batch is walked one level per step. A single row instead compares
+    itself with every node at once, which costs one gather of all nodes but
+    only a handful of numpy calls (the QuickScorer idea: evaluate every
+    node's test, then resolve each tree's exit leaf)."""
 
     trees: object  # the `DetectorModel.trees` value stacked here, matched by identity
     roots: np.ndarray  # (n_trees,) node index of each tree's root
     feature: np.ndarray  # (nodes,)
     threshold: np.ndarray  # (nodes,)
     children: np.ndarray  # (2 * nodes,): node i goes to children[2i + (x <= threshold)]
+    pairs: np.ndarray  # (nodes,) 2i, each node's first slot in `children`
     vote: np.ndarray  # (nodes,) class index a leaf votes for
     depth: int
 
@@ -118,6 +124,7 @@ class _Forest:
             feature=feature,
             threshold=threshold,
             children=child[:, ::-1].ravel(),
+            pairs=2 * np.arange(len(feature)),
             vote=np.concatenate([t.proba.argmax(axis=1) for t in trees]),
             depth=depth,
         )
@@ -126,6 +133,13 @@ class _Forest:
         """Class index per row: the majority of the per-tree votes, ties to
         the earliest class."""
         n = X.shape[0]
+        if n == 1:
+            # every node's next node for this row, followed `depth` times
+            step = self.children[self.pairs + (X[0].take(self.feature) <= self.threshold)]
+            node = self.roots
+            for _ in range(self.depth):
+                node = step[node]
+            return np.bincount(self.vote[node], minlength=n_classes).argmax(keepdims=True)
         rows = np.arange(n)[:, None]
         node = self.roots  # broadcasts against `rows` to (n, n_trees)
         for _ in range(self.depth):
@@ -294,21 +308,23 @@ class DetectorModel:
             self._forest = _Forest.stack(self.trees)
         return self._forest
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+    def _class_indices(self, X: np.ndarray) -> np.ndarray:
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise PredictionError(
                 f"expected {len(self.feature_names)} features, got shape {X.shape}"
             )
         if self.kind == "random_forest":
-            idx = self._stacked().predict(X, len(self.classes))
-        else:
-            scores = np.column_stack([X, np.ones(X.shape[0])]) @ self.weights
-            idx = scores.argmax(axis=1)
-        return np.array([self.classes[i] for i in idx])
+            return self._stacked().predict(X, len(self.classes))
+        scores = np.column_stack([X, np.ones(X.shape[0])]) @ self.weights
+        return scores.argmax(axis=1)
+
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self.classes[i] for i in self._class_indices(X)])
 
     def predict(self, features) -> str:
-        """The class of one record; `predict_batch` checks its feature count."""
-        return str(self.predict_batch(np.asarray(features, dtype=float).reshape(1, -1))[0])
+        """The class of one record."""
+        x = np.asarray(features, dtype=float).reshape(1, -1)
+        return str(self.classes[self._class_indices(x)[0]])
 
 
 @dataclass
@@ -336,6 +352,10 @@ def train_random_forest(
         raise TrainingError("empty training dataset")
     if n_trees < 1:
         raise TrainingError("n_trees must be >= 1")
+    if not np.isfinite(train.X).all():
+        row, col = np.argwhere(~np.isfinite(train.X))[0].tolist()
+        raise TrainingError(f"non-finite feature value {train.X[row, col]} in row {row}, "
+                            f"column {train.feature_names[col]}")
     classes = _present_classes(train.labels)
     class_idx = {c: i for i, c in enumerate(classes)}
     y = np.array([class_idx[l] for l in train.labels])

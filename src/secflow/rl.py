@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -207,19 +206,20 @@ def quartile_boundaries(samples: dict) -> dict:
 
 
 def workflow_state_key(
-    attack_type, level, history, accumulated: dict, discretization: dict
+    attack_type, level, kind_counts: dict, accumulated: dict, discretization: dict
 ) -> str:
     """Canonical string key combining the task state (attack type, severity)
     with the discretized workflow state: the violation bucket (one per
-    decision so far, 3+ capped), the counts of the action kinds in `history`,
-    and the buckets of the accumulated time/price/value under the cuts of
-    `discretization` (an attribute without cuts has cuts 0, 0, 0)."""
-    counts = Counter(_action_key(a) for a in history)
+    decision so far, 3+ capped), the counts of the action kinds applied so
+    far (`kind_counts`: kind -> count, as `sim.ExecutionState.kind_counts`
+    keeps them), and the buckets of the accumulated time/price/value under the
+    cuts of `discretization` (an attribute without cuts has cuts 0, 0, 0)."""
+    counts = sorted((_action_key(k), n) for k, n in kind_counts.items())
     parts = [
         _action_key(attack_type),
         _action_key(level),
-        f"v{min(len(history), VIOLATION_BUCKETS - 1)}",
-        ",".join(f"{k}:{counts[k]}" for k in sorted(counts)) or "-",
+        f"v{min(sum(kind_counts.values()), VIOLATION_BUCKETS - 1)}",
+        ",".join(f"{k}:{n}" for k, n in counts) or "-",
     ]
     for attr, prefix in BUCKETS.items():
         cuts = discretization.get(attr, (0.0, 0.0, 0.0))

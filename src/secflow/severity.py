@@ -132,10 +132,18 @@ class SeverityEntry:
     cluster_level: list  # cluster index -> Severity
 
     def assess(self, features) -> tuple:
-        x = (np.asarray(features, dtype=float)[self.feature_indices] - self.scale_mean) / (
-            self.scale_std
-        )
-        d2 = np.sum((self.centroids - x) ** 2, axis=1)
+        """The severity of one record: its nearest centroid's level. The
+        distances are `np.sum((centroids - x) ** 2, axis=1)` on Python floats,
+        with the same operations in the same order (numpy sums fewer than 8
+        values as a left fold)."""
+        x = [(float(features[i]) - m) / s for i, m, s in
+             zip(self.feature_indices, self.scale_mean.tolist(), self.scale_std.tolist())]
+        d2 = []
+        for centroid in self.centroids.tolist():
+            total = 0.0
+            for c, v in zip(centroid, x):
+                total += (c - v) * (c - v)
+            d2.append(total)
         # equidistant clusters resolve to the lower severity
         best = min(
             range(len(d2)),

@@ -11,9 +11,12 @@ sends the cheapest; the adaptive strategy is the Q-learning driver in `rl`.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
 import io
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +105,7 @@ class ExecutionState:
         self._noise_rng = noise_rng
         self.base = {}  # task id -> [price, time, value]
         self.adaptations = []  # dicts: task, kind, price, time, value_delta, mitigation
+        self.kind_counts = {}  # action kind -> adaptations of that kind so far
         self.degraded = {}  # task id -> count of degraded inputs
         self.nominal_prefix = 0.0  # nominal time of tasks processed so far
         self._data_succ = {}
@@ -155,6 +159,7 @@ class ExecutionState:
             "mitigation": mitigation,
         }
         self.adaptations.append(entry)
+        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
         for attr in self._adapted:
             self._adapted[attr] += entry[attr]
 
@@ -225,13 +230,27 @@ def makespan(workflow: Workflow, executed, durations, order=None):
     return best
 
 
+ATTACK_TYPES = list(AttackType)
+
+
 def _sample_attack_type(trust: TrustRepository, service_id, rng) -> AttackType:
-    types = list(AttackType)
-    weights = np.array([trust.afr(service_id, at) for at in types])
-    total = weights.sum()
+    """A type drawn with probability proportional to the service's live AFR,
+    or uniformly when every rate is 0. The float operations and the one
+    double drawn are those of `rng.choice(len(types), p=weights / total)`:
+    p is normalized by the left-fold sum, its running sum is divided by its
+    last value, and `bisect_right` places one `rng.random()`."""
+    weights = [trust.afr(service_id, at) for at in ATTACK_TYPES]
+    if not all(0.0 <= w < math.inf for w in weights):
+        raise ValueError(f"attack-type rates of {service_id!r} must be finite and "
+                         f"non-negative, got {weights}")
+    total = 0.0
+    for w in weights:
+        total += w
     if total <= 0:
-        return types[int(rng.integers(len(types)))]
-    return types[int(rng.choice(len(types), p=weights / total))]
+        return ATTACK_TYPES[int(rng.integers(len(ATTACK_TYPES)))]
+    cdf = list(itertools.accumulate(w / total for w in weights))
+    u = rng.random()
+    return ATTACK_TYPES[bisect.bisect_right([c / cdf[-1] for c in cdf], u)]
 
 
 def run_instance(
@@ -376,8 +395,7 @@ def instance_episode(
         # a real decision point; candidates are presented cheapest-first so a
         # cold-start greedy choice degrades to the nominal-cost ranking
         state_key = rl.workflow_state_key(
-            pred_type, level, [a["kind"] for a in state.adaptations],
-            state.accumulated(), discretization or {},
+            pred_type, level, state.kind_counts, state.accumulated(), discretization or {},
         )
         breakdowns = result.breakdowns
         ranked = sorted(breakdowns, key=cost_rank)

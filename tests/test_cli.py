@@ -217,13 +217,16 @@ class TestUsageErrors:
              "option 'wf_class' must be one of small, medium, large, got 'huge'"),
             (["compare", "--set", "classes=small,huge"],
              "option 'classes' must be one of small, medium, large, got 'huge'"),
+            (["compare", "--set", "classes=5"],
+             "option 'classes' must be a list or a comma-separated string of small, medium, "
+             "large, got 5"),
             (["simulate", "--set", "strategy=greedy"],
              "option 'strategy' must be one of lowest-cost, adaptive, got 'greedy'"),
             (["gen-data", "--set", "intensity_mode=xyz"],
              "option 'intensity_mode' must be one of uniform, banded, got 'xyz'"),
         ],
         ids=["int-word", "int-list", "int-overflow", "float-word", "kind", "wf-class",
-             "classes", "strategy", "intensity-mode"],
+             "classes", "classes-int", "strategy", "intensity-mode"],
     )
     def test_bad_option_value_names_the_key(self, workdir, capsys, argv, line):
         assert _run(argv + ["--out", "out"]) == 2

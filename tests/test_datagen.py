@@ -137,6 +137,16 @@ class TestCsvRoundTrip:
         with pytest.raises(DataConfigError, match=message):
             dataset_from_csv(DatasetKind.CLF, "cpu_util,ram_util,bw_util,label\n" + rows)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0.1,0.2,0.3,normal\n0.5,inf,0.3,dos\n",
+         "clf row 1, column ram_util: non-finite value 'inf'"),
+        ("0.1,0.2,nan,normal\n", "clf row 0, column bw_util: non-finite value 'nan'"),
+        ("-Infinity,0.2,0.3,normal\n", "clf row 0, column cpu_util: non-finite value '-Infinity'"),
+    ])
+    def test_non_finite_value_rejected(self, rows, message):
+        with pytest.raises(DataConfigError, match=message):
+            dataset_from_csv(DatasetKind.CLF, "cpu_util,ram_util,bw_util,label\n" + rows)
+
 
 class TestSplit:
     def test_sizes_80_20(self):

@@ -53,6 +53,20 @@ def _reference_predict(model, X):
     return labels
 
 
+def _batch_walk(forest, X, n_classes):
+    """The step walk of a batch, one level per step: the expression a single
+    row also went through before it compared itself with every node at once."""
+    n = X.shape[0]
+    rows = np.arange(n)[:, None]
+    node = forest.roots
+    for _ in range(forest.depth):
+        go_left = X[rows, forest.feature[node]] <= forest.threshold[node]
+        node = forest.children[2 * node + go_left]
+    cells = (rows * n_classes + forest.vote[node]).ravel()
+    counts = np.bincount(cells, minlength=n * n_classes).reshape(n, n_classes)
+    return counts.argmax(axis=1)
+
+
 def _depth(tree, node=0):
     if tree.feature[node] < 0:
         return 0
@@ -343,6 +357,38 @@ class TestRandomForest:
         empty = _dataset(np.zeros((0, 3)), [])
         with pytest.raises(TrainingError):
             train_random_forest(empty)
+
+
+@pytest.mark.parametrize("kind", [DatasetKind.NTD, DatasetKind.CLF])
+def test_single_row_gather_equals_batch_walk(kind):
+    train, held_out = split(generate(kind, 1500, UNIFORM_MIX, seed=5), 0.8, seed=5)
+    model = train_random_forest(train, seed=2)
+    forest, n = model._stacked(), len(model.classes)
+    X = held_out.X.copy()
+    # rows holding nan go right at every node that tests the nan feature
+    X[::7, 0] = np.nan
+    X[3::11, :] = np.nan
+    expected = _batch_walk(forest, X, n).tolist()
+    assert forest.predict(X, n).tolist() == expected
+    assert [forest.predict(x[None], n)[0] for x in X] == expected
+
+
+def test_single_row_gather_on_depth_zero_forest():
+    model = _forest([_leaf([0.2, 0.8]), _leaf([0.9, 0.1]), _leaf([0.6, 0.4])])
+    forest = model._stacked()
+    assert forest.depth == 0
+    for x in np.random.default_rng(1).normal(size=(5, 3)):
+        assert forest.predict(x[None], 2).tolist() == _batch_walk(forest, x[None], 2).tolist()
+    assert model.predict([0.0, np.nan, 1.0]) == NORMAL
+
+
+def test_non_finite_training_values_rejected():
+    # a cut between a finite value and +inf gets the threshold +inf and NaN leaves
+    column = [0.0, 1.0, 2.0, 3.0, np.inf, np.inf, np.inf, np.inf]
+    ds = _dataset(np.column_stack([column] * 3), [NORMAL] * 4 + ["dos"] * 4)
+    with pytest.raises(TrainingError, match="non-finite feature value inf in row 4, "
+                                            "column cpu_util"):
+        train_random_forest(ds, n_trees=3)
 
 
 class TestLinear:

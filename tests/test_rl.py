@@ -1,9 +1,15 @@
 """Q-learning: reward shaping, Bellman updates, training loops, prediction."""
 
+import bisect
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from secflow.model import ActionKind, AttackType, Severity
 from secflow.rl import (
+    BUCKETS,
+    VIOLATION_BUCKETS,
     QTable,
     RLConfig,
     RLDomainError,
@@ -222,10 +228,29 @@ class TestConfigValidation:
             RLConfig(gamma=1.0)
 
 
+def _key_from_history(attack_type, level, history, accumulated, discretization):
+    """The state key as it was built from the whole adaptation history: a
+    `Counter` over the kinds, one violation per entry."""
+    def name(a):
+        return a.value if hasattr(a, "value") else str(a)
+
+    counts = Counter(name(a) for a in history)
+    parts = [
+        name(attack_type),
+        name(level),
+        f"v{min(len(history), VIOLATION_BUCKETS - 1)}",
+        ",".join(f"{k}:{counts[k]}" for k in sorted(counts)) or "-",
+    ]
+    for attr, prefix in BUCKETS.items():
+        cuts = discretization.get(attr, (0.0, 0.0, 0.0))
+        parts.append(f"{prefix}{bisect.bisect_right(cuts, accumulated.get(attr, 0.0))}")
+    return "|".join(parts)
+
+
 class TestStateKeys:
     def test_key_structure(self):
         key = workflow_state_key(
-            "dos", "high", ["skip", "skip", "rework", "skip", "insert"],
+            "dos", "high", Counter(["skip", "skip", "rework", "skip", "insert"]),
             {"time": 2.5, "price": 0.0, "value": 0.0}, {"time": [1, 2, 3]},
         )
         parts = key.split("|")
@@ -239,8 +264,27 @@ class TestStateKeys:
         cuts = quartile_boundaries({"time": list(range(101))})
         assert cuts == {"time": [25.0, 50.0, 75.0]}
         for time, bucket in ((10, 0), (60, 2), (99, 3)):
-            key = workflow_state_key("dos", "high", [], {"time": time}, cuts)
+            key = workflow_state_key("dos", "high", {}, {"time": time}, cuts)
             assert key.split("|")[4] == f"t{bucket}"
+
+    def test_key_from_running_counts_equals_key_from_history(self):
+        rng = np.random.default_rng(0)
+        kinds = list(ActionKind)
+        cuts = {"time": [1.0, 2.0, 3.0], "price": [0.5, 0.5, 2.0], "value": [0.0, 1.0, 4.0]}
+        history, counts = [], {}
+        for step in range(300):
+            attack_type = list(AttackType)[int(rng.integers(4))]
+            level = list(Severity)[int(rng.integers(3))]
+            accumulated = {attr: float(rng.uniform(-1.0, 5.0)) for attr in BUCKETS}
+            for discretization in (cuts, {}):
+                assert workflow_state_key(attack_type, level, counts, accumulated,
+                                          discretization) == _key_from_history(
+                    attack_type, level, history, accumulated, discretization)
+            if step % 60 == 0:  # a new instance starts with no adaptations
+                history, counts = [], {}
+            kind = kinds[int(rng.integers(len(kinds)))]
+            history.append(kind)
+            counts[kind] = counts.get(kind, 0) + 1
 
     def test_table_json_round_trip_preserves_discretization(self):
         table = QTable(discretization={

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from secflow.datagen import CLF_FEATURES, Dataset, DatasetKind, NORMAL, generate
-from secflow.model import AttackType, Severity
+from secflow.model import SEVERITY_LEVEL, SEVERITY_ORDER, AttackType, Severity
 from secflow.severity import (
     AssessmentError,
     FittingError,
     SelectionError,
+    SeverityEntry,
     SeverityModel,
     chi_square_select,
     chi_square_statistics,
@@ -177,3 +178,43 @@ class TestFitSeverity:
             features[entry.feature_indices] = raw
             level, _ = entry.assess(features)
             assert level is entry.cluster_level[j]
+
+
+def _reference_assess(entry, features):
+    """The numpy distance the scalar one replaced."""
+    x = (np.asarray(features, dtype=float)[entry.feature_indices] - entry.scale_mean) / (
+        entry.scale_std
+    )
+    d2 = np.sum((entry.centroids - x) ** 2, axis=1)
+    best = min(range(len(d2)),
+               key=lambda j: (d2[j], SEVERITY_ORDER.index(entry.cluster_level[j])))
+    level = entry.cluster_level[best]
+    return level, SEVERITY_LEVEL[level]
+
+
+def test_assess_matches_numpy_distance():
+    rng = np.random.default_rng(0)
+    for i, kind in enumerate(DatasetKind):
+        ds = generate(kind, 1500, {NORMAL: 0.2, "dos": 0.2, "probe": 0.2, "u2r": 0.2,
+                                   "r2l": 0.2}, seed=i, intensity_mode="banded")
+        model = fit_severity({kind: ds}, seed=i)
+        # telemetry rows, then rows far from any fitted scale
+        records = list(ds.X[:400]) + list(rng.normal(0, 10.0, size=(200, ds.X.shape[1])))
+        for entry in model.entries.values():
+            for x in records:
+                assert entry.assess(list(x)) == _reference_assess(entry, x)
+
+
+def test_equidistant_clusters_resolve_to_lower_severity():
+    entry = SeverityEntry(
+        feature_indices=[2, 0],
+        scale_mean=np.array([1.0, 0.0]),
+        scale_std=np.array([2.0, 1.0]),
+        centroids=np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 3.0]]),
+        cluster_mean_intensity=np.array([0.9, 0.1, 0.5]),
+        cluster_level=[Severity.HIGH, Severity.LOW, Severity.MEDIUM],
+    )
+    # standardized (0, 0) lies 0.25 from both the HIGH and the LOW centroid
+    record = [0.0, 7.0, 1.0]
+    assert entry.assess(record) == _reference_assess(entry, record) == (
+        Severity.LOW, SEVERITY_LEVEL[Severity.LOW])

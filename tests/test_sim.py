@@ -7,6 +7,7 @@ import pytest
 from secflow.datagen import DatasetKind, generate, split
 from secflow.detection import train_random_forest
 from secflow.model import (
+    AttackType,
     ControlEdge,
     TenantConfig,
     Workflow,
@@ -335,3 +336,43 @@ class TestGenerators:
         times = np.array([s.response_time for s in cloud.services()])
         prices = np.array([s.price for s in cloud.services()])
         assert np.corrcoef(times, prices)[0, 1] < -0.5
+
+
+def _reference_attack_type(trust, service_id, rng):
+    """The numpy draw the scalar one replaced."""
+    types = list(AttackType)
+    weights = np.array([trust.afr(service_id, at) for at in types])
+    total = weights.sum()
+    if total <= 0:
+        return types[int(rng.integers(len(types)))]
+    return types[int(rng.choice(len(types), p=weights / total))]
+
+
+def test_attack_type_draw_matches_numpy_choice():
+    cloud = generate_multicloud(3)
+    trust = TrustRepository.from_cloud(cloud)
+    services = [s.id for s in cloud.services()]
+    states = np.random.default_rng(0)
+    ours, reference = np.random.default_rng(1), np.random.default_rng(1)
+    for i in range(3000):
+        svc = services[i % len(services)]
+        if i % 3 == 0:  # rates of mixed magnitudes, some exactly 0, every 50th all 0
+            for at in AttackType:
+                rate = float(states.random() * 10.0 ** states.integers(-8, 1))
+                zero = i % 50 == 0 or states.random() < 0.25
+                trust.afr_history[(svc, at)] = 0.0 if zero else rate
+        else:
+            trust.update(svc, list(AttackType)[i % 4], bool(states.random() < 0.5))
+        assert sim._sample_attack_type(trust, svc, ours) is _reference_attack_type(
+            trust, svc, reference)
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("rate", [np.inf, np.nan, -0.1])
+def test_attack_type_draw_rejects_bad_rates(rate):
+    cloud = generate_multicloud(3)
+    trust = TrustRepository.from_cloud(cloud)
+    svc = next(iter(cloud.services())).id
+    trust.afr_history[(svc, AttackType.PROBE)] = rate
+    with pytest.raises(ValueError, match="must be finite and non-negative"):
+        sim._sample_attack_type(trust, svc, np.random.default_rng(0))
