@@ -249,8 +249,7 @@ def _sample_attack_type(trust: TrustRepository, service_id, rng) -> AttackType:
     if total <= 0:
         return ATTACK_TYPES[int(rng.integers(len(ATTACK_TYPES)))]
     cdf = list(itertools.accumulate(w / total for w in weights))
-    u = rng.random()
-    return ATTACK_TYPES[bisect.bisect_right([c / cdf[-1] for c in cdf], u)]
+    return ATTACK_TYPES[bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())]
 
 
 def run_instance(

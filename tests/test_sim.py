@@ -368,6 +368,37 @@ def test_attack_type_draw_matches_numpy_choice():
         assert ours.bit_generator.state == reference.bit_generator.state
 
 
+class _FixedDraw(np.random.Generator):
+    """A generator whose `random()` returns `u`, which `choice(p=)` also calls."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u
+
+
+def test_attack_type_draw_matches_numpy_choice_at_cdf_boundaries():
+    cloud = generate_multicloud(3)
+    trust = TrustRepository.from_cloud(cloud)
+    svc = next(iter(cloud.services())).id
+    states = np.random.default_rng(2)
+    unnormalized = 0  # draws whose cdf does not end at exactly 1
+    for _ in range(300):
+        weights = states.random(4) * 10.0 ** states.integers(-3, 1, size=4)
+        for at, w in zip(AttackType, weights.tolist()):
+            trust.afr_history[(svc, at)] = w
+        cdf = np.cumsum(weights / weights.sum())
+        unnormalized += cdf[-1] != 1.0
+        for c in np.concatenate([cdf, cdf / cdf[-1]]).tolist():
+            for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)):
+                if u < 1.0:
+                    assert sim._sample_attack_type(trust, svc, _FixedDraw(u)) is (
+                        _reference_attack_type(trust, svc, _FixedDraw(u)))
+    assert unnormalized > 0
+
+
 @pytest.mark.parametrize("rate", [np.inf, np.nan, -0.1])
 def test_attack_type_draw_rejects_bad_rates(rate):
     cloud = generate_multicloud(3)
