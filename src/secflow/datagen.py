@@ -25,6 +25,8 @@ class DatasetKind(enum.Enum):
     NTD = "ntd"
     CLF = "clf"
 
+    __hash__ = object.__hash__  # identity, in C; see model.ActionKind
+
 
 NTD_FEATURES = (
     "duration",
@@ -200,8 +202,20 @@ def dataset_from_csv(kind: DatasetKind, csv_text: str, meta_text: str | None = N
     intensity = np.zeros(len(body))
     if meta_text is not None:
         meta = list(csv.reader(io.StringIO(meta_text)))[1:]
-        for row_idx, val in meta:
-            intensity[int(row_idx)] = float(val)
+        for line_no, fields in enumerate(meta, start=2):
+            where = f"{kind.value} metadata line {line_no} {','.join(fields)!r}"
+            if len(fields) != 2:
+                raise DataConfigError(f"{where}: {len(fields)} fields, expected 2")
+            try:
+                row_idx, val = int(fields[0]), float(fields[1])
+            except ValueError:
+                raise DataConfigError(
+                    f"{where}: expected an integer row and a number") from None
+            if not 0 <= row_idx < len(body):
+                raise DataConfigError(f"{where}: row outside [0, {len(body)})")
+            if not 0.0 <= val <= 1.0:
+                raise DataConfigError(f"{where}: intensity outside [0, 1]")
+            intensity[row_idx] = val
     return Dataset(kind, FEATURES[kind], X, labels, intensity)
 
 

@@ -83,12 +83,36 @@ class SelectionStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
+class CandidateSet:
+    """The candidates of a triggered selection, cheapest first (`cost_rank`),
+    with the backup service that prices Rework/Redundancy, the decision for
+    the cheapest, and the strongest mitigation score. No candidates: the
+    attack is unmitigable."""
+
+    breakdowns: tuple  # in declaration order: the audit trail
+    backup: Service | None
+    ranked: tuple  # candidate kinds, cheapest first
+    ms_best: float
+    decision: AdaptationDecision | None = None
+
+
+@dataclass(frozen=True)
 class SelectionResult:
     status: SelectionStatus
     trigger_score: float
-    decision: AdaptationDecision | None = None
-    breakdowns: tuple = ()  # audit trail over the whole candidate set
-    backup: Service | None = None  # resolved for Rework/Redundancy candidates
+    candidates: CandidateSet | None = None  # None below the trigger threshold
+
+    @property
+    def decision(self) -> AdaptationDecision | None:
+        return self.candidates.decision if self.candidates else None
+
+    @property
+    def breakdowns(self) -> tuple:
+        return self.candidates.breakdowns if self.candidates else ()
+
+    @property
+    def backup(self) -> Service | None:
+        return self.candidates.backup if self.candidates else None
 
 
 def cost_rank(b: CostBreakdown):
@@ -97,9 +121,10 @@ def cost_rank(b: CostBreakdown):
     return (b.total, -b.mitigation, ACTION_ORDER.index(b.kind))
 
 
-def decision_for(result: SelectionResult, kind: ActionKind) -> AdaptationDecision:
-    """The decision that applies candidate `kind` of a selection; a kind
-    outside its candidate set raises ValueError."""
+def decision_for(result, kind: ActionKind) -> AdaptationDecision:
+    """The decision that applies candidate `kind` of a selection (a
+    SelectionResult or its CandidateSet); a kind outside its candidate set
+    raises ValueError."""
     chosen = next((b for b in result.breakdowns if b.kind == kind), None)
     if chosen is None:
         raise ValueError(f"{kind!r} is outside the candidate set")
@@ -116,15 +141,14 @@ def find_backup_service(
     task: Task,
     current: Service,
     cloud: MultiCloud,
-    event: AttackEvent,
-    trust: TrustRepository,
+    detected_in: DatasetKind,
 ) -> Service:
     """Cheapest eligible alternative to the attacked service. A violation seen
     in the cloud log file implicates the provider, so the whole current
     provider is excluded; network-side detections allow sibling services.
     Ties break on the lexicographically smallest id."""
     pool = [s for s in eligible_services(task, cloud) if s.id != current.id]
-    if event.detected_in is DatasetKind.CLF:
+    if detected_in is DatasetKind.CLF:
         pool = [s for s in pool if s.provider_id != current.provider_id]
     if not pool:
         raise NoBackupError(
@@ -157,41 +181,33 @@ def candidate_params(
     )
 
 
-def select_action(
+def resolve_candidates(
     task: Task,
-    event: AttackEvent,
     spec: AttackSpec,
+    level: Severity,
+    detected_in: DatasetKind,
     cfg: TenantConfig,
     cloud: MultiCloud,
-    trust: TrustRepository,
     current: Service,
-) -> SelectionResult:
-    """Run the selection algorithm for one detected attack.
-
-    Below the tenant's trigger threshold, nothing happens. Otherwise the
-    candidate set is the intersection of the severity tier's mitigation
-    actions with the task's feasible actions (Rework/Redundancy drop out when
-    no backup resolves). The decision applies the lowest adaptation cost
-    (`cost_rank`); `decision_for` applies any other candidate instead.
-    """
-    afr = trust.afr(event.service_id, event.attack_type)
-    score = attack_score(task.requirements, spec.impact, afr, event.l)
-    if score <= cfg.adapt_trigger_threshold:
-        return SelectionResult(SelectionStatus.NOT_TRIGGERED, score)
-
-    allowed = spec.mitigation_actions[event.level] & set(task.feasible_actions)
+) -> CandidateSet:
+    """The candidate set of a triggered selection: the intersection of the
+    severity tier's mitigation actions with the task's feasible actions
+    (Rework/Redundancy drop out when no backup resolves), each priced,
+    normalized and costed. Nothing here reads live state, so for one task
+    bound to `current` it depends only on (attack type, tier, detector kind)."""
+    allowed = spec.mitigation_actions[level] & set(task.feasible_actions)
     final = [k for k in ACTION_ORDER if k in allowed]
 
     backup = None
     if ActionKind.REWORK in final or ActionKind.REDUNDANCY in final:
         try:
-            backup = find_backup_service(task, current, cloud, event, trust)
+            backup = find_backup_service(task, current, cloud, detected_in)
         except NoBackupError:
             final = [
                 k for k in final if k not in (ActionKind.REWORK, ActionKind.REDUNDANCY)
             ]
     if not final:
-        return SelectionResult(SelectionStatus.UNMITIGABLE, score)
+        return CandidateSet((), None, (), 0.0)
 
     params = {k: candidate_params(k, task, current, backup) for k in final}
     ms = {
@@ -218,9 +234,44 @@ def select_action(
         )
         for k in final
     )
-    result = SelectionResult(SelectionStatus.SELECTED, score, None, breakdowns, backup)
-    cheapest = min(breakdowns, key=cost_rank).kind
-    return replace(result, decision=decision_for(result, cheapest))
+    ranked = tuple(b.kind for b in sorted(breakdowns, key=cost_rank))
+    candidates = CandidateSet(breakdowns, backup, ranked, max(ms.values()))
+    return replace(candidates, decision=decision_for(candidates, ranked[0]))
+
+
+def select_action(
+    task: Task,
+    event: AttackEvent,
+    spec: AttackSpec,
+    cfg: TenantConfig,
+    cloud: MultiCloud,
+    trust: TrustRepository,
+    current: Service,
+    memo: dict | None = None,
+) -> SelectionResult:
+    """Run the selection algorithm for one detected attack.
+
+    Below the tenant's trigger threshold, nothing happens. Otherwise the
+    candidate set is `resolve_candidates`'s. The decision applies the lowest
+    adaptation cost (`cost_rank`); `decision_for` applies any other candidate
+    instead. `memo` keeps resolved candidate sets by (task id, attack type,
+    tier, detector kind) across calls that share `cfg`, `cloud` and each
+    task's bound service `current`, as the instances of one experiment do.
+    """
+    afr = trust.afr(event.service_id, event.attack_type)
+    score = attack_score(task.requirements, spec.impact, afr, event.l)
+    if score <= cfg.adapt_trigger_threshold:
+        return SelectionResult(SelectionStatus.NOT_TRIGGERED, score)
+    key = (task.id, event.attack_type, event.level, event.detected_in)
+    candidates = memo.get(key) if memo is not None else None
+    if candidates is None:
+        candidates = resolve_candidates(
+            task, spec, event.level, event.detected_in, cfg, cloud, current
+        )
+        if memo is not None:
+            memo[key] = candidates
+    status = SelectionStatus.SELECTED if candidates.breakdowns else SelectionStatus.UNMITIGABLE
+    return SelectionResult(status, score, candidates)
 
 
 def apply_tenant_action(state, event: AttackEvent, decision: AdaptationDecision):

@@ -61,6 +61,10 @@ class ActionKind(enum.Enum):
     REDUNDANCY = "redundancy"
     RECONFIGURATION = "reconfiguration"
 
+    # Members are singletons, so the identity hash is a valid one, computed in
+    # C; Enum's own hashes the name in Python. Both vary between processes.
+    __hash__ = object.__hash__
+
 
 MIDDLEWARE_KINDS = frozenset(
     {ActionKind.REWORK, ActionKind.REDUNDANCY, ActionKind.RECONFIGURATION}
@@ -76,11 +80,15 @@ class AttackType(enum.Enum):
     U2R = "u2r"
     R2L = "r2l"
 
+    __hash__ = object.__hash__  # as ActionKind's
+
 
 class Severity(enum.Enum):
     LOW = "low"
     MEDIUM = "medium"
     HIGH = "high"
+
+    __hash__ = object.__hash__  # as ActionKind's
 
 
 SEVERITY_ORDER = (Severity.LOW, Severity.MEDIUM, Severity.HIGH)

@@ -16,6 +16,11 @@ from .scoring import normalize
 EWMA_BETA = 0.1
 
 
+def _ewma(old: float, detected: bool) -> float:
+    new = (1.0 - EWMA_BETA) * old + EWMA_BETA * (1.0 if detected else 0.0)
+    return min(1.0, max(0.0, new))
+
+
 class UnschedulableError(RuntimeError):
     """No service satisfies a task's security requirements."""
 
@@ -50,9 +55,14 @@ class TrustRepository:
         key = (service_id, attack_type)
         if key not in self.afr_history:
             raise KeyError(f"unknown service {service_id!r}")
-        old = self.afr_history[key]
-        new = (1.0 - EWMA_BETA) * old + EWMA_BETA * (1.0 if detected else 0.0)
-        self.afr_history[key] = min(1.0, max(0.0, new))
+        self.afr_history[key] = _ewma(self.afr_history[key], detected)
+
+    def observe(self, hits):
+        """One EWMA update of every rate: whether its (service id, AttackType)
+        pair is in `hits`."""
+        history = self.afr_history
+        for key, old in history.items():
+            history[key] = _ewma(old, key in hits)
 
     def scale_afr(self, service_id: str, attack_type: AttackType, factor: float):
         """Multiplicative AFR adjustment (used by reconfiguration actions)."""

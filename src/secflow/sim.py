@@ -29,7 +29,6 @@ from .decision import (
     SelectionStatus,
     apply_middleware_action,
     apply_tenant_action,
-    cost_rank,
     decision_for,
     select_action,
 )
@@ -101,16 +100,14 @@ class ExecutionState:
     entries plus the current one, and running sums of the append-only
     adaptations: the same additions in the same order as summing the ledger."""
 
-    def __init__(self, workflow: Workflow, noise_rng):
+    def __init__(self, layout: Layout, noise_rng):
         self._noise_rng = noise_rng
         self.base = {}  # task id -> [price, time, value]
         self.adaptations = []  # dicts: task, kind, price, time, value_delta, mitigation
         self.kind_counts = {}  # action kind -> adaptations of that kind so far
         self.degraded = {}  # task id -> count of degraded inputs
         self.nominal_prefix = 0.0  # nominal time of tasks processed so far
-        self._data_succ = {}
-        for e in workflow.data_edges:
-            self._data_succ.setdefault(e.src, set()).add(e.dst)
+        self._data_succ = layout.data_succ
         # int zeros, as `sum` starts from, so every total has sum's value and type
         self._done = [0, 0, 0]  # fold of the finished tasks' [price, time, value]
         self._current = [0, 0, 0]  # base entry of the task in progress
@@ -191,17 +188,46 @@ class ExecutionState:
         }
 
 
-def _executed_set(workflow: Workflow, order, branch_rng):
-    """Resolve Bernoulli branch conditions over the topological `order`: a
+class Layout:
+    """The parts of a workflow that every instance reads and none changes:
+    the topological order, the tasks by id, the control edges into each task
+    and each task's data successors."""
+
+    def __init__(self, workflow: Workflow):
+        self.order = workflow.topological_order()
+        self.tasks = workflow.task_map()
+        self.incoming = {t.id: [] for t in workflow.tasks}
+        for e in workflow.control_edges:
+            self.incoming[e.dst].append(e)
+        self.data_succ = {}
+        for e in workflow.data_edges:
+            self.data_succ.setdefault(e.src, set()).add(e.dst)
+
+
+class Experiment:
+    """What an experiment holds fixed across its instances: the workflow's
+    `Layout`, the plan checked against the cloud, each task's bound service,
+    and the candidate sets resolved so far (`decision.select_action`'s memo,
+    valid while the cloud and the tenant config stay those of the
+    experiment). `run_experiment` builds one and passes it to every instance;
+    it is dropped with the experiment."""
+
+    def __init__(self, workflow: Workflow, plan: SchedulingPlan, cloud: MultiCloud):
+        plan.validate(workflow, cloud)
+        services = cloud.service_map()
+        self.layout = Layout(workflow)
+        self.bound = {t.id: services[plan.bindings[t.id]] for t in workflow.tasks}
+        self.selections = {}
+
+
+def _executed_set(layout: Layout, branch_rng):
+    """Resolve Bernoulli branch conditions over the topological order: a
     task executes when it has no incoming control edges or at least one taken
     edge from an executed task. Unconditional edges from executed tasks are
     always taken."""
-    incoming = {t.id: [] for t in workflow.tasks}
-    for e in workflow.control_edges:
-        incoming[e.dst].append(e)
     executed = set()
-    for tid in order:
-        edges = incoming[tid]
+    for tid in layout.order:
+        edges = layout.incoming[tid]
         if not edges:
             executed.add(tid)
             continue
@@ -214,17 +240,13 @@ def _executed_set(workflow: Workflow, order, branch_rng):
     return executed
 
 
-def makespan(workflow: Workflow, executed, durations, order=None):
+def makespan(layout: Layout, executed, durations):
     """Critical-path completion time; tasks outside the executed set take
-    zero time but still propagate their predecessors' finish times. `order`
-    is the workflow's topological order, for a caller that already has it."""
+    zero time but still propagate their predecessors' finish times."""
     finish = {}
-    pred = {t.id: [] for t in workflow.tasks}
-    for e in workflow.control_edges:
-        pred[e.dst].append(e.src)
     best = 0.0
-    for tid in order if order is not None else workflow.topological_order():
-        start = max((finish[p] for p in pred[tid]), default=0.0)
+    for tid in layout.order:
+        start = max((finish[e.src] for e in layout.incoming[tid]), default=0.0)
         finish[tid] = start + (durations.get(tid, 0.0) if tid in executed else 0.0)
         best = max(best, finish[tid])
     return best
@@ -262,12 +284,15 @@ def run_instance(
     trust: TrustRepository,
     attack_rate: float,
     seed: int,
+    *,
+    experiment: Experiment | None = None,
 ) -> RunResult:
     """Execute one workflow instance under the lowest-cost strategy: drive
     `instance_episode`, sending the cheapest candidate at every decision.
     Deterministic given `seed`."""
     gen = instance_episode(
-        workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed
+        workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed,
+        experiment=experiment,
     )
     try:
         event = next(gen)
@@ -280,16 +305,19 @@ def run_instance(
 
 def instance_episode(
     workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed,
-    discretization=None,
+    discretization=None, *, experiment=None,
 ):
     """Execute one workflow instance as a generator speaking the rl module's
     protocol: at each adaptation decision it yields ("decide", state_key,
     kinds ranked cheapest-first) and applies the kind it is sent, then yields
     ("reward", r) and expects None. The state key buckets the ledger's totals
     by the cuts of `discretization` (see `rl.workflow_state_key`). Returns the
-    RunResult."""
-    plan.validate(workflow, cloud)
-    service_map = cloud.service_map()
+    RunResult. `experiment` is the `Experiment` of (workflow, plan, cloud)
+    shared with the other instances; without one, the instance builds its
+    own."""
+    if experiment is None:
+        experiment = Experiment(workflow, plan, cloud)
+    layout = experiment.layout
     for key in (DatasetKind.NTD, DatasetKind.CLF):
         if key not in detectors:
             raise ValueError(f"missing detector for {key.value}")
@@ -299,10 +327,8 @@ def instance_episode(
         np.random.default_rng(c) for c in ss.spawn(5)
     )
 
-    state = ExecutionState(workflow, noise_rng)
-    order = workflow.topological_order()
-    executed = _executed_set(workflow, order, branch_rng)
-    tasks = workflow.task_map()
+    state = ExecutionState(layout, noise_rng)
+    executed = _executed_set(layout, branch_rng)
 
     injected = detected = adapted = unmitigated = failures = 0
     events = []
@@ -310,11 +336,11 @@ def instance_episode(
     # its alarms are only counted, and nothing in the loop reads the count
     clean = {DatasetKind.NTD: [], DatasetKind.CLF: []}
 
-    for tid in order:
+    for tid in layout.order:
         if tid not in executed:
             continue
-        task = tasks[tid]
-        svc = service_map[plan.bindings[tid]]
+        task = layout.tasks[tid]
+        svc = experiment.bound[tid]
         state.start_task(tid, svc.price, svc.response_time, task.value, svc.response_time)
 
         # degraded inputs raise the task's failure probability
@@ -371,7 +397,8 @@ def instance_episode(
             service_id=svc.id,
         )
         result = select_action(
-            task, event, ATTACK_CATALOG[pred_type], cfg, cloud, trust, svc
+            task, event, ATTACK_CATALOG[pred_type], cfg, cloud, trust, svc,
+            experiment.selections,
         )
         if result.status is SelectionStatus.NOT_TRIGGERED:
             # below the trigger threshold nothing adapts, but the attack is
@@ -396,10 +423,10 @@ def instance_episode(
         state_key = rl.workflow_state_key(
             pred_type, level, state.kind_counts, state.accumulated(), discretization or {},
         )
-        breakdowns = result.breakdowns
-        ranked = sorted(breakdowns, key=cost_rank)
-        chosen = yield ("decide", state_key, [b.kind for b in ranked])
-        decision = decision_for(result, chosen)
+        candidates = result.candidates
+        breakdowns = candidates.breakdowns
+        chosen = yield ("decide", state_key, list(candidates.ranked))
+        decision = decision_for(candidates, chosen)
         base_value_before = state.base_value(tid)
         if decision.level is DecisionLevel.TENANT:
             apply_tenant_action(state, event, decision)
@@ -407,7 +434,7 @@ def instance_episode(
             apply_middleware_action(state, event, decision, trust)
         # mitigation is only as good as the chosen action: relative to the
         # strongest candidate, a weaker mitigation leaves residual damage
-        ms_best = max(b.mitigation for b in breakdowns)
+        ms_best = candidates.ms_best
         rel = decision.mitigation / ms_best if ms_best > 0 else 1.0
         state.damage_task(tid, 1.0 - (1.0 - rel) * (1.0 - true_damage))
         adapted += 1
@@ -457,7 +484,7 @@ def instance_episode(
         int(np.count_nonzero(detectors[kind].predict_batch(np.array(records)) != NORMAL))
         for kind, records in clean.items() if records
     )
-    total_time = makespan(workflow, executed, state.durations(), order)
+    total_time = makespan(layout, executed, state.durations())
     acc = state.accumulated()
     return RunResult(
         price=acc["price"],
@@ -546,6 +573,7 @@ def run_experiment(
     from .scheduling import schedule  # deferred to avoid cycle at import time
 
     plan = schedule(workflow, cloud, trust, cfg)
+    experiment = Experiment(workflow, plan, cloud)
     run_seeds = np.random.SeedSequence(seed).generate_state(n_runs + 1)[1:]
 
     # settle the trust repository's attack-frequency estimates before the
@@ -554,38 +582,38 @@ def run_experiment(
     for i in range(burn_in):
         burn = run_instance(
             workflow, plan, cloud, detectors, severity_model, cfg, trust,
-            attack_rate, int(burn_seeds[i]),
+            attack_rate, int(burn_seeds[i]), experiment=experiment,
         )
-        _reconcile_trust(trust, cloud, burn)
+        _reconcile_trust(trust, burn)
 
     results = []
     if strategy == "lowest-cost":
         for i in range(n_runs):
             result = run_instance(
                 workflow, plan, cloud, detectors, severity_model, cfg, trust,
-                attack_rate, int(run_seeds[i]),
+                attack_rate, int(run_seeds[i]), experiment=experiment,
             )
-            _reconcile_trust(trust, cloud, result)
+            _reconcile_trust(trust, result)
             results.append(result)
     else:
         table = qtable if qtable is not None else rl.QTable()
         if not table.discretization:
             table.discretization = _warmup_discretizer(
                 workflow, plan, cloud, detectors, severity_model, cfg, trust,
-                attack_rate, seed,
+                attack_rate, seed, experiment,
             )
         # a round's generator runs only once rl.train reaches it, after the
         # trust reconciliation of the round before
         episodes = (
             instance_episode(
                 workflow, plan, cloud, detectors, severity_model, cfg, trust,
-                attack_rate, int(s), table.discretization,
+                attack_rate, int(s), table.discretization, experiment=experiment,
             )
             for s in run_seeds
         )
         policy_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
         for result in rl.train(table, episodes, policy_rng):
-            _reconcile_trust(trust, cloud, result)
+            _reconcile_trust(trust, result)
             results.append(result)
 
     attrs = [r.reward_attrs() for r in results]
@@ -599,21 +627,19 @@ def run_experiment(
 
 
 _DETECTED_OUTCOMES = frozenset({"adapted", "unmitigable", "below-threshold"})
+_ATTACK_BY_VALUE = {at.value: at for at in AttackType}
 
 
-def _reconcile_trust(trust: TrustRepository, cloud: MultiCloud, result: RunResult):
+def _reconcile_trust(trust: TrustRepository, result: RunResult):
     """After each run, fold the run's observations into the trust repository:
     every service/type pair is EWMA-updated with whether a verified attack of
     that type landed on the service, so the live rate tracks the observed
     per-run attack frequency instead of ratcheting monotonically."""
-    hit = {
-        (e["service"], e["type"])
+    trust.observe({
+        (e["service"], _ATTACK_BY_VALUE[e["type"]])
         for e in result.events
         if e["outcome"] in _DETECTED_OUTCOMES
-    }
-    for s in cloud.services():
-        for at in AttackType:
-            trust.update(s.id, at, detected=(s.id, at.value) in hit)
+    })
 
 
 #: Lowest-cost instances that fix an adaptive experiment's state buckets.
@@ -621,7 +647,8 @@ WARMUP_RUNS = 20
 
 
 def _warmup_discretizer(
-    workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed
+    workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed,
+    experiment,
 ):
     """Fix the workflow-state quartile cuts from a short lowest-cost warmup
     (trust snapshot restored afterwards)."""
@@ -631,7 +658,7 @@ def _warmup_discretizer(
     for s in warm_seeds:
         res = run_instance(
             workflow, plan, cloud, detectors, severity_model, cfg, trust,
-            attack_rate, int(s),
+            attack_rate, int(s), experiment=experiment,
         )
         # accumulated-at-decision values are approximated by fractions of the
         # run totals; quartiles over these anchor the buckets

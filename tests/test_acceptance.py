@@ -27,6 +27,7 @@ from secflow.scoring import adaptation_cost, attack_score, mitigation_score, nor
 from secflow.severity import fit_severity
 from secflow.sim import (
     ExecutionState,
+    Layout,
     WorkflowClass,
     composite_rewards,
     generate_multicloud,
@@ -319,7 +320,7 @@ def test_criterion_6a_ledger_conservation():
             tasks=tuple(make_task(f"t{i}") for i in range(n_tasks)),
             control_edges=(), data_edges=(),
         )
-        state = ExecutionState(wf, NoNoise())
+        state = ExecutionState(Layout(wf), NoNoise())
         expected = {"price": 0.0, "time": 0.0, "value": 0.0, "mitigation": 0.0}
         for i in range(n_tasks):
             p, t, v = rng.uniform(0, 10, 3)

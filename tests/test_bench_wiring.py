@@ -6,7 +6,7 @@ calls the wrapped hot-path functions."""
 from collections import Counter
 
 from perfbench import spans
-from secflow import datagen, detection, rl, sim
+from secflow import datagen, decision, detection, model, rl, sim
 from secflow.model import TenantConfig
 from secflow.scheduling import TrustRepository, schedule
 from tests.conftest import weak_models
@@ -48,3 +48,51 @@ def test_one_telemetry_draw_per_task_and_one_predict_per_attack(monkeypatch):
     assert result.failures > 0 and result.injected > 0 and result.false_alarms > 0
     assert calls["sample_features"] == calls["start_task"] - result.failures
     assert calls["predict"] == result.injected
+
+
+def test_one_resolution_per_candidate_key_within_an_experiment(monkeypatch):
+    """Within one experiment (burn-in, warm-up and adaptive rounds), each
+    (task, attack type, tier, detector kind) resolves its backup at most once,
+    the workflow is ordered once, and `select_action` runs once per detected
+    attack."""
+    detectors, severity_model = weak_models()
+    workflow = sim.generate_workflow_class(sim.WorkflowClass.MEDIUM, 3)
+    cloud = sim.generate_multicloud(4)
+    calls = Counter()
+    keys, backup_keys, results = [], [], []
+
+    def select_action(task, event, *args):
+        calls["select_action"] += 1
+        keys.append((task.id, event.attack_type, event.level, event.detected_in))
+        return original["select_action"](task, event, *args)
+
+    def find_backup_service(*args):
+        backup_keys.append(keys[-1])
+        return original["find_backup_service"](*args)
+
+    def topological_order(self):
+        calls["topological_order"] += 1
+        return original["topological_order"](self)
+
+    def collecting(name):
+        def wrapper(*args, **kwargs):
+            results.append(original[name](*args, **kwargs))
+            return results[-1]
+        return wrapper
+
+    original = {"select_action": sim.select_action,
+                "find_backup_service": decision.find_backup_service,
+                "topological_order": model.Workflow.topological_order,
+                "run_instance": sim.run_instance,
+                "run_training_episode": rl.run_training_episode}
+    monkeypatch.setattr(sim, "select_action", select_action)
+    monkeypatch.setattr(decision, "find_backup_service", find_backup_service)
+    monkeypatch.setattr(model.Workflow, "topological_order", topological_order)
+    monkeypatch.setattr(sim, "run_instance", collecting("run_instance"))
+    monkeypatch.setattr(rl, "run_training_episode", collecting("run_training_episode"))
+    sim.run_experiment(workflow, cloud, detectors, severity_model, TenantConfig(), 6,
+                       "adaptive", 0.8, seed=9, qtable=rl.QTable(), burn_in=3)
+    assert len(results) == 3 + sim.WARMUP_RUNS + 6
+    assert calls["select_action"] == sum(r.detected for r in results) > 0
+    assert 0 < len(backup_keys) == len(set(backup_keys)) < len(keys)
+    assert calls["topological_order"] == 1

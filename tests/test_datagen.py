@@ -147,6 +147,31 @@ class TestCsvRoundTrip:
         with pytest.raises(DataConfigError, match=message):
             dataset_from_csv(DatasetKind.CLF, "cpu_util,ram_util,bw_util,label\n" + rows)
 
+    @pytest.mark.parametrize("line, reason", [
+        ("x,0.5", "expected an integer row and a number"),
+        ("0.5,0.5", "expected an integer row and a number"),
+        ("0,high", "expected an integer row and a number"),
+        ("-1,0.5", r"row outside \[0, 2\)"),
+        ("2,0.5", r"row outside \[0, 2\)"),
+        ("0", "1 fields, expected 2"),
+        ("0,0.5,0.5", "3 fields, expected 2"),
+        ("0,inf", r"intensity outside \[0, 1\]"),
+        ("0,nan", r"intensity outside \[0, 1\]"),
+        ("0,1.5", r"intensity outside \[0, 1\]"),
+        ("0,-0.25", r"intensity outside \[0, 1\]"),
+    ])
+    def test_bad_metadata_line_rejected(self, line, reason):
+        rows = "cpu_util,ram_util,bw_util,label\n0.1,0.2,0.3,normal\n0.4,0.5,0.6,dos\n"
+        meta = f"row,intensity\n1,0.25\n{line}\n"
+        message = f"clf metadata line 3 {line!r}: {reason}"
+        with pytest.raises(DataConfigError, match=message):
+            dataset_from_csv(DatasetKind.CLF, rows, meta)
+
+    def test_metadata_bounds_are_inclusive(self):
+        rows = "cpu_util,ram_util,bw_util,label\n0.1,0.2,0.3,normal\n0.4,0.5,0.6,dos\n"
+        ds = dataset_from_csv(DatasetKind.CLF, rows, "row,intensity\n0,0.0\n1,1.0\n")
+        assert ds.intensity.tolist() == [0.0, 1.0]
+
 
 class TestSplit:
     def test_sizes_80_20(self):

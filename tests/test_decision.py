@@ -29,8 +29,14 @@ from secflow.model import (
     Workflow,
     builtin_attack_catalog,
 )
-from secflow.scheduling import TrustRepository
-from secflow.sim import ExecutionState
+from secflow.scheduling import TrustRepository, schedule
+from secflow.sim import (
+    ExecutionState,
+    Layout,
+    WorkflowClass,
+    generate_multicloud,
+    generate_workflow_class,
+)
 from tests.conftest import NoNoise, make_cloud, make_service, make_task
 
 CATALOG = builtin_attack_catalog()
@@ -49,7 +55,7 @@ def _event(at=AttackType.DOS, level=Severity.HIGH, detected_in=DatasetKind.NTD,
 
 
 def _noiseless_state(workflow):
-    return ExecutionState(workflow, NoNoise())
+    return ExecutionState(Layout(workflow), NoNoise())
 
 
 class TestFindBackup:
@@ -64,30 +70,21 @@ class TestFindBackup:
 
     def test_clf_detection_excludes_whole_provider(self):
         cloud, smap = self._setup()
-        trust = TrustRepository.from_cloud(cloud)
         task = make_task(cia=(0.1, 0.1, 0.1))
-        backup = find_backup_service(
-            task, smap["p0-s0"], cloud, _event(detected_in=DatasetKind.CLF), trust
-        )
+        backup = find_backup_service(task, smap["p0-s0"], cloud, DatasetKind.CLF)
         assert backup.id == "p1-s0"
 
     def test_ntd_detection_allows_sibling(self):
         cloud, smap = self._setup()
-        trust = TrustRepository.from_cloud(cloud)
         task = make_task(cia=(0.1, 0.1, 0.1))
-        backup = find_backup_service(
-            task, smap["p0-s0"], cloud, _event(detected_in=DatasetKind.NTD), trust
-        )
+        backup = find_backup_service(task, smap["p0-s0"], cloud, DatasetKind.NTD)
         assert backup.id == "p0-s1"  # cheapest eligible alternative
 
     def test_single_service_cloud_has_no_backup(self):
         cloud = make_cloud([make_service("p0-s0", "p0")])
-        trust = TrustRepository.from_cloud(cloud)
         task = make_task(cia=(0.1, 0.1, 0.1))
         with pytest.raises(NoBackupError):
-            find_backup_service(
-                task, cloud.service_map()["p0-s0"], cloud, _event(), trust
-            )
+            find_backup_service(task, cloud.service_map()["p0-s0"], cloud, DatasetKind.NTD)
 
 
 class TestSelectAction:
@@ -204,6 +201,75 @@ class TestSelectAction:
         )
         best = max(res.breakdowns, key=lambda b: b.mitigation)
         assert res.decision.kind == best.kind
+
+
+class TestCandidateMemo:
+    """`select_action` with a memo against a fresh call, on generated
+    workflows: every task, attack type, tier and detector kind, with the live
+    rate of the bound service low enough that some attacks stay below the
+    trigger threshold and high enough that others cross it."""
+
+    @pytest.mark.parametrize("wf_class, seed", [
+        (WorkflowClass.MEDIUM, 11), (WorkflowClass.MEDIUM, 12),
+        (WorkflowClass.LARGE, 13), (WorkflowClass.LARGE, 14),
+    ])
+    def test_memoized_selection_equals_fresh(self, wf_class, seed):
+        workflow = generate_workflow_class(wf_class, seed)
+        cloud = generate_multicloud(seed)
+        cfg = TenantConfig()
+        trust = TrustRepository.from_cloud(cloud)
+        plan = schedule(workflow, cloud, trust, cfg)
+        services = cloud.service_map()
+        memo = {}
+        statuses = set()
+        for sweep in range(2):  # the second sweep reads only memo entries
+            for task in workflow.tasks:
+                svc = services[plan.bindings[task.id]]
+                for at in AttackType:
+                    for afr in (0.05, 1.0):
+                        trust.afr_history[(svc.id, at)] = afr
+                        for level in Severity:
+                            for kind in DatasetKind:
+                                event = _event(at, level, kind, task.id, svc.id)
+                                args = (task, event, CATALOG[at], cfg, cloud, trust, svc)
+                                fresh = select_action(*args)
+                                assert select_action(*args, memo) == fresh
+                                statuses.add(fresh.status)
+            if sweep == 0:
+                resolved = len(memo)
+        assert statuses == set(SelectionStatus)
+        assert len(memo) == resolved > 0
+
+    def test_resolution_differs_by_tier_and_detector_kind(self):
+        """The memo key needs both: the tier picks the mitigation set, and a
+        CLF detection excludes the attacked provider from the backups."""
+        task, cloud, trust, svc = self._setup()
+        selections = {
+            (level, kind): select_action(
+                task, _event(level=level, detected_in=kind), CATALOG[AttackType.DOS],
+                TenantConfig(), cloud, trust, svc, {},
+            )
+            for level in Severity for kind in DatasetKind
+        }
+        assert {s.status for s in selections.values()} == {SelectionStatus.SELECTED}
+        memo = {}
+        for (level, kind), fresh in selections.items():
+            event = _event(level=level, detected_in=kind)
+            assert select_action(
+                task, event, CATALOG[AttackType.DOS], TenantConfig(), cloud, trust, svc, memo
+            ) == fresh
+        candidates = [s.candidates for s in selections.values()]
+        assert all(a != b for i, a in enumerate(candidates) for b in candidates[i + 1:])
+
+    def _setup(self):
+        task = make_task(cia=(1.0, 1.0, 1.0))
+        cloud = make_cloud([
+            make_service("p0-s0", "p0", price=2.0, time=10.0, afr=1.0),
+            make_service("p0-s1", "p0", price=1.0, time=12.0, afr=1.0),
+            make_service("p1-s0", "p1", price=3.0, time=8.0, afr=1.0),
+        ])
+        trust = TrustRepository.from_cloud(cloud)
+        return task, cloud, trust, cloud.service_map()["p0-s0"]
 
 
 class TestApplyTenant:

@@ -21,6 +21,7 @@ from secflow.sim import (
     composite_rewards,
     generate_multicloud,
     generate_workflow_class,
+    Layout,
     makespan,
     run_experiment,
     run_instance,
@@ -123,14 +124,14 @@ class TestMakespan:
         )
         wf = Workflow(tasks=tasks, control_edges=edges, data_edges=())
         durations = {"t0": 1.0, "t1": 5.0, "t2": 9.0, "t3": 2.0}
-        assert makespan(wf, {"t0", "t1", "t2", "t3"}, durations) == pytest.approx(12.0)
+        assert makespan(Layout(wf), {"t0", "t1", "t2", "t3"}, durations) == pytest.approx(12.0)
 
     def test_unexecuted_task_contributes_zero_time(self):
         tasks = tuple(make_task(f"t{i}") for i in range(3))
         edges = (ControlEdge("t0", "t1"), ControlEdge("t1", "t2"))
         wf = Workflow(tasks=tasks, control_edges=edges, data_edges=())
         durations = {"t0": 1.0, "t1": 100.0, "t2": 2.0}
-        assert makespan(wf, {"t0", "t2"}, durations) == pytest.approx(3.0)
+        assert makespan(Layout(wf), {"t0", "t2"}, durations) == pytest.approx(3.0)
 
 
 class TestInjection:
@@ -407,3 +408,51 @@ def test_attack_type_draw_rejects_bad_rates(rate):
     trust.afr_history[(svc, AttackType.PROBE)] = rate
     with pytest.raises(ValueError, match="must be finite and non-negative"):
         sim._sample_attack_type(trust, svc, np.random.default_rng(0))
+
+
+def _reference_reconcile(trust, cloud, result):
+    """The per-pair `TrustRepository.update` loop the one-pass reconcile
+    replaced."""
+    hit = {(e["service"], e["type"]) for e in result.events
+           if e["outcome"] in {"adapted", "unmitigable", "below-threshold"}}
+    for s in cloud.services():
+        for at in AttackType:
+            trust.update(s.id, at, detected=(s.id, at.value) in hit)
+
+
+def test_one_pass_reconcile_matches_update_loop():
+    cloud = generate_multicloud(5)
+    services = [s.id for s in cloud.services()]
+    outcomes = ["adapted", "unmitigable", "below-threshold", "undetected"]
+    rng = np.random.default_rng(8)
+    ours, reference = TrustRepository.from_cloud(cloud), TrustRepository.from_cloud(cloud)
+    rates = set()
+    for i in range(300):
+        if i % 10 == 0:  # rates at the ends of [0, 1] and in between
+            for key in ours.afr_history:
+                rate = float(rng.choice([0.0, 1.0, rng.random()]))
+                ours.afr_history[key] = reference.afr_history[key] = rate
+                rates.add(rate)
+        events = [{"service": services[int(rng.integers(len(services)))],
+                   "type": list(AttackType)[int(rng.integers(4))].value,
+                   "outcome": outcomes[int(rng.integers(4))]}
+                  for _ in range(int(rng.integers(0, 40)))]
+        result = sim.RunResult(0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0, 0, 0, events)
+        sim._reconcile_trust(ours, result)
+        _reference_reconcile(reference, cloud, result)
+        assert ours.afr_history == reference.afr_history
+        assert list(ours.afr_history) == list(reference.afr_history)
+    assert {0.0, 1.0} <= rates
+
+
+def test_every_adapted_event_gets_its_own_candidate_list():
+    """Candidate sets are shared across an experiment through the memo; the
+    events' candidate lists and dicts are not."""
+    wf = generate_workflow_class(WorkflowClass.MEDIUM, 3)
+    cloud = generate_multicloud(4)
+    exp = run_experiment(wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 6, "lowest-cost",
+                         0.8, seed=5, burn_in=0)
+    lists = [e["candidates"] for r in exp.runs for e in r.events if e["outcome"] == "adapted"]
+    assert len(lists) > 20
+    assert len({id(c) for c in lists}) == len(lists)
+    assert len({id(d) for c in lists for d in c}) == sum(len(c) for c in lists)
