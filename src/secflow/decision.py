@@ -262,14 +262,14 @@ def select_action(
     score = attack_score(task.requirements, spec.impact, afr, event.l)
     if score <= cfg.adapt_trigger_threshold:
         return SelectionResult(SelectionStatus.NOT_TRIGGERED, score)
+    if memo is None:
+        memo = {}
     key = (task.id, event.attack_type, event.level, event.detected_in)
-    candidates = memo.get(key) if memo is not None else None
+    candidates = memo.get(key)
     if candidates is None:
-        candidates = resolve_candidates(
+        candidates = memo[key] = resolve_candidates(
             task, spec, event.level, event.detected_in, cfg, cloud, current
         )
-        if memo is not None:
-            memo[key] = candidates
     status = SelectionStatus.SELECTED if candidates.breakdowns else SelectionStatus.UNMITIGABLE
     return SelectionResult(status, score, candidates)
 
