@@ -32,6 +32,7 @@ from .severity import SeverityModel, fit_severity
 from .rl import QTable, RLConfig, RewardWeights, train
 from .decision import AttackEvent, select_action
 from .sim import (
+    Experiment,
     RunResult,
     WorkflowClass,
     generate_multicloud,

@@ -233,7 +233,7 @@ def cmd_train_rl(cfg):
     seed = _get(cfg, "seed", 0, int)
     episodes = _get(cfg, "episodes", 300, int)
     rate = _get(cfg, "rate", 0.3, float)
-    table = rl.QTable(config=rl.RLConfig())
+    table = rl.QTable()
     sim.run_experiment(
         workflow, cloud, detectors, sev, _tenant_config(cfg), episodes,
         "adaptive", rate, seed=seed, qtable=table,

@@ -180,8 +180,9 @@ def _best_splits(X, y, rank, rows, sizes, counts, cand, min_leaf):
     seg_start = np.concatenate([[0], np.cumsum(seg_sizes)[:-1]])
     seg = np.repeat(np.arange(m * n_cand), seg_sizes)
     flat = np.tile(rows, n_cand) * d + cand[node_of].T.ravel()
-    # each segment sorted by value, ties in node order: per-node stable argsorts
-    flat = flat[np.argsort(seg * len(rank) + rank.take(flat), kind="stable")]
+    # each segment sorted by value; equal values may come in any order, since
+    # a cut falls only between two distinct values
+    flat = flat[np.argsort(seg * len(rank) + rank.take(flat))]
     sv = X.take(flat)
     # cum[g]: class counts of the segment's sorted rows up to position g,
     # plus those of the segments before it

@@ -47,7 +47,7 @@ from .model import (
     Workflow,
     builtin_attack_catalog,
 )
-from .scheduling import TrustRepository
+from .scheduling import TrustRepository, schedule
 from .scoring import attack_score
 from .severity import AssessmentError
 
@@ -205,18 +205,33 @@ class Layout:
 
 
 class Experiment:
-    """What an experiment holds fixed across its instances: the workflow's
-    `Layout`, the plan checked against the cloud, each task's bound service,
-    and the candidate sets resolved so far (`decision.select_action`'s memo,
-    valid while the cloud and the tenant config stay those of the
-    experiment). `run_experiment` builds one and passes it to every instance;
-    it is dropped with the experiment."""
+    """What every instance of an experiment reads: the workflow's `Layout`,
+    the plan checked against the cloud, each task's bound service, the cloud,
+    the detectors (one per `DatasetKind`), the severity model, the tenant
+    config, the trust repository the instances share, the attack rate, the
+    state key's cuts (`discretization`, empty until an adaptive experiment
+    fixes them) and the candidate sets resolved so far
+    (`decision.select_action`'s memo, valid while the cloud and the tenant
+    config stay those of the experiment). `run_experiment` builds one and
+    passes it to every instance; it is dropped with the experiment."""
 
-    def __init__(self, workflow: Workflow, plan: SchedulingPlan, cloud: MultiCloud):
+    def __init__(self, workflow: Workflow, plan: SchedulingPlan, cloud: MultiCloud,
+                 detectors: dict, severity_model, cfg: TenantConfig,
+                 trust: TrustRepository, attack_rate: float):
         plan.validate(workflow, cloud)
+        for key in (DatasetKind.NTD, DatasetKind.CLF):
+            if key not in detectors:
+                raise ValueError(f"missing detector for {key.value}")
         services = cloud.service_map()
         self.layout = Layout(workflow)
         self.bound = {t.id: services[plan.bindings[t.id]] for t in workflow.tasks}
+        self.cloud = cloud
+        self.detectors = detectors
+        self.severity_model = severity_model
+        self.cfg = cfg
+        self.trust = trust
+        self.attack_rate = attack_rate
+        self.discretization = {}
         self.selections = {}
 
 
@@ -274,26 +289,11 @@ def _sample_attack_type(trust: TrustRepository, service_id, rng) -> AttackType:
     return ATTACK_TYPES[bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())]
 
 
-def run_instance(
-    workflow: Workflow,
-    plan: SchedulingPlan,
-    cloud: MultiCloud,
-    detectors: dict,
-    severity_model,
-    cfg: TenantConfig,
-    trust: TrustRepository,
-    attack_rate: float,
-    seed: int,
-    *,
-    experiment: Experiment | None = None,
-) -> RunResult:
+def run_instance(experiment: Experiment, seed: int) -> RunResult:
     """Execute one workflow instance under the lowest-cost strategy: drive
     `instance_episode`, sending the cheapest candidate at every decision.
     Deterministic given `seed`."""
-    gen = instance_episode(
-        workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed,
-        experiment=experiment,
-    )
+    gen = instance_episode(experiment, seed)
     try:
         event = next(gen)
         while True:
@@ -303,24 +303,17 @@ def run_instance(
         return stop.value
 
 
-def instance_episode(
-    workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed,
-    discretization=None, *, experiment=None,
-):
-    """Execute one workflow instance as a generator speaking the rl module's
-    protocol: at each adaptation decision it yields ("decide", state_key,
-    kinds ranked cheapest-first) and applies the kind it is sent, then yields
-    ("reward", r) and expects None. The state key buckets the ledger's totals
-    by the cuts of `discretization` (see `rl.workflow_state_key`). Returns the
-    RunResult. `experiment` is the `Experiment` of (workflow, plan, cloud)
-    shared with the other instances; without one, the instance builds its
-    own."""
-    if experiment is None:
-        experiment = Experiment(workflow, plan, cloud)
-    layout = experiment.layout
-    for key in (DatasetKind.NTD, DatasetKind.CLF):
-        if key not in detectors:
-            raise ValueError(f"missing detector for {key.value}")
+def instance_episode(experiment: Experiment, seed: int):
+    """Execute one instance of `experiment` as a generator speaking the rl
+    module's protocol: at each adaptation decision it yields ("decide",
+    state_key, kinds ranked cheapest-first) and applies the kind it is sent,
+    then yields ("reward", r) and expects None. The state key buckets the
+    ledger's totals by the cuts of `experiment.discretization` (see
+    `rl.workflow_state_key`). Returns the RunResult."""
+    layout, bound, trust = experiment.layout, experiment.bound, experiment.trust
+    detectors, severity_model = experiment.detectors, experiment.severity_model
+    cloud, cfg, attack_rate = experiment.cloud, experiment.cfg, experiment.attack_rate
+    discretization, selections = experiment.discretization, experiment.selections
 
     ss = np.random.SeedSequence(seed)
     attack_rng, branch_rng, noise_rng, telem_rng, fail_rng = (
@@ -340,7 +333,7 @@ def instance_episode(
         if tid not in executed:
             continue
         task = layout.tasks[tid]
-        svc = experiment.bound[tid]
+        svc = bound[tid]
         state.start_task(tid, svc.price, svc.response_time, task.value, svc.response_time)
 
         # degraded inputs raise the task's failure probability
@@ -397,8 +390,7 @@ def instance_episode(
             service_id=svc.id,
         )
         result = select_action(
-            task, event, ATTACK_CATALOG[pred_type], cfg, cloud, trust, svc,
-            experiment.selections,
+            task, event, ATTACK_CATALOG[pred_type], cfg, cloud, trust, svc, selections,
         )
         if result.status is SelectionStatus.NOT_TRIGGERED:
             # below the trigger threshold nothing adapts, but the attack is
@@ -421,7 +413,7 @@ def instance_episode(
         # a real decision point; candidates are presented cheapest-first so a
         # cold-start greedy choice degrades to the nominal-cost ranking
         state_key = rl.workflow_state_key(
-            pred_type, level, state.kind_counts, state.accumulated(), discretization or {},
+            pred_type, level, state.kind_counts, state.accumulated(), discretization,
         )
         candidates = result.candidates
         breakdowns = candidates.breakdowns
@@ -522,8 +514,6 @@ CLASS_TASK_RANGE = {
 @dataclass
 class ExperimentResult:
     runs: list  # RunResult per round, in run-index order
-    mean: dict
-    std: dict
     windows: list  # rolling window means of reward_attrs, per window
 
     def aggregate_csv(self, strategy: str, wf_class: str) -> str:
@@ -567,63 +557,44 @@ def run_experiment(
         raise ValueError("n_runs must be >= 1")
     if window < 1:
         raise ValueError("window must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     trust = TrustRepository.from_cloud(cloud)
-    from .scheduling import schedule  # deferred to avoid cycle at import time
-
     plan = schedule(workflow, cloud, trust, cfg)
-    experiment = Experiment(workflow, plan, cloud)
+    experiment = Experiment(workflow, plan, cloud, detectors, severity_model, cfg, trust,
+                            attack_rate)
     run_seeds = np.random.SeedSequence(seed).generate_state(n_runs + 1)[1:]
 
     # settle the trust repository's attack-frequency estimates before the
     # recorded rounds so both strategies start from the same steady state
-    burn_seeds = np.random.SeedSequence([seed, 23]).generate_state(max(burn_in, 1))
-    for i in range(burn_in):
-        burn = run_instance(
-            workflow, plan, cloud, detectors, severity_model, cfg, trust,
-            attack_rate, int(burn_seeds[i]), experiment=experiment,
-        )
-        _reconcile_trust(trust, burn)
+    for s in np.random.SeedSequence([seed, 23]).generate_state(burn_in):
+        _reconcile_trust(trust, run_instance(experiment, int(s)))
 
-    results = []
+    # rounds are lazy: each runs only once the loop below reaches it, after
+    # the trust reconciliation of the round before
     if strategy == "lowest-cost":
-        for i in range(n_runs):
-            result = run_instance(
-                workflow, plan, cloud, detectors, severity_model, cfg, trust,
-                attack_rate, int(run_seeds[i]), experiment=experiment,
-            )
-            _reconcile_trust(trust, result)
-            results.append(result)
+        rounds = (run_instance(experiment, int(s)) for s in run_seeds)
     else:
         table = qtable if qtable is not None else rl.QTable()
         if not table.discretization:
-            table.discretization = _warmup_discretizer(
-                workflow, plan, cloud, detectors, severity_model, cfg, trust,
-                attack_rate, seed, experiment,
-            )
-        # a round's generator runs only once rl.train reaches it, after the
-        # trust reconciliation of the round before
-        episodes = (
-            instance_episode(
-                workflow, plan, cloud, detectors, severity_model, cfg, trust,
-                attack_rate, int(s), table.discretization, experiment=experiment,
-            )
-            for s in run_seeds
-        )
+            table.discretization = _warmup_discretizer(experiment, seed)
+        experiment.discretization = table.discretization
         policy_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-        for result in rl.train(table, episodes, policy_rng):
-            _reconcile_trust(trust, result)
-            results.append(result)
+        rounds = rl.train(table, (instance_episode(experiment, int(s)) for s in run_seeds),
+                          policy_rng)
+    results = []
+    for result in rounds:
+        _reconcile_trust(trust, result)
+        results.append(result)
 
     attrs = [r.reward_attrs() for r in results]
-    mean = {k: float(np.mean([a[k] for a in attrs])) for k in rl.ATTR_NAMES}
-    std = {k: float(np.std([a[k] for a in attrs])) for k in rl.ATTR_NAMES}
     windows = []
     for start in range(0, n_runs, window):
         chunk = attrs[start:start + window]
         windows.append({k: float(np.mean([a[k] for a in chunk])) for k in rl.ATTR_NAMES})
-    return ExperimentResult(runs=results, mean=mean, std=std, windows=windows)
+    return ExperimentResult(runs=results, windows=windows)
 
 
 _DETECTED_OUTCOMES = frozenset({"adapted", "unmitigable", "below-threshold"})
@@ -646,20 +617,15 @@ def _reconcile_trust(trust: TrustRepository, result: RunResult):
 WARMUP_RUNS = 20
 
 
-def _warmup_discretizer(
-    workflow, plan, cloud, detectors, severity_model, cfg, trust, attack_rate, seed,
-    experiment,
-):
+def _warmup_discretizer(experiment: Experiment, seed: int):
     """Fix the workflow-state quartile cuts from a short lowest-cost warmup
     (trust snapshot restored afterwards)."""
+    trust = experiment.trust
     snapshot = dict(trust.afr_history)
     samples = {attr: [] for attr in rl.BUCKETS}
     warm_seeds = np.random.SeedSequence([seed, 13]).generate_state(WARMUP_RUNS)
     for s in warm_seeds:
-        res = run_instance(
-            workflow, plan, cloud, detectors, severity_model, cfg, trust,
-            attack_rate, int(s), experiment=experiment,
-        )
+        res = run_instance(experiment, int(s))
         # accumulated-at-decision values are approximated by fractions of the
         # run totals; quartiles over these anchor the buckets
         for attr, values in samples.items():

@@ -42,9 +42,9 @@ def test_one_telemetry_draw_per_task_and_one_predict_per_attack(monkeypatch):
     counted(datagen, "sample_features")
     counted(detection.DetectorModel, "predict")
     counted(sim.ExecutionState, "start_task")
-    result = sim.run_instance(
-        workflow, plan, cloud, detectors, severity_model, TenantConfig(), trust, 0.5, 3
-    )
+    experiment = sim.Experiment(workflow, plan, cloud, detectors, severity_model,
+                                TenantConfig(), trust, 0.5)
+    result = sim.run_instance(experiment, 3)
     assert result.failures > 0 and result.injected > 0 and result.false_alarms > 0
     assert calls["sample_features"] == calls["start_task"] - result.failures
     assert calls["predict"] == result.injected

@@ -44,6 +44,13 @@ def _models(seed=42, n=1200):
 DETECTORS, SEVERITY = _models()
 
 
+def _instance(wf, plan, cloud, rate=0.0, seed=0, detectors=DETECTORS):
+    """One instance of a fresh experiment: its own trust repository and memo."""
+    experiment = sim.Experiment(wf, plan, cloud, detectors, SEVERITY, TenantConfig(),
+                                TrustRepository.from_cloud(cloud), rate)
+    return run_instance(experiment, seed)
+
+
 def _chain_workflow(times_values):
     tasks = tuple(
         make_task(f"t{i}", cia=(0.2, 0.2, 0.2), value=v)
@@ -59,11 +66,7 @@ class TestAttackFreeIdentities:
     def test_single_task(self):
         wf = _chain_workflow([(10.0, 1.0)])
         cloud = make_cloud([make_service("p0-s0", price=2.0, time=10.0)])
-        result = run_instance(
-            wf, make_plan(wf, "p0-s0"), cloud, DETECTORS, SEVERITY, TenantConfig(),
-            TrustRepository.from_cloud(cloud), attack_rate=0.0,
-            seed=0,
-        )
+        result = _instance(wf, make_plan(wf, "p0-s0"), cloud)
         assert result.time == pytest.approx(10.0)
         assert result.price == pytest.approx(2.0)
         assert result.value == pytest.approx(1.0)
@@ -72,11 +75,7 @@ class TestAttackFreeIdentities:
     def test_chain_sums_times(self):
         wf = _chain_workflow([(10.0, 1.0), (10.0, 1.0), (10.0, 1.0)])
         cloud = make_cloud([make_service("p0-s0", price=2.0, time=10.0)])
-        result = run_instance(
-            wf, make_plan(wf, "p0-s0"), cloud, DETECTORS, SEVERITY, TenantConfig(),
-            TrustRepository.from_cloud(cloud), attack_rate=0.0,
-            seed=0,
-        )
+        result = _instance(wf, make_plan(wf, "p0-s0"), cloud)
         assert result.time == pytest.approx(30.0)
         assert result.price == pytest.approx(6.0)
 
@@ -104,11 +103,7 @@ class TestAttackFreeIdentities:
         plan_bindings = {"t0": "p0-s0", "t1": "p0-s1", "t2": "p0-s2", "t3": "p0-s0"}
         from secflow.model import SchedulingPlan
 
-        result = run_instance(
-            wf, SchedulingPlan(bindings=plan_bindings), cloud, DETECTORS, SEVERITY,
-            TenantConfig(), TrustRepository.from_cloud(cloud), attack_rate=0.0,
-            seed=0,
-        )
+        result = _instance(wf, SchedulingPlan(bindings=plan_bindings), cloud)
         # critical path 1 + max(5, 9) + 1
         assert result.time == pytest.approx(11.0)
 
@@ -135,14 +130,10 @@ class TestMakespan:
 
 
 class TestInjection:
-    def _run(self, rate, seed=0, **kw):
+    def _run(self, rate, seed=0):
         wf = _chain_workflow([(10.0, 1.0)] * 10)
         cloud = make_cloud([make_service("p0-s0", price=2.0, time=10.0, afr=0.5)])
-        return run_instance(
-            wf, make_plan(wf, "p0-s0"), cloud, DETECTORS, SEVERITY, TenantConfig(),
-            TrustRepository.from_cloud(cloud), attack_rate=rate,
-            seed=seed, **kw,
-        )
+        return _instance(wf, make_plan(wf, "p0-s0"), cloud, rate, seed)
 
     def test_rate_one_attacks_every_task(self):
         result = self._run(1.0)
@@ -198,14 +189,16 @@ class TestFalseAlarms:
         detectors = {kind: _AlwaysDos() for kind in DatasetKind}
         executed = []
         for seed in range(12):
-            result = run_instance(
-                wf, make_plan(wf, "p0-s0"), cloud, detectors, SEVERITY, TenantConfig(),
-                TrustRepository.from_cloud(cloud), attack_rate=0.0, seed=seed,
-            )
+            result = _instance(wf, make_plan(wf, "p0-s0"), cloud, seed=seed,
+                               detectors=detectors)
             assert result.failures == 0 and result.injected == 0
             executed.append(result.price / 2.0)
             assert result.false_alarms == executed[-1]
         assert min(executed) < 8 == max(executed)
+
+
+def _no_instance(*args, **kwargs):
+    raise AssertionError("an instance ran before the experiment was checked")
 
 
 class TestRunExperiment:
@@ -221,9 +214,9 @@ class TestRunExperiment:
             seed=0, burn_in=0,
         )
         r = exp.runs[0]
-        assert exp.mean["price"] == pytest.approx(r.price)
-        assert exp.mean["time"] == pytest.approx(r.time)
         assert len(exp.windows) == 1
+        assert exp.windows[0]["price"] == pytest.approx(r.price)
+        assert exp.windows[0]["time"] == pytest.approx(r.time)
 
     def test_zero_rate_no_adaptations_both_strategies(self):
         wf, cloud = self._setup()
@@ -256,14 +249,20 @@ class TestRunExperiment:
     def test_unknown_strategy_rejected(self, monkeypatch):
         """Rejected before the burn-in rounds run any instance."""
         wf, cloud = self._setup()
-
-        def no_instance(*args, **kwargs):
-            raise AssertionError("an instance ran before the strategy was checked")
-
-        monkeypatch.setattr(sim, "run_instance", no_instance)
+        monkeypatch.setattr(sim, "run_instance", _no_instance)
         with pytest.raises(ValueError, match="'psychic'"):
             run_experiment(
                 wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 1, "psychic", 0.0,
+            )
+
+    def test_missing_detector_rejected_before_any_instance(self, monkeypatch):
+        """The experiment checks its detectors once, before the burn-in."""
+        wf, cloud = self._setup()
+        monkeypatch.setattr(sim, "run_instance", _no_instance)
+        with pytest.raises(ValueError, match="missing detector for clf"):
+            run_experiment(
+                wf, cloud, {DatasetKind.NTD: DETECTORS[DatasetKind.NTD]}, SEVERITY,
+                TenantConfig(), 1, "lowest-cost", 0.0,
             )
 
     @pytest.mark.parametrize("window", [0, -5])
@@ -273,6 +272,15 @@ class TestRunExperiment:
             run_experiment(
                 wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 1, "lowest-cost", 0.0,
                 window=window, burn_in=0,
+            )
+
+    @pytest.mark.parametrize("burn_in", [-1, -3])
+    def test_negative_burn_in_rejected(self, burn_in):
+        wf, cloud = self._setup()
+        with pytest.raises(ValueError, match="burn_in must be >= 0"):
+            run_experiment(
+                wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 1, "lowest-cost", 0.0,
+                burn_in=burn_in,
             )
 
     def test_aggregate_csv_header(self):
