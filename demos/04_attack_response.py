@@ -65,10 +65,10 @@ def main():
           f"{result.trigger_score:.3f}")
     if result.status is SelectionStatus.SELECTED:
         print("\ncandidates (ascending cost):")
-        for b in sorted(result.breakdowns, key=lambda b: b.total):
+        for b in sorted(result.candidates.breakdowns, key=lambda b: b.total):
             print(f"  {b.kind.value:<15} price {b.price:6.2f}  time {b.time:6.2f}"
                   f"  mitigation {b.mitigation:.3f}  cost {b.total:+.3f}")
-        print(f"\nselected: {result.decision.kind.value}")
+        print(f"\nselected: {result.candidates.ranked[0].value}")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 """Adaptation decision engine: trigger check, candidate-set intersection,
-cost ranking, backup-service resolution, the decision for a chosen candidate
-(the cheapest, or one a learned policy picked), and application of tenant-
-and middleware-level actions to a running instance."""
+cost ranking, backup-service resolution, and application of a chosen
+candidate (the cheapest, or one a learned policy picked) as a tenant- or
+middleware-level action to a running instance."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .datagen import DatasetKind
 from .model import (
@@ -15,8 +15,6 @@ from .model import (
     ActionParams,
     AttackSpec,
     AttackType,
-    BackupParams,
-    MIDDLEWARE_KINDS,
     MultiCloud,
     Service,
     Severity,
@@ -49,31 +47,15 @@ class AttackEvent:
 
 @dataclass(frozen=True)
 class CostBreakdown:
+    """One candidate of a selection: its kind, its nominal price, time and
+    value, its mitigation score and its adaptation cost (`total`)."""
+
     kind: ActionKind
     price: float
     time: float
     mitigation: float
     value: float
-    price_norm: float
-    time_norm: float
-    mitigation_norm: float
-    value_norm: float
     total: float
-    params: ActionParams
-
-
-class DecisionLevel(enum.Enum):
-    TENANT = "tenant"
-    MIDDLEWARE = "middleware"
-
-
-@dataclass(frozen=True)
-class AdaptationDecision:
-    kind: ActionKind
-    params: ActionParams
-    level: DecisionLevel
-    mitigation: float  # the chosen candidate's mitigation score
-    backup: Service | None = None
 
 
 class SelectionStatus(enum.Enum):
@@ -84,16 +66,22 @@ class SelectionStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """The candidates of a triggered selection, cheapest first (`cost_rank`),
-    with the backup service that prices Rework/Redundancy, the decision for
-    the cheapest, and the strongest mitigation score. No candidates: the
-    attack is unmitigable."""
+    """The candidates of a triggered selection, with their kinds cheapest
+    first (`cost_rank`), the backup service that prices Rework/Redundancy and
+    the strongest mitigation score. No candidates: the attack is
+    unmitigable."""
 
     breakdowns: tuple  # in declaration order: the audit trail
     backup: Service | None
     ranked: tuple  # candidate kinds, cheapest first
     ms_best: float
-    decision: AdaptationDecision | None = None
+
+    def candidate(self, kind: ActionKind) -> CostBreakdown:
+        """The candidate of `kind`; a kind outside the set raises ValueError."""
+        for b in self.breakdowns:
+            if b.kind == kind:
+                return b
+        raise ValueError(f"{kind!r} is outside the candidate set")
 
 
 @dataclass(frozen=True)
@@ -102,39 +90,11 @@ class SelectionResult:
     trigger_score: float
     candidates: CandidateSet | None = None  # None below the trigger threshold
 
-    @property
-    def decision(self) -> AdaptationDecision | None:
-        return self.candidates.decision if self.candidates else None
-
-    @property
-    def breakdowns(self) -> tuple:
-        return self.candidates.breakdowns if self.candidates else ()
-
-    @property
-    def backup(self) -> Service | None:
-        return self.candidates.backup if self.candidates else None
-
 
 def cost_rank(b: CostBreakdown):
     """Lowest adaptation cost first; ties: higher mitigation score, then
     declaration order. Unique per kind."""
     return (b.total, -b.mitigation, ACTION_ORDER.index(b.kind))
-
-
-def decision_for(result, kind: ActionKind) -> AdaptationDecision:
-    """The decision that applies candidate `kind` of a selection (a
-    SelectionResult or its CandidateSet); a kind outside its candidate set
-    raises ValueError."""
-    chosen = next((b for b in result.breakdowns if b.kind == kind), None)
-    if chosen is None:
-        raise ValueError(f"{kind!r} is outside the candidate set")
-    return AdaptationDecision(
-        kind=kind,
-        params=chosen.params,
-        level=DecisionLevel.MIDDLEWARE if kind in MIDDLEWARE_KINDS else DecisionLevel.TENANT,
-        mitigation=chosen.mitigation,
-        backup=result.backup if kind in (ActionKind.REWORK, ActionKind.REDUNDANCY) else None,
-    )
 
 
 def find_backup_service(
@@ -169,15 +129,12 @@ def candidate_params(
     explicit = task.feasible_actions.get(kind)
     if explicit is not None:
         return explicit
-    backup_params = None
-    if backup is not None:
-        backup_params = BackupParams(time=backup.response_time, price=backup.price)
     return builtin_action_properties(
         kind,
         task_time=service.response_time,
         task_price=service.price,
         task_value=task.value,
-        backup=backup_params,
+        backup=backup,
     )
 
 
@@ -225,18 +182,12 @@ def resolve_candidates(
             time=params[k].time,
             mitigation=ms[k],
             value=params[k].value,
-            price_norm=price_n[k],
-            time_norm=time_n[k],
-            mitigation_norm=ms_n[k],
-            value_norm=value_n[k],
             total=adaptation_cost(cfg, price_n[k], time_n[k], ms_n[k], value_n[k]),
-            params=params[k],
         )
         for k in final
     )
     ranked = tuple(b.kind for b in sorted(breakdowns, key=cost_rank))
-    candidates = CandidateSet(breakdowns, backup, ranked, max(ms.values()))
-    return replace(candidates, decision=decision_for(candidates, ranked[0]))
+    return CandidateSet(breakdowns, backup, ranked, max(ms.values()))
 
 
 def select_action(
@@ -252,11 +203,11 @@ def select_action(
     """Run the selection algorithm for one detected attack.
 
     Below the tenant's trigger threshold, nothing happens. Otherwise the
-    candidate set is `resolve_candidates`'s. The decision applies the lowest
-    adaptation cost (`cost_rank`); `decision_for` applies any other candidate
-    instead. `memo` keeps resolved candidate sets by (task id, attack type,
-    tier, detector kind) across calls that share `cfg`, `cloud` and each
-    task's bound service `current`, as the instances of one experiment do.
+    candidate set is `resolve_candidates`'s, ranked by adaptation cost
+    (`cost_rank`); `CandidateSet.candidate` looks up the one to apply.
+    `memo` keeps resolved candidate sets by (task id, attack type, tier,
+    detector kind) across calls that share `cfg`, `cloud` and each task's
+    bound service `current`, as the instances of one experiment do.
     """
     afr = trust.afr(event.service_id, event.attack_type)
     score = attack_score(task.requirements, spec.impact, afr, event.l)
@@ -274,16 +225,15 @@ def select_action(
     return SelectionResult(status, score, candidates)
 
 
-def apply_tenant_action(state, event: AttackEvent, decision: AdaptationDecision):
-    """Apply Skip/Switch/Insert to the execution state.
+def apply_tenant_action(state, event: AttackEvent, chosen: CostBreakdown):
+    """Apply a Skip/Switch/Insert candidate to the execution state.
 
     Skip zeroes the task's contribution and flags data-dependent successors as
     degraded. Switch charges the re-sequencing overhead in place (time and
     value deltas). Insert appends a synthetic mitigation task's params."""
-    assert decision.level is DecisionLevel.TENANT
-    kind = decision.kind
+    kind = chosen.kind
     task_id = event.task_id
-    mitigation = decision.mitigation
+    mitigation = chosen.mitigation
     if kind is ActionKind.SKIP:
         state.skip_task(task_id)
         state.add_adaptation(task_id, kind, price=0.0, time=0.0, value_delta=0.0,
@@ -295,8 +245,8 @@ def apply_tenant_action(state, event: AttackEvent, decision: AdaptationDecision)
             task_id,
             kind,
             price=0.0,
-            time=decision.params.time,
-            value_delta=decision.params.value - base_value,
+            time=chosen.time,
+            value_delta=chosen.value - base_value,
             mitigation=mitigation,
         )
         return
@@ -304,9 +254,9 @@ def apply_tenant_action(state, event: AttackEvent, decision: AdaptationDecision)
         state.add_adaptation(
             task_id,
             kind,
-            price=decision.params.price,
-            time=decision.params.time,
-            value_delta=decision.params.value,
+            price=chosen.price,
+            time=chosen.time,
+            value_delta=chosen.value,
             mitigation=mitigation,
         )
         return
@@ -314,33 +264,34 @@ def apply_tenant_action(state, event: AttackEvent, decision: AdaptationDecision)
 
 
 def apply_middleware_action(
-    state, event: AttackEvent, decision: AdaptationDecision, trust: TrustRepository
+    state, event: AttackEvent, chosen: CostBreakdown, backup: Service | None,
+    trust: TrustRepository,
 ):
-    """Apply Rework/Redundancy/Reconfiguration and record the violation
-    against the original service's trust."""
-    assert decision.level is DecisionLevel.MIDDLEWARE
-    kind = decision.kind
+    """Apply a Rework/Redundancy/Reconfiguration candidate, the first two on
+    `backup`, and record the violation against the original service's
+    trust."""
+    kind = chosen.kind
     task_id = event.task_id
-    mitigation = decision.mitigation
+    mitigation = chosen.mitigation
     if kind is ActionKind.REWORK:
-        if decision.backup is None:
+        if backup is None:
             raise NoBackupError(f"rework on {task_id!r} lost its backup service")
-        time = decision.backup.response_time * state.late_multiplier()
+        time = backup.response_time * state.late_multiplier()
         state.add_adaptation(
             task_id, kind,
-            price=decision.backup.price, time=time, value_delta=0.0,
+            price=backup.price, time=time, value_delta=0.0,
             mitigation=mitigation,
         )
     elif kind is ActionKind.REDUNDANCY:
-        if decision.backup is None:
+        if backup is None:
             raise NoBackupError(f"redundancy on {task_id!r} lost its backup service")
         base_time = state.base_time(task_id)
         base_value = state.base_value(task_id)
         state.add_adaptation(
             task_id, kind,
-            price=decision.backup.price,
-            time=max(decision.backup.response_time, base_time) - base_time,
-            value_delta=decision.params.value - base_value,
+            price=backup.price,
+            time=max(backup.response_time, base_time) - base_time,
+            value_delta=chosen.value - base_value,
             mitigation=mitigation,
         )
     elif kind is ActionKind.RECONFIGURATION:
@@ -349,9 +300,9 @@ def apply_middleware_action(
         base_value = state.base_value(task_id)
         state.add_adaptation(
             task_id, kind,
-            price=decision.params.price - base_price,
-            time=decision.params.time - base_time,
-            value_delta=decision.params.value - base_value,
+            price=chosen.price - base_price,
+            time=chosen.time - base_time,
+            value_delta=chosen.value - base_value,
             mitigation=mitigation,
         )
         trust.scale_afr(event.service_id, event.attack_type, RECONFIG_AFR_FACTOR)

@@ -323,8 +323,8 @@ class TenantConfig:
 
     def __post_init__(self):
         weights = (self.w_price, self.w_time, self.w_security, self.w_value)
-        if any(w < 0 for w in weights):
-            raise ValidationError("tenant weights must be >= 0")
+        if not all(0 <= w < float("inf") for w in weights):
+            raise ValidationError(f"tenant weights must be finite and >= 0, got {weights}")
         if not any(w > 0 for w in weights):
             raise ValidationError("at least one tenant weight must be > 0")
         _check_unit(self.adapt_trigger_threshold, "adapt_trigger_threshold")
@@ -418,14 +418,6 @@ RECONFIG_VALUE_FRAC = 0.1
 REDUNDANCY_VALUE_FRAC = 0.25
 
 
-@dataclass(frozen=True)
-class BackupParams:
-    """Price/time of the runtime-resolved backup service."""
-
-    time: float
-    price: float
-
-
 class MissingBackupError(ModelError):
     """Rework/Redundancy requested without a resolved backup service."""
 
@@ -435,12 +427,13 @@ def builtin_action_properties(
     task_time: float,
     task_price: float,
     task_value: float,
-    backup: BackupParams | None = None,
+    backup: Service | None = None,
 ) -> ActionParams:
     """Instantiate the catalog row for `kind` against a concrete task.
 
     `task_time`/`task_price` are the bound service's response time and price;
-    `task_value` is the task's value. Rework and Redundancy require `backup`.
+    `task_value` is the task's value. Rework and Redundancy require `backup`,
+    the runtime-resolved backup service.
     """
     mi = ACTION_MITIGATION_IMPACT[kind]
     if kind is ActionKind.SKIP:
@@ -469,11 +462,11 @@ def builtin_action_properties(
     if backup is None:
         raise MissingBackupError(f"{kind.value} requires a backup service")
     if kind is ActionKind.REWORK:
-        return ActionParams(backup.price, backup.time, mi, task_value)
+        return ActionParams(backup.price, backup.response_time, mi, task_value)
     if kind is ActionKind.REDUNDANCY:
         return ActionParams(
             task_price + backup.price,
-            max(backup.time, task_time),
+            max(backup.response_time, task_time),
             mi,
             task_value + REDUNDANCY_VALUE_FRAC * task_value,
         )

@@ -40,6 +40,10 @@ class RLConfig:
             raise RLDomainError("gamma must be in [0,1)")
         if not (0.0 <= self.epsilon <= 1.0):
             raise RLDomainError("epsilon must be in [0,1]")
+        if not (0.0 < self.epsilon_decay <= 1.0):
+            raise RLDomainError(f"epsilon_decay must be in (0,1], got {self.epsilon_decay!r}")
+        if not (0.0 <= self.epsilon_floor <= 1.0):
+            raise RLDomainError(f"epsilon_floor must be in [0,1], got {self.epsilon_floor!r}")
 
 
 @dataclass(frozen=True)

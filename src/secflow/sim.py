@@ -25,11 +25,9 @@ from . import datagen, rl
 from .datagen import DatasetKind, NORMAL
 from .decision import (
     AttackEvent,
-    DecisionLevel,
     SelectionStatus,
     apply_middleware_action,
     apply_tenant_action,
-    decision_for,
     select_action,
 )
 from .model import (
@@ -37,6 +35,7 @@ from .model import (
     AttackType,
     ControlEdge,
     DataEdge,
+    MIDDLEWARE_KINDS,
     MultiCloud,
     SchedulingPlan,
     SecurityVector,
@@ -219,6 +218,8 @@ class Experiment:
                  detectors: dict, severity_model, cfg: TenantConfig,
                  trust: TrustRepository, attack_rate: float):
         plan.validate(workflow, cloud)
+        if not 0.0 <= attack_rate <= 1.0:
+            raise ValueError(f"attack_rate must be in [0, 1], got {attack_rate!r}")
         for key in (DatasetKind.NTD, DatasetKind.CLF):
             if key not in detectors:
                 raise ValueError(f"missing detector for {key.value}")
@@ -417,17 +418,18 @@ def instance_episode(experiment: Experiment, seed: int):
         )
         candidates = result.candidates
         breakdowns = candidates.breakdowns
-        chosen = yield ("decide", state_key, list(candidates.ranked))
-        decision = decision_for(candidates, chosen)
+        sent = yield ("decide", state_key, list(candidates.ranked))
+        chosen = candidates.candidate(sent)
         base_value_before = state.base_value(tid)
-        if decision.level is DecisionLevel.TENANT:
-            apply_tenant_action(state, event, decision)
+        middleware = chosen.kind in MIDDLEWARE_KINDS
+        if middleware:
+            apply_middleware_action(state, event, chosen, candidates.backup, trust)
         else:
-            apply_middleware_action(state, event, decision, trust)
+            apply_tenant_action(state, event, chosen)
         # mitigation is only as good as the chosen action: relative to the
         # strongest candidate, a weaker mitigation leaves residual damage
         ms_best = candidates.ms_best
-        rel = decision.mitigation / ms_best if ms_best > 0 else 1.0
+        rel = chosen.mitigation / ms_best if ms_best > 0 else 1.0
         state.damage_task(tid, 1.0 - (1.0 - rel) * (1.0 - true_damage))
         adapted += 1
         events.append(
@@ -438,8 +440,8 @@ def instance_episode(experiment: Experiment, seed: int):
                 "severity": level.value,
                 "score": result.trigger_score,
                 "outcome": "adapted",
-                "chosen": decision.kind.value,
-                "level": decision.level.value,
+                "chosen": chosen.kind.value,
+                "level": "middleware" if middleware else "tenant",
                 "candidates": [
                     {
                         "kind": b.kind.value,

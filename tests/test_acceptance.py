@@ -409,9 +409,9 @@ def test_criterion_6c_final_candidate_containment():
         if res.status is not SelectionStatus.SELECTED:
             continue
         allowed = CATALOG[at].mitigation_actions[level]
-        for b in res.breakdowns:
+        for b in res.candidates.breakdowns:
             assert b.kind in allowed and b.kind in task.feasible_actions
-        assert res.decision.kind in {b.kind for b in res.breakdowns}
+        assert res.candidates.ranked[0] in {b.kind for b in res.candidates.breakdowns}
     print(f"\n[PASS] criterion 6: final candidate-set containment, {N_CASES} cases")
 
 

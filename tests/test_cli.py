@@ -138,6 +138,21 @@ class TestSeverityAndSimulate:
         err = capsys.readouterr().err
         assert "'ntd/svm'" in err and "art/models.json" in err
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--rate", "1.5"], "attack_rate must be in [0, 1], got 1.5"),
+        (["--set", "w_price=NaN"], "must be finite and >= 0, got (nan,"),
+        (["--strategy", "adaptive", "--qtable", "qtable.json"],
+         "epsilon_decay must be in (0,1], got -1"),
+    ], ids=["rate", "weight", "qtable-epsilon-decay"])
+    def test_simulate_out_of_range_input_fails(self, workdir, capsys, extra, named):
+        self._pipeline(workdir)
+        (workdir / "qtable.json").write_text(
+            json.dumps({"config": {"epsilon_decay": -1}, "entries": []}))
+        code = _run(["simulate", "--models", "art/models.json", "--runs", "1", *extra])
+        assert code != 0
+        assert named in capsys.readouterr().err
+        assert not (workdir / "results").exists()
+
     def test_simulate_without_severity_is_usage_error(self, workdir):
         _gen_data(workdir)
         assert _run(["train-detect", "--data", "data", "--out", "art",

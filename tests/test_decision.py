@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from secflow.datagen import DatasetKind
 from secflow.decision import (
     AttackEvent,
-    DecisionLevel,
+    CostBreakdown,
     NoBackupError,
     RECONFIG_AFR_FACTOR,
     SelectionStatus,
     apply_middleware_action,
     apply_tenant_action,
-    decision_for,
     find_backup_service,
     select_action,
 )
@@ -24,6 +23,7 @@ from secflow.model import (
     AttackType,
     ControlEdge,
     DataEdge,
+    MIDDLEWARE_KINDS,
     Severity,
     TenantConfig,
     Workflow,
@@ -106,7 +106,7 @@ class TestSelectAction:
         )
         assert res.status is SelectionStatus.NOT_TRIGGERED
         assert res.trigger_score <= 0.1
-        assert res.decision is None
+        assert res.candidates is None
 
     def test_probe_low_intersection_is_skip_only(self):
         task, cloud, trust, svc = self._setup(
@@ -117,10 +117,11 @@ class TestSelectAction:
             task, event, CATALOG[AttackType.PROBE], TenantConfig(), cloud, trust, svc
         )
         assert res.status is SelectionStatus.SELECTED
-        assert res.decision.kind is ActionKind.SKIP
-        assert [b.kind for b in res.breakdowns] == [ActionKind.SKIP]
-        assert res.decision.params.price == 0.0
-        assert res.decision.params.time == 0.0
+        assert res.candidates.ranked == (ActionKind.SKIP,)
+        assert [b.kind for b in res.candidates.breakdowns] == [ActionKind.SKIP]
+        skip = res.candidates.candidate(ActionKind.SKIP)
+        assert skip.price == 0.0
+        assert skip.time == 0.0
 
     def test_lowest_total_wins(self):
         task, cloud, trust, svc = self._setup(afr=1.0)
@@ -129,8 +130,8 @@ class TestSelectAction:
             task, event, CATALOG[AttackType.DOS], TenantConfig(), cloud, trust, svc
         )
         assert res.status is SelectionStatus.SELECTED
-        best = min(res.breakdowns, key=lambda b: b.total)
-        assert res.decision.kind == best.kind or res.decision.params == best.params
+        best = min(b.total for b in res.candidates.breakdowns)
+        assert res.candidates.candidate(res.candidates.ranked[0]).total == best
 
     def test_unmitigable_when_intersection_empty(self):
         # probe/low requires Skip, which the task does not allow
@@ -152,23 +153,24 @@ class TestSelectAction:
         )
         assert res.status is SelectionStatus.UNMITIGABLE
 
-    def test_decision_for_overrides_lowest_cost(self):
+    def test_candidate_overrides_lowest_cost(self):
         task, cloud, trust, svc = self._setup(afr=1.0)
         event = _event(level=Severity.HIGH)
         res = select_action(
             task, event, CATALOG[AttackType.DOS], TenantConfig(), cloud, trust, svc,
         )
-        decision = decision_for(res, ActionKind.REDUNDANCY)
-        assert decision.kind is ActionKind.REDUNDANCY
+        assert res.candidates.ranked[0] is not ActionKind.REDUNDANCY
+        chosen = res.candidates.candidate(ActionKind.REDUNDANCY)
+        assert chosen.kind is ActionKind.REDUNDANCY
 
-    def test_decision_for_outside_candidates_rejected(self):
+    def test_candidate_outside_set_rejected(self):
         task, cloud, trust, svc = self._setup(afr=1.0)
         event = _event(level=Severity.HIGH)
         res = select_action(
             task, event, CATALOG[AttackType.DOS], TenantConfig(), cloud, trust, svc,
         )
-        with pytest.raises(ValueError):
-            decision_for(res, ActionKind.SKIP)
+        with pytest.raises(ValueError, match="outside the candidate set"):
+            res.candidates.candidate(ActionKind.SKIP)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -184,10 +186,10 @@ class TestSelectAction:
         )
         if res.status is SelectionStatus.SELECTED:
             allowed = CATALOG[at].mitigation_actions[level]
-            for b in res.breakdowns:
+            for b in res.candidates.breakdowns:
                 assert b.kind in allowed
                 assert b.kind in task.feasible_actions
-            assert res.decision.kind in {b.kind for b in res.breakdowns}
+            assert res.candidates.ranked[0] in {b.kind for b in res.candidates.breakdowns}
 
     def test_two_candidate_cost_ordering(self):
         # security-only weights: the higher mitigation score must win
@@ -199,8 +201,8 @@ class TestSelectAction:
         res = select_action(
             task, event, CATALOG[AttackType.DOS], cfg, cloud, trust, svc
         )
-        best = max(res.breakdowns, key=lambda b: b.mitigation)
-        assert res.decision.kind == best.kind
+        best = max(res.candidates.breakdowns, key=lambda b: b.mitigation)
+        assert res.candidates.ranked[0] == best.kind
 
 
 class TestCandidateMemo:
@@ -298,19 +300,19 @@ class TestApplyTenant:
             cloud.service_map()["p0-s0"],
         )
         assert res.status is SelectionStatus.SELECTED
-        return res.decision, event, trust
+        return res.candidates.candidate(res.candidates.ranked[0]), event, trust
 
     def test_skip_zeroes_leaf_value_and_flags_successors(self):
         wf = self._workflow()
         state = _noiseless_state(wf)
         state.start_task("t0", 2.0, 10.0, 1.0, 10.0)
-        decision, event, _ = self._selected(
+        chosen, event, _ = self._selected(
             [ActionKind.SKIP], at=AttackType.PROBE, level=Severity.MEDIUM
         )
-        if decision.kind is not ActionKind.SKIP:
+        if chosen.kind is not ActionKind.SKIP:
             pytest.skip("skip not selected")
         before = state.accumulated()["value"]
-        apply_tenant_action(state, event, decision)
+        apply_tenant_action(state, event, chosen)
         after = state.accumulated()
         assert before - after["value"] == pytest.approx(1.0)
         assert state.degraded == {"t1": 1, "t2": 1}
@@ -319,11 +321,11 @@ class TestApplyTenant:
         wf = self._workflow()
         state = _noiseless_state(wf)
         state.start_task("t0", 2.0, 10.0, 1.0, 10.0)
-        decision, event, _ = self._selected(
+        chosen, event, _ = self._selected(
             [ActionKind.INSERT], at=AttackType.DOS, level=Severity.MEDIUM
         )
         before = state.accumulated()
-        apply_tenant_action(state, event, decision)
+        apply_tenant_action(state, event, chosen)
         after = state.accumulated()
         # Insert defaults: 0.2*P, 0.2*T, 0.1*V of the violated task
         assert after["price"] - before["price"] == pytest.approx(0.2 * 2.0)
@@ -354,7 +356,9 @@ class TestApplyMiddleware:
         )
         assert res.status is SelectionStatus.SELECTED
         before = state.accumulated()
-        apply_middleware_action(state, event, decision_for(res, chosen), trust)
+        apply_middleware_action(
+            state, event, res.candidates.candidate(chosen), res.candidates.backup, trust
+        )
         return before, state.accumulated(), trust
 
     def test_rework_charges_backup(self):
@@ -378,6 +382,50 @@ class TestApplyMiddleware:
         _, _, trust = self._run(ActionKind.REWORK)
         # EWMA with detected=True from the baseline 0.4
         assert trust.afr("p0-s0", AttackType.DOS) == pytest.approx(0.4 * 0.9 + 0.1)
+
+
+class TestApplyRejects:
+    """A candidate an apply function cannot apply raises before the ledger or
+    the trust repository changes: a kind of the other level, or a Rework or
+    Redundancy without its backup service."""
+
+    def _setup(self):
+        wf = Workflow(tasks=(make_task("t0", value=1.0),), control_edges=(), data_edges=())
+        state = _noiseless_state(wf)
+        state.start_task("t0", 2.0, 10.0, 1.0, 10.0)
+        cloud = make_cloud([make_service("p0-s0", "p0"), make_service("p1-s0", "p1")])
+        return state, TrustRepository.from_cloud(cloud), cloud.service_map()["p1-s0"]
+
+    @staticmethod
+    def _candidate(kind):
+        return CostBreakdown(kind, price=3.0, time=8.0, mitigation=1.0, value=1.0, total=0.0)
+
+    @pytest.mark.parametrize("kind", sorted(MIDDLEWARE_KINDS, key=lambda k: k.value))
+    def test_tenant_apply_rejects_middleware_kind(self, kind):
+        state, _, _ = self._setup()
+        with pytest.raises(ValueError, match="not a tenant action"):
+            apply_tenant_action(state, _event(), self._candidate(kind))
+        assert state.adaptations == []
+
+    @pytest.mark.parametrize(
+        "kind", sorted(set(ActionKind) - MIDDLEWARE_KINDS, key=lambda k: k.value)
+    )
+    def test_middleware_apply_rejects_tenant_kind(self, kind):
+        state, trust, backup = self._setup()
+        rates = dict(trust.afr_history)
+        with pytest.raises(ValueError, match="not a middleware action"):
+            apply_middleware_action(state, _event(), self._candidate(kind), backup, trust)
+        assert state.adaptations == []
+        assert trust.afr_history == rates
+
+    @pytest.mark.parametrize("kind", [ActionKind.REWORK, ActionKind.REDUNDANCY])
+    def test_missing_backup_leaves_ledger_and_trust(self, kind):
+        state, trust, _ = self._setup()
+        before, rates = state.accumulated(), dict(trust.afr_history)
+        with pytest.raises(NoBackupError):
+            apply_middleware_action(state, _event(), self._candidate(kind), None, trust)
+        assert state.accumulated() == before
+        assert trust.afr_history == rates
 
 
 class TestLedgerConservation:

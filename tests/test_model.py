@@ -10,7 +10,6 @@ from secflow.model import (
     ACTION_MITIGATION_IMPACT,
     ActionKind,
     AttackType,
-    BackupParams,
     ControlEdge,
     MissingBackupError,
     ParseError,
@@ -96,7 +95,7 @@ class TestActionProperties:
             task_time=10.0,
             task_price=2.0,
             task_value=1.0,
-            backup=BackupParams(time=8.0, price=3.0),
+            backup=make_service(time=8.0, price=3.0),
         )
         assert p.time == 10.0  # max(8, 10)
         assert p.price == 5.0  # 2 + 3
@@ -112,7 +111,7 @@ class TestActionProperties:
 
     def test_rework_charges_backup_params(self):
         p = builtin_action_properties(
-            ActionKind.REWORK, 10.0, 2.0, 1.0, backup=BackupParams(time=8.0, price=3.0)
+            ActionKind.REWORK, 10.0, 2.0, 1.0, backup=make_service(time=8.0, price=3.0)
         )
         assert (p.price, p.time) == (3.0, 8.0)
 
@@ -136,7 +135,7 @@ class TestActionProperties:
             task_time,
             task_price,
             1.0,
-            backup=BackupParams(time=backup_time, price=backup_price),
+            backup=make_service(time=backup_time, price=backup_price),
         )
         assert p.time == max(task_time, backup_time)
         assert p.price == task_price + backup_price
@@ -330,6 +329,11 @@ class TestTenantConfig:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValidationError):
             TenantConfig(w_price=0, w_time=0, w_security=0, w_value=0)
+
+    @pytest.mark.parametrize("weight", [-0.1, float("nan"), float("inf")])
+    def test_weight_not_finite_and_nonnegative_rejected(self, weight):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            TenantConfig(w_price=weight)
 
     def test_defaults(self):
         cfg = TenantConfig()

@@ -1,6 +1,7 @@
 """Q-learning: reward shaping, Bellman updates, training loops, prediction."""
 
 import bisect
+import json
 from collections import Counter
 
 import numpy as np
@@ -226,6 +227,20 @@ class TestConfigValidation:
     def test_gamma_range(self):
         with pytest.raises(RLDomainError):
             RLConfig(gamma=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon_decay", -1.0), ("epsilon_decay", 0.0), ("epsilon_decay", 5.0),
+        ("epsilon_decay", float("nan")), ("epsilon_floor", 2.0), ("epsilon_floor", -0.1),
+        ("epsilon_floor", float("nan")),
+    ])
+    def test_epsilon_schedule_range(self, field, value):
+        with pytest.raises(RLDomainError, match=f"{field} must be in"):
+            RLConfig(**{field: value})
+
+    def test_epsilon_decay_out_of_range_in_json(self):
+        doc = {"config": {"epsilon_decay": -1}, "entries": []}
+        with pytest.raises(RLDomainError, match=r"\$\.config: epsilon_decay .* got -1"):
+            table_from_json(json.dumps(doc))
 
 
 def _key_from_history(attack_type, level, history, accumulated, discretization):

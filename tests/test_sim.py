@@ -283,6 +283,16 @@ class TestRunExperiment:
                 burn_in=burn_in,
             )
 
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+    def test_attack_rate_outside_unit_interval_rejected(self, rate, monkeypatch):
+        """A NaN rate fails the range check too, before any instance runs."""
+        wf, cloud = self._setup()
+        monkeypatch.setattr(sim, "run_instance", _no_instance)
+        with pytest.raises(ValueError, match=r"attack_rate must be in \[0, 1\], got"):
+            run_experiment(
+                wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 1, "lowest-cost", rate,
+            )
+
     def test_aggregate_csv_header(self):
         wf, cloud = self._setup()
         exp = run_experiment(
