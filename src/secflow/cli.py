@@ -67,38 +67,68 @@ def _load_config(args):
             raise UsageError(f"SECFLOW_SEED must be an integer, got {env_seed!r}")
     cfg.update(_parse_set(getattr(args, "set", None)))
     for key, value in vars(args).items():
-        if key in ("config", "set", "func", "command") or value is None:
+        if key in ("config", "set", "command") or value is None:
             continue
         cfg[key] = value
     return cfg
 
 
-def _get(cfg, key, default=None, cast=None, required=False):
-    """Option `key` of `cfg`, else `default`, through `_cast` when `cast` is
-    given."""
-    if key in cfg:
-        value = cfg[key]
-    elif required:
-        raise UsageError(f"missing required option {key!r}")
-    else:
-        value = default
-    return value if cast is None else _cast(key, value, cast)
+def _options(command, cfg):
+    """Every option of `command` in table order: its value in the layered
+    config `cfg`, else its default, through `_cast`. A key of `cfg` that no
+    subcommand has as an option is a usage error."""
+    unknown = sorted(set(cfg) - KNOWN_OPTIONS)
+    if unknown:
+        raise UsageError(f"unknown option {unknown[0]!r}")
+    opts = {}
+    for name, cast, default, _ in (SEED, *COMMANDS[command][2]):
+        value = cfg.get(name, default)
+        if value is REQUIRED:
+            raise UsageError(f"missing required option {name!r}")
+        if value is not None or default is not None:
+            value = _cast(name, value, cast, opts)
+        opts[name] = value
+    return opts
 
 
-def _cast(key, value, cast):
-    """`value` as `cast` (int or float), or checked against `cast`, a tuple
-    of the accepted strings; a value it refuses is a usage error naming the
-    option `key`."""
+def _cast(key, value, cast, opts=None):
+    """`value` checked by `cast`: int and float convert it, str and dict check
+    its type, a tuple lists the accepted strings, and any other callable is
+    called as `cast(key, value, opts)` with the options resolved before it. A
+    value it refuses is a usage error naming the option `key`."""
     if isinstance(cast, tuple):
         if value in cast:
             return value
         what = "one of " + ", ".join(cast)
-    else:
+    elif cast in (str, dict):
+        if isinstance(value, cast):
+            return value
+        what = "a string" if cast is str else "a JSON object"
+    elif cast in (int, float):
         try:
             return cast(value)
         except (TypeError, ValueError, OverflowError):
             what = "an integer" if cast is int else "a number"
+    else:
+        return cast(key, value, opts)
     raise UsageError(f"option {key!r} must be {what}, got {value!r}")
+
+
+def _classes(key, value, _):
+    if isinstance(value, str):
+        value = value.split(",")
+    elif not isinstance(value, list):
+        raise UsageError(f"option {key!r} must be a list or a comma-separated string of "
+                         f"{', '.join(WF_CLASSES)}, got {value!r}")
+    return [_cast(key, name, WF_CLASSES) for name in value]
+
+
+def _qtable(key, value, opts):
+    path = _cast(key, value, str)
+    if opts["strategy"] == "lowest-cost":
+        raise UsageError(f"--qtable {path} needs --strategy adaptive; "
+                         "lowest-cost uses no Q-table")
+    return path
 
 
 def _write(path, text):
@@ -107,34 +137,25 @@ def _write(path, text):
         fh.write(text)
 
 
-def _kinds(cfg):
-    raw = _get(cfg, "kind", "both", KIND_CHOICES)
-    if raw == "both":
+def _kinds(opts):
+    if opts["kind"] == "both":
         return [DatasetKind.NTD, DatasetKind.CLF]
-    return [DatasetKind(raw)]
+    return [DatasetKind(opts["kind"])]
 
 
-def _tenant_config(cfg):
-    return TenantConfig(
-        w_price=_get(cfg, "w_price", 0.25, float),
-        w_time=_get(cfg, "w_time", 0.25, float),
-        w_security=_get(cfg, "w_security", 0.25, float),
-        w_value=_get(cfg, "w_value", 0.25, float),
-        adapt_trigger_threshold=_get(cfg, "threshold", 0.1, float),
-    )
+def _tenant_config(opts):
+    return TenantConfig(**{name: opts[name] for name, *_ in WEIGHTS},
+                        adapt_trigger_threshold=opts["threshold"])
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_gen_data(cfg):
-    out = Path(_get(cfg, "out", "data"))
-    n = _get(cfg, "n", 2000, int)
-    seed = _get(cfg, "seed", 0, int)
-    mode = _get(cfg, "intensity_mode", "uniform", datagen.INTENSITY_MODES)
-    mix = _get(cfg, "mix", DEFAULT_MIX)
-    for kind in _kinds(cfg):
-        ds = datagen.generate(kind, n, mix, seed, intensity_mode=mode)
+def cmd_gen_data(opts):
+    out = Path(opts["out"])
+    for kind in _kinds(opts):
+        ds = datagen.generate(kind, opts["n"], opts["mix"], opts["seed"],
+                              intensity_mode=opts["intensity_mode"])
         _write(out / f"{kind.value}.csv", ds.to_csv())
         _write(out / f"{kind.value}.meta.csv", ds.metadata_csv())
     return 0
@@ -156,16 +177,13 @@ def _metrics_csv(rows):
     return buf.getvalue()
 
 
-def cmd_train_detect(cfg):
-    data_dir = _get(cfg, "data", "data")
-    out = Path(_get(cfg, "out", "artifacts"))
-    seed = _get(cfg, "seed", 0, int)
-    frac = _get(cfg, "train_fraction", 0.7, float)
+def cmd_train_detect(opts):
+    out, seed = Path(opts["out"]), opts["seed"]
     out.mkdir(parents=True, exist_ok=True)
     models, rows = {}, []
-    for kind in _kinds(cfg):
-        ds = _load_dataset(data_dir, kind)
-        train, test = datagen.split(ds, frac, seed)
+    for kind in _kinds(opts):
+        ds = _load_dataset(opts["data"], kind)
+        train, test = datagen.split(ds, opts["train_fraction"], seed)
         fitted = {
             "random_forest": detection.train_random_forest(train, seed=seed),
             "linear": detection.train_linear(train),
@@ -183,12 +201,10 @@ def cmd_train_detect(cfg):
     return 0
 
 
-def cmd_train_severity(cfg):
-    data_dir = _get(cfg, "data", "data")
-    out = Path(_get(cfg, "out", "artifacts"))
-    seed = _get(cfg, "seed", 0, int)
-    datasets = {kind: _load_dataset(data_dir, kind) for kind in _kinds(cfg)}
-    model = severity.fit_severity(datasets, seed)
+def cmd_train_severity(opts):
+    out = Path(opts["out"])
+    datasets = {kind: _load_dataset(opts["data"], kind) for kind in _kinds(opts)}
+    model = severity.fit_severity(datasets, opts["seed"])
     out.mkdir(parents=True, exist_ok=True)
     models_path = out / "models.json"
     detectors = {}
@@ -198,26 +214,23 @@ def cmd_train_severity(cfg):
     return 0
 
 
-def _load_runtime(cfg):
+def _load_runtime(opts):
     """Workflow, cloud, detectors, severity model from files or generators."""
-    seed = _get(cfg, "seed", 0, int)
-    wf_path = _get(cfg, "workflow")
-    if wf_path:
-        workflow = parse_file(wf_path, parse_workflow)
+    seed = opts["seed"]
+    if opts["workflow"]:
+        workflow = parse_file(opts["workflow"], parse_workflow)
     else:
-        wf_class = sim.WorkflowClass(_get(cfg, "wf_class", "small", WF_CLASSES))
+        wf_class = sim.WorkflowClass(opts["wf_class"] or "small")
         workflow = sim.generate_workflow_class(wf_class, seed)
-    cloud_path = _get(cfg, "cloud")
-    if cloud_path:
-        cloud = parse_file(cloud_path, parse_multicloud)
+    if opts["cloud"]:
+        cloud = parse_file(opts["cloud"], parse_multicloud)
     else:
         cloud = sim.generate_multicloud(seed)
-    models_path = _get(cfg, "models", required=True)
+    models_path = opts["models"]
     detectors_by_key, severity_obj = detection.load_models(models_path)
-    model_kind = _get(cfg, "detector", "random_forest")
     detectors = {}
     for kind in (DatasetKind.NTD, DatasetKind.CLF):
-        key = f"{kind.value}/{model_kind}"
+        key = f"{kind.value}/{opts['detector']}"
         if key not in detectors_by_key:
             raise UsageError(f"model file {models_path} carries no {key!r} detector; "
                              "run train-detect")
@@ -228,17 +241,14 @@ def _load_runtime(cfg):
     return workflow, cloud, detectors, severity.severity_from_obj(severity_obj)
 
 
-def cmd_train_rl(cfg):
-    workflow, cloud, detectors, sev = _load_runtime(cfg)
-    seed = _get(cfg, "seed", 0, int)
-    episodes = _get(cfg, "episodes", 300, int)
-    rate = _get(cfg, "rate", 0.3, float)
+def cmd_train_rl(opts):
+    workflow, cloud, detectors, sev = _load_runtime(opts)
     table = rl.QTable()
     sim.run_experiment(
-        workflow, cloud, detectors, sev, _tenant_config(cfg), episodes,
-        "adaptive", rate, seed=seed, qtable=table,
+        workflow, cloud, detectors, sev, _tenant_config(opts), opts["episodes"],
+        "adaptive", opts["rate"], seed=opts["seed"], qtable=table,
     )
-    _write(_get(cfg, "out", "artifacts/qtable.json"), rl.table_to_json(table))
+    _write(opts["out"], rl.table_to_json(table))
     return 0
 
 
@@ -249,26 +259,15 @@ def _events_jsonl(results):
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(cfg):
-    strategy = _get(cfg, "strategy", "lowest-cost", sim.STRATEGIES)
-    qtable_path = _get(cfg, "qtable")
-    if qtable_path and strategy == "lowest-cost":
-        raise UsageError(f"--qtable {qtable_path} needs --strategy adaptive; "
-                         "lowest-cost uses no Q-table")
-    workflow, cloud, detectors, sev = _load_runtime(cfg)
-    out = Path(_get(cfg, "out", "results"))
-    seed = _get(cfg, "seed", 0, int)
-    runs = _get(cfg, "runs", 100, int)
-    rate = _get(cfg, "rate", 0.3, float)
-    qtable = None
-    if qtable_path:
-        qtable = parse_file(qtable_path, rl.table_from_json)
+def cmd_simulate(opts):
+    workflow, cloud, detectors, sev = _load_runtime(opts)
+    out, strategy = Path(opts["out"]), opts["strategy"]
+    qtable = parse_file(opts["qtable"], rl.table_from_json) if opts["qtable"] else None
     result = sim.run_experiment(
-        workflow, cloud, detectors, sev, _tenant_config(cfg), runs, strategy,
-        rate, seed=seed, qtable=qtable,
+        workflow, cloud, detectors, sev, _tenant_config(opts), opts["runs"], strategy,
+        opts["rate"], seed=opts["seed"], qtable=qtable,
     )
-    wf_class = _get(cfg, "wf_class", "custom")
-    _write(out / "results.csv", result.aggregate_csv(strategy, wf_class))
+    _write(out / "results.csv", result.aggregate_csv(strategy, opts["wf_class"] or "custom"))
     _write(out / "events.jsonl", _events_jsonl(result.runs))
     return 0
 
@@ -283,25 +282,16 @@ def _windows_csv(window_rows):
 
 
 def run_compare(cfg):
-    """LowestCost-vs-Adaptive sweep over the workflow classes; returns
+    """LowestCost-vs-Adaptive sweep over the workflow classes, from the
+    compare options of `cfg`, which may be a raw, partial config; returns
     (results_csv_text, windows_csv_text, per-(class,strategy) ExperimentResult)."""
-    seed = _get(cfg, "seed", 0, int)
-    runs = _get(cfg, "runs", 1000, int)
-    rate = _get(cfg, "rate", 0.3, float)
-    window = _get(cfg, "window", 100, int)
-    n_data = _get(cfg, "train_n", 1500, int)
-    class_names = _get(cfg, "classes", ["small", "medium", "large"])
-    if isinstance(class_names, str):
-        class_names = class_names.split(",")
-    elif not isinstance(class_names, list):
-        raise UsageError(f"option 'classes' must be a list or a comma-separated string of "
-                         f"{', '.join(WF_CLASSES)}, got {class_names!r}")
-    class_names = [_cast("classes", name, WF_CLASSES) for name in class_names]
-    tenant = _tenant_config(cfg)
+    opts = _options("compare", cfg)
+    seed, runs, rate, window = opts["seed"], opts["runs"], opts["rate"], opts["window"]
+    tenant = _tenant_config(opts)
 
     # self-contained model fitting from generated telemetry
     datasets = {
-        kind: datagen.generate(kind, n_data, DEFAULT_MIX, seed + i)
+        kind: datagen.generate(kind, opts["train_n"], DEFAULT_MIX, seed + i)
         for i, kind in enumerate((DatasetKind.NTD, DatasetKind.CLF))
     }
     detectors = {}
@@ -314,7 +304,7 @@ def run_compare(cfg):
     header_done = False
     window_rows = []
     experiments = {}
-    for ci, name in enumerate(class_names):
+    for ci, name in enumerate(opts["classes"]):
         wf_class = sim.WorkflowClass(name)
         workflow = sim.generate_workflow_class(wf_class, seed + 100 + ci)
         cloud = sim.generate_multicloud(seed + 200 + ci)
@@ -336,9 +326,9 @@ def run_compare(cfg):
     return results_buf.getvalue(), _windows_csv(window_rows), experiments
 
 
-def cmd_compare(cfg):
-    out = Path(_get(cfg, "out", "results"))
-    results_csv, windows_csv, _ = run_compare(cfg)
+def cmd_compare(opts):
+    out = Path(opts["out"])
+    results_csv, windows_csv, _ = run_compare(opts)
     _write(out / "results.csv", results_csv)
     _write(out / "windows.csv", windows_csv)
     return 0
@@ -358,16 +348,14 @@ def _md_table(header, rows):
     return "\n".join(lines)
 
 
-def cmd_report(cfg):
+def cmd_report(opts):
     """Markdown summary assembled verbatim from previously emitted CSVs."""
     sections = []
-    metrics_path = _get(cfg, "metrics")
-    if metrics_path:
-        header, rows = _read_csv(metrics_path)
+    if opts["metrics"]:
+        header, rows = _read_csv(opts["metrics"])
         sections.append("## Detection metrics\n\n" + _md_table(header, rows))
-    results_path = _get(cfg, "results")
-    if results_path:
-        header, rows = _read_csv(results_path)
+    if opts["results"]:
+        header, rows = _read_csv(opts["results"])
         idx = {name: header.index(name) for name in header}
         groups = {}
         for r in rows:
@@ -393,21 +381,19 @@ def cmd_report(cfg):
                 summary,
             )
         )
-    windows_path = _get(cfg, "windows")
-    if windows_path:
-        header, rows = _read_csv(windows_path)
+    if opts["windows"]:
+        header, rows = _read_csv(opts["windows"])
         sections.append("## Rolling windows\n\n" + _md_table(header, rows))
     if not sections:
         raise UsageError("report needs at least one of --metrics/--results/--windows")
-    _write(_get(cfg, "out", "report.md"), "# Experiment report\n\n" + "\n\n".join(sections) + "\n")
+    _write(opts["out"], "# Experiment report\n\n" + "\n\n".join(sections) + "\n")
     return 0
 
 
-def cmd_gen_bench(cfg):
+def cmd_gen_bench(opts):
     """Emit a generated workflow/multicloud pair as JSON for reuse."""
-    seed = _get(cfg, "seed", 0, int)
-    out = Path(_get(cfg, "out", "bench"))
-    wf_class = sim.WorkflowClass(_get(cfg, "wf_class", "small", WF_CLASSES))
+    seed, out = opts["seed"], Path(opts["out"])
+    wf_class = sim.WorkflowClass(opts["wf_class"])
     _write(out / "workflow.json",
            serialize_workflow(sim.generate_workflow_class(wf_class, seed)))
     _write(out / "cloud.json", serialize_multicloud(sim.generate_multicloud(seed)))
@@ -415,13 +401,51 @@ def cmd_gen_bench(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Options and argument parsing
+#
+# One table declares every option of every subcommand once, as
+# (name, cast, default, flag): its config key, how `_cast` checks it, its
+# default (None: absent; REQUIRED: a usage error when absent) and whether it
+# also has a --name flag. Options resolve in table order.
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override a config key (JSON-parsed value)")
-    p.add_argument("--seed", type=int, default=None)
+REQUIRED = object()
+SEED = ("seed", int, 0, True)
+KIND = ("kind", KIND_CHOICES, "both", True)
+RATE = ("rate", float, 0.3, True)
+RUNTIME = (("workflow", str, None, True), ("cloud", str, None, True),
+           ("models", str, REQUIRED, True))
+WEIGHTS = tuple((f"w_{name}", float, 0.25, False)
+                for name in ("price", "time", "security", "value"))
+TENANT = (*WEIGHTS, ("threshold", float, 0.1, False))
+POLICY = (("detector", str, "random_forest", False), *TENANT)
+
+COMMANDS = {
+    "gen-data": ("generate labeled telemetry CSVs", cmd_gen_data, (
+        KIND, ("n", int, 2000, True), ("intensity_mode", datagen.INTENSITY_MODES, "uniform", True),
+        ("out", str, "data", True), ("mix", dict, DEFAULT_MIX, False))),
+    "train-detect": ("fit detectors and emit metrics", cmd_train_detect, (
+        KIND, ("data", str, "data", True), ("train_fraction", float, 0.7, True),
+        ("out", str, "artifacts", True))),
+    "train-severity": ("fit the severity model", cmd_train_severity, (
+        KIND, ("data", str, "data", True), ("out", str, "artifacts", True))),
+    "train-rl": ("train the adaptive action policy", cmd_train_rl, (
+        *RUNTIME, ("wf_class", WF_CLASSES, "small", True), ("episodes", int, 300, True), RATE,
+        ("out", str, "artifacts/qtable.json", True), *POLICY)),
+    "simulate": ("run one strategy over a workflow", cmd_simulate, (
+        ("strategy", sim.STRATEGIES, "lowest-cost", True), ("qtable", _qtable, None, True),
+        *RUNTIME, ("wf_class", WF_CLASSES, None, True), ("runs", int, 100, True), RATE,
+        ("out", str, "results", True), *POLICY)),
+    "compare": ("LowestCost vs Adaptive sweep", cmd_compare, (
+        ("runs", int, 1000, True), RATE, ("window", int, 100, True),
+        ("classes", _classes, ["small", "medium", "large"], True), ("out", str, "results", True),
+        ("train_n", int, 1500, False), *TENANT)),
+    "report": ("markdown summary from emitted CSVs", cmd_report, (
+        ("metrics", str, None, True), ("results", str, None, True), ("windows", str, None, True),
+        ("out", str, "report.md", True))),
+    "gen-bench": ("emit a generated workflow/cloud pair", cmd_gen_bench, (
+        ("wf_class", WF_CLASSES, "small", True), ("out", str, "bench", True))),
+}
+KNOWN_OPTIONS = {name for _, _, options in COMMANDS.values() for name, *_ in (SEED, *options)}
 
 
 def build_parser():
@@ -430,80 +454,17 @@ def build_parser():
         description="security-aware workflow simulation experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate labeled telemetry CSVs")
-    _add_common(p)
-    p.add_argument("--kind", choices=KIND_CHOICES, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--intensity-mode", dest="intensity_mode",
-                   choices=datagen.INTENSITY_MODES, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train-detect", help="fit detectors and emit metrics")
-    _add_common(p)
-    p.add_argument("--kind", choices=KIND_CHOICES, default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_train_detect)
-
-    p = sub.add_parser("train-severity", help="fit the severity model")
-    _add_common(p)
-    p.add_argument("--kind", choices=KIND_CHOICES, default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_train_severity)
-
-    p = sub.add_parser("train-rl", help="train the adaptive action policy")
-    _add_common(p)
-    p.add_argument("--workflow", default=None)
-    p.add_argument("--cloud", default=None)
-    p.add_argument("--models", default=None)
-    p.add_argument("--wf-class", dest="wf_class",
-                   choices=WF_CLASSES, default=None)
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_train_rl)
-
-    p = sub.add_parser("simulate", help="run one strategy over a workflow")
-    _add_common(p)
-    p.add_argument("--workflow", default=None)
-    p.add_argument("--cloud", default=None)
-    p.add_argument("--models", default=None)
-    p.add_argument("--qtable", default=None)
-    p.add_argument("--wf-class", dest="wf_class", default=None)
-    p.add_argument("--strategy", choices=sim.STRATEGIES, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="LowestCost vs Adaptive sweep")
-    _add_common(p)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--classes", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("report", help="markdown summary from emitted CSVs")
-    _add_common(p)
-    p.add_argument("--metrics", default=None)
-    p.add_argument("--results", default=None)
-    p.add_argument("--windows", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("gen-bench", help="emit a generated workflow/cloud pair")
-    _add_common(p)
-    p.add_argument("--wf-class", dest="wf_class",
-                   choices=WF_CLASSES, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen_bench)
-
+    for command, (help_line, _, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config key (JSON-parsed value)")
+        for name, cast, _, flag in (SEED, *options):
+            if not flag:
+                continue
+            check = ({"type": cast} if cast in (int, float)
+                     else {"choices": cast} if isinstance(cast, tuple) else {})
+            p.add_argument("--" + name.replace("_", "-"), **check)
     return parser
 
 
@@ -514,8 +475,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _load_config(args)
-        return args.func(cfg)
+        return COMMANDS[args.command][1](_options(args.command, _load_config(args)))
     except UsageError as exc:
         print(f"secflow: usage error: {exc}", file=sys.stderr)
         return 2

@@ -243,6 +243,11 @@ def generate(
     summing to 1). Deterministic given `seed`."""
     if n < 1:
         raise DataConfigError("record count must be >= 1")
+    for label, frac in attack_mix.items():
+        number = isinstance(frac, (int, float)) and not isinstance(frac, bool)
+        if not (number and 0 <= frac < float("inf")):
+            raise DataConfigError(f"attack_mix fraction of {label!r} must be a finite number "
+                                  f">= 0, got {frac!r}")
     total = sum(attack_mix.values())
     if abs(total - 1.0) > 1e-9:
         raise DataConfigError(f"attack_mix fractions sum to {total}, expected 1")

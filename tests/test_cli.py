@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from secflow import cli
 from secflow.cli import main
 
 
@@ -64,6 +65,15 @@ class TestGenData:
     def test_bad_env_seed_is_usage_error(self, workdir, monkeypatch):
         monkeypatch.setenv("SECFLOW_SEED", "not-a-number")
         assert _run(["gen-data", "--n", "10"]) == 2
+
+    def test_negative_mix_fraction_is_runtime_error(self, workdir, capsys):
+        code = _run(["gen-data", "--n", "10", "--kind", "clf", "--out", "out",
+                     "--set", 'mix={"normal": 1.5, "dos": -0.5}'])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "secflow: error: attack_mix fraction of 'dos' must be a finite number >= 0, "
+            "got -0.5\n")
+        assert not (workdir / "out").exists()
 
 
 class TestTrainDetect:
@@ -255,6 +265,67 @@ class TestUsageErrors:
         _gen_data(workdir)
         for name in ("ntd.csv", "clf.csv"):
             assert (workdir / "a" / name).read_bytes() == (workdir / "data" / name).read_bytes()
+
+
+def _resolve(argv):
+    """The typed options `argv` resolves to, without running the subcommand."""
+    args = cli.build_parser().parse_args(argv)
+    return cli._options(args.command, cli._load_config(args))
+
+
+_FLAGGED = [(command, option) for command, (_, _, options) in cli.COMMANDS.items()
+            for option in (cli.SEED, *options) if option[3]]
+
+
+class TestOneTable:
+    """Each option is declared once: its flag and its config key resolve
+    alike, and a key no subcommand declares is refused."""
+
+    @pytest.mark.parametrize("command, option", _FLAGGED,
+                             ids=[f"{command}-{option[0]}" for command, option in _FLAGGED])
+    def test_flag_and_set_resolve_alike(self, workdir, command, option):
+        name, cast, default, _ = option
+        if isinstance(cast, tuple):
+            value = next(choice for choice in cast if choice != default)
+        else:
+            value = {int: "7", float: "0.5", cli._classes: "small,large"}.get(cast, "p.json")
+        # keys of other subcommands are allowed: --models is required by train-rl
+        # and simulate, and simulate's --qtable needs the adaptive strategy
+        base = [command, "--set", "models=m.json", "--set", "strategy=adaptive"]
+        by_flag = _resolve([*base, "--" + name.replace("_", "-"), value])
+        by_set = _resolve([*base, "--set", f"{name}={value}"])
+        assert by_flag == by_set
+        assert type(by_flag[name]) is type(by_set[name])
+        assert by_flag[name] != default
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["simulate", "--workflow", "F", "--wf-class", "huge"],
+             "secflow simulate: error: argument --wf-class: invalid choice: 'huge'"),
+            (["gen-data", "--set", "out=5"],
+             "secflow: usage error: option 'out' must be a string, got 5"),
+            (["gen-data", "--set", "mix=5"],
+             "secflow: usage error: option 'mix' must be a JSON object, got 5"),
+        ],
+        ids=["simulate-wf-class", "out", "mix"],
+    )
+    def test_mistyped_value_is_usage_error(self, workdir, capsys, argv, line):
+        assert _run(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(line)
+
+    @pytest.mark.parametrize("layer", [["--set", "w_pirce=0.9"], ["--config", "cfg.json"]],
+                             ids=["set", "config"])
+    def test_unknown_key_is_usage_error(self, workdir, capsys, layer):
+        (workdir / "cfg.json").write_text(json.dumps({"runs": 1, "w_pirce": 0.9}))
+        assert _run(["simulate", *layer]) == 2
+        assert capsys.readouterr().err == "secflow: usage error: unknown option 'w_pirce'\n"
+
+    def test_one_config_file_serves_two_subcommands(self, workdir):
+        (workdir / "cfg.json").write_text(
+            json.dumps({"n": 300, "data": "d", "train_fraction": 0.6}))
+        assert _resolve(["gen-data", "--config", "cfg.json"])["n"] == 300
+        assert _resolve(["train-detect", "--config", "cfg.json"])["train_fraction"] == 0.6
 
 
 @pytest.fixture(scope="module")

@@ -62,6 +62,15 @@ class TestGenerate:
         with pytest.raises(DataConfigError):
             generate(DatasetKind.NTD, 10, {"worm": 1.0}, seed=0)
 
+    # the negative and the bool fraction each make the fractions sum to 1
+    @pytest.mark.parametrize("normal, frac", [(1.5, -0.5), (0.0, float("nan")), (0.0, True)],
+                             ids=["negative", "nan", "bool"])
+    def test_fraction_not_finite_nonnegative_number_rejected(self, normal, frac):
+        mix = {NORMAL: normal, "dos": frac}
+        with pytest.raises(DataConfigError,
+                           match=f"fraction of 'dos' must be a finite number >= 0, got {frac}"):
+            generate(DatasetKind.NTD, 10, mix, seed=0)
+
     def test_unknown_intensity_mode_rejected(self):
         with pytest.raises(DataConfigError, match="unknown intensity_mode 'xyz'"):
             generate(DatasetKind.NTD, 10, {NORMAL: 0.5, "dos": 0.5}, seed=0,
