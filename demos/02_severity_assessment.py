@@ -9,7 +9,7 @@ predicted tier to the hidden generator intensity.
 import numpy as np
 
 from secflow.datagen import DatasetKind, generate
-from secflow.model import AttackType
+from secflow.model import SEVERITY_LEVEL, AttackType
 from secflow.severity import fit_severity
 
 MIX = {"normal": 0.5, "dos": 0.125, "probe": 0.125, "u2r": 0.125, "r2l": 0.125}
@@ -31,9 +31,9 @@ def main():
     mask = held_out.labels == "dos"
     print("\nsample assessments (predicted tier vs hidden intensity):")
     for idx in np.flatnonzero(mask)[:8]:
-        level, l = model.assess(kind, AttackType.DOS, held_out.X[idx])
+        level = model.assess(kind, AttackType.DOS, held_out.X[idx])
         print(f"  intensity {held_out.intensity[idx]:.2f} -> "
-              f"{level.value:<6} (l = {l:.2f})")
+              f"{level.value:<6} (l = {SEVERITY_LEVEL[level]:.2f})")
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ def main():
     event = AttackEvent(
         attack_type=AttackType.DOS,
         level=Severity.HIGH,
-        l=1.0,
         detected_in=DatasetKind.NTD,
         task_id=task.id,
         service_id=current.id,

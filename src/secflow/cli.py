@@ -92,10 +92,11 @@ def _options(command, cfg):
 
 
 def _cast(key, value, cast, opts=None):
-    """`value` checked by `cast`: int and float convert it, str and dict check
-    its type, a tuple lists the accepted strings, and any other callable is
-    called as `cast(key, value, opts)` with the options resolved before it. A
-    value it refuses is a usage error naming the option `key`."""
+    """`value` checked by `cast`: int and float convert it (int refuses a
+    fraction, both refuse a boolean), str and dict check its type, a tuple
+    lists the accepted strings, and any other callable is called as
+    `cast(key, value, opts)` with the options resolved before it. A value it
+    refuses is a usage error naming the option `key`."""
     if isinstance(cast, tuple):
         if value in cast:
             return value
@@ -105,10 +106,13 @@ def _cast(key, value, cast, opts=None):
             return value
         what = "a string" if cast is str else "a JSON object"
     elif cast in (int, float):
-        try:
-            return cast(value)
-        except (TypeError, ValueError, OverflowError):
-            what = "an integer" if cast is int else "a number"
+        what = "an integer" if cast is int else "a number"
+        whole = cast is float or not isinstance(value, float) or value.is_integer()
+        if whole and not isinstance(value, bool):
+            try:
+                return cast(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
     else:
         return cast(key, value, opts)
     raise UsageError(f"option {key!r} must be {what}, got {value!r}")
@@ -267,7 +271,8 @@ def cmd_simulate(opts):
         workflow, cloud, detectors, sev, _tenant_config(opts), opts["runs"], strategy,
         opts["rate"], seed=opts["seed"], qtable=qtable,
     )
-    _write(out / "results.csv", result.aggregate_csv(strategy, opts["wf_class"] or "custom"))
+    _write(out / "results.csv", result.aggregate_csv(
+        strategy, opts["wf_class"] or ("custom" if opts["workflow"] else "small")))
     _write(out / "events.jsonl", _events_jsonl(result.runs))
     return 0
 

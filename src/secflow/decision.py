@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .datagen import DatasetKind
 from .model import (
     ACTION_ORDER,
+    SEVERITY_LEVEL,
     ActionKind,
     ActionParams,
     AttackSpec,
@@ -39,7 +40,6 @@ class AttackEvent:
 
     attack_type: AttackType
     level: Severity
-    l: float  # numeric severity in (0,1]
     detected_in: DatasetKind
     task_id: str
     service_id: str
@@ -210,7 +210,7 @@ def select_action(
     bound service `current`, as the instances of one experiment do.
     """
     afr = trust.afr(event.service_id, event.attack_type)
-    score = attack_score(task.requirements, spec.impact, afr, event.l)
+    score = attack_score(task.requirements, spec.impact, afr, SEVERITY_LEVEL[event.level])
     if score <= cfg.adapt_trigger_threshold:
         return SelectionResult(SelectionStatus.NOT_TRIGGERED, score)
     if memo is None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -165,80 +166,59 @@ class Workflow:
             for end in (e.src, e.dst):
                 if end not in known:
                     raise ValidationError(f"edge references missing task {end!r}")
-        cycle = _find_cycle(ids, self.control_edges)
-        if cycle:
+        order = self.topological_order()
+        if len(order) < len(ids):
+            cycle = _control_cycle(ids, set(order), self.control_edges)
             raise ValidationError("cycle in control edges: " + " -> ".join(cycle))
-        order = set()
-        reach = self._reachability()
+        # bit i of reach[t]: the i-th declared task follows t on a control path;
+        # taking edges latest source first in `order` finds each reach[dst] done
+        rank = {t: i for i, t in enumerate(order)}
+        bit = {t: 1 << i for i, t in enumerate(ids)}
+        reach = dict.fromkeys(ids, 0)
+        for e in sorted(self.control_edges, key=lambda e: rank[e.src], reverse=True):
+            reach[e.src] |= bit[e.dst] | reach[e.dst]
         for e in self.data_edges:
-            if e.src != e.dst and e.dst not in reach.get(e.src, order):
+            if e.src != e.dst and not reach[e.src] & bit[e.dst]:
                 raise ValidationError(
                     f"data edge {e.src}->{e.dst} endpoints not connected by a control path"
                 )
-
-    def _reachability(self):
-        succ = {}
-        for e in self.control_edges:
-            succ.setdefault(e.src, set()).add(e.dst)
-        reach = {}
-        for t in reversed(self.topological_order()):
-            r = set()
-            for s in succ.get(t, ()):
-                r.add(s)
-                r |= reach.get(s, set())
-            reach[t] = r
-        return reach
 
     def task_map(self):
         return {t.id: t for t in self.tasks}
 
     def topological_order(self):
-        """Kahn's algorithm; ties resolved by task declaration order."""
+        """Kahn's algorithm; ties resolved by task declaration order. The
+        tasks of a control cycle, and those after one, are left out."""
         indeg = {t.id: 0 for t in self.tasks}
         succ = {t.id: [] for t in self.tasks}
         for e in self.control_edges:
             indeg[e.dst] += 1
             succ[e.src].append(e.dst)
-        ready = [t.id for t in self.tasks if indeg[t.id] == 0]
-        out = []
-        while ready:
-            n = ready.pop(0)
-            out.append(n)
+        out = [t.id for t in self.tasks if indeg[t.id] == 0]
+        for n in out:  # `out` is the FIFO queue too
             for m in succ[n]:
                 indeg[m] -= 1
                 if indeg[m] == 0:
-                    ready.append(m)
+                    out.append(m)
         return out
 
 
-def _find_cycle(ids, edges):
-    succ = {i: [] for i in ids}
+def _control_cycle(ids, ordered, edges):
+    """A cycle of control edges, first task repeated last, among the tasks
+    Kahn's pass left out of `ordered`. Each of those has a predecessor that
+    is left out too, so walking back from the first one declared repeats a
+    task; the loop between the repeats, reversed, is a cycle."""
+    pred = {}
     for e in edges:
-        succ[e.src].append(e.dst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in ids}
-    stack = []
-
-    def visit(n):
-        color[n] = GRAY
-        stack.append(n)
-        for m in succ[n]:
-            if color[m] == GRAY:
-                return stack[stack.index(m):] + [m]
-            if color[m] == WHITE:
-                found = visit(m)
-                if found:
-                    return found
-        stack.pop()
-        color[n] = BLACK
-        return None
-
-    for i in ids:
-        if color[i] == WHITE:
-            found = visit(i)
-            if found:
-                return found
-    return None
+        if e.src not in ordered:
+            pred.setdefault(e.dst, e.src)
+    walk, seen = [], {}
+    t = next(t for t in ids if t not in ordered)
+    while t not in seen:
+        seen[t] = len(walk)
+        walk.append(t)
+        t = pred[t]
+    return [t, *reversed(walk[seen[t]:])]
 
 
 @dataclass(frozen=True)
@@ -519,11 +499,14 @@ def floats_at(path, value, shape, error=ParseError):
 
 
 def _number(path, value):
-    """`value` as a float; a value float() refuses raises ParseError naming `path`."""
+    """`value` as a finite float; anything else raises ParseError naming `path`."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ParseError(f"{path}: must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ParseError(f"{path}: must be a finite number, got {value!r}")
+    return number
 
 
 def _security_vector(named):
@@ -581,11 +564,14 @@ def parse_workflow(document: str) -> Workflow:
     for idx, e in enumerate(array_at("$.control_edges", doc.get("control_edges", []))):
         epath = f"$.control_edges[{idx}]"
         with fields_at(epath, e):
+            prob = _number(f"{epath}.prob", e.get("prob", 1.0 if not e.get("cond") else 0.5))
+            if not 0.0 <= prob <= 1.0:
+                raise ParseError(f"{epath}.prob: must be in [0,1], got {e['prob']!r}")
             control.append(ControlEdge(
                 src=str(e["from"]),
                 dst=str(e["to"]),
                 cond=str(e.get("cond", "")),
-                prob=_number(f"{epath}.prob", e.get("prob", 1.0 if not e.get("cond") else 0.5)),
+                prob=prob,
             ))
     data = []
     for idx, e in enumerate(array_at("$.data_edges", doc.get("data_edges", []))):

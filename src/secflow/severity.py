@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import FEATURES, Dataset, DatasetKind, NORMAL
-from .model import Severity, SEVERITY_LEVEL, SEVERITY_ORDER, AttackType, fields_at, floats_at
+from .model import Severity, SEVERITY_ORDER, AttackType, fields_at, floats_at
 
 K_CLUSTERS = 3
 CHI2_BINS = 10
@@ -131,7 +131,7 @@ class SeverityEntry:
     cluster_mean_intensity: np.ndarray  # (k,)
     cluster_level: list  # cluster index -> Severity
 
-    def assess(self, features) -> tuple:
+    def assess(self, features) -> Severity:
         """The severity of one record: its nearest centroid's level. The
         distances are `np.sum((centroids - x) ** 2, axis=1)` on Python floats,
         with the same operations in the same order (numpy sums fewer than 8
@@ -149,15 +149,14 @@ class SeverityEntry:
             range(len(d2)),
             key=lambda j: (d2[j], SEVERITY_ORDER.index(self.cluster_level[j])),
         )
-        level = self.cluster_level[best]
-        return level, SEVERITY_LEVEL[level]
+        return self.cluster_level[best]
 
 
 @dataclass
 class SeverityModel:
     entries: dict  # (DatasetKind, AttackType) -> SeverityEntry
 
-    def assess(self, kind: DatasetKind, attack_type: AttackType, features) -> tuple:
+    def assess(self, kind: DatasetKind, attack_type: AttackType, features) -> Severity:
         entry = self.entries.get((kind, attack_type))
         if entry is None:
             raise AssessmentError(

@@ -379,13 +379,12 @@ def instance_episode(experiment: Experiment, seed: int):
         detected += 1
         pred_type = AttackType(predicted)
         try:
-            level, l = severity_model.assess(kind, pred_type, record)
+            level = severity_model.assess(kind, pred_type, record)
         except AssessmentError:
-            level, l = Severity.MEDIUM, 2 / 3
+            level = Severity.MEDIUM
         event = AttackEvent(
             attack_type=pred_type,
             level=level,
-            l=l,
             detected_in=kind,
             task_id=tid,
             service_id=svc.id,

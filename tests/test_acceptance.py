@@ -167,7 +167,7 @@ def test_criterion_3_severity_recovery():
             X = test_ds.X[mask]
             terciles = np.digitize(test_ds.intensity[mask], [1 / 3, 2 / 3])
             predicted = np.array(
-                [level_index[model.assess(kind, at, x)[0]] for x in X]
+                [level_index[model.assess(kind, at, x)] for x in X]
             )
             agreement = float(np.mean(predicted == terciles))
             worst = min(worst, agreement)
@@ -398,7 +398,6 @@ def test_criterion_6c_final_candidate_containment():
         event = AttackEvent(
             attack_type=at,
             level=level,
-            l={Severity.LOW: 1 / 3, Severity.MEDIUM: 2 / 3, Severity.HIGH: 1.0}[level],
             detected_in=DatasetKind.NTD if rng.random() < 0.5 else DatasetKind.CLF,
             task_id=task.id,
             service_id=svc.id,

@@ -129,6 +129,23 @@ class TestSeverityAndSimulate:
         for line in events:
             json.loads(line)
 
+    def test_simulate_labels_rows_by_workflow_source(self, workdir):
+        self._pipeline(workdir)
+        assert _run(["gen-bench", "--out", "bench"]) == 0
+        runs = {
+            "generated": [],
+            "small": ["--wf-class", "small"],
+            "file": ["--workflow", "bench/workflow.json", "--cloud", "bench/cloud.json"],
+        }
+        for out, extra in runs.items():
+            assert _run(["simulate", "--models", "art/models.json", "--runs", "2",
+                         "--out", out, *extra]) == 0
+        generated = (workdir / "generated" / "results.csv").read_text()
+        assert generated == (workdir / "small" / "results.csv").read_text()
+        assert {row["class"] for row in csv.DictReader(generated.splitlines())} == {"small"}
+        with open(workdir / "file" / "results.csv") as fh:
+            assert {row["class"] for row in csv.DictReader(fh)} == {"custom"}
+
     def test_simulate_qtable_with_lowest_cost_is_usage_error(self, workdir, capsys):
         (workdir / "qtable.json").write_text("{}")
         code = _run(
@@ -249,9 +266,13 @@ class TestUsageErrors:
              "option 'strategy' must be one of lowest-cost, adaptive, got 'greedy'"),
             (["gen-data", "--set", "intensity_mode=xyz"],
              "option 'intensity_mode' must be one of uniform, banded, got 'xyz'"),
+            (["gen-data", "--set", "n=40.9"], "option 'n' must be an integer, got 40.9"),
+            (["gen-data", "--set", "n=true"], "option 'n' must be an integer, got True"),
+            (["compare", "--set", "rate=true"], "option 'rate' must be a number, got True"),
         ],
         ids=["int-word", "int-list", "int-overflow", "float-word", "kind", "wf-class",
-             "classes", "classes-int", "strategy", "intensity-mode"],
+             "classes", "classes-int", "strategy", "intensity-mode", "int-fraction",
+             "int-bool", "float-bool"],
     )
     def test_bad_option_value_names_the_key(self, workdir, capsys, argv, line):
         assert _run(argv + ["--out", "out"]) == 2

@@ -47,7 +47,6 @@ def _event(at=AttackType.DOS, level=Severity.HIGH, detected_in=DatasetKind.NTD,
     return AttackEvent(
         attack_type=at,
         level=level,
-        l={Severity.LOW: 1 / 3, Severity.MEDIUM: 2 / 3, Severity.HIGH: 1.0}[level],
         detected_in=detected_in,
         task_id=task_id,
         service_id=service_id,

@@ -1,6 +1,7 @@
 """Domain model: catalogs, action-property algebra, and workflow JSON."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from secflow.model import (
     ActionKind,
     AttackType,
     ControlEdge,
+    DataEdge,
     MissingBackupError,
     ParseError,
     SecurityVector,
@@ -231,6 +233,78 @@ class TestWorkflowValidation:
             parse_workflow(json.dumps(doc))
 
 
+def _workflow(ids, control, data=()):
+    return Workflow(
+        tasks=tuple(make_task(t) for t in ids),
+        control_edges=tuple(ControlEdge(src=s, dst=d) for s, d in control),
+        data_edges=tuple(DataEdge(src=s, dst=d) for s, d in data),
+    )
+
+
+def _chain(n):
+    return [f"t{i}" for i in range(n)], [(f"t{i}", f"t{i + 1}") for i in range(n - 1)]
+
+
+class TestControlGraph:
+    # declared out of order: src fans out to a, b, c and e; a and b join at d
+    DIAMOND_IDS = ["sink", "b", "a", "src", "d", "c", "solo", "e"]
+    DIAMOND = [("src", "a"), ("src", "b"), ("src", "c"), ("a", "d"), ("b", "d"),
+               ("c", "e"), ("d", "sink"), ("e", "sink"), ("src", "e")]
+
+    def test_fan_out_and_diamond_order(self):
+        # Kahn's FIFO order: sources in declaration order, then each task as
+        # its last predecessor is taken
+        wf = _workflow(self.DIAMOND_IDS, self.DIAMOND, [("src", "sink"), ("a", "a")])
+        assert wf.topological_order() == ["src", "solo", "a", "b", "c", "d", "e", "sink"]
+
+    @pytest.mark.parametrize("src, dst", [("b", "c"), ("sink", "src"), ("solo", "d")])
+    def test_data_edge_off_every_control_path_rejected(self, src, dst):
+        with pytest.raises(ValidationError) as exc:
+            _workflow(self.DIAMOND_IDS, self.DIAMOND, [("a", "sink"), (src, dst)])
+        assert str(exc.value) == (
+            f"data edge {src}->{dst} endpoints not connected by a control path")
+
+    def test_long_chain_parses_and_orders(self):
+        ids, control = _chain(2000)
+        doc = {"tasks": [dict(_TASK, id=t) for t in ids],
+               "control_edges": [{"from": s, "to": d} for s, d in control],
+               "data_edges": [{"from": "t0", "to": "t1999"}]}
+        assert parse_workflow(json.dumps(doc)).topological_order() == ids
+
+    def test_validation_memory_is_bounded(self):
+        # all-pairs reach sets of this chain peak at about 340 MB
+        ids, control = _chain(4000)
+        data = [(ids[i], ids[-1 - i]) for i in range(2000)]
+        tracemalloc.start()
+        try:
+            _workflow(ids, control, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("control", [
+        [("t0", "t1"), ("t1", "t2"), ("t2", "t1"), ("t3", "t4"), ("t4", "t3"), ("t2", "t5")],
+        [("t5", "t0"), ("t0", "t1"), ("t1", "t2"), ("t2", "t0"), ("t2", "t3"), ("t3", "t1"),
+         ("t4", "t4")],
+        [("t1", "t0"), ("t2", "t1"), ("t0", "t2"), ("t0", "t3"), ("t3", "t4"), ("t4", "t5"),
+         ("t5", "t3")],
+    ], ids=["two-loops", "nested-loops", "loop-feeds-loop"])
+    def test_several_cycles_one_real_one_named(self, control):
+        with pytest.raises(ValidationError) as exc:
+            _workflow([f"t{i}" for i in range(6)], control)
+        prefix = "cycle in control edges: "
+        assert str(exc.value).startswith(prefix)
+        cycle = str(exc.value)[len(prefix):].split(" -> ")
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert all(step in control for step in zip(cycle, cycle[1:]))
+
+    def test_self_loop_named(self):
+        with pytest.raises(ValidationError) as exc:
+            _workflow(["t0", "t1"], [("t0", "t1"), ("t1", "t1")])
+        assert str(exc.value) == "cycle in control edges: t1 -> t1"
+
+
 @st.composite
 def random_workflows(draw):
     n = draw(st.integers(1, 8))
@@ -276,6 +350,7 @@ class TestRoundTrip:
 
 _TASK = {"id": "t0", "c": 0.1, "i": 0.1, "a": 0.1, "value": 1.0}
 _SERVICE = {"id": "p0-s0", "price": 1.0, "time": 2.0, "c": 1.0, "i": 1.0, "a": 1.0}
+_EDGE_DOC = {"tasks": [_TASK, dict(_TASK, id="t1")]}
 
 
 @pytest.mark.parametrize(
@@ -313,16 +388,50 @@ _SERVICE = {"id": "p0-s0", "price": 1.0, "time": 2.0, "c": 1.0, "i": 1.0, "a": 1
          "$.providers[0].services[0].a: must be in [0,1], got -0.5"),
         (parse_multicloud, {"providers": [{"id": "p0", "services": {"s0": _SERVICE}}]},
          "$.providers[0].services: must be an array"),
+        (parse_workflow, {"tasks": [dict(_TASK, value=float("nan"))]},
+         "$.tasks[0].value: must be a finite number, got nan"),
+        (parse_workflow,
+         {"tasks": [dict(_TASK, actions=[{"kind": "switch", "price": 1.0,
+                                          "time": float("-inf"), "value": 1.0}])]},
+         "$.tasks[0].actions[0].time: must be a finite number, got -inf"),
+        (parse_workflow, dict(_EDGE_DOC, control_edges=[
+            {"from": "t0", "to": "t1", "cond": "x", "prob": 1.5}]),
+         "$.control_edges[0].prob: must be in [0,1], got 1.5"),
+        (parse_workflow, dict(_EDGE_DOC, control_edges=[{"from": "t0", "to": "t1", "prob": -3}]),
+         "$.control_edges[0].prob: must be in [0,1], got -3"),
+        (parse_workflow, dict(_EDGE_DOC, control_edges=[
+            {"from": "t0", "to": "t1", "prob": float("nan")}]),
+         "$.control_edges[0].prob: must be a finite number, got nan"),
+        (parse_multicloud, {"providers": [{"id": "p0", "services": [
+            dict(_SERVICE, price=float("nan"))]}]},
+         "$.providers[0].services[0].price: must be a finite number, got nan"),
+        (parse_multicloud, {"providers": [{"id": "p0", "services": [
+            dict(_SERVICE, time=float("inf"))]}]},
+         "$.providers[0].services[0].time: must be a finite number, got inf"),
+        (parse_multicloud, {"providers": [{"id": "p0", "services": [
+            dict(_SERVICE, afr={"dos": "NaN"})]}]},
+         "$.providers[0].services[0].afr.dos: must be a finite number, got 'NaN'"),
     ],
     ids=["control-edge-field", "data-edge-object", "service-field", "provider-field",
          "cloud-document-object", "afr-attack-type", "action-object", "action-number",
          "afr-number", "task-cia-range", "action-mi-range", "service-cia-range",
-         "services-array"],
+         "services-array", "task-value-nan", "action-time-inf", "prob-above-one",
+         "prob-negative", "prob-nan", "service-price-nan", "service-time-inf",
+         "afr-nan-string"],
 )
 def test_malformed_document_names_its_path(parse, doc, message):
     with pytest.raises(ParseError) as exc:
         parse(json.dumps(doc))
     assert str(exc.value) == message
+
+
+def test_numeric_strings_and_probability_bounds_accepted():
+    doc = {"tasks": [dict(_TASK, value="0.5"), dict(_TASK, id="t1")],
+           "control_edges": [{"from": "t0", "to": "t1", "cond": "x", "prob": 0},
+                             {"from": "t0", "to": "t1", "cond": "y", "prob": "1"}]}
+    wf = parse_workflow(json.dumps(doc))
+    assert wf.tasks[0].value == 0.5
+    assert [e.prob for e in wf.control_edges] == [0.0, 1.0]
 
 
 class TestTenantConfig:

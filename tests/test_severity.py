@@ -129,10 +129,7 @@ class TestFitSeverity:
         model = fit_severity({DatasetKind.CLF: ds}, seed=2)
         entry = model.entries[(DatasetKind.CLF, AttackType.PROBE)]
         for rec in ds.X[ds.labels == "probe"][:50]:
-            level, l = entry.assess(rec)
-            assert l == {Severity.LOW: 1 / 3, Severity.MEDIUM: 2 / 3, Severity.HIGH: 1.0}[
-                level
-            ]
+            assert 0 < SEVERITY_LEVEL[entry.assess(rec)] <= 1
 
     def test_held_out_tercile_agreement(self):
         train = self._banded(DatasetKind.CLF, seed=3)
@@ -142,7 +139,7 @@ class TestFitSeverity:
         X, intensity = test.X[mask][:100], test.intensity[mask][:100]
         tercile = np.digitize(intensity, [1 / 3, 2 / 3])
         predicted = np.array(
-            [(Severity.LOW, Severity.MEDIUM, Severity.HIGH).index(entry.assess(x)[0])
+            [(Severity.LOW, Severity.MEDIUM, Severity.HIGH).index(entry.assess(x))
              for x in X]
         )
         assert np.mean(predicted == tercile) >= 0.9
@@ -176,8 +173,7 @@ class TestFitSeverity:
             raw = centroid * entry.scale_std + entry.scale_mean
             features = np.zeros(ds.X.shape[1])
             features[entry.feature_indices] = raw
-            level, _ = entry.assess(features)
-            assert level is entry.cluster_level[j]
+            assert entry.assess(features) is entry.cluster_level[j]
 
 
 def _reference_assess(entry, features):
@@ -188,8 +184,7 @@ def _reference_assess(entry, features):
     d2 = np.sum((entry.centroids - x) ** 2, axis=1)
     best = min(range(len(d2)),
                key=lambda j: (d2[j], SEVERITY_ORDER.index(entry.cluster_level[j])))
-    level = entry.cluster_level[best]
-    return level, SEVERITY_LEVEL[level]
+    return entry.cluster_level[best]
 
 
 def test_assess_matches_numpy_distance():
@@ -216,5 +211,4 @@ def test_equidistant_clusters_resolve_to_lower_severity():
     )
     # standardized (0, 0) lies 0.25 from both the HIGH and the LOW centroid
     record = [0.0, 7.0, 1.0]
-    assert entry.assess(record) == _reference_assess(entry, record) == (
-        Severity.LOW, SEVERITY_LEVEL[Severity.LOW])
+    assert entry.assess(record) == _reference_assess(entry, record) == Severity.LOW
