@@ -40,14 +40,17 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_set(entries):
+def _parse_set(entries, command):
+    """The --set KEY=VALUE entries as a dict, each value JSON-decoded unless it
+    is a path or a name (an option of `command` cast by `str`, or `qtable`) or not JSON."""
+    text = {name for name, cast, *_ in COMMANDS[command][2] if cast in (str, _qtable)}
     out = {}
     for entry in entries or ():
         if "=" not in entry:
             raise UsageError(f"--set expects key=value, got {entry!r}")
         key, raw = entry.split("=", 1)
         try:
-            out[key] = json.loads(raw)
+            out[key] = raw if key in text else json.loads(raw)
         except json.JSONDecodeError:
             out[key] = raw
     return out
@@ -57,7 +60,7 @@ def _load_config(args):
     """Layered config: JSON file < --set overrides < explicit flags; the
     SECFLOW_SEED env var beats the file for the seed."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         cfg.update(parse_file(args.config, lambda text: load_document(text, UsageError)))
     env_seed = os.environ.get("SECFLOW_SEED")
     if env_seed is not None:
@@ -65,7 +68,7 @@ def _load_config(args):
             cfg["seed"] = int(env_seed)
         except ValueError:
             raise UsageError(f"SECFLOW_SEED must be an integer, got {env_seed!r}")
-    cfg.update(_parse_set(getattr(args, "set", None)))
+    cfg.update(_parse_set(args.set, args.command))
     for key, value in vars(args).items():
         if key in ("config", "set", "command") or value is None:
             continue
@@ -463,7 +466,7 @@ def build_parser():
         p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key (JSON-parsed value)")
+                       help="override a config key (a JSON value; a path or name as written)")
         for name, cast, _, flag in (SEED, *options):
             if not flag:
                 continue

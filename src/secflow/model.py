@@ -499,11 +499,13 @@ def floats_at(path, value, shape, error=ParseError):
 
 
 def _number(path, value):
-    """`value` as a finite float; anything else raises ParseError naming `path`."""
+    """`value` as a finite float, not a boolean; else ParseError naming `path`."""
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise ParseError(f"{path}: must be a number, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ParseError(f"{path}: must be a number, got {value!r}")
     if not math.isfinite(number):
         raise ParseError(f"{path}: must be a finite number, got {value!r}")
     return number
@@ -513,7 +515,8 @@ def _security_vector(named):
     """A SecurityVector from (path, value) pairs: a value that is not a number
     in [0,1] raises ParseError naming its path."""
     for path, value in named:
-        if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+        # `type`, not `isinstance`: a JSON boolean is an int subclass
+        if not (type(value) in (int, float) and 0.0 <= value <= 1.0):
             raise ParseError(f"{path}: must be in [0,1], got {value!r}")
     return SecurityVector(*(value for _, value in named))
 

@@ -11,7 +11,6 @@ normalized against running min/max across episodes.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -102,7 +101,6 @@ class QTable:
     config: RLConfig = field(default_factory=RLConfig)
     entries: dict = field(default_factory=dict)  # (state, action_key) -> q
     visits: dict = field(default_factory=dict)
-    discretization: dict = field(default_factory=dict)  # persisted with the table
 
     def q(self, state, action) -> float:
         return self.entries.get((state, _action_key(action)), 0.0)
@@ -191,44 +189,12 @@ def run_training_episode(table, gen, epsilon, rng, running):
 
 
 # ---------------------------------------------------------------------------
-# Workflow-state discretization
+# State key
 
-VIOLATION_BUCKETS = 4  # 0, 1, 2, 3+
-#: The accumulated attributes the state key buckets by three cuts each, and
-#: the prefix of each bucket in the key.
-BUCKETS = {"time": "t", "price": "p", "value": "u"}
-
-
-def quartile_boundaries(samples: dict) -> dict:
-    """Bucket cuts for the state key: the 25/50/75% quantiles of each
-    attribute's samples. They are fixed at training start and persisted as
-    `QTable.discretization`."""
-    return {
-        attr: [float(np.quantile(np.asarray(v, dtype=float), q)) for q in (0.25, 0.5, 0.75)]
-        for attr, v in samples.items()
-    }
-
-
-def workflow_state_key(
-    attack_type, level, kind_counts: dict, accumulated: dict, discretization: dict
-) -> str:
-    """Canonical string key combining the task state (attack type, severity)
-    with the discretized workflow state: the violation bucket (one per
-    decision so far, 3+ capped), the counts of the action kinds applied so
-    far (`kind_counts`: kind -> count, as `sim.ExecutionState.kind_counts`
-    keeps them), and the buckets of the accumulated time/price/value under the
-    cuts of `discretization` (an attribute without cuts has cuts 0, 0, 0)."""
-    counts = sorted((_action_key(k), n) for k, n in kind_counts.items())
-    parts = [
-        _action_key(attack_type),
-        _action_key(level),
-        f"v{min(sum(kind_counts.values()), VIOLATION_BUCKETS - 1)}",
-        ",".join(f"{k}:{n}" for k, n in counts) or "-",
-    ]
-    for attr, prefix in BUCKETS.items():
-        cuts = discretization.get(attr, (0.0, 0.0, 0.0))
-        parts.append(f"{prefix}{bisect.bisect_right(cuts, accumulated.get(attr, 0.0))}")
-    return "|".join(parts)
+def workflow_state_key(attack_type, level) -> str:
+    """The state the learner sees at a decision: the detected `AttackType` and
+    its `Severity` tier, as "<type>|<tier>" (e.g. "dos|high")."""
+    return f"{attack_type.value}|{level.value}"
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +203,6 @@ def workflow_state_key(
 def table_to_json(table: QTable) -> str:
     doc = {
         "config": asdict(table.config),
-        "discretization": table.discretization,
         "entries": [
             {"state": state, "action": action, "q": q, "n": table.visits.get((state, action), 0)}
             for (state, action), q in sorted(table.entries.items())
@@ -248,29 +213,27 @@ def table_to_json(table: QTable) -> str:
 
 def table_from_json(text: str) -> QTable:
     """A Q-table from its JSON document. Malformed input raises RLDomainError
-    naming the JSON path; a non-empty `discretization` must hold three
-    ascending finite cuts for each of time, price and value."""
+    naming the JSON path. A document with `discretization` holds bucketed
+    state keys, which no decision's key matches, and is refused."""
     doc = load_document(text, RLDomainError)
     with fields_at("$", doc, RLDomainError):
         config, entries = doc["config"], array_at("$.entries", doc["entries"], RLDomainError)
-    with fields_at("$.discretization", doc.get("discretization", {}), RLDomainError) as disc:
-        for attr in BUCKETS if disc else ():
-            cuts = disc.get(attr)
-            if not (isinstance(cuts, list) and len(cuts) == 3
-                    and all(isinstance(c, (int, float)) and math.isfinite(c) for c in cuts)
-                    and cuts == sorted(cuts)):
-                raise RLDomainError(f"$.discretization.{attr}: must be 3 ascending finite "
-                                    f"cuts, got {cuts!r}")
+    if "discretization" in doc:
+        raise RLDomainError("$.discretization: a Q-table with bucketed state keys; "
+                            "retrain it with train-rl")
     try:
-        table = QTable(config=RLConfig(**config), discretization=disc)
+        table = QTable(config=RLConfig(**config))
     except (TypeError, ValueError) as exc:
         raise RLDomainError(f"$.config: {exc}") from None
     for i, e in enumerate(entries):
-        with fields_at(f"$.entries[{i}]", e, RLDomainError):
+        path = f"$.entries[{i}]"
+        with fields_at(path, e, RLDomainError):
             key, q, n = (e["state"], e["action"]), e["q"], e["n"]
-        try:
-            table.entries[key] = float(q)
-            table.visits[key] = int(n)
-        except (TypeError, ValueError) as exc:
-            raise RLDomainError(f"$.entries[{i}]: {exc}") from None
+        # `type`, not `isinstance`: a JSON boolean is an int subclass
+        if type(q) not in (int, float) or not math.isfinite(q):
+            raise RLDomainError(f"{path}.q: must be a finite number, got {q!r}")
+        if type(n) is not int or n < 0:
+            raise RLDomainError(f"{path}.n: must be a non-negative integer, got {n!r}")
+        table.entries[key] = float(q)
+        table.visits[key] = n
     return table

@@ -103,7 +103,6 @@ class ExecutionState:
         self._noise_rng = noise_rng
         self.base = {}  # task id -> [price, time, value]
         self.adaptations = []  # dicts: task, kind, price, time, value_delta, mitigation
-        self.kind_counts = {}  # action kind -> adaptations of that kind so far
         self.degraded = {}  # task id -> count of degraded inputs
         self.nominal_prefix = 0.0  # nominal time of tasks processed so far
         self._data_succ = layout.data_succ
@@ -155,7 +154,6 @@ class ExecutionState:
             "mitigation": mitigation,
         }
         self.adaptations.append(entry)
-        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
         for attr in self._adapted:
             self._adapted[attr] += entry[attr]
 
@@ -207,12 +205,11 @@ class Experiment:
     """What every instance of an experiment reads: the workflow's `Layout`,
     the plan checked against the cloud, each task's bound service, the cloud,
     the detectors (one per `DatasetKind`), the severity model, the tenant
-    config, the trust repository the instances share, the attack rate, the
-    state key's cuts (`discretization`, empty until an adaptive experiment
-    fixes them) and the candidate sets resolved so far
-    (`decision.select_action`'s memo, valid while the cloud and the tenant
-    config stay those of the experiment). `run_experiment` builds one and
-    passes it to every instance; it is dropped with the experiment."""
+    config, the trust repository the instances share, the attack rate and
+    the candidate sets resolved so far (`decision.select_action`'s memo,
+    valid while the cloud and the tenant config stay those of the
+    experiment). `run_experiment` builds one and passes it to every
+    instance; it is dropped with the experiment."""
 
     def __init__(self, workflow: Workflow, plan: SchedulingPlan, cloud: MultiCloud,
                  detectors: dict, severity_model, cfg: TenantConfig,
@@ -232,7 +229,6 @@ class Experiment:
         self.cfg = cfg
         self.trust = trust
         self.attack_rate = attack_rate
-        self.discretization = {}
         self.selections = {}
 
 
@@ -308,13 +304,13 @@ def instance_episode(experiment: Experiment, seed: int):
     """Execute one instance of `experiment` as a generator speaking the rl
     module's protocol: at each adaptation decision it yields ("decide",
     state_key, kinds ranked cheapest-first) and applies the kind it is sent,
-    then yields ("reward", r) and expects None. The state key buckets the
-    ledger's totals by the cuts of `experiment.discretization` (see
-    `rl.workflow_state_key`). Returns the RunResult."""
+    then yields ("reward", r) and expects None. The state key is the
+    detected attack type and severity (`rl.workflow_state_key`). Returns the
+    RunResult."""
     layout, bound, trust = experiment.layout, experiment.bound, experiment.trust
     detectors, severity_model = experiment.detectors, experiment.severity_model
     cloud, cfg, attack_rate = experiment.cloud, experiment.cfg, experiment.attack_rate
-    discretization, selections = experiment.discretization, experiment.selections
+    selections = experiment.selections
 
     ss = np.random.SeedSequence(seed)
     attack_rng, branch_rng, noise_rng, telem_rng, fail_rng = (
@@ -412,9 +408,7 @@ def instance_episode(experiment: Experiment, seed: int):
 
         # a real decision point; candidates are presented cheapest-first so a
         # cold-start greedy choice degrades to the nominal-cost ranking
-        state_key = rl.workflow_state_key(
-            pred_type, level, state.kind_counts, state.accumulated(), discretization,
-        )
+        state_key = rl.workflow_state_key(pred_type, level)
         candidates = result.candidates
         breakdowns = candidates.breakdowns
         sent = yield ("decide", state_key, list(candidates.ranked))
@@ -579,9 +573,6 @@ def run_experiment(
         rounds = (run_instance(experiment, int(s)) for s in run_seeds)
     else:
         table = qtable if qtable is not None else rl.QTable()
-        if not table.discretization:
-            table.discretization = _warmup_discretizer(experiment, seed)
-        experiment.discretization = table.discretization
         policy_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
         rounds = rl.train(table, (instance_episode(experiment, int(s)) for s in run_seeds),
                           policy_rng)
@@ -612,27 +603,6 @@ def _reconcile_trust(trust: TrustRepository, result: RunResult):
         for e in result.events
         if e["outcome"] in _DETECTED_OUTCOMES
     })
-
-
-#: Lowest-cost instances that fix an adaptive experiment's state buckets.
-WARMUP_RUNS = 20
-
-
-def _warmup_discretizer(experiment: Experiment, seed: int):
-    """Fix the workflow-state quartile cuts from a short lowest-cost warmup
-    (trust snapshot restored afterwards)."""
-    trust = experiment.trust
-    snapshot = dict(trust.afr_history)
-    samples = {attr: [] for attr in rl.BUCKETS}
-    warm_seeds = np.random.SeedSequence([seed, 13]).generate_state(WARMUP_RUNS)
-    for s in warm_seeds:
-        res = run_instance(experiment, int(s))
-        # accumulated-at-decision values are approximated by fractions of the
-        # run totals; quartiles over these anchor the buckets
-        for attr, values in samples.items():
-            values.extend(getattr(res, attr) * frac for frac in (0.25, 0.5, 0.75, 1.0))
-    trust.afr_history = snapshot
-    return rl.quartile_boundaries(samples)
 
 
 def composite_rewards(results):

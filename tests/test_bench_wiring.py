@@ -92,7 +92,7 @@ def test_one_resolution_per_candidate_key_within_an_experiment(monkeypatch):
     monkeypatch.setattr(rl, "run_training_episode", collecting("run_training_episode"))
     sim.run_experiment(workflow, cloud, detectors, severity_model, TenantConfig(), 6,
                        "adaptive", 0.8, seed=9, qtable=rl.QTable(), burn_in=3)
-    assert len(results) == 3 + sim.WARMUP_RUNS + 6
+    assert len(results) == 3 + 6  # burn_in + n_runs: no other instance runs
     assert calls["select_action"] == sum(r.detected for r in results) > 0
     assert 0 < len(backup_keys) == len(set(backup_keys)) < len(keys)
     assert calls["topological_order"] == 1

@@ -66,6 +66,10 @@ class TestGenData:
         monkeypatch.setenv("SECFLOW_SEED", "not-a-number")
         assert _run(["gen-data", "--n", "10"]) == 2
 
+    def test_set_takes_a_path_as_written(self, workdir):
+        assert _run(["gen-data", "--n", "10", "--kind", "clf", "--set", "out=123"]) == 0
+        assert (workdir / "123" / "clf.csv").exists()
+
     def test_negative_mix_fraction_is_runtime_error(self, workdir, capsys):
         code = _run(["gen-data", "--n", "10", "--kind", "clf", "--out", "out",
                      "--set", 'mix={"normal": 1.5, "dos": -0.5}'])
@@ -324,7 +328,7 @@ class TestOneTable:
         [
             (["simulate", "--workflow", "F", "--wf-class", "huge"],
              "secflow simulate: error: argument --wf-class: invalid choice: 'huge'"),
-            (["gen-data", "--set", "out=5"],
+            (["gen-data", "--config", "cfg.json"],
              "secflow: usage error: option 'out' must be a string, got 5"),
             (["gen-data", "--set", "mix=5"],
              "secflow: usage error: option 'mix' must be a JSON object, got 5"),
@@ -332,6 +336,7 @@ class TestOneTable:
         ids=["simulate-wf-class", "out", "mix"],
     )
     def test_mistyped_value_is_usage_error(self, workdir, capsys, argv, line):
+        (workdir / "cfg.json").write_text(json.dumps({"out": 5}))
         assert _run(argv) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith(line)
 
@@ -414,6 +419,11 @@ class TestInputFileErrors:
              "m.json: $.version: unsupported model file version 2"),
             ("q.json", '{"config": {"alpha": 2}, "entries": []}',
              "q.json: $.config: alpha must be in (0,1]"),
+            ("q.json", '{"config": {}, "entries": [{"state": "s", "action": "skip", '
+             '"q": true, "n": 1}]}', "q.json: $.entries[0].q: must be a finite number, got True"),
+            ("q.json", '{"config": {}, "entries": [{"state": "s", "action": "skip", '
+             '"q": 0.5, "n": 1.5}]}',
+             "q.json: $.entries[0].n: must be a non-negative integer, got 1.5"),
             ("cfg.json", "[1]", "cfg.json: $: must be an object"),
             ("m.json", _edit(*_NTD_RF, "kind", to=lambda _: "svm"),
              'm.json: $.detectors["ntd/random_forest"].kind: must be \'random_forest\' or '
@@ -440,6 +450,7 @@ class TestInputFileErrors:
         ],
         ids=["workflow-task-field", "workflow-tasks-array", "cloud-service-field",
              "cloud-not-json", "models-without-detectors", "models-version", "qtable-config-range",
+             "qtable-q-boolean", "qtable-n-fraction",
              "config-array", "detector-kind", "detector-classes", "detector-weights-shape",
              "severity-key", "severity-index-range", "severity-scale-mean-length",
              "severity-scale-std-length", "severity-centroids-shape",
@@ -458,11 +469,11 @@ class TestInputFileErrors:
         self._fails_with(workdir, capsys, models_file, "q.json", "[]",
                          "q.json: $: must be an object")
 
-    def test_qtable_short_discretization(self, workdir, capsys, models_file):
-        doc = {"config": {}, "entries": [], "discretization": {"time": [1.0]}}
+    def test_qtable_with_bucketed_keys_refused(self, workdir, capsys, models_file):
+        doc = {"config": {}, "entries": [], "discretization": {"time": [1.0, 2.0, 3.0]}}
         self._fails_with(workdir, capsys, models_file, "q.json", json.dumps(doc),
-                         "q.json: $.discretization.time: must be 3 ascending finite cuts, "
-                         "got [1.0]")
+                         "q.json: $.discretization: a Q-table with bucketed state keys; "
+                         "retrain it with train-rl")
 
     def test_models_not_json(self, workdir, capsys, models_file):
         self._fails_with(workdir, capsys, models_file, "m.json", "not json",

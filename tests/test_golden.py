@@ -35,7 +35,7 @@ GOLDEN = {
     "train/models.json":
         "67e894fc0bd82fd314245709415e56a5525f79dc198d13e6e7b03f5c81ce2a62",
     "train-rl/qtable.json":
-        "28a58e4f76d308f14af3a46b3e2356b28b8a5b75c6206463d9941ff43f75d7bf",
+        "c90db855f4d81ee36d5e1758659628f9b7f9b64c0f59783280d3a8e3e4be591c",
     "simulate-lowest-cost/results.csv":
         "df177b02903183b4e760c3d0ed52e93de72953e597ad0c6f9d40586a04856e7c",
     "simulate-lowest-cost/events.jsonl":
@@ -123,7 +123,7 @@ def test_adaptive_run_picks_a_non_cheapest_candidate(outputs):
 # above cannot see them; this one covers every RunResult counter and float.
 RUN_RESULT_GOLDEN = {
     "lowest-cost": "1ae40d6241f3f972dc372e7d635ff5644d6c581232fb11b1bb132d6df9b1fdcc",
-    "adaptive": "1cb52f13e508041a4558c3a7eb331e6c1e083400d6143869b51e85116f929422",
+    "adaptive": "9eb087b4d8aee55325986fb2b4e756aedc0e6113ad8dddf44fea30741c72641c",
 }
 
 

@@ -411,13 +411,31 @@ _EDGE_DOC = {"tasks": [_TASK, dict(_TASK, id="t1")]}
         (parse_multicloud, {"providers": [{"id": "p0", "services": [
             dict(_SERVICE, afr={"dos": "NaN"})]}]},
          "$.providers[0].services[0].afr.dos: must be a finite number, got 'NaN'"),
+        (parse_workflow, {"tasks": [dict(_TASK, c=True)]},
+         "$.tasks[0].c: must be in [0,1], got True"),
+        (parse_workflow, {"tasks": [dict(_TASK, value=True)]},
+         "$.tasks[0].value: must be a number, got True"),
+        (parse_multicloud, {"providers": [{"id": "p0", "services": [
+            dict(_SERVICE, price=False)]}]},
+         "$.providers[0].services[0].price: must be a number, got False"),
+        (parse_multicloud,
+         {"providers": [{"id": "p0", "services": [dict(_SERVICE, afr={"dos": True})]}]},
+         "$.providers[0].services[0].afr.dos: must be a number, got True"),
+        (parse_workflow,
+         {"tasks": [dict(_TASK, actions=[{"kind": "insert", "price": 1.0, "time": 1.0,
+                                          "value": 1.0, "mi": [0.5, True, 0.5]}])]},
+         "$.tasks[0].actions[0].mi[1]: must be in [0,1], got True"),
+        (parse_workflow, dict(_EDGE_DOC, control_edges=[
+            {"from": "t0", "to": "t1", "cond": "x", "prob": True}]),
+         "$.control_edges[0].prob: must be a number, got True"),
     ],
     ids=["control-edge-field", "data-edge-object", "service-field", "provider-field",
          "cloud-document-object", "afr-attack-type", "action-object", "action-number",
          "afr-number", "task-cia-range", "action-mi-range", "service-cia-range",
          "services-array", "task-value-nan", "action-time-inf", "prob-above-one",
          "prob-negative", "prob-nan", "service-price-nan", "service-time-inf",
-         "afr-nan-string"],
+         "afr-nan-string", "task-cia-boolean", "task-value-boolean",
+         "service-price-boolean", "afr-boolean", "action-mi-boolean", "prob-boolean"],
 )
 def test_malformed_document_names_its_path(parse, doc, message):
     with pytest.raises(ParseError) as exc:

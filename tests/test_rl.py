@@ -1,23 +1,18 @@
 """Q-learning: reward shaping, Bellman updates, training loops, prediction."""
 
-import bisect
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from secflow.model import ActionKind, AttackType, Severity
 from secflow.rl import (
-    BUCKETS,
-    VIOLATION_BUCKETS,
     QTable,
     RLConfig,
     RLDomainError,
     RewardWeights,
     predict,
     q_update,
-    quartile_boundaries,
     reward,
     table_from_json,
     table_to_json,
@@ -243,71 +238,16 @@ class TestConfigValidation:
             table_from_json(json.dumps(doc))
 
 
-def _key_from_history(attack_type, level, history, accumulated, discretization):
-    """The state key as it was built from the whole adaptation history: a
-    `Counter` over the kinds, one violation per entry."""
-    def name(a):
-        return a.value if hasattr(a, "value") else str(a)
-
-    counts = Counter(name(a) for a in history)
-    parts = [
-        name(attack_type),
-        name(level),
-        f"v{min(len(history), VIOLATION_BUCKETS - 1)}",
-        ",".join(f"{k}:{counts[k]}" for k in sorted(counts)) or "-",
-    ]
-    for attr, prefix in BUCKETS.items():
-        cuts = discretization.get(attr, (0.0, 0.0, 0.0))
-        parts.append(f"{prefix}{bisect.bisect_right(cuts, accumulated.get(attr, 0.0))}")
-    return "|".join(parts)
-
-
 class TestStateKeys:
     def test_key_structure(self):
-        key = workflow_state_key(
-            "dos", "high", Counter(["skip", "skip", "rework", "skip", "insert"]),
-            {"time": 2.5, "price": 0.0, "value": 0.0}, {"time": [1, 2, 3]},
-        )
-        parts = key.split("|")
-        assert parts[0] == "dos"
-        assert parts[1] == "high"
-        assert parts[2] == "v3"  # one violation per decision, capped at 3+
-        assert parts[3] == "insert:1,rework:1,skip:3"
-        assert parts[4] == "t2"  # 2.5 falls in bucket 2 of [1,2,3]
+        assert workflow_state_key(AttackType.DOS, Severity.HIGH) == "dos|high"
 
-    def test_quartile_boundaries_bucket_the_key(self):
-        cuts = quartile_boundaries({"time": list(range(101))})
-        assert cuts == {"time": [25.0, 50.0, 75.0]}
-        for time, bucket in ((10, 0), (60, 2), (99, 3)):
-            key = workflow_state_key("dos", "high", {}, {"time": time}, cuts)
-            assert key.split("|")[4] == f"t{bucket}"
-
-    def test_key_from_running_counts_equals_key_from_history(self):
-        rng = np.random.default_rng(0)
-        kinds = list(ActionKind)
-        cuts = {"time": [1.0, 2.0, 3.0], "price": [0.5, 0.5, 2.0], "value": [0.0, 1.0, 4.0]}
-        history, counts = [], {}
-        for step in range(300):
-            attack_type = list(AttackType)[int(rng.integers(4))]
-            level = list(Severity)[int(rng.integers(3))]
-            accumulated = {attr: float(rng.uniform(-1.0, 5.0)) for attr in BUCKETS}
-            for discretization in (cuts, {}):
-                assert workflow_state_key(attack_type, level, counts, accumulated,
-                                          discretization) == _key_from_history(
-                    attack_type, level, history, accumulated, discretization)
-            if step % 60 == 0:  # a new instance starts with no adaptations
-                history, counts = [], {}
-            kind = kinds[int(rng.integers(len(kinds)))]
-            history.append(kind)
-            counts[kind] = counts.get(kind, 0) + 1
-
-    def test_table_json_round_trip_preserves_discretization(self):
-        table = QTable(discretization={
-            "time": [1.0, 2.0, 3.0], "price": [0.5, 0.5, 2.0], "value": [0.0, 1.0, 4.0],
-        })
-        table.entries[("s", "a")] = 0.5
-        table.visits[("s", "a")] = 3
+    def test_table_json_round_trip(self):
+        table = QTable(config=RLConfig(alpha=0.5, epsilon=0.2))
+        table.entries[("dos|high", ActionKind.SKIP.value)] = 0.5
+        table.entries[("r2l|low", ActionKind.REWORK.value)] = -0.25
+        table.visits[("dos|high", ActionKind.SKIP.value)] = 3
+        table.visits[("r2l|low", ActionKind.REWORK.value)] = 1
         restored = table_from_json(table_to_json(table))
-        assert restored.entries == table.entries
-        assert restored.visits == table.visits
-        assert restored.discretization == table.discretization
+        assert restored == table
+        assert "discretization" not in json.loads(table_to_json(table))

@@ -9,11 +9,12 @@ from secflow.detection import train_random_forest
 from secflow.model import (
     AttackType,
     ControlEdge,
+    Severity,
     TenantConfig,
     Workflow,
 )
 from secflow.scheduling import TrustRepository
-from secflow import sim
+from secflow import rl, sim
 from secflow.severity import fit_severity
 from secflow.sim import (
     CLASS_TASK_RANGE,
@@ -245,6 +246,16 @@ class TestRunExperiment:
             seed=0, window=10, burn_in=0,
         )
         assert len(exp.windows) == 3
+
+    def test_adaptive_table_has_one_state_per_attack_type_and_severity(self):
+        wf = generate_workflow_class(WorkflowClass.MEDIUM, 3)
+        cloud = generate_multicloud(4)
+        table = rl.QTable()
+        run_experiment(wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 20, "adaptive", 0.8,
+                       seed=5, qtable=table, burn_in=0)
+        states = {state for state, _ in table.entries}
+        assert 1 < len(states) <= 12
+        assert states <= {f"{t.value}|{s.value}" for t in AttackType for s in Severity}
 
     def test_unknown_strategy_rejected(self, monkeypatch):
         """Rejected before the burn-in rounds run any instance."""
