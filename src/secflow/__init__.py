@@ -29,7 +29,7 @@ from .scheduling import TrustRepository, eligible_services, schedule
 from .datagen import Dataset, DatasetKind, generate, split
 from .detection import evaluate, train_linear, train_random_forest
 from .severity import SeverityModel, fit_severity
-from .rl import QTable, RLConfig, RewardWeights, train
+from .rl import QTable, RLConfig, train
 from .decision import AttackEvent, select_action
 from .sim import (
     Experiment,

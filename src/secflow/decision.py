@@ -236,14 +236,13 @@ def apply_tenant_action(state, event: AttackEvent, chosen: CostBreakdown):
     mitigation = chosen.mitigation
     if kind is ActionKind.SKIP:
         state.skip_task(task_id)
-        state.add_adaptation(task_id, kind, price=0.0, time=0.0, value_delta=0.0,
+        state.add_adaptation(task_id, price=0.0, time=0.0, value_delta=0.0,
                              mitigation=mitigation)
         return
     if kind is ActionKind.SWITCH:
         base_value = state.base_value(task_id)
         state.add_adaptation(
             task_id,
-            kind,
             price=0.0,
             time=chosen.time,
             value_delta=chosen.value - base_value,
@@ -253,7 +252,6 @@ def apply_tenant_action(state, event: AttackEvent, chosen: CostBreakdown):
     if kind is ActionKind.INSERT:
         state.add_adaptation(
             task_id,
-            kind,
             price=chosen.price,
             time=chosen.time,
             value_delta=chosen.value,
@@ -277,18 +275,15 @@ def apply_middleware_action(
         if backup is None:
             raise NoBackupError(f"rework on {task_id!r} lost its backup service")
         time = backup.response_time * state.late_multiplier()
-        state.add_adaptation(
-            task_id, kind,
-            price=backup.price, time=time, value_delta=0.0,
-            mitigation=mitigation,
-        )
+        state.add_adaptation(task_id, price=backup.price, time=time, value_delta=0.0,
+                             mitigation=mitigation)
     elif kind is ActionKind.REDUNDANCY:
         if backup is None:
             raise NoBackupError(f"redundancy on {task_id!r} lost its backup service")
         base_time = state.base_time(task_id)
         base_value = state.base_value(task_id)
         state.add_adaptation(
-            task_id, kind,
+            task_id,
             price=backup.price,
             time=max(backup.response_time, base_time) - base_time,
             value_delta=chosen.value - base_value,
@@ -299,7 +294,7 @@ def apply_middleware_action(
         base_time = state.base_time(task_id)
         base_value = state.base_value(task_id)
         state.add_adaptation(
-            task_id, kind,
+            task_id,
             price=chosen.price - base_price,
             time=chosen.time - base_time,
             value_delta=chosen.value - base_value,

@@ -1,11 +1,11 @@
 """Tabular Q-learning for adaptation-action selection.
 
-`train` is the one training loop. It drives episode generators speaking a
-small event protocol: the generator yields ("decide", state_key, candidates)
-and expects the chosen candidate via send(); after applying it, it yields
-("reward", r) and expects send(None). On return, its StopIteration value may
-be an object whose ``reward_attrs()`` gives the episode's final workflow
-totals (price/time/value/mitigation), which feed the terminal bonus reward
+`train` is the one training loop. An episode is a callable
+``episode(choose, learn)``: at each decision it calls
+``choose(state_key, candidates)`` and applies the candidate returned, then
+calls ``learn(r)`` with that decision's reward. Its return value may be an
+object whose ``reward_attrs()`` gives the episode's final workflow totals
+(price/time/value/mitigation), which feed the terminal bonus reward
 normalized against running min/max across episodes.
 """
 
@@ -45,33 +45,17 @@ class RLConfig:
             raise RLDomainError(f"epsilon_floor must be in [0,1], got {self.epsilon_floor!r}")
 
 
-@dataclass(frozen=True)
-class RewardWeights:
-    """Per-attribute reward weights; price/time must be <= 0 and
-    mitigation/value >= 0."""
-
-    price: float = -0.25
-    time: float = -0.25
-    mitigation: float = 0.25
-    value: float = 0.25
-
-    def __post_init__(self):
-        if self.price > 0 or self.time > 0:
-            raise RLDomainError("price/time weights must be <= 0")
-        if self.mitigation < 0 or self.value < 0:
-            raise RLDomainError("mitigation/value weights must be >= 0")
-
-
-#: The weights of every simulated reward: the per-decision reward, the
-#: terminal bonus and the pooled composite reward.
-REWARD_WEIGHTS = RewardWeights()
+#: The weight of each attribute in every simulated reward (the per-decision
+#: reward, the terminal bonus and the pooled composite reward): price and
+#: time count against a run, mitigation and value for it.
+REWARD_WEIGHTS = {"price": -0.25, "time": -0.25, "mitigation": 0.25, "value": 0.25}
 
 ATTR_NAMES = ("price", "time", "mitigation", "value")
 
 
-def reward(attrs: dict, mins: dict, maxs: dict, weights: RewardWeights) -> float:
-    """Sum of W_i * (att_i - min_i) / (max_i - min_i); a degenerate attribute
-    (max == min) contributes 0."""
+def reward(attrs: dict, mins: dict, maxs: dict) -> float:
+    """Sum of W_i * (att_i - min_i) / (max_i - min_i) with W =
+    `REWARD_WEIGHTS`; a degenerate attribute (max == min) contributes 0."""
     total = 0.0
     for name in ATTR_NAMES:
         att, lo, hi = attrs[name], mins[name], maxs[name]
@@ -81,7 +65,7 @@ def reward(attrs: dict, mins: dict, maxs: dict, weights: RewardWeights) -> float
         if hi < lo:
             raise RLDomainError(f"max < min for {name}")
         if hi > lo:
-            total += getattr(weights, name) * (att - lo) / (hi - lo)
+            total += REWARD_WEIGHTS[name] * (att - lo) / (hi - lo)
     return total
 
 
@@ -128,9 +112,9 @@ def predict(table: QTable, state, candidates):
 
 
 def train(table: QTable, episodes, rng):
-    """The epsilon-greedy Q-learning loop: drive each episode generator of the
-    iterable `episodes` through `run_training_episode`, drawing exploration
-    from `rng`, and yield each episode's outcome. Epsilon starts at
+    """The epsilon-greedy Q-learning loop: run each episode of the iterable
+    `episodes` through `run_training_episode`, drawing exploration from
+    `rng`, and yield each episode's outcome. Epsilon starts at
     `table.config.epsilon` and decays multiplicatively per episode down to
     the configured floor. An episode that raises is re-raised as RuntimeError
     naming its index."""
@@ -138,42 +122,38 @@ def train(table: QTable, episodes, rng):
     epsilon = cfg.epsilon
     # terminal-bonus min/max of each attribute across the episodes so far
     running = ({n: np.inf for n in ATTR_NAMES}, {n: -np.inf for n in ATTR_NAMES})
-    for ep, gen in enumerate(episodes):
+    for ep, episode in enumerate(episodes):
         try:
-            outcome = run_training_episode(table, gen, epsilon, rng, running)
+            outcome = run_training_episode(table, episode, epsilon, rng, running)
         except Exception as exc:
             raise RuntimeError(f"episode {ep} failed: {exc}") from exc
         yield outcome
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
 
 
-def run_training_episode(table, gen, epsilon, rng, running):
-    """Drive one episode generator with epsilon-greedy choices and online Q
-    updates. Returns the generator's StopIteration value; if it is not None,
-    its ``reward_attrs()`` totals widen the `running` (mins, maxs) and add the
+def run_training_episode(table, episode, epsilon, rng, running):
+    """Run `episode(choose, learn)` with epsilon-greedy choices and online Q
+    updates, and return its outcome. If the outcome is not None, its
+    ``reward_attrs()`` totals widen the `running` (mins, maxs) and add the
     terminal bonus, normalized against them, to the last decision's reward."""
     pending = None  # (state, action, reward) of the last decision
-    try:
-        event = next(gen)
-        while True:
-            if event[0] == "decide":
-                _, state, candidates = event
-                if pending is not None:
-                    q_update(table, *pending, state, candidates)
-                if rng.random() < epsilon:
-                    action = candidates[int(rng.integers(len(candidates)))]
-                else:
-                    action = predict(table, state, candidates)
-                pending = (state, action, 0.0)
-                event = gen.send(action)
-            elif event[0] == "reward":
-                st, a, _ = pending
-                pending = (st, a, float(event[1]))
-                event = gen.send(None)
-            else:
-                raise RLDomainError(f"unknown episode event {event[0]!r}")
-    except StopIteration as stop:
-        outcome = stop.value
+
+    def choose(state, candidates):
+        nonlocal pending
+        if pending is not None:
+            q_update(table, *pending, state, candidates)
+        if rng.random() < epsilon:
+            action = candidates[int(rng.integers(len(candidates)))]
+        else:
+            action = predict(table, state, candidates)
+        pending = (state, action, 0.0)
+        return action
+
+    def learn(r):
+        nonlocal pending
+        pending = (*pending[:2], float(r))
+
+    outcome = episode(choose, learn)
     bonus = 0.0
     if outcome is not None:
         totals = outcome.reward_attrs()
@@ -181,7 +161,7 @@ def run_training_episode(table, gen, epsilon, rng, running):
         for name in ATTR_NAMES:
             mins[name] = min(mins[name], totals[name])
             maxs[name] = max(maxs[name], totals[name])
-        bonus = reward(totals, mins, maxs, REWARD_WEIGHTS)
+        bonus = reward(totals, mins, maxs)
     if pending is not None:
         st, a, r = pending
         q_update(table, st, a, r + bonus, None, ())

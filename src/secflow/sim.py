@@ -3,10 +3,12 @@ attacks into synthesized per-task telemetry, routes detections through the
 severity and decision modules, applies adaptations under uncertain overhead
 costs, and aggregates run results.
 
-One generator, `instance_episode`, executes an instance. At every adaptation
-decision it yields the candidates cheapest-first and applies the one it is
-sent. The lowest-cost strategy (`run_instance`) is the driver that always
-sends the cheapest; the adaptive strategy is the Q-learning driver in `rl`.
+One function, `instance_episode`, executes an instance. At every adaptation
+decision it applies the candidate its `choose` callback picks from the
+candidates ranked cheapest-first, or the cheapest when there is no
+callback, and hands the decision's reward to its `learn` callback if one is
+given. The lowest-cost strategy (`run_instance`) passes neither; the
+adaptive strategy passes the Q-learning callbacks of `rl`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import bisect
 import csv
 import enum
+import functools
 import io
 import itertools
 import math
@@ -102,7 +105,7 @@ class ExecutionState:
     def __init__(self, layout: Layout, noise_rng):
         self._noise_rng = noise_rng
         self.base = {}  # task id -> [price, time, value]
-        self.adaptations = []  # dicts: task, kind, price, time, value_delta, mitigation
+        self.adaptations = []  # dicts: task, price, time, value_delta, mitigation
         self.degraded = {}  # task id -> count of degraded inputs
         self.nominal_prefix = 0.0  # nominal time of tasks processed so far
         self._data_succ = layout.data_succ
@@ -140,14 +143,13 @@ class ExecutionState:
     def damage_task(self, task_id, factor):
         self.base[task_id][2] *= factor
 
-    def add_adaptation(self, task_id, kind, price, time, value_delta, mitigation):
+    def add_adaptation(self, task_id, price, time, value_delta, mitigation):
         if price > 0 or time > 0:
             factor = float(np.exp(self._noise_rng.normal(0.0, OVERHEAD_NOISE_SIGMA)))
             price *= factor
             time *= factor
         entry = {
             "task": task_id,
-            "kind": kind,
             "price": price,
             "time": time,
             "value_delta": value_delta,
@@ -287,26 +289,18 @@ def _sample_attack_type(trust: TrustRepository, service_id, rng) -> AttackType:
 
 
 def run_instance(experiment: Experiment, seed: int) -> RunResult:
-    """Execute one workflow instance under the lowest-cost strategy: drive
-    `instance_episode`, sending the cheapest candidate at every decision.
-    Deterministic given `seed`."""
-    gen = instance_episode(experiment, seed)
-    try:
-        event = next(gen)
-        while True:
-            cheapest = event[2][0] if event[0] == "decide" else None
-            event = gen.send(cheapest)
-    except StopIteration as stop:
-        return stop.value
+    """Execute one workflow instance under the lowest-cost strategy: the
+    cheapest candidate at every decision. Deterministic given `seed`."""
+    return instance_episode(experiment, seed)
 
 
-def instance_episode(experiment: Experiment, seed: int):
-    """Execute one instance of `experiment` as a generator speaking the rl
-    module's protocol: at each adaptation decision it yields ("decide",
-    state_key, kinds ranked cheapest-first) and applies the kind it is sent,
-    then yields ("reward", r) and expects None. The state key is the
-    detected attack type and severity (`rl.workflow_state_key`). Returns the
-    RunResult."""
+def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None) -> RunResult:
+    """Execute one instance of `experiment` and return its RunResult. At each
+    adaptation decision, apply `choose(state_key, kinds ranked
+    cheapest-first)`, or the cheapest kind when `choose` is None; the state
+    key is the detected attack type and severity (`rl.workflow_state_key`).
+    If `learn` is given, call `learn(r)` with the decision's reward after
+    applying it; without it, no reward is computed."""
     layout, bound, trust = experiment.layout, experiment.bound, experiment.trust
     detectors, severity_model = experiment.detectors, experiment.severity_model
     cloud, cfg, attack_rate = experiment.cloud, experiment.cfg, experiment.attack_rate
@@ -408,11 +402,10 @@ def instance_episode(experiment: Experiment, seed: int):
 
         # a real decision point; candidates are presented cheapest-first so a
         # cold-start greedy choice degrades to the nominal-cost ranking
-        state_key = rl.workflow_state_key(pred_type, level)
         candidates = result.candidates
-        breakdowns = candidates.breakdowns
-        sent = yield ("decide", state_key, list(candidates.ranked))
-        chosen = candidates.candidate(sent)
+        breakdowns, ranked = candidates.breakdowns, candidates.ranked
+        chosen = candidates.candidate(
+            choose(rl.workflow_state_key(pred_type, level), ranked) if choose else ranked[0])
         base_value_before = state.base_value(tid)
         middleware = chosen.kind in MIDDLEWARE_KINDS
         if middleware:
@@ -448,6 +441,8 @@ def instance_episode(experiment: Experiment, seed: int):
                 ],
             }
         )
+        if learn is None:
+            continue
         # the learning signal uses the realized outcome of the applied
         # action (noisy overheads, late-rework penalty, destroyed value
         # after a skip) against the candidates' nominal spread — exactly
@@ -465,7 +460,7 @@ def instance_episode(experiment: Experiment, seed: int):
              "value": base_value_before + b.value if b.kind is ActionKind.INSERT else b.value}
             for b in breakdowns
         ]
-        yield ("reward", rl.reward(realized, *rl.attr_bounds(nominal), rl.REWARD_WEIGHTS))
+        learn(rl.reward(realized, *rl.attr_bounds(nominal)))
 
     false_alarms = sum(
         int(np.count_nonzero(detectors[kind].predict_batch(np.array(records)) != NORMAL))
@@ -556,6 +551,8 @@ def run_experiment(
         raise ValueError("burn_in must be >= 0")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "lowest-cost" and qtable is not None:
+        raise ValueError("qtable needs the adaptive strategy; lowest-cost uses no Q-table")
     trust = TrustRepository.from_cloud(cloud)
     plan = schedule(workflow, cloud, trust, cfg)
     experiment = Experiment(workflow, plan, cloud, detectors, severity_model, cfg, trust,
@@ -574,8 +571,9 @@ def run_experiment(
     else:
         table = qtable if qtable is not None else rl.QTable()
         policy_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-        rounds = rl.train(table, (instance_episode(experiment, int(s)) for s in run_seeds),
-                          policy_rng)
+        rounds = rl.train(
+            table, (functools.partial(instance_episode, experiment, int(s)) for s in run_seeds),
+            policy_rng)
     results = []
     for result in rounds:
         _reconcile_trust(trust, result)
@@ -610,7 +608,7 @@ def composite_rewards(results):
     result list (degenerate attributes contribute 0)."""
     attrs = [r.reward_attrs() for r in results]
     bounds = rl.attr_bounds(attrs)
-    return np.array([rl.reward(a, *bounds, rl.REWARD_WEIGHTS) for a in attrs])
+    return np.array([rl.reward(a, *bounds) for a in attrs])
 
 
 # ---------------------------------------------------------------------------

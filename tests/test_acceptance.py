@@ -21,7 +21,7 @@ from secflow.model import (
     TenantConfig,
     builtin_attack_catalog,
 )
-from secflow.rl import QTable, RLConfig, RewardWeights, predict, reward, train
+from secflow.rl import REWARD_WEIGHTS, QTable, RLConfig, predict, reward, train
 from secflow.scheduling import TrustRepository, UnschedulableError, schedule
 from secflow.scoring import adaptation_cost, attack_score, mitigation_score, normalize
 from secflow.severity import fit_severity
@@ -106,13 +106,12 @@ def test_criterion_1_formula_oracles():
             lo, hi = sorted(rng.uniform(0, 10, 2))
             mins[name], maxs[name] = float(lo), float(hi)
             attrs[name] = float(rng.uniform(lo, hi))
-        weights = RewardWeights()
         expected_reward = 0.0
         for name in ("price", "time", "mitigation", "value"):
             if maxs[name] > mins[name]:
                 ratio = (attrs[name] - mins[name]) / (maxs[name] - mins[name])
-                expected_reward += getattr(weights, name) * ratio
-        assert abs(reward(attrs, mins, maxs, weights) - expected_reward) <= 1e-9
+                expected_reward += REWARD_WEIGHTS[name] * ratio
+        assert abs(reward(attrs, mins, maxs) - expected_reward) <= 1e-9
 
     elapsed = _elapsed_ok(t0, 5.0, "criterion 1")
     print(f"\n[PASS] criterion 1: formula oracles, {n} inputs within 1e-9 "
@@ -228,21 +227,16 @@ def test_criterion_4_q_learning_matches_value_iteration():
     # sanity: the benchmark is non-trivial (greedy-on-immediate differs)
     assert oracle[0] == "up" and MDP_REWARDS[(0, "jump")] > MDP_REWARDS[(0, "up")]
 
-    def factory():
-        def episode():
-            state = 0
-            while state != MDP_TERMINAL:
-                action = yield ("decide", f"s{state}", list(MDP_ACTIONS))
-                r, state = _mdp_step(state, action)
-                yield ("reward", r)
-            return None
-
-        return episode()
+    def episode(choose, learn):
+        state = 0
+        while state != MDP_TERMINAL:
+            r, state = _mdp_step(state, choose(f"s{state}", MDP_ACTIONS))
+            learn(r)
 
     episodes = 10_000
     table = QTable(config=RLConfig(gamma=0.9))
     rng = np.random.default_rng(np.random.SeedSequence(0))
-    for _ in train(table, (factory() for _ in range(episodes)), rng):
+    for _ in train(table, (episode for _ in range(episodes)), rng):
         pass
     learned = {
         s: predict(table, f"s{s}", list(MDP_ACTIONS)) for s in range(MDP_TERMINAL)
@@ -331,8 +325,7 @@ def test_criterion_6a_ledger_conservation():
         for _ in range(int(rng.integers(0, 4))):
             tid = f"t{int(rng.integers(n_tasks))}"
             p, t, dv, ms = rng.uniform(0, 5, 4)
-            state.add_adaptation(tid, ActionKind.INSERT, price=p, time=t,
-                                 value_delta=dv, mitigation=ms)
+            state.add_adaptation(tid, price=p, time=t, value_delta=dv, mitigation=ms)
             expected["price"] += p
             expected["time"] += t
             expected["value"] += dv

@@ -51,10 +51,10 @@ def test_one_telemetry_draw_per_task_and_one_predict_per_attack(monkeypatch):
 
 
 def test_one_resolution_per_candidate_key_within_an_experiment(monkeypatch):
-    """Within one experiment (burn-in, warm-up and adaptive rounds), each
-    (task, attack type, tier, detector kind) resolves its backup at most once,
-    the workflow is ordered once, and `select_action` runs once per detected
-    attack."""
+    """Within one experiment (burn-in and adaptive rounds), each (task, attack
+    type, tier, detector kind) resolves its backup at most once, the workflow
+    is ordered once, `select_action` runs once per detected attack and
+    `rl.q_update` once per adapted decision of the adaptive rounds."""
     detectors, severity_model = weak_models()
     workflow = sim.generate_workflow_class(sim.WorkflowClass.MEDIUM, 3)
     cloud = sim.generate_multicloud(4)
@@ -74,6 +74,10 @@ def test_one_resolution_per_candidate_key_within_an_experiment(monkeypatch):
         calls["topological_order"] += 1
         return original["topological_order"](self)
 
+    def q_update(*args):
+        calls["q_update"] += 1
+        return original["q_update"](*args)
+
     def collecting(name):
         def wrapper(*args, **kwargs):
             results.append(original[name](*args, **kwargs))
@@ -83,11 +87,13 @@ def test_one_resolution_per_candidate_key_within_an_experiment(monkeypatch):
     original = {"select_action": sim.select_action,
                 "find_backup_service": decision.find_backup_service,
                 "topological_order": model.Workflow.topological_order,
+                "q_update": rl.q_update,
                 "run_instance": sim.run_instance,
                 "run_training_episode": rl.run_training_episode}
     monkeypatch.setattr(sim, "select_action", select_action)
     monkeypatch.setattr(decision, "find_backup_service", find_backup_service)
     monkeypatch.setattr(model.Workflow, "topological_order", topological_order)
+    monkeypatch.setattr(rl, "q_update", q_update)
     monkeypatch.setattr(sim, "run_instance", collecting("run_instance"))
     monkeypatch.setattr(rl, "run_training_episode", collecting("run_training_episode"))
     sim.run_experiment(workflow, cloud, detectors, severity_model, TenantConfig(), 6,
@@ -96,3 +102,4 @@ def test_one_resolution_per_candidate_key_within_an_experiment(monkeypatch):
     assert calls["select_action"] == sum(r.detected for r in results) > 0
     assert 0 < len(backup_keys) == len(set(backup_keys)) < len(keys)
     assert calls["topological_order"] == 1
+    assert calls["q_update"] == sum(r.adapted for r in results[3:]) > 0  # adaptive rounds

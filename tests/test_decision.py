@@ -437,10 +437,8 @@ class TestLedgerConservation:
         state = _noiseless_state(wf)
         state.start_task("t0", 2.0, 10.0, 1.0, 10.0)
         state.start_task("t1", 1.0, 5.0, 0.5, 5.0)
-        state.add_adaptation("t0", ActionKind.INSERT, price=0.4, time=2.0,
-                             value_delta=0.1, mitigation=1.2)
-        state.add_adaptation("t1", ActionKind.REWORK, price=3.0, time=8.0,
-                             value_delta=0.0, mitigation=0.9)
+        state.add_adaptation("t0", price=0.4, time=2.0, value_delta=0.1, mitigation=1.2)
+        state.add_adaptation("t1", price=3.0, time=8.0, value_delta=0.0, mitigation=0.9)
         acc = state.accumulated()
         assert acc["price"] == pytest.approx(2.0 + 1.0 + 0.4 + 3.0, abs=1e-9)
         assert acc["time"] == pytest.approx(10.0 + 5.0 + 2.0 + 8.0, abs=1e-9)
@@ -469,9 +467,8 @@ class TestLedgerConservation:
                         state.damage_task(tid, rng.uniform())
                     else:
                         p, t, dv, ms = rng.uniform(0, 5, 4)
-                        state.add_adaptation(f"t{int(rng.integers(i + 1))}",
-                                             ActionKind.INSERT, price=p, time=t,
-                                             value_delta=dv, mitigation=ms)
+                        state.add_adaptation(f"t{int(rng.integers(i + 1))}", price=p,
+                                             time=t, value_delta=dv, mitigation=ms)
                     base, adapt = state.base.values(), state.adaptations
                     assert state.accumulated() == {
                         "price": sum(v[0] for v in base) + sum(a["price"] for a in adapt),

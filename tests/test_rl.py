@@ -10,7 +10,6 @@ from secflow.rl import (
     QTable,
     RLConfig,
     RLDomainError,
-    RewardWeights,
     predict,
     q_update,
     reward,
@@ -29,45 +28,34 @@ class TestReward:
     def test_all_at_minima_is_zero(self):
         mins = _attrs()
         maxs = _attrs(1, 1, 1, 1)
-        assert reward(_attrs(), mins, maxs, RewardWeights()) == 0.0
+        assert reward(_attrs(), mins, maxs) == 0.0
 
     def test_single_attribute_upper_anchor(self):
-        w = RewardWeights(price=0, time=0, mitigation=0, value=1.0)
-        r = reward(_attrs(value=1.0), _attrs(), _attrs(1, 1, 1, 1), w)
-        assert r == 1.0
+        r = reward(_attrs(value=1.0), _attrs(), _attrs(1, 1, 1, 1))
+        assert r == 0.25
 
     def test_worked_example(self):
-        # weights (-0.5 time, +0.5 value); time at ratio 0.4, value at 0.8
-        w = RewardWeights(price=0, time=-0.5, mitigation=0, value=0.5)
-        r = reward(
-            _attrs(time=0.4, value=0.8), _attrs(), _attrs(1, 1, 1, 1), w
-        )
-        assert r == pytest.approx(-0.2 + 0.4)
+        # weights (-0.25 time, +0.25 value); time at ratio 0.4, value at 0.8
+        r = reward(_attrs(time=0.4, value=0.8), _attrs(), _attrs(1, 1, 1, 1))
+        assert r == pytest.approx(-0.1 + 0.2)
 
     def test_degenerate_attribute_contributes_zero(self):
-        r = reward(_attrs(price=5), _attrs(price=5), _attrs(price=5), RewardWeights())
+        r = reward(_attrs(price=5), _attrs(price=5), _attrs(price=5))
         assert r == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(RLDomainError):
-            reward(_attrs(price=float("nan")), _attrs(), _attrs(1, 1, 1, 1), RewardWeights())
+            reward(_attrs(price=float("nan")), _attrs(), _attrs(1, 1, 1, 1))
 
     def test_max_below_min_rejected(self):
         with pytest.raises(RLDomainError):
-            reward(_attrs(), _attrs(price=1), _attrs(), RewardWeights())
-
-    def test_sign_convention_enforced(self):
-        with pytest.raises(RLDomainError):
-            RewardWeights(price=0.1)
-        with pytest.raises(RLDomainError):
-            RewardWeights(mitigation=-0.1)
+            reward(_attrs(), _attrs(price=1), _attrs())
 
     def test_total_bounded_by_weight_sums(self):
-        w = RewardWeights()
         rng = np.random.default_rng(0)
         for _ in range(200):
             vals = rng.uniform(0, 1, 4)
-            r = reward(_attrs(*vals), _attrs(), _attrs(1, 1, 1, 1), w)
+            r = reward(_attrs(*vals), _attrs(), _attrs(1, 1, 1, 1))
             assert -0.5 - 1e-12 <= r <= 0.5 + 1e-12
 
 
@@ -130,16 +118,11 @@ def _chain_episode_factory(rewards_by_action):
     actions per state with fixed rewards."""
 
     def factory(index):
-        def gen():
-            total = 0.0
+        def episode(choose, learn):
             for state in ("s0", "s1"):
-                action = yield ("decide", state, ["good", "bad"])
-                r = rewards_by_action[action]
-                total += r
-                yield ("reward", r)
-            return None
+                learn(rewards_by_action[choose(state, ["good", "bad"])])
 
-        return gen()
+        return episode
 
     return factory
 
@@ -156,12 +139,10 @@ class TestTrain:
     def test_zero_epsilon_sticks_to_tiebreak_arm(self):
         # single-state bandit; epsilon=0 explores only the first candidate
         def factory(index):
-            def gen():
-                action = yield ("decide", "s", ["zero", "one"])
-                yield ("reward", 1.0 if action == "one" else 0.0)
-                return None
+            def episode(choose, learn):
+                learn(1.0 if choose("s", ["zero", "one"]) == "one" else 0.0)
 
-            return gen()
+            return episode
 
         cfg = RLConfig(epsilon=0.0, epsilon_floor=0.0)
         table = _train(factory, episodes=500, cfg=cfg, seed=0)
@@ -170,12 +151,10 @@ class TestTrain:
 
     def test_exploring_bandit_finds_reward_arm(self):
         def factory(index):
-            def gen():
-                action = yield ("decide", "s", ["zero", "one"])
-                yield ("reward", 1.0 if action == "one" else 0.0)
-                return None
+            def episode(choose, learn):
+                learn(1.0 if choose("s", ["zero", "one"]) == "one" else 0.0)
 
-            return gen()
+            return episode
 
         cfg = RLConfig(epsilon=0.1, epsilon_decay=1.0, epsilon_floor=0.1)
         table = _train(factory, episodes=5000, cfg=cfg, seed=0)
@@ -201,14 +180,13 @@ class TestTrain:
 
     def test_episode_failure_carries_index(self):
         def factory(index):
-            def gen():
+            def episode(choose, learn):
                 if index == 3:
                     raise RuntimeError("boom")
-                yield ("decide", "s", ["a"])
-                yield ("reward", 0.0)
-                return None
+                choose("s", ["a"])
+                learn(0.0)
 
-            return gen()
+            return episode
 
         with pytest.raises(RuntimeError, match="episode 3"):
             _train(factory, episodes=10, seed=0)

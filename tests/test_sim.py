@@ -13,7 +13,7 @@ from secflow.model import (
     TenantConfig,
     Workflow,
 )
-from secflow.scheduling import TrustRepository
+from secflow.scheduling import TrustRepository, schedule
 from secflow import rl, sim
 from secflow.severity import fit_severity
 from secflow.sim import (
@@ -276,6 +276,16 @@ class TestRunExperiment:
                 TenantConfig(), 1, "lowest-cost", 0.0,
             )
 
+    def test_qtable_with_lowest_cost_rejected_before_any_instance(self, monkeypatch):
+        """Lowest-cost would leave the table untouched, so it is refused."""
+        wf, cloud = self._setup()
+        monkeypatch.setattr(sim, "run_instance", _no_instance)
+        with pytest.raises(ValueError, match="qtable needs the adaptive strategy"):
+            run_experiment(
+                wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 1, "lowest-cost", 0.0,
+                qtable=rl.QTable(),
+            )
+
     @pytest.mark.parametrize("window", [0, -5])
     def test_nonpositive_window_rejected(self, window):
         wf, cloud = self._setup()
@@ -485,3 +495,39 @@ def test_every_adapted_event_gets_its_own_candidate_list():
     assert len(lists) > 20
     assert len({id(c) for c in lists}) == len(lists)
     assert len({id(d) for c in lists for d in c}) == sum(len(c) for c in lists)
+
+
+def test_only_a_learner_pays_for_state_keys_and_rewards(monkeypatch):
+    """Counted through the module attributes, as the benchmark counts: a
+    lowest-cost instance builds no state key and no reward. Choosing the
+    cheapest through the callbacks yields the same instance, with one key and
+    one reward per adapted decision."""
+    wf = generate_workflow_class(WorkflowClass.MEDIUM, 3)
+    cloud = generate_multicloud(4)
+    plan = schedule(wf, cloud, TrustRepository.from_cloud(cloud), TenantConfig())
+    calls = {name: 0 for name in ("workflow_state_key", "reward", "attr_bounds")}
+
+    def counted(name):
+        original = getattr(rl, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(rl, name, wrapper)
+
+    for name in calls:
+        counted(name)
+
+    def experiment():
+        return sim.Experiment(wf, plan, cloud, DETECTORS, SEVERITY, TenantConfig(),
+                              TrustRepository.from_cloud(cloud), 0.8)
+
+    cheapest = run_instance(experiment(), 5)
+    assert cheapest.adapted > 0
+    assert calls == {"workflow_state_key": 0, "reward": 0, "attr_bounds": 0}
+    rewards = []
+    assert sim.instance_episode(experiment(), 5, lambda state, ranked: ranked[0],
+                                rewards.append) == cheapest
+    assert len(rewards) == cheapest.adapted
+    assert set(calls.values()) == {cheapest.adapted}
