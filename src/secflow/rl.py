@@ -3,10 +3,9 @@
 `train` is the one training loop. An episode is a callable
 ``episode(choose, learn)``: at each decision it calls
 ``choose(state_key, candidates)`` and applies the candidate returned, then
-calls ``learn(r)`` with that decision's reward. Its return value may be an
-object whose ``reward_attrs()`` gives the episode's final workflow totals
-(price/time/value/mitigation), which feed the terminal bonus reward
-normalized against running min/max across episodes.
+calls ``learn(r)`` with that decision's reward: in the simulator, the
+decision's own share of the run metric (`sim.run_experiment`), which is
+why the default gamma is 0. The episode's return value is its outcome.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-
-import numpy as np
 
 from .model import array_at, fields_at, load_document
 
@@ -27,7 +24,7 @@ class RLDomainError(ValueError):
 @dataclass(frozen=True)
 class RLConfig:
     alpha: float = 0.1
-    gamma: float = 0.9
+    gamma: float = 0.0
     epsilon: float = 0.3
     epsilon_decay: float = 0.995
     epsilon_floor: float = 0.01
@@ -45,9 +42,9 @@ class RLConfig:
             raise RLDomainError(f"epsilon_floor must be in [0,1], got {self.epsilon_floor!r}")
 
 
-#: The weight of each attribute in every simulated reward (the per-decision
-#: reward, the terminal bonus and the pooled composite reward): price and
-#: time count against a run, mitigation and value for it.
+#: The weight of each attribute in every simulated reward (a decision's share
+#: of the run metric and the pooled composite reward): price and time count
+#: against a run, mitigation and value for it.
 REWARD_WEIGHTS = {"price": -0.25, "time": -0.25, "mitigation": 0.25, "value": 0.25}
 
 ATTR_NAMES = ("price", "time", "mitigation", "value")
@@ -120,29 +117,27 @@ def train(table: QTable, episodes, rng):
     naming its index."""
     cfg = table.config
     epsilon = cfg.epsilon
-    # terminal-bonus min/max of each attribute across the episodes so far
-    running = ({n: np.inf for n in ATTR_NAMES}, {n: -np.inf for n in ATTR_NAMES})
     for ep, episode in enumerate(episodes):
         try:
-            outcome = run_training_episode(table, episode, epsilon, rng, running)
+            outcome = run_training_episode(table, episode, epsilon, rng)
         except Exception as exc:
             raise RuntimeError(f"episode {ep} failed: {exc}") from exc
         yield outcome
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
 
 
-def run_training_episode(table, episode, epsilon, rng, running):
+def run_training_episode(table, episode, epsilon, rng):
     """Run `episode(choose, learn)` with epsilon-greedy choices and online Q
-    updates, and return its outcome. If the outcome is not None, its
-    ``reward_attrs()`` totals widen the `running` (mins, maxs) and add the
-    terminal bonus, normalized against them, to the last decision's reward."""
+    updates, and return its outcome. Each decision gets one Q update, the
+    last as a terminal transition. A choice among one candidate draws
+    nothing from `rng`: exploring could not change it."""
     pending = None  # (state, action, reward) of the last decision
 
     def choose(state, candidates):
         nonlocal pending
         if pending is not None:
             q_update(table, *pending, state, candidates)
-        if rng.random() < epsilon:
+        if len(candidates) > 1 and rng.random() < epsilon:
             action = candidates[int(rng.integers(len(candidates)))]
         else:
             action = predict(table, state, candidates)
@@ -154,17 +149,8 @@ def run_training_episode(table, episode, epsilon, rng, running):
         pending = (*pending[:2], float(r))
 
     outcome = episode(choose, learn)
-    bonus = 0.0
-    if outcome is not None:
-        totals = outcome.reward_attrs()
-        mins, maxs = running
-        for name in ATTR_NAMES:
-            mins[name] = min(mins[name], totals[name])
-            maxs[name] = max(maxs[name], totals[name])
-        bonus = reward(totals, mins, maxs)
     if pending is not None:
-        st, a, r = pending
-        q_update(table, st, a, r + bonus, None, ())
+        q_update(table, *pending, None, ())
     return outcome
 
 

@@ -211,7 +211,10 @@ class Experiment:
     the candidate sets resolved so far (`decision.select_action`'s memo,
     valid while the cloud and the tenant config stay those of the
     experiment). `run_experiment` builds one and passes it to every
-    instance; it is dropped with the experiment."""
+    instance; it is dropped with the experiment. `spreads`, which scale a
+    learner's rewards, hold each `rl.ATTR_NAMES` attribute's max - min over
+    the burn-in rounds, as `run_experiment` sets them, or 0. A spread of 0,
+    as after a burn-in of 0 or 1 rounds, contributes 0 to every reward."""
 
     def __init__(self, workflow: Workflow, plan: SchedulingPlan, cloud: MultiCloud,
                  detectors: dict, severity_model, cfg: TenantConfig,
@@ -232,6 +235,7 @@ class Experiment:
         self.trust = trust
         self.attack_rate = attack_rate
         self.selections = {}
+        self.spreads = dict.fromkeys(rl.ATTR_NAMES, 0.0)
 
 
 def _executed_set(layout: Layout, branch_rng):
@@ -406,7 +410,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
         breakdowns, ranked = candidates.breakdowns, candidates.ranked
         chosen = candidates.candidate(
             choose(rl.workflow_state_key(pred_type, level), ranked) if choose else ranked[0])
-        base_value_before = state.base_value(tid)
+        before = state.accumulated() if learn else None
         middleware = chosen.kind in MIDDLEWARE_KINDS
         if middleware:
             apply_middleware_action(state, event, chosen, candidates.backup, trust)
@@ -441,26 +445,12 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
                 ],
             }
         )
-        if learn is None:
-            continue
-        # the learning signal uses the realized outcome of the applied
-        # action (noisy overheads, late-rework penalty, destroyed value
-        # after a skip) against the candidates' nominal spread — exactly
-        # the information a nominal-cost ranking cannot see
-        entry = state.adaptations[-1]
-        realized = {
-            "price": entry["price"],
-            "time": entry["time"],
-            "mitigation": entry["mitigation"],
-            "value": state.base_value(tid) + entry["value_delta"],
-        }
-        nominal = [
-            {"price": b.price, "time": b.time, "mitigation": b.mitigation,
-             # the final task value if the candidate were applied
-             "value": base_value_before + b.value if b.kind is ActionKind.INSERT else b.value}
-            for b in breakdowns
-        ]
-        learn(rl.reward(realized, *rl.attr_bounds(nominal)))
+        if learn is not None:
+            # the decision's own share of the run metric: the ledger change it
+            # made, damage included, weighed as `rl.reward` weighs a run
+            after = state.accumulated()
+            learn(sum(rl.REWARD_WEIGHTS[n] * (after[n] - before[n]) / spread
+                      for n, spread in experiment.spreads.items() if spread > 0))
 
     false_alarms = sum(
         int(np.count_nonzero(detectors[kind].predict_batch(np.array(records)) != NORMAL))
@@ -541,8 +531,13 @@ def run_experiment(
 
     "lowest-cost" picks the cheapest candidate each time. "adaptive" learns
     online: each round is an epsilon-greedy Q-learning episode over the same
-    workflow, with epsilon decaying across rounds. Trust updates carry over
-    between rounds in run-index order. Deterministic given `seed`."""
+    workflow, with epsilon decaying across rounds. A decision's reward is
+    its share of the run metric: sum of W_i * d_i / s_i over the change d
+    it made to the ledger totals, with s = `Experiment.spreads` from the
+    burn-in. With `burn_in` 0 or 1 every reward and Q value is 0.0, and the
+    policy is epsilon-exploration over a cheapest-first greedy. Trust
+    updates carry over between rounds in run-index order. Deterministic
+    given `seed`."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if window < 1:
@@ -561,8 +556,14 @@ def run_experiment(
 
     # settle the trust repository's attack-frequency estimates before the
     # recorded rounds so both strategies start from the same steady state
+    burn_in_attrs = []
     for s in np.random.SeedSequence([seed, 23]).generate_state(burn_in):
-        _reconcile_trust(trust, run_instance(experiment, int(s)))
+        result = run_instance(experiment, int(s))
+        _reconcile_trust(trust, result)
+        burn_in_attrs.append(result.reward_attrs())
+    if burn_in_attrs:
+        mins, maxs = rl.attr_bounds(burn_in_attrs)
+        experiment.spreads = {n: maxs[n] - mins[n] for n in rl.ATTR_NAMES}
 
     # rounds are lazy: each runs only once the loop below reaches it, after
     # the trust reconciliation of the round before

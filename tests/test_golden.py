@@ -17,11 +17,11 @@ from tests.conftest import weak_models
 
 GOLDEN = {
     "compare/results.csv":
-        "9ebc573113c26054478cdaf91c0c3f39247291de0f9630b1b8cf72b693cf8c14",
+        "db26f6abdf964fde8114a65f5bff061126a762bc1512d944e1d6b8a77fe81c67",
     "compare/windows.csv":
-        "5458754ec463585683cb2988eeebb04f6fc9101678db70e652974c2b1f71fc80",
+        "9e3860fcf4cfb09daab9c2d2fd909fb09a8620220e2f04b06988a4a9073a6c65",
     "compare/events.jsonl":
-        "7d29aff070158cd1c691be16150e5cf24f9839efaf4a89a3f722cf4117892336",
+        "37cbacf7885829753306369c668f2f4fe4a246fe2fadb6194b52ab614837b29a",
     "gen-data/ntd.csv":
         "de92904bddc424b9feea98ed4a1a884784f2b402aa72573e851701779e648761",
     "gen-data/ntd.meta.csv":
@@ -35,15 +35,15 @@ GOLDEN = {
     "train/models.json":
         "67e894fc0bd82fd314245709415e56a5525f79dc198d13e6e7b03f5c81ce2a62",
     "train-rl/qtable.json":
-        "c90db855f4d81ee36d5e1758659628f9b7f9b64c0f59783280d3a8e3e4be591c",
+        "bd9cf0d8f5d045431f1cf317252a8fed10c0f0cffafb138b1960b43a79bde893",
     "simulate-lowest-cost/results.csv":
         "df177b02903183b4e760c3d0ed52e93de72953e597ad0c6f9d40586a04856e7c",
     "simulate-lowest-cost/events.jsonl":
         "bbfe51b670afaaf1795da98f92b0cd82d9d9aba68b5eacf332ab757ebdbef317",
     "simulate-adaptive/results.csv":
-        "1147d866ec96e406c9e2e90cb12ebe1e3f2de864a527dc791fede097e69c9d04",
+        "8c08286cf2f8cddd242bf7ceb43a7339fe9ad1efc1eeee34c88656098dee2a02",
     "simulate-adaptive/events.jsonl":
-        "31f4378489636940ca5f8eb6234d274ce82738fb86b927c1c6137094e1dbb52c",
+        "e2f52f34138ec73d558618ca73d8ddc168796170327d4015d3e3e8ec189756a7",
 }
 
 SEED = "5"
@@ -123,7 +123,7 @@ def test_adaptive_run_picks_a_non_cheapest_candidate(outputs):
 # above cannot see them; this one covers every RunResult counter and float.
 RUN_RESULT_GOLDEN = {
     "lowest-cost": "1ae40d6241f3f972dc372e7d635ff5644d6c581232fb11b1bb132d6df9b1fdcc",
-    "adaptive": "9eb087b4d8aee55325986fb2b4e756aedc0e6113ad8dddf44fea30741c72641c",
+    "adaptive": "b8554dfd4f1b202ff2304a50581b6f851e1f4a61608288fb846b0661ed9cbc19",
 }
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from secflow import rl
 from secflow.model import ActionKind, AttackType, Severity
 from secflow.rl import (
     QTable,
@@ -177,6 +178,32 @@ class TestTrain:
         table = _train(factory, episodes=1000, cfg=cfg, seed=1)
         bound = 1.0 / (1.0 - cfg.gamma)
         assert all(abs(v) <= bound + 1e-9 for v in table.entries.values())
+
+    def test_forced_choice_draws_nothing_and_updates_once_per_decision(self, monkeypatch):
+        """A choice among one candidate cannot explore, so it leaves the policy
+        RNG untouched, yet each decision still gets its one Q update."""
+        updated = []
+        original = rl.q_update
+
+        def counted(table, state, action, *rest):
+            updated.append((state, action))
+            return original(table, state, action, *rest)
+
+        monkeypatch.setattr(rl, "q_update", counted)
+
+        def episode(choose, learn):
+            for state in ("s0", "s1", "s2"):
+                assert choose(state, ["only"]) == "only"
+                learn(1.0)
+
+        table = QTable(config=RLConfig(epsilon=1.0))
+        rng = np.random.default_rng(0)
+        untouched = rng.bit_generator.state
+        for _ in train(table, (episode for _ in range(4)), rng):
+            pass
+        assert rng.bit_generator.state == untouched
+        assert len(updated) == 12
+        assert table.visits == {(s, "only"): 4 for s in ("s0", "s1", "s2")}
 
     def test_episode_failure_carries_index(self):
         def factory(index):

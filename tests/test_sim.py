@@ -257,6 +257,25 @@ class TestRunExperiment:
         assert 1 < len(states) <= 12
         assert states <= {f"{t.value}|{s.value}" for t in AttackType for s in Severity}
 
+    @pytest.mark.parametrize("burn_in", [0, 1])
+    def test_burn_in_below_two_rounds_learns_nothing(self, burn_in):
+        """With a burn-in of 0 or 1 rounds every spread is 0, so every reward
+        and Q value is 0.0 and the greedy choice is the cheapest candidate:
+        without exploration, the adaptive rounds are the lowest-cost rounds."""
+        wf = generate_workflow_class(WorkflowClass.MEDIUM, 3)
+        cloud = generate_multicloud(4)
+
+        def run(strategy, table=None):
+            return run_experiment(wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 6,
+                                  strategy, 0.8, seed=5, qtable=table, burn_in=burn_in)
+
+        explored = rl.QTable()
+        run("adaptive", explored)
+        assert explored.entries and set(explored.entries.values()) == {0.0}
+        greedy = rl.QTable(config=rl.RLConfig(epsilon=0.0, epsilon_floor=0.0))
+        assert run("adaptive", greedy).runs == run("lowest-cost").runs
+        assert greedy.entries and set(greedy.entries.values()) == {0.0}
+
     def test_unknown_strategy_rejected(self, monkeypatch):
         """Rejected before the burn-in rounds run any instance."""
         wf, cloud = self._setup()
@@ -497,14 +516,29 @@ def test_every_adapted_event_gets_its_own_candidate_list():
     assert len({id(d) for c in lists for d in c}) == sum(len(c) for c in lists)
 
 
-def test_only_a_learner_pays_for_state_keys_and_rewards(monkeypatch):
-    """Counted through the module attributes, as the benchmark counts: a
-    lowest-cost instance builds no state key and no reward. Choosing the
-    cheapest through the callbacks yields the same instance, with one key and
-    one reward per adapted decision."""
+def _adaptive_experiment():
+    """A medium workflow at attack rate 0.8, with a fresh experiment per call
+    whose spreads are set by hand: value's is 0, so value counts for nothing."""
     wf = generate_workflow_class(WorkflowClass.MEDIUM, 3)
     cloud = generate_multicloud(4)
     plan = schedule(wf, cloud, TrustRepository.from_cloud(cloud), TenantConfig())
+
+    def experiment():
+        exp = sim.Experiment(wf, plan, cloud, DETECTORS, SEVERITY, TenantConfig(),
+                             TrustRepository.from_cloud(cloud), 0.8)
+        exp.spreads = {"price": 4.0, "time": 30.0, "mitigation": 0.5, "value": 0.0}
+        return exp
+
+    return experiment
+
+
+def test_only_a_learner_pays_for_state_keys_and_rewards(monkeypatch):
+    """Counted through the module attributes, as the benchmark counts: a
+    lowest-cost instance builds no state key. Choosing the cheapest through
+    the callbacks yields the same instance, with one state key and one
+    reward per adapted decision, and no decision calls `rl.reward` or
+    `rl.attr_bounds`."""
+    experiment = _adaptive_experiment()
     calls = {name: 0 for name in ("workflow_state_key", "reward", "attr_bounds")}
 
     def counted(name):
@@ -519,10 +553,6 @@ def test_only_a_learner_pays_for_state_keys_and_rewards(monkeypatch):
     for name in calls:
         counted(name)
 
-    def experiment():
-        return sim.Experiment(wf, plan, cloud, DETECTORS, SEVERITY, TenantConfig(),
-                              TrustRepository.from_cloud(cloud), 0.8)
-
     cheapest = run_instance(experiment(), 5)
     assert cheapest.adapted > 0
     assert calls == {"workflow_state_key": 0, "reward": 0, "attr_bounds": 0}
@@ -530,4 +560,36 @@ def test_only_a_learner_pays_for_state_keys_and_rewards(monkeypatch):
     assert sim.instance_episode(experiment(), 5, lambda state, ranked: ranked[0],
                                 rewards.append) == cheapest
     assert len(rewards) == cheapest.adapted
-    assert set(calls.values()) == {cheapest.adapted}
+    assert calls == {"workflow_state_key": cheapest.adapted, "reward": 0, "attr_bounds": 0}
+
+
+def test_each_reward_is_the_decisions_share_of_the_run_metric(monkeypatch):
+    """The reward handed to `learn` is sum of W_i * (after_i - before_i) / s_i
+    over the ledger totals just before the choice and just after the
+    decision's damage, with the experiment's spreads s_i; a spread of 0
+    contributes 0."""
+    states = []
+
+    class Recorded(sim.ExecutionState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    monkeypatch.setattr(sim, "ExecutionState", Recorded)
+    exp = _adaptive_experiment()()
+    decisions = []
+
+    def choose(state, ranked):
+        decisions.append([states[-1].accumulated()])
+        return ranked[len(decisions) % len(ranked)]  # every kind, in turn
+
+    def learn(r):
+        decisions[-1] += [states[-1].accumulated(), r]
+
+    result = sim.instance_episode(exp, 5, choose, learn)
+    assert len(decisions) == result.adapted > 0
+    for before, after, r in decisions:
+        share = sum(w * (after[n] - before[n]) / exp.spreads[n]
+                    for n, w in rl.REWARD_WEIGHTS.items() if exp.spreads[n])
+        assert r == pytest.approx(share, rel=1e-12, abs=1e-15)
+    assert any(r != 0.0 for _, _, r in decisions)
