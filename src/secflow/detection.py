@@ -5,6 +5,7 @@ versioned JSON model format."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,17 +62,15 @@ class _Forest:
     rests on its leaf. The comparisons are those of a tree-by-tree walk on the
     same float64 values, so the votes are the same.
 
-    A batch is walked one level per step. A single row instead compares
-    itself with every node at once, which costs one gather of all nodes but
-    only a handful of numpy calls (the QuickScorer idea: evaluate every
-    node's test, then resolve each tree's exit leaf)."""
+    A batch is walked one level per step. A single record goes through the
+    forest compiled to Python instead (`_compile_walk`), which costs by the
+    length of its root-to-leaf paths, not by the node count."""
 
     trees: object  # the `DetectorModel.trees` value stacked here, matched by identity
     roots: np.ndarray  # (n_trees,) node index of each tree's root
     feature: np.ndarray  # (nodes,)
     threshold: np.ndarray  # (nodes,)
     children: np.ndarray  # (2 * nodes,): node i goes to children[2i + (x <= threshold)]
-    pairs: np.ndarray  # (nodes,) 2i, each node's first slot in `children`
     vote: np.ndarray  # (nodes,) class index a leaf votes for
     depth: int
 
@@ -124,7 +123,6 @@ class _Forest:
             feature=feature,
             threshold=threshold,
             children=child[:, ::-1].ravel(),
-            pairs=2 * np.arange(len(feature)),
             vote=np.concatenate([t.proba.argmax(axis=1) for t in trees]),
             depth=depth,
         )
@@ -133,13 +131,6 @@ class _Forest:
         """Class index per row: the majority of the per-tree votes, ties to
         the earliest class."""
         n = X.shape[0]
-        if n == 1:
-            # every node's next node for this row, followed `depth` times
-            step = self.children[self.pairs + (X[0].take(self.feature) <= self.threshold)]
-            node = self.roots
-            for _ in range(self.depth):
-                node = step[node]
-            return np.bincount(self.vote[node], minlength=n_classes).argmax(keepdims=True)
         rows = np.arange(n)[:, None]
         node = self.roots  # broadcasts against `rows` to (n, n_trees)
         for _ in range(self.depth):
@@ -148,6 +139,56 @@ class _Forest:
         cells = (rows * n_classes + self.vote[node]).ravel()
         counts = np.bincount(cells, minlength=n * n_classes).reshape(n, n_classes)
         return counts.argmax(axis=1)
+
+
+def _compile_walk(forest: _Forest, n_features: int, n_classes: int):
+    """The forest as generated Python (Treelite's idea): `forest(x0, ...)`
+    returns the class index most trees vote for, ties to the earliest class,
+    for one record passed as one float per feature.
+
+    Each tree becomes a function of `if xF <= T:` tests whose every leaf
+    returns its vote; the comparisons are the walk's own on the same float64
+    values (nan goes right), so the votes are the same. The child with the
+    smaller Horton-Strahler number is the one nested, under `if not xF <= T:`
+    when it is the right child, and the other follows at the same indentation:
+    blocks then nest at most log2(leaves) deep however deep the tree (Python
+    refuses indentation 100 levels deep). The source holds only ints and
+    float reprs from the validated node arrays; one `compile` per tree keeps
+    the compiler's peak memory to one tree's."""
+    right, left = forest.children[::2], forest.children[1::2]  # a leaf's are itself
+    strahler = np.ones(len(forest.feature), dtype=np.intp)
+    levels, level = [], forest.roots
+    while len(level := level[left[level] != level]):
+        levels.append(level)
+        level = np.concatenate([left[level], right[level]])
+    for level in reversed(levels):
+        a, b = strahler[left[level]], strahler[right[level]]
+        strahler[level] = np.maximum(a, b) + (a == b)
+    feature, threshold = forest.feature.tolist(), forest.threshold.tolist()
+    left, right, strahler = left.tolist(), right.tolist(), strahler.tolist()
+    vote = forest.vote.tolist()
+    args = ", ".join(f"x{f}" for f in range(n_features))
+    namespace = {"inf": math.inf, "nan": math.nan}  # the reprs of non-finite thresholds
+    for k, root in enumerate(forest.roots.tolist()):
+        lines, stack = [f"def tree{k}({args}):"], [(root, 1)]
+        while stack:
+            node, indent = stack.pop()
+            pad = "    " * indent
+            if left[node] == node:
+                lines.append(f"{pad}return {vote[node]}")
+                continue
+            test = f"x{feature[node]} <= {threshold[node]!r}"
+            if strahler[left[node]] <= strahler[right[node]]:
+                lines.append(f"{pad}if {test}:")
+                stack += [(right[node], indent), (left[node], indent + 1)]
+            else:
+                lines.append(f"{pad}if not {test}:")
+                stack += [(left[node], indent), (right[node], indent + 1)]
+        exec(compile("\n".join(lines), f"<tree {k}>", "exec"), namespace)
+    votes = "".join(f"    c[tree{k}({args})] += 1\n" for k in range(len(forest.roots)))
+    exec(compile(f"def forest({args}):\n    c = [0] * {n_classes}\n{votes}"
+                 "    return c.index(max(c))\n", "<forest>", "exec"), namespace)
+    return namespace["forest"]
 
 
 def _gini(counts, sizes):
@@ -302,6 +343,7 @@ class DetectorModel:
     trees: tuple = ()  # replaced as a whole, never edited in place
     weights: np.ndarray | None = None  # (d+1, n_classes) for linear
     _forest: _Forest | None = field(default=None, init=False, repr=False, compare=False)
+    _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _stacked(self) -> _Forest:
         # restacked whenever `trees` is reassigned
@@ -309,11 +351,23 @@ class DetectorModel:
             self._forest = _Forest.stack(self.trees)
         return self._forest
 
-    def _class_indices(self, X: np.ndarray) -> np.ndarray:
+    def _compiled(self):
+        # (trees, compiled walk), recompiled whenever `trees` is reassigned;
+        # built at the first single-record predict, never for a batch
+        if self._walk is None or self._walk[0] is not self.trees:
+            self._walk = (self.trees, _compile_walk(self._stacked(), len(self.feature_names),
+                                                    len(self.classes)))
+        return self._walk[1]
+
+    def _checked(self, X: np.ndarray) -> np.ndarray:
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise PredictionError(
                 f"expected {len(self.feature_names)} features, got shape {X.shape}"
             )
+        return X
+
+    def _class_indices(self, X: np.ndarray) -> np.ndarray:
+        X = self._checked(X)
         if self.kind == "random_forest":
             return self._stacked().predict(X, len(self.classes))
         scores = np.column_stack([X, np.ones(X.shape[0])]) @ self.weights
@@ -323,8 +377,10 @@ class DetectorModel:
         return np.array([self.classes[i] for i in self._class_indices(X)])
 
     def predict(self, features) -> str:
-        """The class of one record."""
-        x = np.asarray(features, dtype=float).reshape(1, -1)
+        """The class of one record; a forest walks its compiled trees."""
+        x = self._checked(np.asarray(features, dtype=float).reshape(1, -1))
+        if self.kind == "random_forest":
+            return str(self.classes[self._compiled()(*x[0].tolist())])
         return str(self.classes[self._class_indices(x)[0]])
 
 

@@ -92,10 +92,11 @@ def q_update(table: QTable, state, action, r: float, next_state, next_candidates
     A terminal transition passes next_state=None (valued 0)."""
     key = (state, _action_key(action))
     old = table.entries.get(key, 0.0)
-    future = 0.0
-    if next_state is not None:
-        future = max((table.q(next_state, a) for a in next_candidates), default=0.0)
     cfg = table.config
+    future = 0.0
+    # at gamma 0 the bootstrap term is 0 whatever the (finite) Q values: no scan
+    if next_state is not None and cfg.gamma != 0:
+        future = max((table.q(next_state, a) for a in next_candidates), default=0.0)
     table.entries[key] = old + cfg.alpha * (r + cfg.gamma * future - old)
     table.visits[key] = table.visits.get(key, 0) + 1
 

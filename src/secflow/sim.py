@@ -318,11 +318,8 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
     state = ExecutionState(layout, noise_rng)
     executed = _executed_set(layout, branch_rng)
 
-    injected = detected = adapted = unmitigated = failures = 0
+    injected = detected = adapted = unmitigated = failures = false_alarms = 0
     events = []
-    # clean telemetry per detector kind, classified in one batch at the end:
-    # its alarms are only counted, and nothing in the loop reads the count
-    clean = {DatasetKind.NTD: [], DatasetKind.CLF: []}
 
     for tid in layout.order:
         if tid not in executed:
@@ -341,10 +338,11 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
 
         attacked = attack_rng.random() < attack_rate
         if not attacked:
-            # clean telemetry still flows through the detector; alarms on it
-            # are counted and dismissed after verification
+            # clean telemetry is classified as it is drawn, like an attack's;
+            # an alarm on it is counted and dismissed after verification
             kind = DatasetKind.NTD if telem_rng.random() < 0.5 else DatasetKind.CLF
-            clean[kind].append(datagen.sample_features(kind, NORMAL, 0.0, telem_rng))
+            record = datagen.sample_features(kind, NORMAL, 0.0, telem_rng)
+            false_alarms += detectors[kind].predict(record) != NORMAL
             continue
 
         injected += 1
@@ -452,10 +450,6 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
             learn(sum(rl.REWARD_WEIGHTS[n] * (after[n] - before[n]) / spread
                       for n, spread in experiment.spreads.items() if spread > 0))
 
-    false_alarms = sum(
-        int(np.count_nonzero(detectors[kind].predict_batch(np.array(records)) != NORMAL))
-        for kind, records in clean.items() if records
-    )
     total_time = makespan(layout, executed, state.durations())
     acc = state.accumulated()
     return RunResult(

@@ -20,9 +20,9 @@ def test_every_wrapped_site_exists():
     assert not missing, f"the benchmark wraps names that are gone: {missing}"
 
 
-def test_one_telemetry_draw_per_task_and_one_predict_per_attack(monkeypatch):
-    """Counted the way perfbench counts: through the wrapped attributes. Clean
-    telemetry reaches the detector only through one batch per kind."""
+def test_one_telemetry_draw_and_one_predict_per_task(monkeypatch):
+    """Counted the way perfbench counts: through the wrapped attributes. Every
+    telemetry record, clean or attacked, is classified by one `predict`."""
     detectors, severity_model = weak_models()
     workflow = sim.generate_workflow_class(sim.WorkflowClass.MEDIUM, 3)
     cloud = sim.generate_multicloud(4)
@@ -47,7 +47,7 @@ def test_one_telemetry_draw_per_task_and_one_predict_per_attack(monkeypatch):
     result = sim.run_instance(experiment, 3)
     assert result.failures > 0 and result.injected > 0 and result.false_alarms > 0
     assert calls["sample_features"] == calls["start_task"] - result.failures
-    assert calls["predict"] == result.injected
+    assert calls["predict"] == calls["sample_features"]
 
 
 def test_one_resolution_per_candidate_key_within_an_experiment(monkeypatch):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from secflow import detection
 from secflow.cli import DEFAULT_MIX
 
 from secflow.datagen import (
@@ -361,6 +362,7 @@ class TestRandomForest:
 
 @pytest.mark.parametrize("kind", [DatasetKind.NTD, DatasetKind.CLF])
 def test_single_row_gather_equals_batch_walk(kind):
+    """A single record's compiled walk votes as the batch's level walk."""
     train, held_out = split(generate(kind, 1500, UNIFORM_MIX, seed=5), 0.8, seed=5)
     model = train_random_forest(train, seed=2)
     forest, n = model._stacked(), len(model.classes)
@@ -370,7 +372,7 @@ def test_single_row_gather_equals_batch_walk(kind):
     X[3::11, :] = np.nan
     expected = _batch_walk(forest, X, n).tolist()
     assert forest.predict(X, n).tolist() == expected
-    assert [forest.predict(x[None], n)[0] for x in X] == expected
+    assert [model.predict(x) for x in X] == [model.classes[i] for i in expected]
 
 
 def test_single_row_gather_on_depth_zero_forest():
@@ -378,8 +380,81 @@ def test_single_row_gather_on_depth_zero_forest():
     forest = model._stacked()
     assert forest.depth == 0
     for x in np.random.default_rng(1).normal(size=(5, 3)):
-        assert forest.predict(x[None], 2).tolist() == _batch_walk(forest, x[None], 2).tolist()
+        assert model.predict(x) == model.classes[_batch_walk(forest, x[None], 2)[0]]
     assert model.predict([0.0, np.nan, 1.0]) == NORMAL
+
+
+def _chain(depth, lean, thresholds):
+    """A tree as its JSON object: `depth` splits in a chain, each one's child
+    on the `lean` side the next split and the other a leaf."""
+    feature, threshold, left, right, proba = [], [], [], [], []
+    for j in range(depth):
+        chain, leaf = 2 * j + 2, 2 * j + 1
+        feature += [j % len(CLF_FEATURES), -1]
+        threshold += [thresholds[j], 0.0]
+        left += [chain if lean == "left" else leaf, -1]
+        right += [leaf if lean == "left" else chain, -1]
+        proba += [[0.0, 0.0], [float(j % 2), float(1 - j % 2)]]
+    feature.append(-1)
+    threshold.append(0.0)
+    left.append(-1)
+    right.append(-1)
+    proba.append([1.0, 0.0])
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right,
+            "proba": proba}
+
+
+def test_deep_chains_with_non_finite_thresholds_from_a_model_file(tmp_path):
+    """Two 150-deep chains, deeper than Python nests blocks, with thresholds
+    +inf, -inf and nan, as a model file can hold them."""
+    rng = np.random.default_rng(3)
+    thresholds = rng.normal(2.5, 0.5, size=(2, 150))
+    thresholds[:, 60] = np.inf
+    thresholds[0, 140], thresholds[1, 139] = -np.inf, -np.inf
+    thresholds[0, 145], thresholds[1, 146] = np.nan, np.nan
+    obj = {"kind": "random_forest", "dataset_kind": DatasetKind.CLF.value,
+           "feature_names": list(CLF_FEATURES), "classes": [NORMAL, "dos"],
+           "trees": [_chain(150, "left", thresholds[0].tolist()),
+                     _chain(150, "right", (-thresholds[1]).tolist())]}
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps({"version": 1, "detectors": {"clf/random_forest": obj}}))
+    save_models(path, load_models(path)[0])
+    model = load_models(path)[0]["clf/random_forest"]
+    X = rng.normal(size=(300, 3)) * 1.5
+    X[::5, 1] = np.nan
+    X[::13] = np.nan
+    X[1::17] = np.inf
+    X[2::19] = -np.inf
+    expected = _reference_predict(model, X)
+    assert len(set(expected)) == 2
+    assert [model.predict(x) for x in X] == expected
+    assert list(model.predict_batch(X)) == expected
+
+
+def test_walk_compiled_once_at_first_single_record_predict(tmp_path, monkeypatch):
+    """Batch evaluation, stacking and loading never compile a forest; the
+    first single-record predict does, once per `trees` value."""
+    compiled = []
+    compile_walk = detection._compile_walk
+    monkeypatch.setattr(detection, "_compile_walk",
+                        lambda *args: compiled.append(args) or compile_walk(*args))
+    ds = generate(DatasetKind.NTD, 800, UNIFORM_MIX, seed=9)
+    probe = generate(DatasetKind.NTD, 100, UNIFORM_MIX, seed=10)
+    model = train_random_forest(ds, n_trees=9, seed=4)
+    evaluate(model, probe)
+    model.predict_batch(probe.X)
+    path = tmp_path / "models.json"
+    save_models(path, {"ntd/random_forest": model})
+    model = load_models(path)[0]["ntd/random_forest"]
+    detection._Forest.stack(model.trees)
+    assert not compiled
+    for _ in range(2):
+        assert [model.predict(x) for x in probe.X] == _reference_predict(model, probe.X)
+    assert len(compiled) == 1
+    model.trees = model.trees[2:4]
+    subset = [model.predict(x) for x in probe.X]
+    assert subset == _reference_predict(model, probe.X) == list(model.predict_batch(probe.X))
+    assert len(compiled) == 2
 
 
 def test_non_finite_training_values_rejected():
