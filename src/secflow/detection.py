@@ -146,6 +146,11 @@ def _compile_walk(forest: _Forest, n_features: int, n_classes: int):
     returns the class index most trees vote for, ties to the earliest class,
     for one record passed as one float per feature.
 
+    The vote stops at the first tree that gives a class more than half of
+    all the trees' votes: that class is the unique argmax whatever the rest
+    vote (the exact case of instance-based ensemble pruning). A record with
+    no such majority counts every tree.
+
     Each tree becomes a function of `if xF <= T:` tests whose every leaf
     returns its vote; the comparisons are the walk's own on the same float64
     values (nan goes right), so the votes are the same. The child with the
@@ -185,9 +190,14 @@ def _compile_walk(forest: _Forest, n_features: int, n_classes: int):
                 lines.append(f"{pad}if not {test}:")
                 stack += [(left[node], indent), (right[node], indent + 1)]
         exec(compile("\n".join(lines), f"<tree {k}>", "exec"), namespace)
-    votes = "".join(f"    c[tree{k}({args})] += 1\n" for k in range(len(forest.roots)))
-    exec(compile(f"def forest({args}):\n    c = [0] * {n_classes}\n{votes}"
-                 "    return c.index(max(c))\n", "<forest>", "exec"), namespace)
+    half = len(forest.roots) // 2  # no class can hold a majority before tree `half`
+    lines = [f"def forest({args}):", f"    c = [0] * {n_classes}"]
+    lines += [f"    c[tree{k}({args})] += 1" for k in range(half)]
+    for k in range(half, len(forest.roots)):
+        lines += [f"    v = tree{k}({args})", "    c[v] += 1", f"    if c[v] > {half}:",
+                  "        return v"]
+    lines.append("    return c.index(max(c))")
+    exec(compile("\n".join(lines), "<forest>", "exec"), namespace)
     return namespace["forest"]
 
 
@@ -378,10 +388,15 @@ class DetectorModel:
 
     def predict(self, features) -> str:
         """The class of one record; a forest walks its compiled trees."""
-        x = self._checked(np.asarray(features, dtype=float).reshape(1, -1))
-        if self.kind == "random_forest":
-            return str(self.classes[self._compiled()(*x[0].tolist())])
-        return str(self.classes[self._class_indices(x)[0]])
+        if self.kind != "random_forest":
+            x = np.asarray(features, dtype=float).reshape(1, -1)
+            return str(self.classes[self._class_indices(x)[0]])
+        x = list(map(float, features))
+        if len(x) != len(self.feature_names):
+            raise PredictionError(
+                f"expected {len(self.feature_names)} features, got shape (1, {len(x)})"
+            )
+        return str(self.classes[self._compiled()(*x)])
 
 
 @dataclass
@@ -527,13 +542,22 @@ def model_to_obj(model: DetectorModel):
 
 def model_from_obj(obj, path) -> DetectorModel:
     """A detector from its JSON object at JSON path `path`; a missing field, an
-    unknown kind, a wrong shape or a malformed tree raises EvaluationError."""
+    unknown kind, no class, a class that is not a label or comes twice, a wrong
+    shape or a malformed tree raises EvaluationError."""
     with fields_at(path, obj, EvaluationError):
         kind = obj["kind"]
         if kind not in ("random_forest", "linear"):
             raise EvaluationError(f"{path}.kind: must be 'random_forest' or 'linear', got {kind!r}")
         names, classes = (tuple(array_at(f"{path}.{key}", obj[key], EvaluationError))
                           for key in ("feature_names", "classes"))
+        if not classes:
+            raise EvaluationError(f"{path}.classes: must be a non-empty array")
+        for i, label in enumerate(classes):
+            if label not in LABELS:
+                raise EvaluationError(f"{path}.classes[{i}]: must be one of "
+                                      f"{', '.join(LABELS)}, got {label!r}")
+            if label in classes[:i]:
+                raise EvaluationError(f"{path}.classes[{i}]: {label!r} appears twice")
         model = DetectorModel(kind=kind, dataset_kind=obj["dataset_kind"],
                               feature_names=names, classes=classes)
         params = obj["trees" if kind == "random_forest" else "weights"]

@@ -36,10 +36,10 @@ from secflow.detection import (
 UNIFORM_MIX = {label: 1.0 / len(LABELS) for label in LABELS}
 
 
-def _reference_predict(model, X):
-    """Tree-by-tree scalar walk: each tree votes for the most probable class
-    of the leaf the row reaches; most votes win, ties to the earliest class."""
-    labels = []
+def _reference_votes(model, X):
+    """Tree-by-tree scalar walk: each row's votes per class, each tree voting
+    for the most probable class of the leaf the row reaches."""
+    tallies = []
     for x in X:
         votes = [0] * len(model.classes)
         for tree in model.trees:
@@ -50,8 +50,13 @@ def _reference_predict(model, X):
                 else:
                     node = tree.right[node]
             votes[int(np.argmax(tree.proba[node]))] += 1
-        labels.append(model.classes[votes.index(max(votes))])
-    return labels
+        tallies.append(votes)
+    return tallies
+
+
+def _reference_predict(model, X):
+    """Most votes win, ties to the earliest class."""
+    return [model.classes[votes.index(max(votes))] for votes in _reference_votes(model, X)]
 
 
 def _batch_walk(forest, X, n_classes):
@@ -353,6 +358,7 @@ class TestRandomForest:
         model = _forest([trees[i] for i in order] + trees[2:], classes=("dos", NORMAL))
         X = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert list(model.predict_batch(X)) == ["dos", NORMAL]
+        assert [model.predict(x) for x in X] == ["dos", NORMAL]
 
     def test_empty_dataset_rejected(self):
         empty = _dataset(np.zeros((0, 3)), [])
@@ -361,7 +367,7 @@ class TestRandomForest:
 
 
 @pytest.mark.parametrize("kind", [DatasetKind.NTD, DatasetKind.CLF])
-def test_single_row_gather_equals_batch_walk(kind):
+def test_compiled_walk_equals_batch_walk(kind):
     """A single record's compiled walk votes as the batch's level walk."""
     train, held_out = split(generate(kind, 1500, UNIFORM_MIX, seed=5), 0.8, seed=5)
     model = train_random_forest(train, seed=2)
@@ -375,13 +381,55 @@ def test_single_row_gather_equals_batch_walk(kind):
     assert [model.predict(x) for x in X] == [model.classes[i] for i in expected]
 
 
-def test_single_row_gather_on_depth_zero_forest():
+def test_compiled_walk_on_depth_zero_forest():
     model = _forest([_leaf([0.2, 0.8]), _leaf([0.9, 0.1]), _leaf([0.6, 0.4])])
     forest = model._stacked()
     assert forest.depth == 0
     for x in np.random.default_rng(1).normal(size=(5, 3)):
         assert model.predict(x) == model.classes[_batch_walk(forest, x[None], 2)[0]]
     assert model.predict([0.0, np.nan, 1.0]) == NORMAL
+
+
+@pytest.fixture(scope="module")
+def forest_51():
+    """51 trees on all five classes, and held-out CLF rows, some holding nan."""
+    train, held_out = split(generate(DatasetKind.CLF, 1500, UNIFORM_MIX, seed=5), 0.8, seed=5)
+    X = held_out.X.copy()
+    X[::7, 0] = np.nan
+    X[3::11, :] = np.nan
+    return train_random_forest(train, n_trees=51, seed=2), X
+
+
+@pytest.mark.parametrize("n_trees", [1, 2, 3, 4, 51])
+def test_vote_stopped_at_a_majority_equals_batch_walk(forest_51, n_trees):
+    """The compiled vote returns at the first strict majority; every label is
+    the batch walk's, on 1:1 and 2:2 ties and on rows no class wins outright."""
+    model, X = forest_51
+    model = _forest(model.trees[:n_trees], classes=model.classes)
+    votes = _reference_votes(model, X)
+    if n_trees % 2 == 0:
+        assert any(sorted(v)[-2:] == [n_trees // 2] * 2 for v in votes)
+    if n_trees > 1:
+        assert any(max(v) <= n_trees // 2 for v in votes)
+    expected = [model.classes[i] for i in _batch_walk(model._stacked(), X, len(model.classes))]
+    assert [model.predict(x) for x in X] == expected == list(model.predict_batch(X))
+
+
+@pytest.mark.parametrize("votes, called", [
+    ((1, 1, 1, 1, 1), [0, 1, 2]),
+    ((0, 1, 1, 1, 0), [0, 1, 2, 3]),
+    ((1, 0, 1, 0, 1), [0, 1, 2, 3, 4]),
+])
+def test_vote_asks_no_tree_after_a_strict_majority(votes, called):
+    """Five trees: the vote ends at the first tree that gives a class three."""
+    model = _forest([_leaf([1.0 - v, float(v)]) for v in votes])
+    forest = model._compiled()
+    calls = []
+    for k in range(len(votes)):
+        tree = forest.__globals__[f"tree{k}"]
+        forest.__globals__[f"tree{k}"] = lambda *x, k=k, tree=tree: calls.append(k) or tree(*x)
+    assert model.predict([0.0, 0.0, 0.0]) == model.classes[max(votes, key=votes.count)]
+    assert calls == called
 
 
 def _chain(depth, lean, thresholds):
@@ -555,9 +603,24 @@ class TestEvaluate:
 class TestPredict:
     def test_wrong_arity_rejected(self):
         ds = _xor_dataset()
-        model = train_random_forest(ds, seed=0)
-        with pytest.raises(PredictionError):
-            model.predict([1.0, 2.0])
+        for model in (train_random_forest(ds, seed=0), train_linear(ds)):
+            with pytest.raises(PredictionError) as exc:
+                model.predict([1.0, 2.0])
+            assert str(exc.value) == "expected 3 features, got shape (1, 2)"
+
+    def test_any_sequence_of_numbers_predicts_as_the_batch_walk(self):
+        train, held_out = split(generate(DatasetKind.CLF, 600, UNIFORM_MIX, seed=5), 0.8, seed=5)
+        model = train_random_forest(train, n_trees=9, seed=2)
+        nan_row, inf_row = held_out.X[2].copy(), held_out.X[2].copy()
+        nan_row[1], inf_row[1] = np.nan, np.inf
+        # nan fails every `x <= threshold` test and goes right, as +inf does
+        # below the forest's finite thresholds
+        assert model.predict(nan_row) == model.predict(inf_row)
+        for x in (held_out.X[0].tolist(), held_out.X[1], nan_row, [0, 1, 0], [1, 1, 1]):
+            row = np.array([x], dtype=float)
+            label = model.predict(x)
+            assert type(label) is str
+            assert label == model.classes[_batch_walk(model._stacked(), row, len(model.classes))[0]]
 
 
 class TestSerialization:
@@ -576,6 +639,26 @@ class TestSerialization:
             assert list(restored[key].predict_batch(probe.X)) == list(
                 models[key].predict_batch(probe.X)
             )
+
+
+@pytest.mark.parametrize("classes, where", [
+    ([NORMAL, "bogus"], f"classes[1]: must be one of {', '.join(LABELS)}, got 'bogus'"),
+    ([NORMAL, 7], f"classes[1]: must be one of {', '.join(LABELS)}, got 7"),
+    ([NORMAL, NORMAL], "classes[1]: 'normal' appears twice"),
+    ([], "classes: must be a non-empty array"),
+], ids=["not-a-label", "not-a-string", "twice", "empty"])
+@pytest.mark.parametrize("key", ["clf/random_forest", "clf/linear"])
+def test_unknown_repeated_or_missing_class_refused_at_load(tmp_path, classes, where, key):
+    ds = generate(DatasetKind.CLF, 300, {NORMAL: 0.5, "dos": 0.5}, seed=5)
+    path = tmp_path / "models.json"
+    model = train_random_forest(ds, n_trees=3) if key.endswith("forest") else train_linear(ds)
+    save_models(path, {key: model})
+    doc = json.loads(path.read_text())
+    doc["detectors"][key]["classes"] = classes
+    path.write_text(json.dumps(doc))
+    with pytest.raises(EvaluationError) as exc:
+        load_models(path)
+    assert str(exc.value) == f'{path}: $.detectors["{key}"].{where}'
 
 
 def _break_missing_key(tree):
