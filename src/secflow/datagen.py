@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,20 +289,37 @@ def generate(
     return Dataset(kind, names, X[perm], labels[perm], intensity[perm])
 
 
+def _runs(params):
+    """`_PARAMS` entries with each run of continuous features as one tuple,
+    and None for each categorical protocol_type between them."""
+    runs = []
+    for categorical, group in itertools.groupby(params, lambda p: p is None):
+        if categorical:
+            runs.extend(group)
+        else:
+            runs.append(tuple(group))
+    return tuple(runs)
+
+
+_RUNS = {key: _runs(params) for key, params in _PARAMS.items()}
+
+
 def sample_features(kind: DatasetKind, label: str, intensity: float, rng) -> list:
     """Draw one record of `label` as a list of floats; `intensity` is its
-    severity signal (ignored for normal records). Scalar draws, one per
-    feature in schema order, consume `rng` exactly as one row of
-    `_sample_columns` does."""
+    severity signal (ignored for normal records). Consumes `rng` exactly as
+    one row of `_sample_columns` does: each run of continuous features is
+    one `standard_normal` block, and `loc + sd * z` is the double arithmetic
+    of numpy's scalar `normal(loc, sd)`; protocol_type stays one scalar
+    `integers(0, 3)`, which draws from PCG64's buffered 32-bit half."""
     record = []
-    for params in _PARAMS[kind, label]:
-        if params is None:  # categorical protocol_type
+    for run in _RUNS[kind, label]:
+        if run is None:  # categorical protocol_type
             record.append(float(rng.integers(0, 3)))
             continue
-        mean, sd, sig, capped = params
-        loc = mean if sig is None else mean + (sig[0] + sig[1] * intensity)
-        value = max(rng.normal(loc, sd), 0.0)
-        record.append(min(value, 1.0) if capped else value)
+        for (mean, sd, sig, capped), z in zip(run, rng.standard_normal(len(run)).tolist()):
+            loc = mean if sig is None else mean + (sig[0] + sig[1] * intensity)
+            value = max(loc + sd * z, 0.0)
+            record.append(min(value, 1.0) if capped else value)
     return record
 
 

@@ -59,10 +59,13 @@ class TrustRepository:
 
     def observe(self, hits):
         """One EWMA update of every rate: whether its (service id, AttackType)
-        pair is in `hits`."""
+        pair is in `hits`. `_ewma` inline: its expression and clamp, in place,
+        in the table's key order."""
         history = self.afr_history
+        keep = 1.0 - EWMA_BETA
         for key, old in history.items():
-            history[key] = _ewma(old, key in hits)
+            new = keep * old + EWMA_BETA * (1.0 if key in hits else 0.0)
+            history[key] = min(1.0, max(0.0, new))
 
     def scale_afr(self, service_id: str, attack_type: AttackType, factor: float):
         """Multiplicative AFR adjustment (used by reconfiguration actions)."""

@@ -30,9 +30,9 @@ def attack_score(
     (1 - prod over CIA of (1 - req*impact)) * afr * level."""
     _require_unit("afr", afr)
     _require_unit("level", level)
-    prod = 1.0
-    for req, imp in zip(requirements.as_tuple(), impact.as_tuple()):
-        prod *= 1.0 - req * imp
+    # the fold from 1.0, whose first product is exact
+    prod = ((1.0 - requirements.c * impact.c) * (1.0 - requirements.i * impact.i)
+            * (1.0 - requirements.a * impact.a))
     return (1.0 - prod) * afr * level
 
 

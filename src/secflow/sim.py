@@ -20,9 +20,11 @@ import functools
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import datagen, rl
 from .datagen import DatasetKind, NORMAL
@@ -117,7 +119,8 @@ class ExecutionState:
     # -- ledger access -----------------------------------------------------
 
     def start_task(self, task_id, price, time, value, nominal_time):
-        self._done = [d + c for d, c in zip(self._done, self._current)]
+        done, current = self._done, self._current
+        self._done = [done[0] + current[0], done[1] + current[1], done[2] + current[2]]
         self._current = self.base[task_id] = [price, time, value]
         self.nominal_prefix += nominal_time
 
@@ -214,7 +217,10 @@ class Experiment:
     instance; it is dropped with the experiment. `spreads`, which scale a
     learner's rewards, hold each `rl.ATTR_NAMES` attribute's max - min over
     the burn-in rounds, as `run_experiment` sets them, or 0. A spread of 0,
-    as after a burn-in of 0 or 1 rounds, contributes 0 to every reward."""
+    as after a burn-in of 0 or 1 rounds, contributes 0 to every reward.
+    `seed_words` maps an instance seed to its streams' `instance_seed_words`
+    row; `run_experiment` fills it for all its seeds before the first
+    instance, and an instance derives a seed it does not hold."""
 
     def __init__(self, workflow: Workflow, plan: SchedulingPlan, cloud: MultiCloud,
                  detectors: dict, severity_model, cfg: TenantConfig,
@@ -236,24 +242,26 @@ class Experiment:
         self.attack_rate = attack_rate
         self.selections = {}
         self.spreads = dict.fromkeys(rl.ATTR_NAMES, 0.0)
+        self.seed_words = {}
 
 
-def _executed_set(layout: Layout, branch_rng):
+def _executed_tasks(layout: Layout, branch_rng):
     """Resolve Bernoulli branch conditions over the topological order: a
     task executes when it has no incoming control edges or at least one taken
     edge from an executed task. Unconditional edges from executed tasks are
-    always taken."""
-    executed = set()
+    always taken. The executed tasks are the keys of the returned dict, in
+    topological order."""
+    executed = {}
     for tid in layout.order:
         edges = layout.incoming[tid]
         if not edges:
-            executed.add(tid)
+            executed[tid] = None
             continue
         for e in edges:
             if e.src not in executed:
                 continue
             if not e.cond or branch_rng.random() < e.prob:
-                executed.add(tid)
+                executed[tid] = None
                 break
     return executed
 
@@ -279,17 +287,113 @@ def _sample_attack_type(trust: TrustRepository, service_id, rng) -> AttackType:
     double drawn are those of `rng.choice(len(types), p=weights / total)`:
     p is normalized by the left-fold sum, its running sum is divided by its
     last value, and `bisect_right` places one `rng.random()`."""
-    weights = [trust.afr(service_id, at) for at in ATTACK_TYPES]
-    if not all(0.0 <= w < math.inf for w in weights):
-        raise ValueError(f"attack-type rates of {service_id!r} must be finite and "
-                         f"non-negative, got {weights}")
+    history = trust.afr_history
+    weights = [history[service_id, at] for at in ATTACK_TYPES]
     total = 0.0
     for w in weights:
+        if not 0.0 <= w < math.inf:
+            raise ValueError(f"attack-type rates of {service_id!r} must be finite and "
+                             f"non-negative, got {weights}")
         total += w
     if total <= 0:
         return ATTACK_TYPES[int(rng.integers(len(ATTACK_TYPES)))]
     cdf = list(itertools.accumulate(w / total for w in weights))
     return ATTACK_TYPES[bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())]
+
+
+# The hashing of numpy's SeedSequence (pool size 4, the constants of
+# numpy/random/bit_generator.pyx), mirrored on uint32 arrays. Scalar constants
+# stay Python ints and the arithmetic runs on arrays only: numpy warns on
+# uint32 overflow of scalars, not of arrays.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_XSHIFT = 16
+_POOL_SIZE = 4
+#: An instance's streams, in spawn order: attack, branch, noise, telemetry, failure.
+N_STREAMS = 5
+_SEED_LIMIT = 2 ** (32 * _POOL_SIZE)
+
+
+def _hash_constants(init, mult, n):
+    """The running hash constant before each of `n` hash steps and after the
+    last: it does not depend on the data, so every step's pair is known."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _hashed(value, xor_const, mult_const):
+    value = (value ^ xor_const) * mult_const
+    return value ^ (value >> _XSHIFT)
+
+
+def _mixed(x, y):
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+# Pool construction runs 4 hash steps over the entropy words and 12 over the
+# pool's cross mix, then 4 over a child's spawn key; `generate_state(4,
+# np.uint64)` runs 8 over the pool words with its own running constant.
+_N_POOL_STEPS = _POOL_SIZE * _POOL_SIZE
+_MIX_CONSTS = _hash_constants(_INIT_A, _MULT_A, _N_POOL_STEPS + _POOL_SIZE)
+_STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _u32(values):
+    return np.array(values, dtype=np.uint32)
+
+
+# child i's one spawn-key word, i, hashed for each pool word it is mixed into:
+# the same for every seed, shape (N_STREAMS, pool)
+_SPAWN_KEY_HASHES = _hashed(np.arange(N_STREAMS, dtype=np.uint32)[:, None],
+                            _u32(_MIX_CONSTS[_N_POOL_STEPS:-1]),
+                            _u32(_MIX_CONSTS[_N_POOL_STEPS + 1:]))
+
+
+def instance_seed_words(seeds) -> np.ndarray:
+    """(len(seeds), N_STREAMS, 4) uint64: row k, stream i holds
+    `SeedSequence(seeds[k]).spawn(N_STREAMS)[i].generate_state(4, np.uint64)`,
+    the words `np.random.PCG64` seeds itself from. All seeds are hashed in one
+    pass of uint32 array arithmetic that mirrors SeedSequence's. A seed must
+    be an integer in [0, 2**128): numpy pads such a seed with zeros to the
+    pool's four words, and a larger one would need a fifth."""
+    seeds = [operator.index(s) for s in seeds]
+    for s in seeds:
+        if not 0 <= s < _SEED_LIMIT:
+            raise ValueError(f"instance seed must be in [0, 2**128), got {s}")
+    entropy = np.array([[s >> (32 * j) & _MASK32 for j in range(_POOL_SIZE)] for s in seeds],
+                       dtype=np.uint32).reshape(len(seeds), _POOL_SIZE)
+    consts = _MIX_CONSTS
+    pool = _hashed(entropy, _u32(consts[:_POOL_SIZE]), _u32(consts[1:_POOL_SIZE + 1]))
+    step = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[:, dst] = _mixed(pool[:, dst],
+                                      _hashed(pool[:, src], consts[step], consts[step + 1]))
+                step += 1
+    children = _mixed(pool[:, None, :], _SPAWN_KEY_HASHES)
+    state = _hashed(np.concatenate([children, children], axis=2),
+                    _u32(_STATE_CONSTS[:-1]), _u32(_STATE_CONSTS[1:]))
+    # little-endian word pairs, as SeedSequence joins them
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """The precomputed state words of one stream: all `np.random.PCG64` asks
+    of its seed sequence."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def run_instance(experiment: Experiment, seed: int) -> RunResult:
@@ -310,26 +414,26 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
     cloud, cfg, attack_rate = experiment.cloud, experiment.cfg, experiment.attack_rate
     selections = experiment.selections
 
-    ss = np.random.SeedSequence(seed)
+    words = experiment.seed_words.get(seed)
+    if words is None:
+        words = instance_seed_words([seed])[0]
     attack_rng, branch_rng, noise_rng, telem_rng, fail_rng = (
-        np.random.default_rng(c) for c in ss.spawn(5)
-    )
+        np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
 
     state = ExecutionState(layout, noise_rng)
-    executed = _executed_set(layout, branch_rng)
+    executed = _executed_tasks(layout, branch_rng)
 
     injected = detected = adapted = unmitigated = failures = false_alarms = 0
     events = []
 
-    for tid in layout.order:
-        if tid not in executed:
-            continue
+    # the failure stream is drawn once per executed task, in order, and for
+    # nothing else, so one block holds every draw
+    for tid, fail_draw in zip(executed, fail_rng.random(len(executed)).tolist()):
         task = layout.tasks[tid]
         svc = bound[tid]
         state.start_task(tid, svc.price, svc.response_time, task.value, svc.response_time)
 
         # degraded inputs raise the task's failure probability
-        fail_draw = fail_rng.random()
         n_flags = state.degraded.get(tid, 0)
         if n_flags > 0 and fail_draw < min(1.0, n_flags * SKIP_DOWNSTREAM_FAILURE_DELTA):
             state.fail_task(tid)
@@ -546,13 +650,16 @@ def run_experiment(
     plan = schedule(workflow, cloud, trust, cfg)
     experiment = Experiment(workflow, plan, cloud, detectors, severity_model, cfg, trust,
                             attack_rate)
-    run_seeds = np.random.SeedSequence(seed).generate_state(n_runs + 1)[1:]
+    run_seeds = np.random.SeedSequence(seed).generate_state(n_runs + 1)[1:].tolist()
+    burn_in_seeds = np.random.SeedSequence([seed, 23]).generate_state(burn_in).tolist()
+    all_seeds = burn_in_seeds + run_seeds
+    experiment.seed_words = dict(zip(all_seeds, instance_seed_words(all_seeds)))
 
     # settle the trust repository's attack-frequency estimates before the
     # recorded rounds so both strategies start from the same steady state
     burn_in_attrs = []
-    for s in np.random.SeedSequence([seed, 23]).generate_state(burn_in):
-        result = run_instance(experiment, int(s))
+    for s in burn_in_seeds:
+        result = run_instance(experiment, s)
         _reconcile_trust(trust, result)
         burn_in_attrs.append(result.reward_attrs())
     if burn_in_attrs:
@@ -562,12 +669,12 @@ def run_experiment(
     # rounds are lazy: each runs only once the loop below reaches it, after
     # the trust reconciliation of the round before
     if strategy == "lowest-cost":
-        rounds = (run_instance(experiment, int(s)) for s in run_seeds)
+        rounds = (run_instance(experiment, s) for s in run_seeds)
     else:
         table = qtable if qtable is not None else rl.QTable()
         policy_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
         rounds = rl.train(
-            table, (functools.partial(instance_episode, experiment, int(s)) for s in run_seeds),
+            table, (functools.partial(instance_episode, experiment, s) for s in run_seeds),
             policy_rng)
     results = []
     for result in rounds:

@@ -1,6 +1,8 @@
 """Execution engine: attack-free identities, makespan, injection plumbing,
 experiment aggregation, and benchmark generators."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -593,3 +595,83 @@ def test_each_reward_is_the_decisions_share_of_the_run_metric(monkeypatch):
                     for n, w in rl.REWARD_WEIGHTS.items() if exp.spreads[n])
         assert r == pytest.approx(share, rel=1e-12, abs=1e-15)
     assert any(r != 0.0 for _, _, r in decisions)
+
+
+_RANDOM_SEEDS = random.Random(20261019)
+# seeds of every width from 1 to 128 bits, the range's ends and word edges
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1] + [
+    _RANDOM_SEEDS.randrange(2 ** _RANDOM_SEEDS.randint(1, 128)) for _ in range(1000)]
+
+
+def test_instance_seed_words_equal_numpys_spawned_seed_sequences():
+    words = sim.instance_seed_words(ORACLE_SEEDS)
+    assert words.shape == (len(ORACLE_SEEDS), sim.N_STREAMS, 4)
+    assert words.dtype == np.uint64
+    for seed, row in zip(ORACLE_SEEDS, words):
+        children = np.random.SeedSequence(seed).spawn(sim.N_STREAMS)
+        expected = [c.generate_state(4, np.uint64) for c in children]
+        assert row.tolist() == [e.tolist() for e in expected], seed
+
+
+def test_generators_built_from_the_words_are_numpys():
+    seeds = ORACLE_SEEDS[:56]
+    for seed, row in zip(seeds, sim.instance_seed_words(seeds)):
+        children = np.random.SeedSequence(seed).spawn(sim.N_STREAMS)
+        for words, child in zip(row, children):
+            ours = np.random.Generator(np.random.PCG64(sim._SeedWords(words)))
+            reference = np.random.default_rng(child)
+            assert ours.bit_generator.state == reference.bit_generator.state, seed
+            assert ours.random(3).tolist() == reference.random(3).tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_instance_seed_outside_its_range_rejected(seed):
+    with pytest.raises(ValueError, match=rf"instance seed must be in \[0, 2\*\*128\), got {seed}"):
+        sim.instance_seed_words([0, seed])
+
+
+def test_an_instance_reads_its_streams_from_the_seed_table():
+    """A seed in the table runs on the table's words; a seed outside it
+    derives its own, so a direct call needs no table."""
+    experiment = _adaptive_experiment()
+
+    def tabled():
+        exp = experiment()
+        exp.seed_words = {5: sim.instance_seed_words([6])[0]}
+        return exp
+
+    assert run_instance(tabled(), 5) == run_instance(experiment(), 6)
+    assert run_instance(tabled(), 6) == run_instance(experiment(), 6)
+    assert run_instance(tabled(), 5) != run_instance(experiment(), 5)
+
+
+@pytest.mark.parametrize("strategy", sim.STRATEGIES)
+def test_seed_derivation_does_not_grow_with_an_experiments_rounds(monkeypatch, strategy):
+    """An experiment builds the same SeedSequences whatever its round count,
+    and derives every instance's words in one call before the burn-in."""
+    wf, cloud = generate_workflow_class(WorkflowClass.SMALL, 0), generate_multicloud(1)
+    sequences = []
+    derivations = []
+
+    class Counted(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            sequences.append(args)
+            super().__init__(*args, **kwargs)
+
+    derive = sim.instance_seed_words
+
+    def counted_derive(seeds):
+        derivations.append(len(seeds))
+        return derive(seeds)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    monkeypatch.setattr(sim, "instance_seed_words", counted_derive)
+    counts = []
+    for n_runs in (5, 50):
+        sequences.clear()
+        derivations.clear()
+        run_experiment(wf, cloud, DETECTORS, SEVERITY, TenantConfig(), n_runs, strategy,
+                       0.3, seed=3, burn_in=4)
+        assert derivations == [4 + n_runs]
+        counts.append(len(sequences))
+    assert counts[0] == counts[1]
