@@ -133,7 +133,7 @@ def _classes(key, value, _):
 def _qtable(key, value, opts):
     path = _cast(key, value, str)
     if opts["strategy"] == "lowest-cost":
-        raise UsageError(f"--qtable {path} needs --strategy adaptive; "
+        raise UsageError(f"--qtable {path} needs --strategy adaptive or frozen; "
                          "lowest-cost uses no Q-table")
     return path
 
@@ -267,8 +267,10 @@ def _events_jsonl(results):
 
 
 def cmd_simulate(opts):
-    workflow, cloud, detectors, sev = _load_runtime(opts)
     out, strategy = Path(opts["out"]), opts["strategy"]
+    if strategy == "frozen" and opts["qtable"] is None:
+        raise UsageError("--strategy frozen needs --qtable, the trained table it deploys")
+    workflow, cloud, detectors, sev = _load_runtime(opts)
     qtable = parse_file(opts["qtable"], rl.table_from_json) if opts["qtable"] else None
     result = sim.run_experiment(
         workflow, cloud, detectors, sev, _tenant_config(opts), opts["runs"], strategy,
@@ -440,7 +442,7 @@ COMMANDS = {
         *RUNTIME, ("wf_class", WF_CLASSES, "small", True), ("episodes", int, 300, True), RATE,
         ("out", str, "artifacts/qtable.json", True), *POLICY)),
     "simulate": ("run one strategy over a workflow", cmd_simulate, (
-        ("strategy", sim.STRATEGIES, "lowest-cost", True), ("qtable", _qtable, None, True),
+        ("strategy", tuple(sim.POLICIES), "lowest-cost", True), ("qtable", _qtable, None, True),
         *RUNTIME, ("wf_class", WF_CLASSES, None, True), ("runs", int, 100, True), RATE,
         ("out", str, "results", True), *POLICY)),
     "compare": ("LowestCost vs Adaptive sweep", cmd_compare, (

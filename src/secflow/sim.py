@@ -7,8 +7,10 @@ One function, `instance_episode`, executes an instance. At every adaptation
 decision it applies the candidate its `choose` callback picks from the
 candidates ranked cheapest-first, or the cheapest when there is no
 callback, and hands the decision's reward to its `learn` callback if one is
-given. The lowest-cost strategy (`run_instance`) passes neither; the
-adaptive strategy passes the Q-learning callbacks of `rl`.
+given. `POLICIES` names every strategy's rounds: lowest-cost
+(`run_instance`) passes neither callback, adaptive passes the Q-learning
+callbacks of `rl`, and frozen passes `rl.predict` over a given Q-table
+alone, so it deploys a trained table without changing it.
 """
 
 from __future__ import annotations
@@ -408,7 +410,8 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
     cheapest-first)`, or the cheapest kind when `choose` is None; the state
     key is the detected attack type and severity (`rl.workflow_state_key`).
     If `learn` is given, call `learn(r)` with the decision's reward after
-    applying it; without it, no reward is computed."""
+    applying it; without it, as under a frozen policy, no reward is
+    computed."""
     layout, bound, trust = experiment.layout, experiment.bound, experiment.trust
     detectors, severity_model = experiment.detectors, experiment.severity_model
     cloud, cfg, attack_rate = experiment.cloud, experiment.cfg, experiment.attack_rate
@@ -580,8 +583,6 @@ class WorkflowClass(enum.Enum):
     LARGE = "large"
 
 
-STRATEGIES = ("lowest-cost", "adaptive")
-
 CLASS_TASK_RANGE = {
     WorkflowClass.SMALL: (3, 10),
     WorkflowClass.MEDIUM: (10, 50),
@@ -610,6 +611,40 @@ class ExperimentResult:
         return buf.getvalue()
 
 
+def _lowest_cost_rounds(experiment, seeds, table, seed):
+    if table is not None:
+        raise ValueError("qtable needs the adaptive strategy or the frozen one; "
+                         "lowest-cost uses no Q-table")
+    return (run_instance(experiment, s) for s in seeds)
+
+
+def _adaptive_rounds(experiment, seeds, table, seed):
+    policy_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    return rl.train(
+        table if table is not None else rl.QTable(),
+        (functools.partial(instance_episode, experiment, s) for s in seeds), policy_rng)
+
+
+def _frozen_rounds(experiment, seeds, table, seed):
+    if table is None:
+        raise ValueError("the frozen strategy needs a qtable to deploy")
+    choose = functools.partial(rl.predict, table)
+    return (instance_episode(experiment, s, choose) for s in seeds)
+
+
+#: Each strategy's rounds: `POLICIES[name](experiment, seeds, table, seed)`
+#: checks the Q-table it is given and returns the lazy RunResults of the
+#: seeds' instances, each run only once the round before it is reconciled.
+#: lowest-cost takes the cheapest candidate and no table; adaptive trains
+#: `table` (a fresh one if None) epsilon-greedily; frozen takes the greedy
+#: choice of `table` and never writes to it.
+POLICIES = {
+    "lowest-cost": _lowest_cost_rounds,
+    "adaptive": _adaptive_rounds,
+    "frozen": _frozen_rounds,
+}
+
+
 def run_experiment(
     workflow: Workflow,
     cloud: MultiCloud,
@@ -625,7 +660,7 @@ def run_experiment(
     qtable: rl.QTable | None = None,
     burn_in: int = 50,
 ) -> ExperimentResult:
-    """Run `n_runs` rounds of one workflow under a strategy.
+    """Run `n_runs` rounds of one workflow under a strategy of `POLICIES`.
 
     "lowest-cost" picks the cheapest candidate each time. "adaptive" learns
     online: each round is an epsilon-greedy Q-learning episode over the same
@@ -633,7 +668,8 @@ def run_experiment(
     its share of the run metric: sum of W_i * d_i / s_i over the change d
     it made to the ledger totals, with s = `Experiment.spreads` from the
     burn-in. With `burn_in` 0 or 1 every reward and Q value is 0.0, and the
-    policy is epsilon-exploration over a cheapest-first greedy. Trust
+    policy is epsilon-exploration over a cheapest-first greedy. "frozen"
+    picks the greedy candidate of `qtable` and learns nothing. Trust
     updates carry over between rounds in run-index order. Deterministic
     given `seed`."""
     if n_runs < 1:
@@ -642,10 +678,8 @@ def run_experiment(
         raise ValueError("window must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    if strategy not in STRATEGIES:
+    if strategy not in POLICIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "lowest-cost" and qtable is not None:
-        raise ValueError("qtable needs the adaptive strategy; lowest-cost uses no Q-table")
     trust = TrustRepository.from_cloud(cloud)
     plan = schedule(workflow, cloud, trust, cfg)
     experiment = Experiment(workflow, plan, cloud, detectors, severity_model, cfg, trust,
@@ -654,9 +688,10 @@ def run_experiment(
     burn_in_seeds = np.random.SeedSequence([seed, 23]).generate_state(burn_in).tolist()
     all_seeds = burn_in_seeds + run_seeds
     experiment.seed_words = dict(zip(all_seeds, instance_seed_words(all_seeds)))
+    rounds = POLICIES[strategy](experiment, run_seeds, qtable, seed)
 
     # settle the trust repository's attack-frequency estimates before the
-    # recorded rounds so both strategies start from the same steady state
+    # recorded rounds so every strategy starts from the same steady state
     burn_in_attrs = []
     for s in burn_in_seeds:
         result = run_instance(experiment, s)
@@ -666,16 +701,6 @@ def run_experiment(
         mins, maxs = rl.attr_bounds(burn_in_attrs)
         experiment.spreads = {n: maxs[n] - mins[n] for n in rl.ATTR_NAMES}
 
-    # rounds are lazy: each runs only once the loop below reaches it, after
-    # the trust reconciliation of the round before
-    if strategy == "lowest-cost":
-        rounds = (run_instance(experiment, s) for s in run_seeds)
-    else:
-        table = qtable if qtable is not None else rl.QTable()
-        policy_rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-        rounds = rl.train(
-            table, (functools.partial(instance_episode, experiment, s) for s in run_seeds),
-            policy_rng)
     results = []
     for result in rounds:
         _reconcile_trust(trust, result)

@@ -1,8 +1,12 @@
 """Shared builders for small deterministic fixtures used across the suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from secflow import rl
+from secflow.decision import cost_rank
 from secflow.model import (
     ActionKind,
     AttackType,
@@ -99,3 +103,14 @@ def weak_models(seed=7, n=100, n_trees=5):
     detectors = {kind: train_random_forest(ds, n_trees=n_trees, seed=seed)
                  for kind, ds in datasets.items()}
     return detectors, fit_severity(datasets, seed)
+
+
+def greedy_choice(table, event):
+    """The kind `rl.predict` picks over `table` for an adapted event: its state
+    is the event's type and severity, and its candidates are the event's,
+    ranked cheapest-first again with `decision.cost_rank`."""
+    ranked = sorted((SimpleNamespace(total=c["cost"], mitigation=c["mitigation"],
+                                     kind=ActionKind(c["kind"]))
+                     for c in event["candidates"]), key=cost_rank)
+    state = f"{event['type']}|{event['severity']}"
+    return rl.predict(table, state, [b.kind for b in ranked]).value

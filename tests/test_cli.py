@@ -159,6 +159,27 @@ class TestSeverityAndSimulate:
         assert code == 2
         assert "qtable.json" in capsys.readouterr().err
 
+    def test_simulate_frozen_without_qtable_is_usage_error(self, workdir, capsys):
+        """Refused before the model file, which does not exist, is read."""
+        code = _run(["simulate", "--models", "missing.json", "--strategy", "frozen",
+                     "--runs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--qtable" in err and "missing.json" not in err
+        assert not (workdir / "results").exists()
+
+    def test_simulate_frozen_deploys_the_trained_table(self, workdir):
+        self._pipeline(workdir)
+        assert _run(["train-rl", "--models", "art/models.json", "--episodes", "3",
+                     "--rate", "0.8", "--out", "art/qtable.json"]) == 0
+        trained = (workdir / "art" / "qtable.json").read_bytes()
+        assert _run(["simulate", "--models", "art/models.json", "--strategy", "frozen",
+                     "--qtable", "art/qtable.json", "--rate", "0.8", "--runs", "3",
+                     "--out", "res"]) == 0
+        assert (workdir / "art" / "qtable.json").read_bytes() == trained
+        with open(workdir / "res" / "results.csv") as fh:
+            assert {row["strategy"] for row in csv.DictReader(fh)} == {"frozen"}
+
     def test_simulate_without_detector_is_usage_error(self, workdir, capsys):
         self._pipeline(workdir)
         code = _run(
@@ -267,7 +288,7 @@ class TestUsageErrors:
              "option 'classes' must be a list or a comma-separated string of small, medium, "
              "large, got 5"),
             (["simulate", "--set", "strategy=greedy"],
-             "option 'strategy' must be one of lowest-cost, adaptive, got 'greedy'"),
+             "option 'strategy' must be one of lowest-cost, adaptive, frozen, got 'greedy'"),
             (["gen-data", "--set", "intensity_mode=xyz"],
              "option 'intensity_mode' must be one of uniform, banded, got 'xyz'"),
             (["gen-data", "--set", "n=40.9"], "option 'n' must be an integer, got 40.9"),

@@ -11,9 +11,9 @@ import json
 
 import pytest
 
-from secflow import cli, sim
+from secflow import cli, rl, sim
 from secflow.model import ACTION_ORDER, TenantConfig
-from tests.conftest import weak_models
+from tests.conftest import greedy_choice, weak_models
 
 GOLDEN = {
     "compare/results.csv":
@@ -44,6 +44,10 @@ GOLDEN = {
         "8c08286cf2f8cddd242bf7ceb43a7339fe9ad1efc1eeee34c88656098dee2a02",
     "simulate-adaptive/events.jsonl":
         "e2f52f34138ec73d558618ca73d8ddc168796170327d4015d3e3e8ec189756a7",
+    "simulate-frozen/results.csv":
+        "9a8de827515e01c09c75cade4243d2a1471805e0da0a0c417bb596a8cc21cc42",
+    "simulate-frozen/events.jsonl":
+        "b6ec83158bd2037e27edeeb9da170717a3c37059bdf1cb4a1e8ef30e4763a5e8",
 }
 
 SEED = "5"
@@ -83,6 +87,8 @@ def outputs(tmp_path_factory):
          *RUNTIME, "--out", str(root / "simulate-lowest-cost")],
         ["simulate", "--models", models, "--strategy", "adaptive", "--runs", "6",
          "--qtable", str(qtable), *RUNTIME, "--out", str(root / "simulate-adaptive")],
+        ["simulate", "--models", models, "--strategy", "frozen", "--runs", "6",
+         "--qtable", str(qtable), *RUNTIME, "--out", str(root / "simulate-frozen")],
     ]
     for argv in steps:
         assert cli.main(argv) == 0, argv
@@ -91,7 +97,7 @@ def outputs(tmp_path_factory):
     for fname in ("metrics.csv", "models.json"):
         out[f"train/{fname}"] = (art / fname).read_bytes()
     out["train-rl/qtable.json"] = qtable.read_bytes()
-    for name in ("simulate-lowest-cost", "simulate-adaptive"):
+    for name in ("simulate-lowest-cost", "simulate-adaptive", "simulate-frozen"):
         for fname in ("results.csv", "events.jsonl"):
             out[f"{name}/{fname}"] = (root / name / fname).read_bytes()
     return out
@@ -102,21 +108,33 @@ def test_output_digest(outputs, name):
     assert _sha(outputs[name]) == GOLDEN[name]
 
 
+def _adapted_events(outputs, name):
+    return [event for line in outputs[f"{name}/events.jsonl"].decode().splitlines()
+            for event in json.loads(line)["events"] if event["outcome"] == "adapted"]
+
+
 def test_adaptive_run_picks_a_non_cheapest_candidate(outputs):
     """At least one adapted event chose a kind other than the lowest-cost
     one, so the decision built from a learned choice is exercised."""
     order = {k.value: i for i, k in enumerate(ACTION_ORDER)}
     picked_other = 0
-    for line in outputs["simulate-adaptive/events.jsonl"].decode().splitlines():
-        for event in json.loads(line)["events"]:
-            if event["outcome"] != "adapted":
-                continue
-            cheapest = min(
-                event["candidates"],
-                key=lambda c: (c["cost"], -c["mitigation"], order[c["kind"]]),
-            )
-            picked_other += event["chosen"] != cheapest["kind"]
+    for event in _adapted_events(outputs, "simulate-adaptive"):
+        cheapest = min(
+            event["candidates"],
+            key=lambda c: (c["cost"], -c["mitigation"], order[c["kind"]]),
+        )
+        picked_other += event["chosen"] != cheapest["kind"]
     assert picked_other > 0
+
+
+def test_frozen_run_deploys_the_trained_tables_greedy_choices(outputs):
+    """Every decision of the deployed run is the train-rl table's greedy
+    choice, and some of them are not the cheapest candidate."""
+    table = rl.table_from_json(outputs["train-rl/qtable.json"].decode())
+    adapted = _adapted_events(outputs, "simulate-frozen")
+    assert adapted
+    assert all(event["chosen"] == greedy_choice(table, event) for event in adapted)
+    assert any(event["chosen"] != greedy_choice(rl.QTable(), event) for event in adapted)
 
 
 # results.csv carries neither `false_alarms` nor `unmitigated`, so the digests

@@ -29,7 +29,7 @@ from secflow.sim import (
     run_experiment,
     run_instance,
 )
-from tests.conftest import make_cloud, make_plan, make_service, make_task
+from tests.conftest import greedy_choice, make_cloud, make_plan, make_service, make_task
 
 MIX = {"normal": 0.5, "dos": 0.125, "probe": 0.125, "u2r": 0.125, "r2l": 0.125}
 
@@ -204,6 +204,11 @@ def _no_instance(*args, **kwargs):
     raise AssertionError("an instance ran before the experiment was checked")
 
 
+def _table_for(strategy):
+    """The Q-table a policy needs: an empty one for frozen, none otherwise."""
+    return rl.QTable() if strategy == "frozen" else None
+
+
 class TestRunExperiment:
     def _setup(self, seed=0):
         wf = generate_workflow_class(WorkflowClass.SMALL, seed)
@@ -221,14 +226,14 @@ class TestRunExperiment:
         assert exp.windows[0]["price"] == pytest.approx(r.price)
         assert exp.windows[0]["time"] == pytest.approx(r.time)
 
-    def test_zero_rate_no_adaptations_both_strategies(self):
+    @pytest.mark.parametrize("strategy", sim.POLICIES)
+    def test_zero_rate_no_adaptations_every_policy(self, strategy):
         wf, cloud = self._setup()
-        for strategy in ("lowest-cost", "adaptive"):
-            exp = run_experiment(
-                wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 5, strategy, 0.0,
-                seed=0, burn_in=0,
-            )
-            assert all(r.injected == 0 and r.adapted == 0 for r in exp.runs)
+        exp = run_experiment(
+            wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 5, strategy, 0.0,
+            seed=0, burn_in=0, qtable=_table_for(strategy),
+        )
+        assert all(r.injected == 0 and r.adapted == 0 for r in exp.runs)
 
     def test_determinism_identical_csvs(self):
         wf, cloud = self._setup()
@@ -306,6 +311,12 @@ class TestRunExperiment:
                 wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 1, "lowest-cost", 0.0,
                 qtable=rl.QTable(),
             )
+
+    def test_frozen_without_qtable_rejected_before_any_instance(self, monkeypatch):
+        wf, cloud = self._setup()
+        monkeypatch.setattr(sim, "run_instance", _no_instance)
+        with pytest.raises(ValueError, match="the frozen strategy needs a qtable"):
+            run_experiment(wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 1, "frozen", 0.0)
 
     @pytest.mark.parametrize("window", [0, -5])
     def test_nonpositive_window_rejected(self, window):
@@ -645,7 +656,7 @@ def test_an_instance_reads_its_streams_from_the_seed_table():
     assert run_instance(tabled(), 5) != run_instance(experiment(), 5)
 
 
-@pytest.mark.parametrize("strategy", sim.STRATEGIES)
+@pytest.mark.parametrize("strategy", sim.POLICIES)
 def test_seed_derivation_does_not_grow_with_an_experiments_rounds(monkeypatch, strategy):
     """An experiment builds the same SeedSequences whatever its round count,
     and derives every instance's words in one call before the burn-in."""
@@ -671,7 +682,59 @@ def test_seed_derivation_does_not_grow_with_an_experiments_rounds(monkeypatch, s
         sequences.clear()
         derivations.clear()
         run_experiment(wf, cloud, DETECTORS, SEVERITY, TenantConfig(), n_runs, strategy,
-                       0.3, seed=3, burn_in=4)
+                       0.3, seed=3, burn_in=4, qtable=_table_for(strategy))
         assert derivations == [4 + n_runs]
         counts.append(len(sequences))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("wf_class, wf_seed, cloud_seed, n_runs, rate", [
+    (WorkflowClass.SMALL, 0, 1, 100, 0.3),
+    (WorkflowClass.MEDIUM, 3, 4, 60, 0.8),
+    (WorkflowClass.LARGE, 102, 202, 20, 0.8),
+], ids=["small", "medium", "large"])
+def test_frozen_over_an_empty_table_is_lowest_cost(wf_class, wf_seed, cloud_seed, n_runs, rate):
+    """Unseen pairs value 0 and `rl.predict` keeps the first of equal values,
+    so the greedy choice of an empty table is the cheapest candidate."""
+    wf, cloud = generate_workflow_class(wf_class, wf_seed), generate_multicloud(cloud_seed)
+
+    def run(strategy, table=None):
+        return run_experiment(wf, cloud, DETECTORS, SEVERITY, TenantConfig(), n_runs,
+                              strategy, rate, seed=5, qtable=table)
+
+    lowest = run("lowest-cost")
+    assert sum(r.adapted for r in lowest.runs) > 0
+    assert run("frozen", rl.QTable()).runs == lowest.runs
+
+
+def test_frozen_run_deploys_a_trained_table_unchanged(monkeypatch):
+    """Over a table that adaptive rounds trained, a frozen run leaves the
+    table byte-equal, builds no policy RNG, and picks the table's greedy
+    choice at every adapted decision."""
+    wf, cloud = generate_workflow_class(WorkflowClass.MEDIUM, 3), generate_multicloud(4)
+
+    def run(strategy, table):
+        return run_experiment(wf, cloud, DETECTORS, SEVERITY, TenantConfig(), 20, strategy,
+                              0.8, seed=5, qtable=table, burn_in=10)
+
+    table = rl.QTable()
+    run("adaptive", table)
+    assert any(q != 0.0 for q in table.entries.values())
+    trained = rl.table_to_json(table)
+
+    sequences = []
+
+    class Counted(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            sequences.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    frozen = run("frozen", table)
+    assert rl.table_to_json(table) == trained
+    assert ([5, 23],) in sequences and ([5, 7],) not in sequences
+    adapted = [e for r in frozen.runs for e in r.events if e["outcome"] == "adapted"]
+    assert len(adapted) == sum(r.adapted for r in frozen.runs) > 0
+    for event in adapted:
+        assert event["chosen"] == greedy_choice(table, event)
+    assert any(event["chosen"] != greedy_choice(rl.QTable(), event) for event in adapted)
