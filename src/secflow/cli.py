@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -34,6 +33,7 @@ from .model import (
 DEFAULT_MIX = {"normal": 0.5, "dos": 0.125, "probe": 0.125, "u2r": 0.125, "r2l": 0.125}
 KIND_CHOICES = tuple(kind.value for kind in DatasetKind) + ("both",)
 WF_CLASSES = tuple(wf_class.value for wf_class in sim.WorkflowClass)
+MEAN_ATTRS = ("price", "time", "value", "mitigation")  # averaged in windows.csv and reports
 
 
 class UsageError(ValueError):
@@ -176,12 +176,7 @@ def _load_dataset(data_dir, kind):
 
 
 def _metrics_csv(rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["dataset", "model", "class", "accuracy", "f1", "far"])
-    for r in rows:
-        w.writerow(r)
-    return buf.getvalue()
+    return datagen.csv_text(["dataset", "model", "class", "accuracy", "f1", "far"], rows)
 
 
 def cmd_train_detect(opts):
@@ -282,15 +277,6 @@ def cmd_simulate(opts):
     return 0
 
 
-def _windows_csv(window_rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["class", "strategy", "window", "price", "time", "value", "mitigation"])
-    for r in window_rows:
-        w.writerow(r)
-    return buf.getvalue()
-
-
 def run_compare(cfg):
     """LowestCost-vs-Adaptive sweep over the workflow classes, from the
     compare options of `cfg`, which may be a raw, partial config; returns
@@ -310,9 +296,7 @@ def run_compare(cfg):
         detectors[kind] = detection.train_random_forest(train, seed=seed)
     sev = severity.fit_severity(datasets, seed)
 
-    results_buf = io.StringIO()
-    header_done = False
-    window_rows = []
+    result_rows, window_rows = [], []
     experiments = {}
     for ci, name in enumerate(opts["classes"]):
         wf_class = sim.WorkflowClass(name)
@@ -324,16 +308,12 @@ def run_compare(cfg):
                 seed=seed + 300 + ci, window=window,
             )
             experiments[(name, strategy)] = result
-            text = result.aggregate_csv(strategy, name)
-            lines = text.splitlines(keepends=True)
-            results_buf.write(text if not header_done else "".join(lines[1:]))
-            header_done = True
-            for widx, means in enumerate(result.windows):
-                window_rows.append(
-                    [name, strategy, widx, repr(means["price"]), repr(means["time"]),
-                     repr(means["value"]), repr(means["mitigation"])]
-                )
-    return results_buf.getvalue(), _windows_csv(window_rows), experiments
+            result_rows += result.rows(strategy, name)
+            window_rows += ([name, strategy, widx, *(repr(means[a]) for a in MEAN_ATTRS)]
+                            for widx, means in enumerate(result.windows))
+    return (datagen.csv_text(sim.RESULTS_HEADER, result_rows),
+            datagen.csv_text(["class", "strategy", "window", *MEAN_ATTRS], window_rows),
+            experiments)
 
 
 def cmd_compare(opts):
@@ -375,7 +355,7 @@ def cmd_report(opts):
         for (cls, strat), grp in sorted(groups.items()):
             means = [
                 f"{np.mean([float(r[idx[c]]) for r in grp]):.4f}"
-                for c in ("price", "time", "value", "mitigation")
+                for c in MEAN_ATTRS
             ]
             counts = [
                 str(int(np.sum([int(r[idx[c]]) for r in grp])))

@@ -165,21 +165,24 @@ class Dataset:
     def to_csv(self) -> str:
         """Feature columns in schema order plus a final lowercase 'label'
         column. The hidden intensity is deliberately excluded."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(list(self.feature_names) + ["label"])
-        for row, label in zip(self.X, self.labels):
-            w.writerow([repr(float(v)) for v in row] + [str(label)])
-        return buf.getvalue()
+        return csv_text([*self.feature_names, "label"],
+                        ([repr(float(v)) for v in row] + [str(label)]
+                         for row, label in zip(self.X, self.labels)))
 
     def metadata_csv(self) -> str:
         """Row index -> hidden intensity, for severity training only."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["row", "intensity"])
-        for idx, val in enumerate(self.intensity):
-            w.writerow([idx, repr(float(val))])
-        return buf.getvalue()
+        return csv_text(["row", "intensity"],
+                        ([idx, repr(float(val))] for idx, val in enumerate(self.intensity)))
+
+
+def csv_text(header, rows) -> str:
+    """The header row and `rows` as CSV text with newline line ends: the one
+    writer of every CSV file the program emits."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def dataset_from_csv(kind: DatasetKind, csv_text: str, meta_text: str | None = None) -> Dataset:

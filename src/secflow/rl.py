@@ -6,6 +6,8 @@
 calls ``learn(r)`` with that decision's reward: in the simulator, the
 decision's own share of the run metric (`sim.run_experiment`), which is
 why the default gamma is 0. The episode's return value is its outcome.
+`predict` is the greedy choice alone: the simulator's frozen policy deploys
+a trained table through it, with no `learn` and no exploration.
 """
 
 from __future__ import annotations

@@ -178,15 +178,11 @@ class SeverityModel:
         return entry.assess(features)
 
 
-def fit_severity_entry(
-    ds: Dataset, attack_type: AttackType, seed: int, top_k: int | None = None
-) -> SeverityEntry:
+def fit_severity_entry(ds: Dataset, attack_type: AttackType, seed: int) -> SeverityEntry:
     """Cluster the type's attack records (k=3) on their chi-square-selected,
-    standardized features; rank clusters by mean hidden intensity ascending
-    into Low/Medium/High."""
-    if top_k is None:
-        top_k = min(DEFAULT_TOP_K, ds.X.shape[1])
-    selected = chi_square_select(ds, attack_type, top_k)
+    standardized features (the top `DEFAULT_TOP_K`, or all when fewer);
+    rank clusters by mean hidden intensity ascending into Low/Medium/High."""
+    selected = chi_square_select(ds, attack_type, min(DEFAULT_TOP_K, ds.X.shape[1]))
     mask = ds.labels == attack_type.value
     X = ds.X[mask][:, selected]
     intensity = ds.intensity[mask]

@@ -7,19 +7,16 @@ One function, `instance_episode`, executes an instance. At every adaptation
 decision it applies the candidate its `choose` callback picks from the
 candidates ranked cheapest-first, or the cheapest when there is no
 callback, and hands the decision's reward to its `learn` callback if one is
-given. `POLICIES` names every strategy's rounds: lowest-cost
-(`run_instance`) passes neither callback, adaptive passes the Q-learning
-callbacks of `rl`, and frozen passes `rl.predict` over a given Q-table
-alone, so it deploys a trained table without changing it.
+given. Of the strategies in `POLICIES`, lowest-cost (`run_instance`) passes
+neither, adaptive passes the Q-learning callbacks of `rl`, and frozen
+passes only `rl.predict` over a trained Q-table, which it leaves unchanged.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
 import enum
 import functools
-import io
 import itertools
 import math
 import operator
@@ -410,8 +407,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
     cheapest-first)`, or the cheapest kind when `choose` is None; the state
     key is the detected attack type and severity (`rl.workflow_state_key`).
     If `learn` is given, call `learn(r)` with the decision's reward after
-    applying it; without it, as under a frozen policy, no reward is
-    computed."""
+    applying it; without it (lowest-cost, frozen), no reward is computed."""
     layout, bound, trust = experiment.layout, experiment.bound, experiment.trust
     detectors, severity_model = experiment.detectors, experiment.severity_model
     cloud, cfg, attack_rate = experiment.cloud, experiment.cfg, experiment.attack_rate
@@ -590,25 +586,25 @@ CLASS_TASK_RANGE = {
 }
 
 
+#: The columns of every results.csv, one row per round.
+RESULTS_HEADER = ("run", "strategy", "class", "price", "time", "value", "mitigation",
+                  "injected", "detected", "adapted", "failed")
+
+
 @dataclass
 class ExperimentResult:
     runs: list  # RunResult per round, in run-index order
     windows: list  # rolling window means of reward_attrs, per window
 
-    def aggregate_csv(self, strategy: str, wf_class: str) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            ["run", "strategy", "class", "price", "time", "value", "mitigation",
-             "injected", "detected", "adapted", "failed"]
-        )
-        for idx, r in enumerate(self.runs):
-            w.writerow(
-                [idx, strategy, wf_class, repr(float(r.price)), repr(float(r.time)),
+    def rows(self, strategy: str, wf_class: str) -> list:
+        """One `RESULTS_HEADER` row per round."""
+        return [[idx, strategy, wf_class, repr(float(r.price)), repr(float(r.time)),
                  repr(float(r.value)), repr(float(r.mitigation)),
                  r.injected, r.detected, r.adapted, r.failures]
-            )
-        return buf.getvalue()
+                for idx, r in enumerate(self.runs)]
+
+    def aggregate_csv(self, strategy: str, wf_class: str) -> str:
+        return datagen.csv_text(RESULTS_HEADER, self.rows(strategy, wf_class))
 
 
 def _lowest_cost_rounds(experiment, seeds, table, seed):
@@ -633,16 +629,11 @@ def _frozen_rounds(experiment, seeds, table, seed):
 
 
 #: Each strategy's rounds: `POLICIES[name](experiment, seeds, table, seed)`
-#: checks the Q-table it is given and returns the lazy RunResults of the
-#: seeds' instances, each run only once the round before it is reconciled.
-#: lowest-cost takes the cheapest candidate and no table; adaptive trains
-#: `table` (a fresh one if None) epsilon-greedily; frozen takes the greedy
-#: choice of `table` and never writes to it.
-POLICIES = {
-    "lowest-cost": _lowest_cost_rounds,
-    "adaptive": _adaptive_rounds,
-    "frozen": _frozen_rounds,
-}
+#: checks the Q-table it is given and returns the seeds' lazy RunResults.
+#: Adaptive trains `table` (a fresh one if None); frozen applies its greedy
+#: choices and never writes to it.
+POLICIES = {"lowest-cost": _lowest_cost_rounds, "adaptive": _adaptive_rounds,
+            "frozen": _frozen_rounds}
 
 
 def run_experiment(
@@ -669,9 +660,8 @@ def run_experiment(
     it made to the ledger totals, with s = `Experiment.spreads` from the
     burn-in. With `burn_in` 0 or 1 every reward and Q value is 0.0, and the
     policy is epsilon-exploration over a cheapest-first greedy. "frozen"
-    picks the greedy candidate of `qtable` and learns nothing. Trust
-    updates carry over between rounds in run-index order. Deterministic
-    given `seed`."""
+    takes `qtable`'s greedy choices and learns nothing. Trust updates carry
+    over between rounds in run-index order. Deterministic given `seed`."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if window < 1:

@@ -26,6 +26,7 @@ from secflow.scheduling import TrustRepository, UnschedulableError, schedule
 from secflow.scoring import adaptation_cost, attack_score, mitigation_score, normalize
 from secflow.severity import fit_severity
 from secflow.sim import (
+    POLICIES,
     ExecutionState,
     Layout,
     WorkflowClass,
@@ -500,15 +501,16 @@ def test_criterion_7_zero_rate_identity():
     workflow = generate_workflow_class(WorkflowClass.SMALL, seed=70)
     cloud = generate_multicloud(seed=71)
     csvs = []
-    for strategy in ("lowest-cost", "adaptive"):
+    for strategy in POLICIES:
         exp = run_experiment(
             workflow, cloud, detectors, severity_model, TenantConfig(), 50,
             strategy, attack_rate=0.0, seed=72,
+            qtable=QTable() if strategy == "frozen" else None,
         )
         assert all(r.adapted == 0 for r in exp.runs), f"{strategy} adapted at rate 0"
         assert all(r.injected == 0 for r in exp.runs)
         # identical strategy label isolates the run data in the comparison
         csvs.append(exp.aggregate_csv("x", "small"))
-    assert csvs[0] == csvs[1], "strategies diverge at attack rate 0"
+    assert csvs == [csvs[0]] * len(POLICIES), "strategies diverge at attack rate 0"
     print("\n[PASS] criterion 7: zero-rate identity, byte-identical CSVs and "
           "zero adaptations")
