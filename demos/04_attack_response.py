@@ -5,7 +5,7 @@ and prints the trigger score, the per-candidate cost breakdowns (price, time,
 mitigation, value after min-max normalization), and the selected action.
 """
 
-from secflow.decision import AttackEvent, SelectionStatus, select_action
+from secflow.decision import AttackEvent, select_action
 from secflow.datagen import DatasetKind
 from secflow.model import (
     ActionKind,
@@ -60,9 +60,12 @@ def main():
     result = select_action(
         task, event, catalog[AttackType.DOS], TenantConfig(), cloud, trust, current
     )
-    print(f"status: {result.status.value}, trigger score "
-          f"{result.trigger_score:.3f}")
-    if result.status is SelectionStatus.SELECTED:
+    print(f"trigger score {result.trigger_score:.3f}")
+    if result.candidates is None:
+        print("below the trigger threshold: nothing adapts")
+    elif not result.candidates.ranked:
+        print("unmitigable: no candidate action")
+    else:
         print("\ncandidates (ascending cost):")
         for b in sorted(result.candidates.breakdowns, key=lambda b: b.total):
             print(f"  {b.kind.value:<15} price {b.price:6.2f}  time {b.time:6.2f}"

@@ -169,10 +169,12 @@ def cmd_gen_data(opts):
 
 
 def _load_dataset(data_dir, kind):
+    """The dataset of `kind` in `data_dir`; a malformed row of the CSV or its
+    metadata raises DataConfigError prefixed with the CSV's path."""
     data_path = Path(data_dir) / f"{kind.value}.csv"
     meta_path = Path(data_dir) / f"{kind.value}.meta.csv"
     meta_text = meta_path.read_text() if meta_path.exists() else None
-    return datagen.dataset_from_csv(kind, data_path.read_text(), meta_text)
+    return parse_file(data_path, lambda text: datagen.dataset_from_csv(kind, text, meta_text))
 
 
 def _metrics_csv(rows):
@@ -324,10 +326,32 @@ def cmd_compare(opts):
     return 0
 
 
-def _read_csv(path):
+def _read_csv(path, columns=()):
+    """The header and rows of the CSV at `path`. An empty file, a header
+    without one of `columns` and a row whose field count is not the header's
+    are usage errors naming the file."""
     with open(path) as fh:
         rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
+    if not rows:
+        raise UsageError(f"{path}: empty file, expected a CSV header")
+    header, body = rows[0], rows[1:]
+    for column in columns:
+        if column not in header:
+            raise UsageError(f"{path}: no {column!r} column in the header")
+    for line, r in enumerate(body, start=2):
+        if len(r) != len(header):
+            raise UsageError(f"{path} line {line}: {len(r)} fields, header has {len(header)}")
+    return header, body
+
+
+def _cell(path, line, column, text, cast):
+    """`cast(text)` of one results cell; a cell it refuses is a usage error."""
+    try:
+        return cast(text)
+    except ValueError:
+        what = "an integer" if cast is int else "a number"
+        raise UsageError(f"{path} line {line}, column {column}: "
+                         f"expected {what}, got {text!r}") from None
 
 
 def _md_table(header, rows):
@@ -345,22 +369,18 @@ def cmd_report(opts):
         header, rows = _read_csv(opts["metrics"])
         sections.append("## Detection metrics\n\n" + _md_table(header, rows))
     if opts["results"]:
-        header, rows = _read_csv(opts["results"])
+        path, totals = opts["results"], ("injected", "detected", "adapted", "failed")
+        header, rows = _read_csv(path, ("class", "strategy", *MEAN_ATTRS, *totals))
         idx = {name: header.index(name) for name in header}
         groups = {}
-        for r in rows:
-            key = (r[idx["class"]], r[idx["strategy"]])
-            groups.setdefault(key, []).append(r)
+        for line, r in enumerate(rows, start=2):
+            values = {c: _cell(path, line, c, r[idx[c]], float) for c in MEAN_ATTRS}
+            values.update({c: _cell(path, line, c, r[idx[c]], int) for c in totals})
+            groups.setdefault((r[idx["class"]], r[idx["strategy"]]), []).append(values)
         summary = []
         for (cls, strat), grp in sorted(groups.items()):
-            means = [
-                f"{np.mean([float(r[idx[c]]) for r in grp]):.4f}"
-                for c in MEAN_ATTRS
-            ]
-            counts = [
-                str(int(np.sum([int(r[idx[c]]) for r in grp])))
-                for c in ("injected", "detected", "adapted", "failed")
-            ]
+            means = [f"{np.mean([v[c] for v in grp]):.4f}" for c in MEAN_ATTRS]
+            counts = [str(int(np.sum([v[c] for v in grp]))) for c in totals]
             summary.append([cls, strat, str(len(grp))] + means + counts)
         sections.append(
             "## Execution summary\n\n"

@@ -13,6 +13,7 @@ import csv
 import enum
 import io
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,15 +194,23 @@ def dataset_from_csv(kind: DatasetKind, csv_text: str, meta_text: str | None = N
     expected = list(FEATURES[kind]) + ["label"]
     if header != expected:
         raise DataConfigError(f"unexpected {kind.value} header: {header}")
+    X = []
     for idx, r in enumerate(body):
+        where = f"{kind.value} row {idx}"
         if len(r) != len(expected):
-            raise DataConfigError(
-                f"{kind.value} row {idx}: {len(r)} fields, header has {len(expected)}")
-    X = np.array([[float(v) for v in r[:-1]] for r in body], dtype=float)
-    if not np.isfinite(X).all():
-        row, col = np.argwhere(~np.isfinite(X))[0].tolist()
-        raise DataConfigError(f"{kind.value} row {row}, column {FEATURES[kind][col]}: "
-                              f"non-finite value {body[row][col]!r}")
+            raise DataConfigError(f"{where}: {len(r)} fields, header has {len(expected)}")
+        if r[-1] not in LABELS:
+            raise DataConfigError(f"{where}: label {r[-1]!r} is not one of {', '.join(LABELS)}")
+        values = []
+        for name, text in zip(FEATURES[kind], r):
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise DataConfigError(f"{where}, column {name}: not a number {text!r}") from None
+            if not math.isfinite(values[-1]):
+                raise DataConfigError(f"{where}, column {name}: non-finite value {text!r}")
+        X.append(values)
+    X = np.array(X, dtype=float)
     labels = np.array([r[-1] for r in body])
     intensity = np.zeros(len(body))
     if meta_text is not None:

@@ -5,7 +5,6 @@ middleware-level action to a running instance."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .datagen import DatasetKind
@@ -58,12 +57,6 @@ class CostBreakdown:
     total: float
 
 
-class SelectionStatus(enum.Enum):
-    NOT_TRIGGERED = "not-triggered"
-    SELECTED = "selected"
-    UNMITIGABLE = "unmitigable"
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     """The candidates of a triggered selection, with their kinds cheapest
@@ -86,9 +79,11 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    status: SelectionStatus
+    """A selection's trigger score and its candidates: None below the trigger
+    threshold, an empty `ranked` when the attack is unmitigable."""
+
     trigger_score: float
-    candidates: CandidateSet | None = None  # None below the trigger threshold
+    candidates: CandidateSet | None = None
 
 
 def cost_rank(b: CostBreakdown):
@@ -212,7 +207,7 @@ def select_action(
     afr = trust.afr(event.service_id, event.attack_type)
     score = attack_score(task.requirements, spec.impact, afr, SEVERITY_LEVEL[event.level])
     if score <= cfg.adapt_trigger_threshold:
-        return SelectionResult(SelectionStatus.NOT_TRIGGERED, score)
+        return SelectionResult(score)
     if memo is None:
         memo = {}
     key = (task.id, event.attack_type, event.level, event.detected_in)
@@ -221,8 +216,7 @@ def select_action(
         candidates = memo[key] = resolve_candidates(
             task, spec, event.level, event.detected_in, cfg, cloud, current
         )
-    status = SelectionStatus.SELECTED if candidates.breakdowns else SelectionStatus.UNMITIGABLE
-    return SelectionResult(status, score, candidates)
+    return SelectionResult(score, candidates)
 
 
 def apply_tenant_action(state, event: AttackEvent, chosen: CostBreakdown):

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class PredictionError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecisionTree:
     """Flat-array binary tree. Internal node i splits on feature[i] <=
     threshold[i]; leaves have feature[i] == -1 and a class-probability row."""
@@ -66,7 +67,6 @@ class _Forest:
     forest compiled to Python instead (`_compile_walk`), which costs by the
     length of its root-to-leaf paths, not by the node count."""
 
-    trees: object  # the `DetectorModel.trees` value stacked here, matched by identity
     roots: np.ndarray  # (n_trees,) node index of each tree's root
     feature: np.ndarray  # (nodes,)
     threshold: np.ndarray  # (nodes,)
@@ -118,7 +118,6 @@ class _Forest:
         feature[leaf] = 0
         threshold[leaf] = np.inf
         return cls(
-            trees=trees,
             roots=roots,
             feature=feature,
             threshold=threshold,
@@ -344,30 +343,26 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
     ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorModel:
+    """A fitted detector. It is an immutable value, so the forms `predict`
+    and `predict_batch` derive from its trees are built once per object."""
+
     kind: str  # "random_forest" | "linear"
     dataset_kind: str
     feature_names: tuple
     classes: tuple  # declaration order; prediction ties break on this order
-    trees: tuple = ()  # replaced as a whole, never edited in place
+    trees: tuple = ()
     weights: np.ndarray | None = None  # (d+1, n_classes) for linear
-    _forest: _Forest | None = field(default=None, init=False, repr=False, compare=False)
-    _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _stacked(self) -> _Forest:
-        # restacked whenever `trees` is reassigned
-        if self._forest is None or self._forest.trees is not self.trees:
-            self._forest = _Forest.stack(self.trees)
-        return self._forest
+    @cached_property
+    def _forest(self) -> _Forest:
+        return _Forest.stack(self.trees)
 
-    def _compiled(self):
-        # (trees, compiled walk), recompiled whenever `trees` is reassigned;
+    @cached_property
+    def _walk(self):
         # built at the first single-record predict, never for a batch
-        if self._walk is None or self._walk[0] is not self.trees:
-            self._walk = (self.trees, _compile_walk(self._stacked(), len(self.feature_names),
-                                                    len(self.classes)))
-        return self._walk[1]
+        return _compile_walk(self._forest, len(self.feature_names), len(self.classes))
 
     def _checked(self, X: np.ndarray) -> np.ndarray:
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
@@ -379,7 +374,7 @@ class DetectorModel:
     def _class_indices(self, X: np.ndarray) -> np.ndarray:
         X = self._checked(X)
         if self.kind == "random_forest":
-            return self._stacked().predict(X, len(self.classes))
+            return self._forest.predict(X, len(self.classes))
         scores = np.column_stack([X, np.ones(X.shape[0])]) @ self.weights
         return scores.argmax(axis=1)
 
@@ -396,7 +391,7 @@ class DetectorModel:
             raise PredictionError(
                 f"expected {len(self.feature_names)} features, got shape (1, {len(x)})"
             )
-        return str(self.classes[self._compiled()(*x)])
+        return str(self.classes[self._walk(*x)])
 
 
 @dataclass
@@ -558,21 +553,19 @@ def model_from_obj(obj, path) -> DetectorModel:
                                       f"{', '.join(LABELS)}, got {label!r}")
             if label in classes[:i]:
                 raise EvaluationError(f"{path}.classes[{i}]: {label!r} appears twice")
-        model = DetectorModel(kind=kind, dataset_kind=obj["dataset_kind"],
-                              feature_names=names, classes=classes)
+        dataset_kind = obj["dataset_kind"]
         params = obj["trees" if kind == "random_forest" else "weights"]
     if kind == "linear":
-        model.weights = floats_at(f"{path}.weights", params,
-                                  (len(names) + 1, len(classes)), EvaluationError)
-        return model
+        return DetectorModel(kind, dataset_kind, names, classes, weights=floats_at(
+            f"{path}.weights", params, (len(names) + 1, len(classes)), EvaluationError))
     if not isinstance(params, list) or not params:
         raise EvaluationError(f"{path}.trees: must be a non-empty array")
-    model.trees = tuple(
+    trees = tuple(
         _tree_from_obj(t, f"{path}.trees[{k}]", len(names), len(classes))
         for k, t in enumerate(params)
     )
-    model._forest = _Forest.stack(model.trees, path)  # checks every child pointer
-    return model
+    _Forest.stack(trees, path)  # checks every child pointer; the model restacks at first use
+    return DetectorModel(kind, dataset_kind, names, classes, trees=trees)
 
 
 def save_models(path, models: dict, severity_obj=None):

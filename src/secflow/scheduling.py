@@ -101,10 +101,6 @@ def schedule(
             )
         price_n = normalize({s.id: s.price for s in pool})
         time_n = normalize({s.id: s.response_time for s in pool})
-        if len(pool) == 1:
-            # singleton normalization keeps raw values; score is moot anyway
-            price_n = {pool[0].id: 0.0}
-            time_n = {pool[0].id: 0.0}
 
         def score(s):
             return (

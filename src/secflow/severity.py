@@ -5,7 +5,8 @@ severity by their mean hidden intensity."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,35 +121,29 @@ def kmeans(X: np.ndarray, k: int, rng):
     raise FittingError("k-means produced an empty cluster on every reseed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeverityEntry:
-    """Fitted severity model for one (dataset kind, attack type) pair."""
+    """Fitted severity model for one (dataset kind, attack type) pair: an
+    immutable value, so `assess` converts its arrays to lists once."""
 
     feature_indices: list
-    # the three arrays `assess` reads are replaced as a whole, never edited in place
     scale_mean: np.ndarray  # standardization of the selected features
     scale_std: np.ndarray
     centroids: np.ndarray  # (k, top_k) in standardized space
     cluster_mean_intensity: np.ndarray  # (k,)
     cluster_level: list  # cluster index -> Severity
-    _lists: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _as_lists(self):
-        # (scale_mean, scale_std, centroids, and each as Python lists), rebuilt
-        # whenever one of the arrays is reassigned
-        cached = self._lists
-        if (cached is None or cached[0] is not self.scale_mean
-                or cached[1] is not self.scale_std or cached[2] is not self.centroids):
-            arrays = (self.scale_mean, self.scale_std, self.centroids)
-            cached = self._lists = arrays + tuple(a.tolist() for a in arrays)
-        return cached[3:]
+    @cached_property
+    def _lists(self):
+        # scale_mean, scale_std and centroids as Python floats
+        return self.scale_mean.tolist(), self.scale_std.tolist(), self.centroids.tolist()
 
     def assess(self, features) -> Severity:
         """The severity of one record: its nearest centroid's level. The
         distances are `np.sum((centroids - x) ** 2, axis=1)` on Python floats,
         with the same operations in the same order (numpy sums fewer than 8
         values as a left fold)."""
-        scale_mean, scale_std, centroids = self._as_lists()
+        scale_mean, scale_std, centroids = self._lists
         x = [(float(features[i]) - m) / s for i, m, s in
              zip(self.feature_indices, scale_mean, scale_std)]
         d2 = []
@@ -165,7 +160,7 @@ class SeverityEntry:
         return self.cluster_level[best]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeverityModel:
     entries: dict  # (DatasetKind, AttackType) -> SeverityEntry
 

@@ -29,7 +29,6 @@ from . import datagen, rl
 from .datagen import DatasetKind, NORMAL
 from .decision import (
     AttackEvent,
-    SelectionStatus,
     apply_middleware_action,
     apply_tenant_action,
     select_action,
@@ -117,11 +116,11 @@ class ExecutionState:
 
     # -- ledger access -----------------------------------------------------
 
-    def start_task(self, task_id, price, time, value, nominal_time):
+    def start_task(self, task_id, price, time, value):
         done, current = self._done, self._current
         self._done = [done[0] + current[0], done[1] + current[1], done[2] + current[2]]
         self._current = self.base[task_id] = [price, time, value]
-        self.nominal_prefix += nominal_time
+        self.nominal_prefix += time
 
     def base_price(self, task_id):
         return self.base[task_id][0]
@@ -430,7 +429,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
     for tid, fail_draw in zip(executed, fail_rng.random(len(executed)).tolist()):
         task = layout.tasks[tid]
         svc = bound[tid]
-        state.start_task(tid, svc.price, svc.response_time, task.value, svc.response_time)
+        state.start_task(tid, svc.price, svc.response_time, task.value)
 
         # degraded inputs raise the task's failure probability
         n_flags = state.degraded.get(tid, 0)
@@ -487,27 +486,22 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
         result = select_action(
             task, event, ATTACK_CATALOG[pred_type], cfg, cloud, trust, svc, selections,
         )
-        if result.status is SelectionStatus.NOT_TRIGGERED:
-            # below the trigger threshold nothing adapts, but the attack is
-            # still real: its damage lands unmitigated
+        candidates = result.candidates
+        if candidates is None or not candidates.ranked:
+            # below the trigger threshold nothing adapts, and an unmitigable
+            # attack has no candidate; the attack is still real: its damage
+            # lands unmitigated
+            unmitigated += candidates is not None
             state.damage_task(tid, true_damage)
             events.append(
                 {"task": tid, "service": svc.id, "type": pred_type.value,
-                 "outcome": "below-threshold", "score": result.trigger_score}
-            )
-            continue
-        if result.status is SelectionStatus.UNMITIGABLE:
-            unmitigated += 1
-            state.damage_task(tid, true_damage)
-            events.append(
-                {"task": tid, "service": svc.id, "type": pred_type.value,
-                 "outcome": "unmitigable", "score": result.trigger_score}
+                 "outcome": "below-threshold" if candidates is None else "unmitigable",
+                 "score": result.trigger_score}
             )
             continue
 
         # a real decision point; candidates are presented cheapest-first so a
         # cold-start greedy choice degrades to the nominal-cost ranking
-        candidates = result.candidates
         breakdowns, ranked = candidates.breakdowns, candidates.ranked
         chosen = candidates.candidate(
             choose(rl.workflow_state_key(pred_type, level), ranked) if choose else ranked[0])

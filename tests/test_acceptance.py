@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from secflow.datagen import DatasetKind, generate, split
-from secflow.decision import AttackEvent, SelectionStatus, select_action
+from secflow.decision import AttackEvent, select_action
 from secflow.detection import evaluate, train_linear, train_random_forest
 from secflow.model import (
     ActionKind,
@@ -319,7 +319,7 @@ def test_criterion_6a_ledger_conservation():
         expected = {"price": 0.0, "time": 0.0, "value": 0.0, "mitigation": 0.0}
         for i in range(n_tasks):
             p, t, v = rng.uniform(0, 10, 3)
-            state.start_task(f"t{i}", p, t, v, t)
+            state.start_task(f"t{i}", p, t, v)
             expected["price"] += p
             expected["time"] += t
             expected["value"] += v
@@ -399,7 +399,7 @@ def test_criterion_6c_final_candidate_containment():
         res = select_action(
             task, event, CATALOG[at], TenantConfig(), cloud, trust, svc
         )
-        if res.status is not SelectionStatus.SELECTED:
+        if res.candidates is None or not res.candidates.ranked:
             continue
         allowed = CATALOG[at].mitigation_actions[level]
         for b in res.candidates.breakdowns:

@@ -102,6 +102,21 @@ class TestTrainDetect:
     def test_missing_data_is_runtime_error(self, workdir):
         assert _run(["train-detect", "--data", "nowhere", "--out", "art"]) == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r[:-1] + ["zzz"], "clf row 5: label 'zzz' is not one of normal, dos, probe, "
+                                     "u2r, r2l"),
+        (lambda r: ["xyz"] + r[1:], "clf row 5, column cpu_util: not a number 'xyz'"),
+    ], ids=["label", "cell"])
+    def test_malformed_row_names_file_and_row(self, workdir, capsys, edit, message):
+        _gen_data(workdir, extra=["--kind", "clf"])
+        path = workdir / "data" / "clf.csv"
+        rows = list(csv.reader(path.read_text().splitlines()))
+        rows[6] = edit(rows[6])
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        assert _run(["train-detect", "--kind", "clf", "--data", "data", "--out", "art"]) == 1
+        assert capsys.readouterr().err == f"secflow: error: data/clf.csv: {message}\n"
+        assert not (workdir / "art" / "models.json").exists()
+
 
 class TestSeverityAndSimulate:
     def _pipeline(self, workdir, seed=42):
@@ -253,6 +268,29 @@ class TestCompareAndReport:
 
     def test_report_without_inputs_is_usage_error(self, workdir):
         assert _run(["report"]) == 2
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--results", "strategy,run,price\nadaptive,0,1.0\n",
+         "r.csv: no 'class' column in the header"),
+        ("--results", "", "r.csv: empty file, expected a CSV header"),
+        ("--metrics", "", "r.csv: empty file, expected a CSV header"),
+        ("--windows", "", "r.csv: empty file, expected a CSV header"),
+        ("--windows", "class,strategy,window\nsmall,adaptive\n",
+         "r.csv line 2: 2 fields, header has 3"),
+        ("--results", "class,strategy,price,time,value,mitigation,injected,detected,adapted,"
+         "failed\nsmall,adaptive,1.0,2.0,x,0.5,1,1,1,0\n",
+         "r.csv line 2, column value: expected a number, got 'x'"),
+        ("--results", "class,strategy,price,time,value,mitigation,injected,detected,adapted,"
+         "failed\nsmall,adaptive,1.0,2.0,0.1,0.5,1,1.5,1,0\n",
+         "r.csv line 2, column detected: expected an integer, got '1.5'"),
+    ], ids=["results-without-class", "results-empty", "metrics-empty", "windows-empty",
+            "windows-short-row", "results-bad-number", "results-bad-count"])
+    def test_malformed_csv_is_usage_error_naming_the_file(self, workdir, capsys, flag, text,
+                                                          message):
+        (workdir / "r.csv").write_text(text)
+        assert _run(["report", flag, "r.csv", "--out", "report.md"]) == 2
+        assert capsys.readouterr().err == f"secflow: usage error: {message}\n"
+        assert not (workdir / "report.md").exists()
 
 
 class TestUsageErrors:

@@ -156,6 +156,18 @@ class TestCsvRoundTrip:
         with pytest.raises(DataConfigError, match=message):
             dataset_from_csv(DatasetKind.CLF, "cpu_util,ram_util,bw_util,label\n" + rows)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0.1,0.2,0.3,normal\n0.5,0.2,0.3,zzz\n",
+         "clf row 1: label 'zzz' is not one of normal, dos, probe, u2r, r2l"),
+        ("0.1,0.2,0.3,Normal\n", "clf row 0: label 'Normal' is not one of"),
+        ("0.1,0.2,0.3,normal\n0.5,xyz,0.3,dos\n", "clf row 1, column ram_util: not a number 'xyz'"),
+        ("0.1,0.2,,normal\n", "clf row 0, column bw_util: not a number ''"),
+    ], ids=["label", "label-case", "cell", "empty-cell"])
+    def test_unknown_label_or_non_numeric_cell_rejected(self, rows, message):
+        """`split` would drop a row whose label is not in LABELS without a word."""
+        with pytest.raises(DataConfigError, match=message):
+            dataset_from_csv(DatasetKind.CLF, "cpu_util,ram_util,bw_util,label\n" + rows)
+
     @pytest.mark.parametrize("line, reason", [
         ("x,0.5", "expected an integer row and a number"),
         ("0.5,0.5", "expected an integer row and a number"),

@@ -12,7 +12,6 @@ from secflow.decision import (
     CostBreakdown,
     NoBackupError,
     RECONFIG_AFR_FACTOR,
-    SelectionStatus,
     apply_middleware_action,
     apply_tenant_action,
     find_backup_service,
@@ -51,6 +50,13 @@ def _event(at=AttackType.DOS, level=Severity.HIGH, detected_in=DatasetKind.NTD,
         task_id=task_id,
         service_id=service_id,
     )
+
+
+def _outcome(res):
+    """The event outcome a selection leads to in `sim.instance_episode`."""
+    if res.candidates is None:
+        return "below-threshold"
+    return "adapted" if res.candidates.ranked else "unmitigable"
 
 
 def _noiseless_state(workflow):
@@ -103,7 +109,6 @@ class TestSelectAction:
         res = select_action(
             task, event, CATALOG[AttackType.DOS], TenantConfig(), cloud, trust, svc
         )
-        assert res.status is SelectionStatus.NOT_TRIGGERED
         assert res.trigger_score <= 0.1
         assert res.candidates is None
 
@@ -115,7 +120,7 @@ class TestSelectAction:
         res = select_action(
             task, event, CATALOG[AttackType.PROBE], TenantConfig(), cloud, trust, svc
         )
-        assert res.status is SelectionStatus.SELECTED
+        assert _outcome(res) == "adapted"
         assert res.candidates.ranked == (ActionKind.SKIP,)
         assert [b.kind for b in res.candidates.breakdowns] == [ActionKind.SKIP]
         skip = res.candidates.candidate(ActionKind.SKIP)
@@ -128,7 +133,7 @@ class TestSelectAction:
         res = select_action(
             task, event, CATALOG[AttackType.DOS], TenantConfig(), cloud, trust, svc
         )
-        assert res.status is SelectionStatus.SELECTED
+        assert _outcome(res) == "adapted"
         best = min(b.total for b in res.candidates.breakdowns)
         assert res.candidates.candidate(res.candidates.ranked[0]).total == best
 
@@ -139,7 +144,7 @@ class TestSelectAction:
         res = select_action(
             task, event, CATALOG[AttackType.PROBE], TenantConfig(), cloud, trust, svc
         )
-        assert res.status is SelectionStatus.UNMITIGABLE
+        assert _outcome(res) == "unmitigable"
 
     def test_rework_drops_out_without_backup(self):
         task = make_task(cia=(1.0, 1.0, 1.0), kinds=[ActionKind.REWORK])
@@ -150,7 +155,7 @@ class TestSelectAction:
             task, event, CATALOG[AttackType.R2L], TenantConfig(), cloud, trust,
             cloud.service_map()["p0-s0"],
         )
-        assert res.status is SelectionStatus.UNMITIGABLE
+        assert _outcome(res) == "unmitigable"
 
     def test_candidate_overrides_lowest_cost(self):
         task, cloud, trust, svc = self._setup(afr=1.0)
@@ -183,7 +188,7 @@ class TestSelectAction:
         res = select_action(
             task, event, CATALOG[at], TenantConfig(), cloud, trust, svc
         )
-        if res.status is SelectionStatus.SELECTED:
+        if _outcome(res) == "adapted":
             allowed = CATALOG[at].mitigation_actions[level]
             for b in res.candidates.breakdowns:
                 assert b.kind in allowed
@@ -222,7 +227,7 @@ class TestCandidateMemo:
         plan = schedule(workflow, cloud, trust, cfg)
         services = cloud.service_map()
         memo = {}
-        statuses = set()
+        outcomes = set()
         for sweep in range(2):  # the second sweep reads only memo entries
             for task in workflow.tasks:
                 svc = services[plan.bindings[task.id]]
@@ -235,10 +240,10 @@ class TestCandidateMemo:
                                 args = (task, event, CATALOG[at], cfg, cloud, trust, svc)
                                 fresh = select_action(*args)
                                 assert select_action(*args, memo) == fresh
-                                statuses.add(fresh.status)
+                                outcomes.add(_outcome(fresh))
             if sweep == 0:
                 resolved = len(memo)
-        assert statuses == set(SelectionStatus)
+        assert outcomes == {"below-threshold", "adapted", "unmitigable"}
         assert len(memo) == resolved > 0
 
     def test_resolution_differs_by_tier_and_detector_kind(self):
@@ -252,7 +257,7 @@ class TestCandidateMemo:
             )
             for level in Severity for kind in DatasetKind
         }
-        assert {s.status for s in selections.values()} == {SelectionStatus.SELECTED}
+        assert {_outcome(s) for s in selections.values()} == {"adapted"}
         memo = {}
         for (level, kind), fresh in selections.items():
             event = _event(level=level, detected_in=kind)
@@ -298,13 +303,13 @@ class TestApplyTenant:
             task, event, CATALOG[at], TenantConfig(), cloud, trust,
             cloud.service_map()["p0-s0"],
         )
-        assert res.status is SelectionStatus.SELECTED
+        assert _outcome(res) == "adapted"
         return res.candidates.candidate(res.candidates.ranked[0]), event, trust
 
     def test_skip_zeroes_leaf_value_and_flags_successors(self):
         wf = self._workflow()
         state = _noiseless_state(wf)
-        state.start_task("t0", 2.0, 10.0, 1.0, 10.0)
+        state.start_task("t0", 2.0, 10.0, 1.0)
         chosen, event, _ = self._selected(
             [ActionKind.SKIP], at=AttackType.PROBE, level=Severity.MEDIUM
         )
@@ -319,7 +324,7 @@ class TestApplyTenant:
     def test_insert_charges_exact_defaults(self):
         wf = self._workflow()
         state = _noiseless_state(wf)
-        state.start_task("t0", 2.0, 10.0, 1.0, 10.0)
+        state.start_task("t0", 2.0, 10.0, 1.0)
         chosen, event, _ = self._selected(
             [ActionKind.INSERT], at=AttackType.DOS, level=Severity.MEDIUM
         )
@@ -336,7 +341,7 @@ class TestApplyMiddleware:
     def _run(self, chosen, level=Severity.HIGH, at=AttackType.DOS):
         wf = Workflow(tasks=(make_task("t0", value=1.0),), control_edges=(), data_edges=())
         state = _noiseless_state(wf)
-        state.start_task("t0", 2.0, 10.0, 1.0, 10.0)
+        state.start_task("t0", 2.0, 10.0, 1.0)
         task = make_task(
             cia=(1.0, 1.0, 1.0), value=1.0,
             kinds=[ActionKind.REWORK, ActionKind.REDUNDANCY, ActionKind.RECONFIGURATION],
@@ -353,7 +358,7 @@ class TestApplyMiddleware:
             task, event, CATALOG[at], TenantConfig(), cloud, trust,
             cloud.service_map()["p0-s0"],
         )
-        assert res.status is SelectionStatus.SELECTED
+        assert _outcome(res) == "adapted"
         before = state.accumulated()
         apply_middleware_action(
             state, event, res.candidates.candidate(chosen), res.candidates.backup, trust
@@ -391,7 +396,7 @@ class TestApplyRejects:
     def _setup(self):
         wf = Workflow(tasks=(make_task("t0", value=1.0),), control_edges=(), data_edges=())
         state = _noiseless_state(wf)
-        state.start_task("t0", 2.0, 10.0, 1.0, 10.0)
+        state.start_task("t0", 2.0, 10.0, 1.0)
         cloud = make_cloud([make_service("p0-s0", "p0"), make_service("p1-s0", "p1")])
         return state, TrustRepository.from_cloud(cloud), cloud.service_map()["p1-s0"]
 
@@ -435,8 +440,8 @@ class TestLedgerConservation:
             data_edges=(),
         )
         state = _noiseless_state(wf)
-        state.start_task("t0", 2.0, 10.0, 1.0, 10.0)
-        state.start_task("t1", 1.0, 5.0, 0.5, 5.0)
+        state.start_task("t0", 2.0, 10.0, 1.0)
+        state.start_task("t1", 1.0, 5.0, 0.5)
         state.add_adaptation("t0", price=0.4, time=2.0, value_delta=0.1, mitigation=1.2)
         state.add_adaptation("t1", price=3.0, time=8.0, value_delta=0.0, mitigation=0.9)
         acc = state.accumulated()
@@ -456,7 +461,7 @@ class TestLedgerConservation:
             state = _noiseless_state(wf)
             for i in range(n_tasks):
                 tid = f"t{i}"
-                state.start_task(tid, *rng.uniform(0, 10, 3), 1.0)
+                state.start_task(tid, *rng.uniform(0, 10, 3))
                 for _ in range(int(rng.integers(0, 3))):
                     op = int(rng.integers(4))
                     if op == 0:

@@ -1,5 +1,6 @@
 """Detectors: random forest, linear one-vs-rest, metrics, serialization."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -310,7 +311,7 @@ class TestRandomForest:
         probe = generate(DatasetKind.CLF, 40, {NORMAL: 0.5, "u2r": 0.5}, seed=8)
         model = train_random_forest(ds, n_trees=9, seed=3)
         before = list(model.predict_batch(probe.X))
-        model.trees = list(reversed(model.trees))
+        model = dataclasses.replace(model, trees=tuple(reversed(model.trees)))
         assert list(model.predict_batch(probe.X)) == before
 
     def test_reassigned_trees_predict_as_that_subset(self):
@@ -318,7 +319,7 @@ class TestRandomForest:
         probe = generate(DatasetKind.NTD, 300, UNIFORM_MIX, seed=10)
         model = train_random_forest(ds, n_trees=9, seed=4)
         full = list(model.predict_batch(probe.X))
-        model.trees = model.trees[2:4]
+        model = dataclasses.replace(model, trees=model.trees[2:4])
         subset = list(model.predict_batch(probe.X))
         assert subset == _reference_predict(model, probe.X)
         assert subset != full
@@ -371,7 +372,7 @@ def test_compiled_walk_equals_batch_walk(kind):
     """A single record's compiled walk votes as the batch's level walk."""
     train, held_out = split(generate(kind, 1500, UNIFORM_MIX, seed=5), 0.8, seed=5)
     model = train_random_forest(train, seed=2)
-    forest, n = model._stacked(), len(model.classes)
+    forest, n = model._forest, len(model.classes)
     X = held_out.X.copy()
     # rows holding nan go right at every node that tests the nan feature
     X[::7, 0] = np.nan
@@ -383,7 +384,7 @@ def test_compiled_walk_equals_batch_walk(kind):
 
 def test_compiled_walk_on_depth_zero_forest():
     model = _forest([_leaf([0.2, 0.8]), _leaf([0.9, 0.1]), _leaf([0.6, 0.4])])
-    forest = model._stacked()
+    forest = model._forest
     assert forest.depth == 0
     for x in np.random.default_rng(1).normal(size=(5, 3)):
         assert model.predict(x) == model.classes[_batch_walk(forest, x[None], 2)[0]]
@@ -411,7 +412,7 @@ def test_vote_stopped_at_a_majority_equals_batch_walk(forest_51, n_trees):
         assert any(sorted(v)[-2:] == [n_trees // 2] * 2 for v in votes)
     if n_trees > 1:
         assert any(max(v) <= n_trees // 2 for v in votes)
-    expected = [model.classes[i] for i in _batch_walk(model._stacked(), X, len(model.classes))]
+    expected = [model.classes[i] for i in _batch_walk(model._forest, X, len(model.classes))]
     assert [model.predict(x) for x in X] == expected == list(model.predict_batch(X))
 
 
@@ -423,7 +424,7 @@ def test_vote_stopped_at_a_majority_equals_batch_walk(forest_51, n_trees):
 def test_vote_asks_no_tree_after_a_strict_majority(votes, called):
     """Five trees: the vote ends at the first tree that gives a class three."""
     model = _forest([_leaf([1.0 - v, float(v)]) for v in votes])
-    forest = model._compiled()
+    forest = model._walk
     calls = []
     for k in range(len(votes)):
         tree = forest.__globals__[f"tree{k}"]
@@ -481,7 +482,7 @@ def test_deep_chains_with_non_finite_thresholds_from_a_model_file(tmp_path):
 
 def test_walk_compiled_once_at_first_single_record_predict(tmp_path, monkeypatch):
     """Batch evaluation, stacking and loading never compile a forest; the
-    first single-record predict does, once per `trees` value."""
+    first single-record predict does, once per model object."""
     compiled = []
     compile_walk = detection._compile_walk
     monkeypatch.setattr(detection, "_compile_walk",
@@ -499,10 +500,27 @@ def test_walk_compiled_once_at_first_single_record_predict(tmp_path, monkeypatch
     for _ in range(2):
         assert [model.predict(x) for x in probe.X] == _reference_predict(model, probe.X)
     assert len(compiled) == 1
-    model.trees = model.trees[2:4]
-    subset = [model.predict(x) for x in probe.X]
-    assert subset == _reference_predict(model, probe.X) == list(model.predict_batch(probe.X))
+    subset = dataclasses.replace(model, trees=model.trees[2:4])
+    for _ in range(2):
+        labels = [subset.predict(x) for x in probe.X]
+        assert labels == _reference_predict(subset, probe.X) == list(subset.predict_batch(probe.X))
+    model.predict(probe.X[0])
     assert len(compiled) == 2
+
+
+def test_fitted_detector_is_immutable():
+    """Neither a fitted model's fields nor its trees' can be reassigned, so
+    its stacked forest and compiled walk stay those of its trees; the stack
+    keeps no reference to the trees."""
+    ds = generate(DatasetKind.CLF, 300, {NORMAL: 0.5, "dos": 0.5}, seed=7)
+    forest = train_random_forest(ds, n_trees=3, seed=1)
+    for model in (forest, train_linear(ds)):
+        for name, value in (("trees", ()), ("weights", None), ("classes", (NORMAL,))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        forest.trees[0].feature = np.array([-1])
+    assert "trees" not in {f.name for f in dataclasses.fields(detection._Forest)}
 
 
 def test_non_finite_training_values_rejected():
@@ -620,7 +638,7 @@ class TestPredict:
             row = np.array([x], dtype=float)
             label = model.predict(x)
             assert type(label) is str
-            assert label == model.classes[_batch_walk(model._stacked(), row, len(model.classes))[0]]
+            assert label == model.classes[_batch_walk(model._forest, row, len(model.classes))[0]]
 
 
 class TestSerialization:

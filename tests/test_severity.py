@@ -1,5 +1,7 @@
 """Severity model: chi-square selection, k-means, cluster-to-level mapping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,21 @@ class TestFitSeverity:
             features = np.zeros(ds.X.shape[1])
             features[entry.feature_indices] = raw
             assert entry.assess(features) is entry.cluster_level[j]
+
+    def test_fitted_entry_is_immutable(self):
+        """No field of a fitted entry or model can be reassigned, so the lists
+        `assess` reads, converted once, stay those of its arrays."""
+        ds = self._banded(DatasetKind.CLF, seed=6)
+        model = fit_severity({DatasetKind.CLF: ds}, seed=6)
+        entry = model.entries[(DatasetKind.CLF, AttackType.DOS)]
+        record = ds.X[ds.labels == "dos"][0]
+        level = entry.assess(record)
+        for name in ("scale_mean", "scale_std", "centroids", "cluster_level"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(entry, name, getattr(entry, name)[::-1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.entries = {}
+        assert entry.assess(record) is level
 
 
 def _reference_assess(entry, features):
