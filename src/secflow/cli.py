@@ -170,11 +170,11 @@ def cmd_gen_data(opts):
 
 def _load_dataset(data_dir, kind):
     """The dataset of `kind` in `data_dir`; a malformed row of the CSV or its
-    metadata raises DataConfigError prefixed with the CSV's path."""
-    data_path = Path(data_dir) / f"{kind.value}.csv"
-    meta_path = Path(data_dir) / f"{kind.value}.meta.csv"
-    meta_text = meta_path.read_text() if meta_path.exists() else None
-    return parse_file(data_path, lambda text: datagen.dataset_from_csv(kind, text, meta_text))
+    metadata raises DataConfigError prefixed with that file's path."""
+    stem = Path(data_dir) / kind.value
+    ds = parse_file(f"{stem}.csv", lambda text: datagen.dataset_from_csv(kind, text))
+    meta = Path(f"{stem}.meta.csv")
+    return parse_file(meta, lambda text: datagen.with_metadata(ds, text)) if meta.exists() else ds
 
 
 def _metrics_csv(rows):

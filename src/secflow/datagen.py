@@ -14,7 +14,7 @@ import enum
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,7 +186,7 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def dataset_from_csv(kind: DatasetKind, csv_text: str, meta_text: str | None = None) -> Dataset:
+def dataset_from_csv(kind: DatasetKind, csv_text: str) -> Dataset:
     rows = list(csv.reader(io.StringIO(csv_text)))
     if not rows:
         raise DataConfigError(f"empty {kind.value} CSV: no header")
@@ -212,24 +212,26 @@ def dataset_from_csv(kind: DatasetKind, csv_text: str, meta_text: str | None = N
         X.append(values)
     X = np.array(X, dtype=float)
     labels = np.array([r[-1] for r in body])
-    intensity = np.zeros(len(body))
-    if meta_text is not None:
-        meta = list(csv.reader(io.StringIO(meta_text)))[1:]
-        for line_no, fields in enumerate(meta, start=2):
-            where = f"{kind.value} metadata line {line_no} {','.join(fields)!r}"
-            if len(fields) != 2:
-                raise DataConfigError(f"{where}: {len(fields)} fields, expected 2")
-            try:
-                row_idx, val = int(fields[0]), float(fields[1])
-            except ValueError:
-                raise DataConfigError(
-                    f"{where}: expected an integer row and a number") from None
-            if not 0 <= row_idx < len(body):
-                raise DataConfigError(f"{where}: row outside [0, {len(body)})")
-            if not 0.0 <= val <= 1.0:
-                raise DataConfigError(f"{where}: intensity outside [0, 1]")
-            intensity[row_idx] = val
-    return Dataset(kind, FEATURES[kind], X, labels, intensity)
+    return Dataset(kind, FEATURES[kind], X, labels, np.zeros(len(body)))
+
+
+def with_metadata(ds: Dataset, meta_text: str) -> Dataset:
+    """`ds` with the hidden intensities of its metadata CSV `meta_text`."""
+    intensity = np.zeros(len(ds))
+    for line_no, fields in enumerate(list(csv.reader(io.StringIO(meta_text)))[1:], start=2):
+        where = f"{ds.kind.value} metadata line {line_no} {','.join(fields)!r}"
+        if len(fields) != 2:
+            raise DataConfigError(f"{where}: {len(fields)} fields, expected 2")
+        try:
+            row_idx, val = int(fields[0]), float(fields[1])
+        except ValueError:
+            raise DataConfigError(f"{where}: expected an integer row and a number") from None
+        if not 0 <= row_idx < len(ds):
+            raise DataConfigError(f"{where}: row outside [0, {len(ds)})")
+        if not 0.0 <= val <= 1.0:
+            raise DataConfigError(f"{where}: intensity outside [0, 1]")
+        intensity[row_idx] = val
+    return replace(ds, intensity=intensity)
 
 
 INTENSITY_MODES = ("uniform", "banded")

@@ -12,7 +12,6 @@ from .model import (
     ACTION_ORDER,
     SEVERITY_LEVEL,
     ActionKind,
-    ActionParams,
     AttackSpec,
     AttackType,
     MultiCloud,
@@ -112,27 +111,6 @@ def find_backup_service(
     return min(pool, key=lambda s: (s.price, s.id))
 
 
-def candidate_params(
-    kind: ActionKind,
-    task: Task,
-    service: Service,
-    backup: Service | None,
-) -> ActionParams:
-    """Resolve a candidate's price/time/MI/value: explicit modeling-time params
-    for tenant kinds when present, else the built-in catalog row instantiated
-    against the bound service."""
-    explicit = task.feasible_actions.get(kind)
-    if explicit is not None:
-        return explicit
-    return builtin_action_properties(
-        kind,
-        task_time=service.response_time,
-        task_price=service.price,
-        task_value=task.value,
-        backup=backup,
-    )
-
-
 def resolve_candidates(
     task: Task,
     spec: AttackSpec,
@@ -161,7 +139,14 @@ def resolve_candidates(
     if not final:
         return CandidateSet((), None, (), 0.0)
 
-    params = {k: candidate_params(k, task, current, backup) for k in final}
+    # explicit modeling-time params when present, else the built-in catalog
+    # row instantiated against the bound service
+    params = {
+        k: task.feasible_actions.get(k) or builtin_action_properties(
+            k, task_time=current.response_time, task_price=current.price,
+            task_value=task.value, backup=backup)
+        for k in final
+    }
     ms = {
         k: mitigation_score(task.requirements, spec.impact, p.mitigation_impact)
         for k, p in params.items()
@@ -225,34 +210,17 @@ def apply_tenant_action(state, event: AttackEvent, chosen: CostBreakdown):
     Skip zeroes the task's contribution and flags data-dependent successors as
     degraded. Switch charges the re-sequencing overhead in place (time and
     value deltas). Insert appends a synthetic mitigation task's params."""
-    kind = chosen.kind
-    task_id = event.task_id
-    mitigation = chosen.mitigation
+    kind, task_id = chosen.kind, event.task_id
     if kind is ActionKind.SKIP:
         state.skip_task(task_id)
-        state.add_adaptation(task_id, price=0.0, time=0.0, value_delta=0.0,
-                             mitigation=mitigation)
-        return
-    if kind is ActionKind.SWITCH:
-        base_value = state.base_value(task_id)
-        state.add_adaptation(
-            task_id,
-            price=0.0,
-            time=chosen.time,
-            value_delta=chosen.value - base_value,
-            mitigation=mitigation,
-        )
-        return
-    if kind is ActionKind.INSERT:
-        state.add_adaptation(
-            task_id,
-            price=chosen.price,
-            time=chosen.time,
-            value_delta=chosen.value,
-            mitigation=mitigation,
-        )
-        return
-    raise ValueError(f"not a tenant action: {kind!r}")
+        change = (0.0, 0.0, 0.0)
+    elif kind is ActionKind.SWITCH:
+        change = (0.0, chosen.time, chosen.value - state.base[task_id][2])
+    elif kind is ActionKind.INSERT:
+        change = (chosen.price, chosen.time, chosen.value)
+    else:
+        raise ValueError(f"not a tenant action: {kind!r}")
+    state.add_adaptation(task_id, *change, chosen.mitigation)
 
 
 def apply_middleware_action(
@@ -262,39 +230,19 @@ def apply_middleware_action(
     """Apply a Rework/Redundancy/Reconfiguration candidate, the first two on
     `backup`, and record the violation against the original service's
     trust."""
-    kind = chosen.kind
-    task_id = event.task_id
-    mitigation = chosen.mitigation
+    kind, task_id = chosen.kind, event.task_id
+    if kind in (ActionKind.REWORK, ActionKind.REDUNDANCY) and backup is None:
+        raise NoBackupError(f"{kind.value} on {task_id!r} lost its backup service")
     if kind is ActionKind.REWORK:
-        if backup is None:
-            raise NoBackupError(f"rework on {task_id!r} lost its backup service")
-        time = backup.response_time * state.late_multiplier()
-        state.add_adaptation(task_id, price=backup.price, time=time, value_delta=0.0,
-                             mitigation=mitigation)
+        change = (backup.price, backup.response_time * state.late_multiplier(), 0.0)
     elif kind is ActionKind.REDUNDANCY:
-        if backup is None:
-            raise NoBackupError(f"redundancy on {task_id!r} lost its backup service")
-        base_time = state.base_time(task_id)
-        base_value = state.base_value(task_id)
-        state.add_adaptation(
-            task_id,
-            price=backup.price,
-            time=max(backup.response_time, base_time) - base_time,
-            value_delta=chosen.value - base_value,
-            mitigation=mitigation,
-        )
+        _, time, value = state.base[task_id]
+        change = (backup.price, max(backup.response_time, time) - time, chosen.value - value)
     elif kind is ActionKind.RECONFIGURATION:
-        base_price = state.base_price(task_id)
-        base_time = state.base_time(task_id)
-        base_value = state.base_value(task_id)
-        state.add_adaptation(
-            task_id,
-            price=chosen.price - base_price,
-            time=chosen.time - base_time,
-            value_delta=chosen.value - base_value,
-            mitigation=mitigation,
-        )
+        price, time, value = state.base[task_id]
+        change = (chosen.price - price, chosen.time - time, chosen.value - value)
         trust.scale_afr(event.service_id, event.attack_type, RECONFIG_AFR_FACTOR)
     else:
         raise ValueError(f"not a middleware action: {kind!r}")
+    state.add_adaptation(task_id, *change, chosen.mitigation)
     trust.update(event.service_id, event.attack_type, detected=True)

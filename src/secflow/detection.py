@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .datagen import Dataset, LABELS, NORMAL
-from .model import array_at, fields_at, floats_at, load_document, parse_file
+from .model import FittedModel, array_at, fields_at, floats_at, load_document, parse_file
 from .severity import severity_from_obj
 
 MODEL_FORMAT_VERSION = 1
@@ -41,8 +41,8 @@ class PredictionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+@dataclass(frozen=True, eq=False)
+class DecisionTree(FittedModel):
     """Flat-array binary tree. Internal node i splits on feature[i] <=
     threshold[i]; leaves have feature[i] == -1 and a class-probability row."""
 
@@ -343,10 +343,11 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
     ]
 
 
-@dataclass(frozen=True)
-class DetectorModel:
-    """A fitted detector. It is an immutable value, so the forms `predict`
-    and `predict_batch` derive from its trees are built once per object."""
+@dataclass(frozen=True, eq=False)
+class DetectorModel(FittedModel):
+    """A fitted detector. It is immutable, so the forms `predict` and
+    `predict_batch` derive from its trees are built once per object. Models
+    compare by identity."""
 
     kind: str  # "random_forest" | "linear"
     dataset_kind: str

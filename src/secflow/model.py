@@ -10,7 +10,7 @@ import enum
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -496,6 +496,20 @@ def floats_at(path, value, shape, error=ParseError):
     if array is None or array.shape != shape or not np.isfinite(array).all():
         raise error(f"{path}: must be {' × '.join(map(str, shape))} finite numbers")
     return array
+
+
+class FittedModel:
+    """Base of the frozen fitted-model dataclasses: their array fields are
+    read-only, and they pickle as a call of their class on their fields, so a
+    copy is read-only too and rebuilds its cached derived forms at first use."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if isinstance(value := getattr(self, f.name), np.ndarray):
+                value.flags.writeable = False
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _number(path, value):

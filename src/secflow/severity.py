@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .datagen import FEATURES, Dataset, DatasetKind, NORMAL
-from .model import Severity, SEVERITY_ORDER, AttackType, fields_at, floats_at
+from .model import FittedModel, Severity, SEVERITY_ORDER, AttackType, fields_at, floats_at
 
 K_CLUSTERS = 3
 CHI2_BINS = 10
@@ -121,17 +121,18 @@ def kmeans(X: np.ndarray, k: int, rng):
     raise FittingError("k-means produced an empty cluster on every reseed")
 
 
-@dataclass(frozen=True)
-class SeverityEntry:
+@dataclass(frozen=True, eq=False)
+class SeverityEntry(FittedModel):
     """Fitted severity model for one (dataset kind, attack type) pair: an
-    immutable value, so `assess` converts its arrays to lists once."""
+    immutable value, compared by identity, so `assess` converts its arrays
+    to lists once."""
 
-    feature_indices: list
+    feature_indices: tuple
     scale_mean: np.ndarray  # standardization of the selected features
     scale_std: np.ndarray
     centroids: np.ndarray  # (k, top_k) in standardized space
     cluster_mean_intensity: np.ndarray  # (k,)
-    cluster_level: list  # cluster index -> Severity
+    cluster_level: tuple  # cluster index -> Severity
 
     @cached_property
     def _lists(self):
@@ -160,7 +161,7 @@ class SeverityEntry:
         return self.cluster_level[best]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeverityModel:
     entries: dict  # (DatasetKind, AttackType) -> SeverityEntry
 
@@ -201,12 +202,12 @@ def fit_severity_entry(ds: Dataset, attack_type: AttackType, seed: int) -> Sever
     for pos, j in enumerate(rank):
         cluster_level[j] = SEVERITY_ORDER[pos]
     return SeverityEntry(
-        feature_indices=list(selected),
+        feature_indices=tuple(selected),
         scale_mean=mean,
         scale_std=std,
         centroids=centroids,
         cluster_mean_intensity=cluster_intensity,
-        cluster_level=cluster_level,
+        cluster_level=tuple(cluster_level),
     )
 
 
@@ -229,7 +230,7 @@ def fit_severity(datasets: dict, seed: int) -> SeverityModel:
 def severity_to_obj(model: SeverityModel):
     return {
         f"{kind.value}/{at.value}": {
-            "feature_indices": entry.feature_indices,
+            "feature_indices": list(entry.feature_indices),
             "scale_mean": entry.scale_mean.tolist(),
             "scale_std": entry.scale_std.tolist(),
             "centroids": entry.centroids.tolist(),
@@ -269,11 +270,11 @@ def _entry_from_obj(e, path, n_features) -> SeverityEntry:
                 and all(v in [s.value for s in Severity] for v in levels)):
             raise ValueError(f"{path}.cluster_level: must be {k} severity levels")
         return SeverityEntry(
-            feature_indices=list(indices),
+            feature_indices=tuple(indices),
             scale_mean=floats_at(f"{path}.scale_mean", e["scale_mean"], (n,), ValueError),
             scale_std=floats_at(f"{path}.scale_std", e["scale_std"], (n,), ValueError),
             centroids=centroids,
             cluster_mean_intensity=floats_at(f"{path}.cluster_mean_intensity",
                                              e["cluster_mean_intensity"], (k,), ValueError),
-            cluster_level=[Severity(v) for v in levels],
+            cluster_level=tuple(Severity(v) for v in levels),
         )

@@ -95,24 +95,24 @@ class RunResult:
 
 class ExecutionState:
     """Mutable per-instance ledger. Totals are always the fold of the base
-    task entries plus the adaptation entries.
+    task entries plus the adaptations.
 
     Only the task in progress (the last one started) has its base entry
     changed, so the totals are kept as a left fold of the finished tasks'
-    entries plus the current one, and running sums of the append-only
-    adaptations: the same additions in the same order as summing the ledger."""
+    entries plus the current one, and running sums of the adaptations: the
+    same additions in the same order as summing a ledger of them."""
 
     def __init__(self, layout: Layout, noise_rng):
         self._noise_rng = noise_rng
         self.base = {}  # task id -> [price, time, value]
-        self.adaptations = []  # dicts: task, price, time, value_delta, mitigation
         self.degraded = {}  # task id -> count of degraded inputs
         self.nominal_prefix = 0.0  # nominal time of tasks processed so far
         self._data_succ = layout.data_succ
         # int zeros, as `sum` starts from, so every total has sum's value and type
         self._done = [0, 0, 0]  # fold of the finished tasks' [price, time, value]
         self._current = [0, 0, 0]  # base entry of the task in progress
-        self._adapted = dict.fromkeys(("price", "time", "value_delta", "mitigation"), 0)
+        self._adapted = [0, 0, 0, 0]  # the adaptations' price, time, value delta, mitigation
+        self._adapted_time = {}  # task id -> its adaptations' time, summed in order
 
     # -- ledger access -----------------------------------------------------
 
@@ -121,15 +121,6 @@ class ExecutionState:
         self._done = [done[0] + current[0], done[1] + current[1], done[2] + current[2]]
         self._current = self.base[task_id] = [price, time, value]
         self.nominal_prefix += time
-
-    def base_price(self, task_id):
-        return self.base[task_id][0]
-
-    def base_time(self, task_id):
-        return self.base[task_id][1]
-
-    def base_value(self, task_id):
-        return self.base[task_id][2]
 
     def skip_task(self, task_id):
         # in place: the entry may be `_current`, which the totals read
@@ -149,16 +140,9 @@ class ExecutionState:
             factor = float(np.exp(self._noise_rng.normal(0.0, OVERHEAD_NOISE_SIGMA)))
             price *= factor
             time *= factor
-        entry = {
-            "task": task_id,
-            "price": price,
-            "time": time,
-            "value_delta": value_delta,
-            "mitigation": mitigation,
-        }
-        self.adaptations.append(entry)
-        for attr in self._adapted:
-            self._adapted[attr] += entry[attr]
+        a = self._adapted
+        self._adapted = [a[0] + price, a[1] + time, a[2] + value_delta, a[3] + mitigation]
+        self._adapted_time[task_id] = self._adapted_time.get(task_id, 0) + time
 
     def late_multiplier(self):
         if self.accumulated_time() > LATE_THRESHOLD_FACTOR * self.nominal_prefix:
@@ -168,23 +152,20 @@ class ExecutionState:
     # -- aggregates --------------------------------------------------------
 
     def durations(self):
-        """Per started task: base time plus its adaptations' times, summed in
-        ledger order."""
-        extra = {}
-        for a in self.adaptations:
-            extra[a["task"]] = extra.get(a["task"], 0) + a["time"]
-        return {tid: v[1] + extra.get(tid, 0) for tid, v in self.base.items()}
+        """Per started task: base time plus its adaptations' times."""
+        return {tid: v[1] + self._adapted_time.get(tid, 0) for tid, v in self.base.items()}
 
     def accumulated_time(self):
-        return (self._done[1] + self._current[1]) + self._adapted["time"]
+        return (self._done[1] + self._current[1]) + self._adapted[1]
 
     def accumulated(self):
         price, time, value = (d + c for d, c in zip(self._done, self._current))
+        adapted = self._adapted
         return {
-            "price": price + self._adapted["price"],
-            "time": time + self._adapted["time"],
-            "value": value + self._adapted["value_delta"],
-            "mitigation": self._adapted["mitigation"],
+            "price": price + adapted[0],
+            "time": time + adapted[1],
+            "value": value + adapted[2],
+            "mitigation": adapted[3],
         }
 
 

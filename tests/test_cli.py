@@ -117,6 +117,13 @@ class TestTrainDetect:
         assert capsys.readouterr().err == f"secflow: error: data/clf.csv: {message}\n"
         assert not (workdir / "art" / "models.json").exists()
 
+    def test_malformed_metadata_names_the_metadata_file(self, workdir, capsys):
+        _gen_data(workdir, extra=["--kind", "clf"])
+        (workdir / "data" / "clf.meta.csv").write_text("row,intensity\n0,1.5\n")
+        assert _run(["train-detect", "--kind", "clf", "--data", "data", "--out", "art"]) == 1
+        assert capsys.readouterr().err == ("secflow: error: data/clf.meta.csv: clf metadata "
+                                           "line 2 '0,1.5': intensity outside [0, 1]\n")
+
 
 class TestSeverityAndSimulate:
     def _pipeline(self, workdir, seed=42):

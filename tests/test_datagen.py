@@ -17,6 +17,7 @@ from secflow.datagen import (
     dataset_from_csv,
     generate,
     split,
+    with_metadata,
 )
 
 
@@ -125,7 +126,7 @@ class TestGenerate:
 class TestCsvRoundTrip:
     def test_round_trip_with_metadata(self):
         ds = generate(DatasetKind.NTD, 200, {NORMAL: 0.5, "dos": 0.5}, seed=2)
-        restored = dataset_from_csv(DatasetKind.NTD, ds.to_csv(), ds.metadata_csv())
+        restored = with_metadata(dataset_from_csv(DatasetKind.NTD, ds.to_csv()), ds.metadata_csv())
         np.testing.assert_allclose(restored.X, ds.X)
         assert list(restored.labels) == list(ds.labels)
         np.testing.assert_allclose(restored.intensity, ds.intensity)
@@ -186,11 +187,11 @@ class TestCsvRoundTrip:
         meta = f"row,intensity\n1,0.25\n{line}\n"
         message = f"clf metadata line 3 {line!r}: {reason}"
         with pytest.raises(DataConfigError, match=message):
-            dataset_from_csv(DatasetKind.CLF, rows, meta)
+            with_metadata(dataset_from_csv(DatasetKind.CLF, rows), meta)
 
     def test_metadata_bounds_are_inclusive(self):
         rows = "cpu_util,ram_util,bw_util,label\n0.1,0.2,0.3,normal\n0.4,0.5,0.6,dos\n"
-        ds = dataset_from_csv(DatasetKind.CLF, rows, "row,intensity\n0,0.0\n1,1.0\n")
+        ds = with_metadata(dataset_from_csv(DatasetKind.CLF, rows), "row,intensity\n0,0.0\n1,1.0\n")
         assert ds.intensity.tolist() == [0.0, 1.0]
 
 

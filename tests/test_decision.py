@@ -388,6 +388,112 @@ class TestApplyMiddleware:
         assert trust.afr("p0-s0", AttackType.DOS) == pytest.approx(0.4 * 0.9 + 0.1)
 
 
+class _FixedNoise:
+    """An overhead-noise stream whose every draw is 0.1, counting its draws."""
+
+    draws = 0
+
+    def normal(self, loc=0.0, scale=1.0):
+        self.draws += 1
+        return 0.1
+
+
+class _TrustLog(TrustRepository):
+    """A trust repository that records its writes in order."""
+
+    def __init__(self, afr_history):
+        super().__init__(dict(afr_history))
+        self.writes = []
+
+    def scale_afr(self, service_id, attack_type, factor):
+        self.writes.append(("scale_afr", service_id, attack_type, factor))
+        super().scale_afr(service_id, attack_type, factor)
+
+    def update(self, service_id, attack_type, detected):
+        self.writes.append(("update", service_id, attack_type, detected))
+        super().update(service_id, attack_type, detected)
+
+
+class TestApplyEveryKindBitForBit:
+    """Each kind's ledger change and trust writes against the per-kind
+    formulas, kept here as a reference: a reference ledger fed those changes
+    must end bit-for-bit equal to the one the apply functions wrote."""
+
+    BASE = (2.3, 10.7, 0.9)  # price, time, value of the attacked task
+    CHOSEN = CostBreakdown(ActionKind.SKIP, price=0.37, time=3.3, mitigation=1.25,
+                           value=0.71, total=0.0)
+
+    @staticmethod
+    def _state(late):
+        wf = Workflow(tasks=(make_task("t0"), make_task("t1")),
+                      control_edges=(ControlEdge("t0", "t1"),),
+                      data_edges=(DataEdge("t0", "t1"),))
+        state = ExecutionState(Layout(wf), _FixedNoise())
+        state.start_task("t0", *TestApplyEveryKindBitForBit.BASE)
+        if late:  # past LATE_THRESHOLD_FACTOR times the nominal time so far
+            state.add_adaptation("t0", 0.0, 6.1, 0.0, 0.0)
+        return state
+
+    @classmethod
+    def _reference(cls, kind, late, backup):
+        """The ledger and trust writes by the per-kind formulas."""
+        state, chosen = cls._state(late), cls.CHOSEN
+        base_price, base_time, base_value = state.base["t0"]
+        if kind is ActionKind.SKIP:
+            state.skip_task("t0")
+            change = (0.0, 0.0, 0.0)
+        elif kind is ActionKind.SWITCH:
+            change = (0.0, chosen.time, chosen.value - base_value)
+        elif kind is ActionKind.INSERT:
+            change = (chosen.price, chosen.time, chosen.value)
+        elif kind is ActionKind.REWORK:
+            change = (backup.price, backup.response_time * state.late_multiplier(), 0.0)
+        elif kind is ActionKind.REDUNDANCY:
+            change = (backup.price, max(backup.response_time, base_time) - base_time,
+                      chosen.value - base_value)
+        else:
+            change = (chosen.price - base_price, chosen.time - base_time,
+                      chosen.value - base_value)
+        state.add_adaptation("t0", *change, chosen.mitigation)
+        writes = []
+        if kind in MIDDLEWARE_KINDS:
+            if kind is ActionKind.RECONFIGURATION:
+                writes.append(("scale_afr", "p0-s0", AttackType.DOS, RECONFIG_AFR_FACTOR))
+            writes.append(("update", "p0-s0", AttackType.DOS, True))
+        return state, writes
+
+    @pytest.mark.parametrize("kind, late, backup_time", [
+        (ActionKind.SKIP, False, None),
+        (ActionKind.SWITCH, False, None),
+        (ActionKind.INSERT, False, None),
+        (ActionKind.REWORK, False, 8.2),
+        (ActionKind.REWORK, True, 8.2),
+        (ActionKind.REDUNDANCY, False, 13.9),
+        (ActionKind.REDUNDANCY, False, 8.2),
+        (ActionKind.RECONFIGURATION, False, None),
+    ])
+    def test_ledger_and_trust_match_the_reference(self, kind, late, backup_time):
+        cloud = make_cloud([make_service("p0-s0", "p0", afr=0.4),
+                            make_service("p1-s0", "p1", price=3.1,
+                                         time=backup_time or 8.2)])
+        backup = cloud.service_map()["p1-s0"] if backup_time is not None else None
+        state = self._state(late)
+        trust = _TrustLog(TrustRepository.from_cloud(cloud).afr_history)
+        chosen = CostBreakdown(kind, **{f: getattr(self.CHOSEN, f) for f in
+                                        ("price", "time", "mitigation", "value", "total")})
+        if kind in MIDDLEWARE_KINDS:
+            apply_middleware_action(state, _event(), chosen, backup, trust)
+        else:
+            apply_tenant_action(state, _event(), chosen)
+        ref, writes = self._reference(kind, late, backup)
+        assert state.accumulated() == ref.accumulated()
+        assert state.durations() == ref.durations()
+        assert state.base == ref.base and state.degraded == ref.degraded
+        assert state._noise_rng.draws == ref._noise_rng.draws
+        assert trust.writes == writes
+        assert self._state(late).late_multiplier() == (1.5 if late else 1.0)
+
+
 class TestApplyRejects:
     """A candidate an apply function cannot apply raises before the ledger or
     the trust repository changes: a kind of the other level, or a Rework or
@@ -395,10 +501,14 @@ class TestApplyRejects:
 
     def _setup(self):
         wf = Workflow(tasks=(make_task("t0", value=1.0),), control_edges=(), data_edges=())
-        state = _noiseless_state(wf)
+        state = ExecutionState(Layout(wf), _FixedNoise())
         state.start_task("t0", 2.0, 10.0, 1.0)
         cloud = make_cloud([make_service("p0-s0", "p0"), make_service("p1-s0", "p1")])
         return state, TrustRepository.from_cloud(cloud), cloud.service_map()["p1-s0"]
+
+    @staticmethod
+    def _ledger(state):
+        return state.accumulated(), state.durations(), state._noise_rng.draws
 
     @staticmethod
     def _candidate(kind):
@@ -407,28 +517,29 @@ class TestApplyRejects:
     @pytest.mark.parametrize("kind", sorted(MIDDLEWARE_KINDS, key=lambda k: k.value))
     def test_tenant_apply_rejects_middleware_kind(self, kind):
         state, _, _ = self._setup()
+        before = self._ledger(state)
         with pytest.raises(ValueError, match="not a tenant action"):
             apply_tenant_action(state, _event(), self._candidate(kind))
-        assert state.adaptations == []
+        assert self._ledger(state) == before
 
     @pytest.mark.parametrize(
         "kind", sorted(set(ActionKind) - MIDDLEWARE_KINDS, key=lambda k: k.value)
     )
     def test_middleware_apply_rejects_tenant_kind(self, kind):
         state, trust, backup = self._setup()
-        rates = dict(trust.afr_history)
+        before, rates = self._ledger(state), dict(trust.afr_history)
         with pytest.raises(ValueError, match="not a middleware action"):
             apply_middleware_action(state, _event(), self._candidate(kind), backup, trust)
-        assert state.adaptations == []
+        assert self._ledger(state) == before
         assert trust.afr_history == rates
 
     @pytest.mark.parametrize("kind", [ActionKind.REWORK, ActionKind.REDUNDANCY])
     def test_missing_backup_leaves_ledger_and_trust(self, kind):
         state, trust, _ = self._setup()
-        before, rates = state.accumulated(), dict(trust.afr_history)
+        before, rates = self._ledger(state), dict(trust.afr_history)
         with pytest.raises(NoBackupError):
             apply_middleware_action(state, _event(), self._candidate(kind), None, trust)
-        assert state.accumulated() == before
+        assert self._ledger(state) == before
         assert trust.afr_history == rates
 
 
@@ -459,6 +570,7 @@ class TestLedgerConservation:
                       control_edges=(), data_edges=())
         for _ in range(200):
             state = _noiseless_state(wf)
+            adapt = []  # this test's own record of the adaptations it added
             for i in range(n_tasks):
                 tid = f"t{i}"
                 state.start_task(tid, *rng.uniform(0, 10, 3))
@@ -472,9 +584,12 @@ class TestLedgerConservation:
                         state.damage_task(tid, rng.uniform())
                     else:
                         p, t, dv, ms = rng.uniform(0, 5, 4)
-                        state.add_adaptation(f"t{int(rng.integers(i + 1))}", price=p,
-                                             time=t, value_delta=dv, mitigation=ms)
-                    base, adapt = state.base.values(), state.adaptations
+                        target = f"t{int(rng.integers(i + 1))}"
+                        state.add_adaptation(target, price=p, time=t, value_delta=dv,
+                                             mitigation=ms)
+                        adapt.append({"task": target, "price": p, "time": t,
+                                      "value_delta": dv, "mitigation": ms})
+                    base = state.base.values()
                     assert state.accumulated() == {
                         "price": sum(v[0] for v in base) + sum(a["price"] for a in adapt),
                         "time": sum(v[1] for v in base) + sum(a["time"] for a in adapt),
@@ -483,3 +598,9 @@ class TestLedgerConservation:
                         "mitigation": sum(a["mitigation"] for a in adapt),
                     }
                     assert state.accumulated_time() == state.accumulated()["time"]
+                    extra = {}
+                    for a in adapt:
+                        extra[a["task"]] = extra.get(a["task"], 0) + a["time"]
+                    assert state.durations() == {
+                        tid: v[1] + extra.get(tid, 0) for tid, v in state.base.items()
+                    }

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -521,6 +522,41 @@ def test_fitted_detector_is_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         forest.trees[0].feature = np.array([-1])
     assert "trees" not in {f.name for f in dataclasses.fields(detection._Forest)}
+
+
+def test_fitted_detector_arrays_are_read_only():
+    ds = generate(DatasetKind.CLF, 300, {NORMAL: 0.5, "dos": 0.5}, seed=7)
+    forest = train_random_forest(ds, n_trees=3, seed=1)
+    for tree in forest.trees:
+        for field in dataclasses.fields(tree):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(tree, field.name)[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        train_linear(ds).weights[0, 0] = 0.0
+
+
+def test_fitted_detectors_compare_by_identity():
+    """`==` and `hash()` never look at a model's arrays: two fits of the same
+    data are distinct, each is equal to itself, and each can key a dict."""
+    ds = generate(DatasetKind.CLF, 300, {NORMAL: 0.5, "dos": 0.5}, seed=7)
+    a, b = (train_random_forest(ds, n_trees=3, seed=1) for _ in range(2))
+    linear = train_linear(ds)
+    assert a != b and a == a and linear == linear and a.trees[0] != b.trees[0]
+    assert len({a: 0, b: 1, linear: 2, a.trees[0]: 3, b.trees[0]: 4}) == 5
+
+
+def test_used_detector_survives_a_pickle_round_trip():
+    """A model that has predicted pickles its fields only: the copy has
+    read-only arrays and rebuilds its stacked forest and compiled walk."""
+    ds = generate(DatasetKind.CLF, 300, {NORMAL: 0.5, "dos": 0.5}, seed=7)
+    for model in (train_random_forest(ds, n_trees=3, seed=1), train_linear(ds)):
+        labels = [model.predict(x) for x in ds.X]
+        copy = pickle.loads(pickle.dumps(model))
+        assert "_walk" not in vars(copy) and "_forest" not in vars(copy)
+        assert [copy.predict(x) for x in ds.X] == labels
+        assert list(copy.predict_batch(ds.X)) == list(model.predict_batch(ds.X)) == labels
+        arrays = [copy.weights] if model.kind == "linear" else vars(copy.trees[0]).values()
+        assert not any(array.flags.writeable for array in arrays)
 
 
 def test_non_finite_training_values_rejected():

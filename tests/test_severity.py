@@ -1,6 +1,7 @@
 """Severity model: chi-square selection, k-means, cluster-to-level mapping."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ class TestFitSeverity:
         for j, centroid in enumerate(entry.centroids):
             raw = centroid * entry.scale_std + entry.scale_mean
             features = np.zeros(ds.X.shape[1])
-            features[entry.feature_indices] = raw
+            features[list(entry.feature_indices)] = raw
             assert entry.assess(features) is entry.cluster_level[j]
 
     def test_fitted_entry_is_immutable(self):
@@ -192,10 +193,41 @@ class TestFitSeverity:
             model.entries = {}
         assert entry.assess(record) is level
 
+    def test_fitted_entry_arrays_are_read_only(self):
+        """An in-place edit of a fitted entry's arrays raises, so the lists
+        `assess` converted once cannot go stale; its index and level
+        sequences are tuples."""
+        ds = self._banded(DatasetKind.CLF, seed=6)
+        entry = fit_severity({DatasetKind.CLF: ds}, seed=6).entries[
+            (DatasetKind.CLF, AttackType.DOS)]
+        entry.assess(ds.X[ds.labels == "dos"][0])
+        with pytest.raises(ValueError, match="read-only"):
+            entry.centroids[:] = entry.centroids[::-1].copy()
+        for name in ("scale_mean", "scale_std", "cluster_mean_intensity"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(entry, name)[0] = 0.0
+        assert type(entry.feature_indices) is tuple and type(entry.cluster_level) is tuple
+        assert type(severity_to_obj(SeverityModel({(DatasetKind.CLF, AttackType.DOS): entry}))
+                    ["clf/dos"]["feature_indices"]) is list
+
+    def test_models_compare_by_identity_and_pickle(self):
+        """`==` and `hash()` never look at a model's arrays: two fits of the
+        same data are distinct, each is equal to itself and can key a dict,
+        and a pickled copy assesses as the original with read-only arrays."""
+        ds = self._banded(DatasetKind.CLF, seed=6)
+        a, b = (fit_severity({DatasetKind.CLF: ds}, seed=6) for _ in range(2))
+        key = (DatasetKind.CLF, AttackType.DOS)
+        assert a != b and a == a and a.entries[key] != b.entries[key]
+        assert len({a: 0, b: 1, a.entries[key]: 2, b.entries[key]: 3}) == 4
+        copy = pickle.loads(pickle.dumps(a))
+        records = ds.X[ds.labels == "dos"][:50]
+        assert [copy.assess(*key, x) for x in records] == [a.assess(*key, x) for x in records]
+        assert not copy.entries[key].centroids.flags.writeable
+
 
 def _reference_assess(entry, features):
     """The numpy distance the scalar one replaced."""
-    x = (np.asarray(features, dtype=float)[entry.feature_indices] - entry.scale_mean) / (
+    x = (np.asarray(features, dtype=float)[list(entry.feature_indices)] - entry.scale_mean) / (
         entry.scale_std
     )
     d2 = np.sum((entry.centroids - x) ** 2, axis=1)
