@@ -42,8 +42,8 @@ class UsageError(ValueError):
 
 def _parse_set(entries, command):
     """The --set KEY=VALUE entries as a dict, each value JSON-decoded unless it
-    is a path or a name (an option of `command` cast by `str`, or `qtable`) or not JSON."""
-    text = {name for name, cast, *_ in COMMANDS[command][2] if cast in (str, _qtable)}
+    is a path or a name (an option of `command` cast by `str`) or not JSON."""
+    text = {name for name, cast, *_ in COMMANDS[command][2] if cast is str}
     out = {}
     for entry in entries or ():
         if "=" not in entry:
@@ -77,9 +77,9 @@ def _load_config(args):
 
 
 def _options(command, cfg):
-    """Every option of `command` in table order: its value in the layered
-    config `cfg`, else its default, through `_cast`. A key of `cfg` that no
-    subcommand has as an option is a usage error."""
+    """Every option of `command`: its value in the layered config `cfg`, else
+    its default, through `_cast`. A key of `cfg` that no subcommand has as an
+    option is a usage error."""
     unknown = sorted(set(cfg) - KNOWN_OPTIONS)
     if unknown:
         raise UsageError(f"unknown option {unknown[0]!r}")
@@ -89,17 +89,17 @@ def _options(command, cfg):
         if value is REQUIRED:
             raise UsageError(f"missing required option {name!r}")
         if value is not None or default is not None:
-            value = _cast(name, value, cast, opts)
+            value = _cast(name, value, cast)
         opts[name] = value
     return opts
 
 
-def _cast(key, value, cast, opts=None):
+def _cast(key, value, cast):
     """`value` checked by `cast`: int and float convert it (int refuses a
     fraction, both refuse a boolean), str and dict check its type, a tuple
     lists the accepted strings, and any other callable is called as
-    `cast(key, value, opts)` with the options resolved before it. A value it
-    refuses is a usage error naming the option `key`."""
+    `cast(key, value)`. A value it refuses is a usage error naming the option
+    `key`."""
     if isinstance(cast, tuple):
         if value in cast:
             return value
@@ -117,25 +117,17 @@ def _cast(key, value, cast, opts=None):
             except (TypeError, ValueError, OverflowError):
                 pass
     else:
-        return cast(key, value, opts)
+        return cast(key, value)
     raise UsageError(f"option {key!r} must be {what}, got {value!r}")
 
 
-def _classes(key, value, _):
+def _classes(key, value):
     if isinstance(value, str):
         value = value.split(",")
     elif not isinstance(value, list):
         raise UsageError(f"option {key!r} must be a list or a comma-separated string of "
                          f"{', '.join(WF_CLASSES)}, got {value!r}")
     return [_cast(key, name, WF_CLASSES) for name in value]
-
-
-def _qtable(key, value, opts):
-    path = _cast(key, value, str)
-    if opts["strategy"] == "lowest-cost":
-        raise UsageError(f"--qtable {path} needs --strategy adaptive or frozen; "
-                         "lowest-cost uses no Q-table")
-    return path
 
 
 def _write(path, text):
@@ -264,11 +256,14 @@ def _events_jsonl(results):
 
 
 def cmd_simulate(opts):
-    out, strategy = Path(opts["out"]), opts["strategy"]
-    if strategy == "frozen" and opts["qtable"] is None:
+    out, strategy, path = Path(opts["out"]), opts["strategy"], opts["qtable"]
+    if strategy == "lowest-cost" and path is not None:
+        raise UsageError(f"--qtable {path} needs --strategy adaptive or frozen; "
+                         "lowest-cost uses no Q-table")
+    if strategy == "frozen" and path is None:
         raise UsageError("--strategy frozen needs --qtable, the trained table it deploys")
     workflow, cloud, detectors, sev = _load_runtime(opts)
-    qtable = parse_file(opts["qtable"], rl.table_from_json) if opts["qtable"] else None
+    qtable = parse_file(path, rl.table_from_json) if path else None
     result = sim.run_experiment(
         workflow, cloud, detectors, sev, _tenant_config(opts), opts["runs"], strategy,
         opts["rate"], seed=opts["seed"], qtable=qtable,
@@ -416,7 +411,7 @@ def cmd_gen_bench(opts):
 # One table declares every option of every subcommand once, as
 # (name, cast, default, flag): its config key, how `_cast` checks it, its
 # default (None: absent; REQUIRED: a usage error when absent) and whether it
-# also has a --name flag. Options resolve in table order.
+# also has a --name flag.
 
 REQUIRED = object()
 SEED = ("seed", int, 0, True)
@@ -442,7 +437,7 @@ COMMANDS = {
         *RUNTIME, ("wf_class", WF_CLASSES, "small", True), ("episodes", int, 300, True), RATE,
         ("out", str, "artifacts/qtable.json", True), *POLICY)),
     "simulate": ("run one strategy over a workflow", cmd_simulate, (
-        ("strategy", tuple(sim.POLICIES), "lowest-cost", True), ("qtable", _qtable, None, True),
+        ("strategy", tuple(sim.POLICIES), "lowest-cost", True), ("qtable", str, None, True),
         *RUNTIME, ("wf_class", WF_CLASSES, None, True), ("runs", int, 100, True), RATE,
         ("out", str, "results", True), *POLICY)),
     "compare": ("LowestCost vs Adaptive sweep", cmd_compare, (

@@ -216,9 +216,14 @@ def dataset_from_csv(kind: DatasetKind, csv_text: str) -> Dataset:
 
 
 def with_metadata(ds: Dataset, meta_text: str) -> Dataset:
-    """`ds` with the hidden intensities of its metadata CSV `meta_text`."""
+    """`ds` with the hidden intensities of its metadata CSV `meta_text`, whose
+    first line must be the header `row,intensity`."""
+    rows = list(csv.reader(io.StringIO(meta_text)))
+    if rows[:1] != [["row", "intensity"]]:
+        raise DataConfigError(f"{ds.kind.value} metadata line 1: expected the header "
+                              f"'row,intensity', got {','.join(rows[0]) if rows else ''!r}")
     intensity = np.zeros(len(ds))
-    for line_no, fields in enumerate(list(csv.reader(io.StringIO(meta_text)))[1:], start=2):
+    for line_no, fields in enumerate(rows[1:], start=2):
         where = f"{ds.kind.value} metadata line {line_no} {','.join(fields)!r}"
         if len(fields) != 2:
             raise DataConfigError(f"{where}: {len(fields)} fields, expected 2")

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .datagen import Dataset, LABELS, NORMAL
+from .datagen import FEATURES, Dataset, LABELS, NORMAL
 from .model import FittedModel, array_at, fields_at, floats_at, load_document, parse_file
 from .severity import severity_from_obj
 
@@ -596,6 +596,14 @@ def _models_from_json(text):
         with fields_at("$.detectors", doc["detectors"], EvaluationError) as detectors:
             models = {key: model_from_obj(obj, f"$.detectors[{json.dumps(key)}]")
                       for key, obj in detectors.items()}
+    # a detector keyed '<dataset kind>/…' reads that kind's telemetry records
+    for key, model in models.items():
+        for kind, names in FEATURES.items():
+            if key.startswith(f"{kind.value}/") and model.feature_names != names:
+                got = list(model.feature_names)
+                raise EvaluationError(
+                    f"$.detectors[{json.dumps(key)}].feature_names: must be the {len(names)} "
+                    f"{kind.value} features, got {got if len(got) == len(names) else len(got)}")
     severity_obj = doc.get("severity")
     if severity_obj is not None:
         severity_from_obj(severity_obj)  # checks every entry before any run

@@ -96,28 +96,17 @@ def kmeans(X: np.ndarray, k: int, rng):
         raise FittingError(f"need at least {k} records, got {len(X)}")
     for _ in range(KMEANS_RESEEDS):
         centroids = _kmeans_pp_init(X, k, rng)
-        for _ in range(KMEANS_MAX_ITER):
+        shift = np.inf
+        for iteration in range(KMEANS_MAX_ITER + 1):
             d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
             labels = d2.argmin(axis=1)
-            new = np.empty_like(centroids)
-            empty = False
-            for j in range(k):
-                members = X[labels == j]
-                if len(members) == 0:
-                    empty = True
-                    break
-                new[j] = members.mean(axis=0)
-            if empty:
-                break
+            if shift <= KMEANS_TOL or iteration == KMEANS_MAX_ITER:
+                return centroids, labels
+            if np.bincount(labels, minlength=k).min() == 0:
+                break  # an empty cluster: reseed
+            new = np.array([X[labels == j].mean(axis=0) for j in range(k)])
             shift = np.max(np.abs(new - centroids))
             centroids = new
-            if shift <= KMEANS_TOL:
-                break
-        else:
-            empty = False
-        if not empty:
-            d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-            return centroids, d2.argmin(axis=1)
     raise FittingError("k-means produced an empty cluster on every reseed")
 
 
@@ -269,10 +258,14 @@ def _entry_from_obj(e, path, n_features) -> SeverityEntry:
         if not (isinstance(levels, list) and len(levels) == k
                 and all(v in [s.value for s in Severity] for v in levels)):
             raise ValueError(f"{path}.cluster_level: must be {k} severity levels")
+        scale_std = floats_at(f"{path}.scale_std", e["scale_std"], (n,), ValueError)
+        for i, std in enumerate(scale_std.tolist()):
+            if std <= 0:  # fitting scales a constant feature by 1.0
+                raise ValueError(f"{path}.scale_std[{i}]: must be > 0, got {std!r}")
         return SeverityEntry(
             feature_indices=tuple(indices),
             scale_mean=floats_at(f"{path}.scale_mean", e["scale_mean"], (n,), ValueError),
-            scale_std=floats_at(f"{path}.scale_std", e["scale_std"], (n,), ValueError),
+            scale_std=scale_std,
             centroids=centroids,
             cluster_mean_intensity=floats_at(f"{path}.cluster_mean_intensity",
                                              e["cluster_mean_intensity"], (k,), ValueError),

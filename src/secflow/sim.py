@@ -245,16 +245,14 @@ def _executed_tasks(layout: Layout, branch_rng):
     return executed
 
 
-def makespan(layout: Layout, executed, durations):
-    """Critical-path completion time; tasks outside the executed set take
-    zero time but still propagate their predecessors' finish times."""
+def makespan(layout: Layout, durations):
+    """Critical-path completion time; a task without a duration takes zero
+    time but still propagates its predecessors' finish times."""
     finish = {}
-    best = 0.0
     for tid in layout.order:
         start = max((finish[e.src] for e in layout.incoming[tid]), default=0.0)
-        finish[tid] = start + (durations.get(tid, 0.0) if tid in executed else 0.0)
-        best = max(best, finish[tid])
-    return best
+        finish[tid] = start + durations.get(tid, 0.0)
+    return max(finish.values(), default=0.0)
 
 
 ATTACK_TYPES = list(AttackType)
@@ -419,36 +417,37 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
             failures += 1
             continue
 
-        attacked = attack_rng.random() < attack_rate
-        if not attacked:
-            # clean telemetry is classified as it is drawn, like an attack's;
-            # an alarm on it is counted and dismissed after verification
-            kind = DatasetKind.NTD if telem_rng.random() < 0.5 else DatasetKind.CLF
-            record = datagen.sample_features(kind, NORMAL, 0.0, telem_rng)
-            false_alarms += detectors[kind].predict(record) != NORMAL
+        # an attack's draws come first on the attack stream; every record,
+        # clean or attacked, is then drawn and classified the same way
+        true_type, label, intensity = None, NORMAL, 0.0
+        if attack_rng.random() < attack_rate:
+            true_type = _sample_attack_type(trust, svc.id, attack_rng)
+            label, intensity = true_type.value, 1.0 - attack_rng.random()  # (0, 1]
+        kind = DatasetKind.NTD if telem_rng.random() < 0.5 else DatasetKind.CLF
+        record = datagen.sample_features(kind, label, intensity, telem_rng)
+        predicted = detectors[kind].predict(record)
+        if true_type is None:
+            # an alarm on clean telemetry is counted and dismissed after verification
+            false_alarms += predicted != NORMAL
             continue
 
         injected += 1
-        true_type = _sample_attack_type(trust, svc.id, attack_rng)
-        intensity = 1.0 - attack_rng.random()  # (0, 1]
-        kind = DatasetKind.NTD if telem_rng.random() < 0.5 else DatasetKind.CLF
-        record = datagen.sample_features(kind, true_type.value, intensity, telem_rng)
-        predicted = detectors[kind].predict(record)
-
         # actual harm of a landed attack is anchored to the service's static
         # AFR so the learned live rate cannot argue the damage away
         afr_static = svc.afr.get(true_type, 0.0)
         true_damage = 1.0 - attack_score(
             task.requirements, ATTACK_CATALOG[true_type].impact, afr_static, intensity
         )
+        # the type an outcome reports, which `_reconcile_trust` feeds to trust:
+        # the true one when the attack goes unseen, else the predicted one
+        entry = {"task": tid, "service": svc.id,
+                 "type": true_type.value if predicted == NORMAL else predicted}
+        events.append(entry)
 
         if predicted == NORMAL:
             # missed detection: the attack's damage lands on the task value
             state.damage_task(tid, true_damage)
-            events.append(
-                {"task": tid, "service": svc.id, "type": true_type.value,
-                 "outcome": "undetected"}
-            )
+            entry["outcome"] = "undetected"
             continue
 
         detected += 1
@@ -467,6 +466,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
         result = select_action(
             task, event, ATTACK_CATALOG[pred_type], cfg, cloud, trust, svc, selections,
         )
+        entry["score"] = result.trigger_score
         candidates = result.candidates
         if candidates is None or not candidates.ranked:
             # below the trigger threshold nothing adapts, and an unmitigable
@@ -474,11 +474,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
             # lands unmitigated
             unmitigated += candidates is not None
             state.damage_task(tid, true_damage)
-            events.append(
-                {"task": tid, "service": svc.id, "type": pred_type.value,
-                 "outcome": "below-threshold" if candidates is None else "unmitigable",
-                 "score": result.trigger_score}
-            )
+            entry["outcome"] = "below-threshold" if candidates is None else "unmitigable"
             continue
 
         # a real decision point; candidates are presented cheapest-first so a
@@ -498,28 +494,22 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
         rel = chosen.mitigation / ms_best if ms_best > 0 else 1.0
         state.damage_task(tid, 1.0 - (1.0 - rel) * (1.0 - true_damage))
         adapted += 1
-        events.append(
-            {
-                "task": tid,
-                "service": svc.id,
-                "type": pred_type.value,
-                "severity": level.value,
-                "score": result.trigger_score,
-                "outcome": "adapted",
-                "chosen": chosen.kind.value,
-                "level": "middleware" if middleware else "tenant",
-                "candidates": [
-                    {
-                        "kind": b.kind.value,
-                        "price": b.price,
-                        "time": b.time,
-                        "mitigation": b.mitigation,
-                        "value": b.value,
-                        "cost": b.total,
-                    }
-                    for b in breakdowns
-                ],
-            }
+        entry.update(
+            outcome="adapted",
+            severity=level.value,
+            chosen=chosen.kind.value,
+            level="middleware" if middleware else "tenant",
+            candidates=[
+                {
+                    "kind": b.kind.value,
+                    "price": b.price,
+                    "time": b.time,
+                    "mitigation": b.mitigation,
+                    "value": b.value,
+                    "cost": b.total,
+                }
+                for b in breakdowns
+            ],
         )
         if learn is not None:
             # the decision's own share of the run metric: the ledger change it
@@ -528,7 +518,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
             learn(sum(rl.REWARD_WEIGHTS[n] * (after[n] - before[n]) / spread
                       for n, spread in experiment.spreads.items() if spread > 0))
 
-    total_time = makespan(layout, executed, state.durations())
+    total_time = makespan(layout, state.durations())
     acc = state.accumulated()
     return RunResult(
         price=acc["price"],

@@ -124,6 +124,17 @@ class TestTrainDetect:
         assert capsys.readouterr().err == ("secflow: error: data/clf.meta.csv: clf metadata "
                                            "line 2 '0,1.5': intensity outside [0, 1]\n")
 
+    def test_metadata_without_header_names_the_metadata_file(self, workdir, capsys):
+        _gen_data(workdir, extra=["--kind", "clf"])
+        meta = workdir / "data" / "clf.meta.csv"
+        lines = meta.read_text().splitlines(keepends=True)
+        meta.write_text("".join(lines[1:]))
+        assert _run(["train-severity", "--kind", "clf", "--data", "data", "--out", "art"]) == 1
+        assert capsys.readouterr().err == (
+            "secflow: error: data/clf.meta.csv: clf metadata line 1: expected the header "
+            f"'row,intensity', got {lines[1].strip()!r}\n")
+        assert not (workdir / "art" / "models.json").exists()
+
 
 class TestSeverityAndSimulate:
     def _pipeline(self, workdir, seed=42):
@@ -180,6 +191,30 @@ class TestSeverityAndSimulate:
         )
         assert code == 2
         assert "qtable.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layer", [["--set", "qtable=q.json"], ["--config", "cfg.json"]],
+                             ids=["set", "config"])
+    def test_qtable_from_any_layer_with_lowest_cost_is_usage_error(self, workdir, capsys,
+                                                                  layer):
+        (workdir / "cfg.json").write_text(json.dumps({"qtable": "q.json"}))
+        assert _run(["simulate", "--models", "art/models.json", "--runs", "1", *layer]) == 2
+        assert capsys.readouterr().err == ("secflow: usage error: --qtable q.json needs "
+                                           "--strategy adaptive or frozen; lowest-cost uses "
+                                           "no Q-table\n")
+        assert not (workdir / "results").exists()
+
+    def test_missing_models_is_refused_before_the_qtable_rule(self, workdir, capsys):
+        assert _run(["simulate", "--qtable", "q.json", "--runs", "1"]) == 2
+        assert capsys.readouterr().err == ("secflow: usage error: missing required option "
+                                           "'models'\n")
+
+    def test_linear_detector_end_to_end(self, workdir):
+        self._pipeline(workdir)
+        linear = ["--models", "art/models.json", "--set", "detector=linear"]
+        assert _run(["train-rl", *linear, "--episodes", "2", "--out", "art/qtable.json"]) == 0
+        assert _run(["simulate", *linear, "--runs", "3", "--out", "res"]) == 0
+        with open(workdir / "res" / "results.csv") as fh:
+            assert [row["run"] for row in csv.DictReader(fh)] == ["0", "1", "2"]
 
     def test_simulate_frozen_without_qtable_is_usage_error(self, workdir, capsys):
         """Refused before the model file, which does not exist, is read."""
@@ -447,6 +482,12 @@ def _rename_dos_entry(doc):
     doc["severity"]["ntd-dos"] = doc["severity"].pop("ntd/dos")
 
 
+def _swap_forests(doc):
+    detectors = doc["detectors"]
+    detectors["ntd/random_forest"], detectors["clf/random_forest"] = (
+        detectors["clf/random_forest"], detectors["ntd/random_forest"])
+
+
 _DOS = ("severity", "ntd/dos")
 _NTD_RF = ("detectors", "ntd/random_forest")
 
@@ -513,6 +554,13 @@ class TestInputFileErrors:
              'm.json: $.severity["ntd/dos"].cluster_level: must be 3 severity levels'),
             ("m.json", _edit(*_DOS, "cluster_mean_intensity", to=lambda v: v[:-1]),
              'm.json: $.severity["ntd/dos"].cluster_mean_intensity: must be 3 finite numbers'),
+            ("m.json", _edit(*_DOS, "scale_std", to=lambda v: [0] * len(v)),
+             'm.json: $.severity["ntd/dos"].scale_std[0]: must be > 0, got 0.0'),
+            ("m.json", _edit(*_DOS, "scale_std", to=lambda v: v[:1] + [-1.0] + v[2:]),
+             'm.json: $.severity["ntd/dos"].scale_std[1]: must be > 0, got -1.0'),
+            ("m.json", _swap_forests,
+             'm.json: $.detectors["ntd/random_forest"].feature_names: must be the 8 ntd '
+             "features, got 3"),
         ],
         ids=["workflow-task-field", "workflow-tasks-array", "cloud-service-field",
              "cloud-not-json", "models-without-detectors", "models-version", "qtable-config-range",
@@ -520,7 +568,8 @@ class TestInputFileErrors:
              "config-array", "detector-kind", "detector-classes", "detector-weights-shape",
              "severity-key", "severity-index-range", "severity-scale-mean-length",
              "severity-scale-std-length", "severity-centroids-shape",
-             "severity-cluster-level-length", "severity-intensity-length"],
+             "severity-cluster-level-length", "severity-intensity-length",
+             "severity-scale-std-zero", "severity-scale-std-negative", "detectors-swapped"],
     )
     def test_one_line_names_file_and_path(self, workdir, capsys, models_file, name, content,
                                           line):

@@ -189,6 +189,18 @@ class TestCsvRoundTrip:
         with pytest.raises(DataConfigError, match=message):
             with_metadata(dataset_from_csv(DatasetKind.CLF, rows), meta)
 
+    @pytest.mark.parametrize("meta, got", [
+        ("", "''"),
+        ("0,0.25\n1,0.5\n", "'0,0.25'"),
+        ("row;intensity\n0,0.25\n", "'row;intensity'"),
+    ], ids=["empty", "no-header", "other-header"])
+    def test_metadata_header_required(self, meta, got):
+        rows = "cpu_util,ram_util,bw_util,label\n0.1,0.2,0.3,normal\n0.4,0.5,0.6,dos\n"
+        with pytest.raises(DataConfigError) as exc:
+            with_metadata(dataset_from_csv(DatasetKind.CLF, rows), meta)
+        assert str(exc.value) == ("clf metadata line 1: expected the header 'row,intensity', "
+                                  f"got {got}")
+
     def test_metadata_bounds_are_inclusive(self):
         rows = "cpu_util,ram_util,bw_util,label\n0.1,0.2,0.3,normal\n0.4,0.5,0.6,dos\n"
         ds = with_metadata(dataset_from_csv(DatasetKind.CLF, rows), "row,intensity\n0,0.0\n1,1.0\n")

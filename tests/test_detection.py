@@ -715,6 +715,27 @@ def test_unknown_repeated_or_missing_class_refused_at_load(tmp_path, classes, wh
     assert str(exc.value) == f'{path}: $.detectors["{key}"].{where}'
 
 
+def test_detector_features_must_be_its_keys_kind(tmp_path):
+    """A detector keyed `ntd/…` or `clf/…` holds exactly that kind's features."""
+    mix = {NORMAL: 0.5, "dos": 0.5}
+    ntd, clf = (generate(kind, 200, mix, seed=5) for kind in (DatasetKind.NTD, DatasetKind.CLF))
+    path = tmp_path / "models.json"
+    save_models(path, {"ntd/random_forest": train_random_forest(clf, n_trees=3),
+                       "clf/random_forest": train_random_forest(ntd, n_trees=3)})
+    with pytest.raises(EvaluationError) as exc:
+        load_models(path)
+    assert str(exc.value) == (f'{path}: $.detectors["ntd/random_forest"].feature_names: '
+                              "must be the 8 ntd features, got 3")
+    save_models(path, {"clf/random_forest": train_random_forest(clf, n_trees=3)})
+    doc = json.loads(path.read_text())
+    doc["detectors"]["clf/random_forest"]["feature_names"] = list(CLF_FEATURES[::-1])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(EvaluationError) as exc:
+        load_models(path)
+    assert str(exc.value) == (f'{path}: $.detectors["clf/random_forest"].feature_names: '
+                              f"must be the 3 clf features, got {list(CLF_FEATURES[::-1])}")
+
+
 def _break_missing_key(tree):
     del tree["right"]
     return "trees[1]: missing field 'right'"

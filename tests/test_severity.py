@@ -6,7 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
+from secflow import severity
 from secflow.datagen import CLF_FEATURES, Dataset, DatasetKind, NORMAL, generate
+from secflow.detection import load_models, save_models
 from secflow.model import SEVERITY_LEVEL, SEVERITY_ORDER, AttackType, Severity
 from secflow.severity import (
     AssessmentError,
@@ -110,6 +112,108 @@ class TestKMeans:
         a, _ = kmeans(X, 3, np.random.default_rng(7))
         b, _ = kmeans(X, 3, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
+
+
+def _reference_kmeans(X, k, rng):
+    """`severity.kmeans` as it was written with an `empty` flag and a second
+    nearest-centroid pass, kept as the reference for its draws and floats."""
+    if len(X) < k:
+        raise FittingError(f"need at least {k} records, got {len(X)}")
+    for _ in range(severity.KMEANS_RESEEDS):
+        centroids = severity._kmeans_pp_init(X, k, rng)
+        for _ in range(severity.KMEANS_MAX_ITER):
+            d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+            labels = d2.argmin(axis=1)
+            new = np.empty_like(centroids)
+            empty = False
+            for j in range(k):
+                members = X[labels == j]
+                if len(members) == 0:
+                    empty = True
+                    break
+                new[j] = members.mean(axis=0)
+            if empty:
+                break
+            shift = np.max(np.abs(new - centroids))
+            centroids = new
+            if shift <= severity.KMEANS_TOL:
+                break
+        else:
+            empty = False
+        if not empty:
+            d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+            return centroids, d2.argmin(axis=1)
+    raise FittingError("k-means produced an empty cluster on every reseed")
+
+
+def _run_both(X, k=3, seed=11):
+    """Each function's result (or FittingError) and its generator's next draw."""
+    outcomes = []
+    for fn in (kmeans, _reference_kmeans):
+        rng = np.random.default_rng(seed)
+        try:
+            result = fn(X, k, rng)
+        except FittingError as exc:
+            result = str(exc)
+        outcomes.append((result, rng.random()))
+    return outcomes
+
+
+def _assert_same(got, want):
+    (result, draw), (ref_result, ref_draw) = got, want
+    assert draw == ref_draw
+    if isinstance(ref_result, str):
+        assert result == ref_result
+        return
+    for array, ref in zip(result, ref_result):
+        assert array.dtype == ref.dtype and array.tobytes() == ref.tobytes()
+
+
+class TestKMeansAgainstReference:
+    def test_converging_data(self):
+        X = np.concatenate([np.random.default_rng(5).normal(c, 0.05, size=(20, 2))
+                            for c in (0.0, 1.0, 2.0)])
+        _assert_same(*_run_both(X))
+
+    def test_last_iteration_returns(self, monkeypatch):
+        X = np.random.default_rng(3).normal(size=(60, 2))
+        converged, _ = kmeans(X, 3, np.random.default_rng(11))
+        monkeypatch.setattr(severity, "KMEANS_MAX_ITER", 1)
+        got, want = _run_both(X)
+        _assert_same(got, want)
+        # one Lloyd step does not reach the fixed point: the loop stopped on
+        # its iteration count, not on convergence
+        assert not np.array_equal(want[0][0], converged)
+
+    def test_empty_cluster_on_every_reseed(self):
+        got, want = _run_both(np.zeros((10, 2)))
+        assert want[0] == "k-means produced an empty cluster on every reseed"
+        _assert_same(got, want)
+
+
+def _scale_all_zero(std):
+    std[:] = [0.0] * len(std)
+
+
+def _scale_one_negative(std):
+    std[2] = -1.0
+
+
+@pytest.mark.parametrize("edit, where, shown", [
+    (_scale_all_zero, 0, "0.0"),
+    (_scale_one_negative, 2, "-1.0"),
+], ids=["all-zero", "one-negative"])
+def test_non_positive_scale_refused_at_load(tmp_path, edit, where, shown):
+    mix = {NORMAL: 0.5, "dos": 0.5}
+    ds = generate(DatasetKind.NTD, 300, mix, 0, intensity_mode="banded")
+    obj = severity_to_obj(fit_severity({DatasetKind.NTD: ds}, 0))
+    edit(obj["ntd/dos"]["scale_std"])
+    path = tmp_path / "m.json"
+    save_models(path, {}, obj)
+    with pytest.raises(ValueError) as exc:
+        load_models(path)
+    assert str(exc.value) == (f'{path}: $.severity["ntd/dos"].scale_std[{where}]: '
+                              f"must be > 0, got {shown}")
 
 
 class TestFitSeverity:
