@@ -33,7 +33,6 @@ from .model import (
 DEFAULT_MIX = {"normal": 0.5, "dos": 0.125, "probe": 0.125, "u2r": 0.125, "r2l": 0.125}
 KIND_CHOICES = tuple(kind.value for kind in DatasetKind) + ("both",)
 WF_CLASSES = tuple(wf_class.value for wf_class in sim.WorkflowClass)
-MEAN_ATTRS = ("price", "time", "value", "mitigation")  # averaged in windows.csv and reports
 
 
 class UsageError(ValueError):
@@ -161,12 +160,11 @@ def cmd_gen_data(opts):
 
 
 def _load_dataset(data_dir, kind):
-    """The dataset of `kind` in `data_dir`; a malformed row of the CSV or its
-    metadata raises DataConfigError prefixed with that file's path."""
+    """The dataset of `kind` in `data_dir` with its `.meta.csv` intensities;
+    a malformed row of either file raises DataConfigError prefixed with its path."""
     stem = Path(data_dir) / kind.value
     ds = parse_file(f"{stem}.csv", lambda text: datagen.dataset_from_csv(kind, text))
-    meta = Path(f"{stem}.meta.csv")
-    return parse_file(meta, lambda text: datagen.with_metadata(ds, text)) if meta.exists() else ds
+    return parse_file(f"{stem}.meta.csv", lambda text: datagen.with_metadata(ds, text))
 
 
 def _metrics_csv(rows):
@@ -277,9 +275,9 @@ def cmd_simulate(opts):
 def run_compare(cfg):
     """LowestCost-vs-Adaptive sweep over the workflow classes, from the
     compare options of `cfg`, which may be a raw, partial config; returns
-    (results_csv_text, windows_csv_text, per-(class,strategy) ExperimentResult)."""
+    (results_csv_text, per-(class,strategy) ExperimentResult)."""
     opts = _options("compare", cfg)
-    seed, runs, rate, window = opts["seed"], opts["runs"], opts["rate"], opts["window"]
+    seed, runs, rate = opts["seed"], opts["runs"], opts["rate"]
     tenant = _tenant_config(opts)
 
     # self-contained model fitting from generated telemetry
@@ -293,7 +291,7 @@ def run_compare(cfg):
         detectors[kind] = detection.train_random_forest(train, seed=seed)
     sev = severity.fit_severity(datasets, seed)
 
-    result_rows, window_rows = [], []
+    result_rows = []
     experiments = {}
     for ci, name in enumerate(opts["classes"]):
         wf_class = sim.WorkflowClass(name)
@@ -302,22 +300,17 @@ def run_compare(cfg):
         for strategy in ("lowest-cost", "adaptive"):
             result = sim.run_experiment(
                 workflow, cloud, detectors, sev, tenant, runs, strategy, rate,
-                seed=seed + 300 + ci, window=window,
+                seed=seed + 300 + ci,
             )
             experiments[(name, strategy)] = result
             result_rows += result.rows(strategy, name)
-            window_rows += ([name, strategy, widx, *(repr(means[a]) for a in MEAN_ATTRS)]
-                            for widx, means in enumerate(result.windows))
-    return (datagen.csv_text(sim.RESULTS_HEADER, result_rows),
-            datagen.csv_text(["class", "strategy", "window", *MEAN_ATTRS], window_rows),
-            experiments)
+    return datagen.csv_text(sim.RESULTS_HEADER, result_rows), experiments
 
 
 def cmd_compare(opts):
     out = Path(opts["out"])
-    results_csv, windows_csv, _ = run_compare(opts)
+    results_csv, _ = run_compare(opts)
     _write(out / "results.csv", results_csv)
-    _write(out / "windows.csv", windows_csv)
     return 0
 
 
@@ -358,39 +351,47 @@ def _md_table(header, rows):
 
 
 def cmd_report(opts):
-    """Markdown summary assembled verbatim from previously emitted CSVs."""
+    """Markdown summary of previously emitted CSVs, with rolling means of
+    results.csv's float columns over each `window` consecutive rounds."""
+    floats, counts, window = sim.RESULTS_FLOATS, sim.RESULTS_COUNTS, opts["window"]
+    if window is not None and not opts["results"]:
+        raise UsageError("--window needs --results, the rounds it averages")
+    if window is not None and window < 1:
+        raise UsageError(f"option 'window' must be >= 1, got {window}")
     sections = []
     if opts["metrics"]:
         header, rows = _read_csv(opts["metrics"])
         sections.append("## Detection metrics\n\n" + _md_table(header, rows))
     if opts["results"]:
-        path, totals = opts["results"], ("injected", "detected", "adapted", "failed")
-        header, rows = _read_csv(path, ("class", "strategy", *MEAN_ATTRS, *totals))
+        path = opts["results"]
+        header, rows = _read_csv(path, ("class", "strategy", *floats, *counts))
         idx = {name: header.index(name) for name in header}
         groups = {}
         for line, r in enumerate(rows, start=2):
-            values = {c: _cell(path, line, c, r[idx[c]], float) for c in MEAN_ATTRS}
-            values.update({c: _cell(path, line, c, r[idx[c]], int) for c in totals})
+            values = {c: _cell(path, line, c, r[idx[c]], float) for c in floats}
+            values.update({c: _cell(path, line, c, r[idx[c]], int) for c in counts})
             groups.setdefault((r[idx["class"]], r[idx["strategy"]]), []).append(values)
         summary = []
         for (cls, strat), grp in sorted(groups.items()):
-            means = [f"{np.mean([v[c] for v in grp]):.4f}" for c in MEAN_ATTRS]
-            counts = [str(int(np.sum([v[c] for v in grp]))) for c in totals]
-            summary.append([cls, strat, str(len(grp))] + means + counts)
+            means = [f"{np.mean([v[c] for v in grp]):.4f}" for c in floats]
+            totals = [str(int(np.sum([v[c] for v in grp]))) for c in counts]
+            summary.append([cls, strat, str(len(grp))] + means + totals)
         sections.append(
             "## Execution summary\n\n"
-            + _md_table(
-                ["class", "strategy", "runs", "mean price", "mean time",
-                 "mean value", "mean mitigation", "injected", "detected",
-                 "adapted", "failed"],
-                summary,
-            )
+            + _md_table(["class", "strategy", "runs", *(f"mean {c}" for c in floats), *counts],
+                        summary)
         )
-    if opts["windows"]:
-        header, rows = _read_csv(opts["windows"])
-        sections.append("## Rolling windows\n\n" + _md_table(header, rows))
+        if window is not None:
+            # groups in file order, each averaged `window` rounds at a time
+            rolling = [[cls, strat, widx,
+                        *(repr(float(np.mean([v[c] for v in grp[start:start + window]])))
+                          for c in floats)]
+                       for (cls, strat), grp in groups.items()
+                       for widx, start in enumerate(range(0, len(grp), window))]
+            sections.append("## Rolling windows\n\n" + _md_table(
+                ["class", "strategy", "window", *floats], rolling))
     if not sections:
-        raise UsageError("report needs at least one of --metrics/--results/--windows")
+        raise UsageError("report needs at least one of --metrics/--results")
     _write(opts["out"], "# Experiment report\n\n" + "\n\n".join(sections) + "\n")
     return 0
 
@@ -441,11 +442,11 @@ COMMANDS = {
         *RUNTIME, ("wf_class", WF_CLASSES, None, True), ("runs", int, 100, True), RATE,
         ("out", str, "results", True), *POLICY)),
     "compare": ("LowestCost vs Adaptive sweep", cmd_compare, (
-        ("runs", int, 1000, True), RATE, ("window", int, 100, True),
+        ("runs", int, 1000, True), RATE,
         ("classes", _classes, ["small", "medium", "large"], True), ("out", str, "results", True),
         ("train_n", int, 1500, False), *TENANT)),
     "report": ("markdown summary from emitted CSVs", cmd_report, (
-        ("metrics", str, None, True), ("results", str, None, True), ("windows", str, None, True),
+        ("metrics", str, None, True), ("results", str, None, True), ("window", int, None, True),
         ("out", str, "report.md", True))),
     "gen-bench": ("emit a generated workflow/cloud pair", cmd_gen_bench, (
         ("wf_class", WF_CLASSES, "small", True), ("out", str, "bench", True))),

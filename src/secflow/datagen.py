@@ -217,12 +217,13 @@ def dataset_from_csv(kind: DatasetKind, csv_text: str) -> Dataset:
 
 def with_metadata(ds: Dataset, meta_text: str) -> Dataset:
     """`ds` with the hidden intensities of its metadata CSV `meta_text`, whose
-    first line must be the header `row,intensity`."""
+    first line must be the header `row,intensity` and which lists every row
+    of `ds` exactly once."""
     rows = list(csv.reader(io.StringIO(meta_text)))
     if rows[:1] != [["row", "intensity"]]:
         raise DataConfigError(f"{ds.kind.value} metadata line 1: expected the header "
                               f"'row,intensity', got {','.join(rows[0]) if rows else ''!r}")
-    intensity = np.zeros(len(ds))
+    intensity = np.full(len(ds), np.nan)
     for line_no, fields in enumerate(rows[1:], start=2):
         where = f"{ds.kind.value} metadata line {line_no} {','.join(fields)!r}"
         if len(fields) != 2:
@@ -235,7 +236,12 @@ def with_metadata(ds: Dataset, meta_text: str) -> Dataset:
             raise DataConfigError(f"{where}: row outside [0, {len(ds)})")
         if not 0.0 <= val <= 1.0:
             raise DataConfigError(f"{where}: intensity outside [0, 1]")
+        if not np.isnan(intensity[row_idx]):
+            raise DataConfigError(f"{where}: row {row_idx} listed twice")
         intensity[row_idx] = val
+    missing = np.flatnonzero(np.isnan(intensity))
+    if missing.size:
+        raise DataConfigError(f"{ds.kind.value} metadata: no line for row {missing[0]}")
     return replace(ds, intensity=intensity)
 
 

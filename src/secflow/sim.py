@@ -551,15 +551,16 @@ CLASS_TASK_RANGE = {
 }
 
 
-#: The columns of every results.csv, one row per round.
-RESULTS_HEADER = ("run", "strategy", "class", "price", "time", "value", "mitigation",
-                  "injected", "detected", "adapted", "failed")
+#: The columns of every results.csv, one row per round: its float columns,
+#: then its count columns.
+RESULTS_FLOATS = ("price", "time", "value", "mitigation")
+RESULTS_COUNTS = ("injected", "detected", "adapted", "failed")
+RESULTS_HEADER = ("run", "strategy", "class", *RESULTS_FLOATS, *RESULTS_COUNTS)
 
 
 @dataclass
 class ExperimentResult:
     runs: list  # RunResult per round, in run-index order
-    windows: list  # rolling window means of reward_attrs, per window
 
     def rows(self, strategy: str, wf_class: str) -> list:
         """One `RESULTS_HEADER` row per round."""
@@ -612,7 +613,6 @@ def run_experiment(
     attack_rate: float,
     *,
     seed: int = 0,
-    window: int = 100,
     qtable: rl.QTable | None = None,
     burn_in: int = 50,
 ) -> ExperimentResult:
@@ -629,8 +629,6 @@ def run_experiment(
     over between rounds in run-index order. Deterministic given `seed`."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if window < 1:
-        raise ValueError("window must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     if strategy not in POLICIES:
@@ -660,13 +658,7 @@ def run_experiment(
     for result in rounds:
         _reconcile_trust(trust, result)
         results.append(result)
-
-    attrs = [r.reward_attrs() for r in results]
-    windows = []
-    for start in range(0, n_runs, window):
-        chunk = attrs[start:start + window]
-        windows.append({k: float(np.mean([a[k] for a in chunk])) for k in rl.ATTR_NAMES})
-    return ExperimentResult(runs=results, windows=windows)
+    return ExperimentResult(runs=results)
 
 
 _DETECTED_OUTCOMES = frozenset({"adapted", "unmitigable", "below-threshold"})

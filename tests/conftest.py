@@ -114,3 +114,12 @@ def greedy_choice(table, event):
                      for c in event["candidates"]), key=cost_rank)
     state = f"{event['type']}|{event['severity']}"
     return rl.predict(table, state, [b.kind for b in ranked]).value
+
+
+def report_table(text, heading):
+    """The header and rows of the markdown table under `## heading` in the
+    report `text`, each cell as written."""
+    table = text.split(f"## {heading}\n\n", 1)[1].split("\n\n", 1)[0]
+    header, _, *rows = ([cell.strip() for cell in line.strip("|").split("|")]
+                        for line in table.splitlines())
+    return header, rows

@@ -7,6 +7,7 @@ import pytest
 
 from secflow import cli
 from secflow.cli import main
+from tests.conftest import report_table
 
 
 def _run(argv):
@@ -124,6 +125,16 @@ class TestTrainDetect:
         assert capsys.readouterr().err == ("secflow: error: data/clf.meta.csv: clf metadata "
                                            "line 2 '0,1.5': intensity outside [0, 1]\n")
 
+    @pytest.mark.parametrize("command", ["train-detect", "train-severity"])
+    def test_missing_metadata_names_the_metadata_file(self, workdir, capsys, command):
+        """Without its .meta.csv every intensity would read as 0.0."""
+        _gen_data(workdir, extra=["--kind", "clf"])
+        (workdir / "data" / "clf.meta.csv").unlink()
+        assert _run([command, "--kind", "clf", "--data", "data", "--out", "art"]) == 1
+        assert capsys.readouterr().err == ("secflow: error: [Errno 2] No such file or "
+                                           "directory: 'data/clf.meta.csv'\n")
+        assert not (workdir / "art" / "models.json").exists()
+
     def test_metadata_without_header_names_the_metadata_file(self, workdir, capsys):
         _gen_data(workdir, extra=["--kind", "clf"])
         meta = workdir / "data" / "clf.meta.csv"
@@ -165,6 +176,10 @@ class TestSeverityAndSimulate:
         assert len(events) == 5
         for line in events:
             json.loads(line)
+        assert _run(["report", "--results", "res/results.csv", "--window", "2",
+                     "--out", "report.md"]) == 0
+        _, rows = report_table((workdir / "report.md").read_text(), "Rolling windows")
+        assert [r[:3] for r in rows] == [["small", "lowest-cost", str(i)] for i in range(3)]
 
     def test_simulate_labels_rows_by_workflow_source(self, workdir):
         self._pipeline(workdir)
@@ -274,33 +289,34 @@ class TestSeverityAndSimulate:
 
 class TestCompareAndReport:
     def test_compare_windows_per_class_and_strategy(self, workdir):
+        """compare writes results.csv alone; report averages its rounds
+        `--window` at a time per (class, strategy), in file order."""
         code = _run(
-            ["compare", "--runs", "30", "--window", "10", "--rate", "0.3",
+            ["compare", "--runs", "30", "--rate", "0.3",
              "--seed", "42", "--classes", "small", "--out", "res",
              "--set", "train_n=400"]
         )
         assert code == 0
-        with open(workdir / "res" / "windows.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["class", "strategy", "window", "price", "time",
-                           "value", "mitigation"]
-        per = {}
-        for r in rows[1:]:
-            per.setdefault((r[0], r[1]), []).append(r[2])
-        assert set(per) == {("small", "lowest-cost"), ("small", "adaptive")}
-        for windows in per.values():
-            assert windows == ["0", "1", "2"]
+        assert [p.name for p in (workdir / "res").iterdir()] == ["results.csv"]
+        assert _run(["report", "--results", "res/results.csv", "--window", "10",
+                     "--out", "report.md"]) == 0
+        header, rows = report_table((workdir / "report.md").read_text(), "Rolling windows")
+        assert header == ["class", "strategy", "window", "price", "time", "value",
+                          "mitigation"]
+        assert [r[:3] for r in rows] == [["small", strategy, str(i)]
+                                         for strategy in ("lowest-cost", "adaptive")
+                                         for i in range(3)]
 
     def test_report_consumes_emitted_csvs(self, workdir):
         code = _run(
-            ["compare", "--runs", "20", "--window", "10", "--rate", "0.2",
+            ["compare", "--runs", "20", "--rate", "0.2",
              "--seed", "7", "--classes", "small", "--out", "res",
              "--set", "train_n=400"]
         )
         assert code == 0
         code = _run(
             ["report", "--results", "res/results.csv",
-             "--windows", "res/windows.csv", "--out", "report.md"]
+             "--window", "10", "--out", "report.md"]
         )
         assert code == 0
         text = (workdir / "report.md").read_text()
@@ -308,25 +324,62 @@ class TestCompareAndReport:
         assert "## Rolling windows" in text
         assert "| small | lowest-cost |" in text
 
+    # two groups in file order, adaptive first: prices 1..5 and 10, 20
+    RESULTS = ("class,strategy,price,time,value,mitigation,injected,detected,adapted,failed\n"
+               + "".join(f"small,adaptive,{p}.0,1.0,0.5,0.25,1,1,1,0\n" for p in range(1, 6))
+               + "small,lowest-cost,10.0,2.0,0.5,0.0,0,0,0,0\n"
+               + "small,lowest-cost,20.0,2.0,0.5,0.0,0,0,0,0\n")
+
+    def _windows(self, workdir, window):
+        (workdir / "r.csv").write_text(self.RESULTS)
+        assert _run(["report", "--results", "r.csv", "--window", str(window),
+                     "--out", "report.md"]) == 0
+        return report_table((workdir / "report.md").read_text(), "Rolling windows")[1]
+
+    def test_window_longer_than_the_rounds_is_the_group_mean(self, workdir):
+        assert self._windows(workdir, 10) == [
+            ["small", "adaptive", "0", "3.0", "1.0", "0.5", "0.25"],
+            ["small", "lowest-cost", "0", "15.0", "2.0", "0.5", "0.0"]]
+
+    def test_uneven_last_window_is_shorter(self, workdir):
+        assert [r[:4] for r in self._windows(workdir, 2)] == [
+            ["small", "adaptive", "0", "1.5"], ["small", "adaptive", "1", "3.5"],
+            ["small", "adaptive", "2", "5.0"], ["small", "lowest-cost", "0", "15.0"]]
+
     def test_report_without_inputs_is_usage_error(self, workdir):
         assert _run(["report"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["report", "--metrics", "r.csv", "--window", "2"],
+         "--window needs --results, the rounds it averages"),
+        (["report", "--results", "r.csv", "--window", "0"],
+         "option 'window' must be >= 1, got 0"),
+    ], ids=["without-results", "zero"])
+    def test_bad_window_is_usage_error(self, workdir, capsys, argv, message):
+        (workdir / "r.csv").write_text(self.RESULTS)
+        assert _run(argv + ["--out", "report.md"]) == 2
+        assert capsys.readouterr().err == f"secflow: usage error: {message}\n"
+        assert not (workdir / "report.md").exists()
+
+    def test_compare_has_no_window_option(self, workdir):
+        assert _run(["compare", "--window", "10", "--out", "res"]) == 2
+        assert not (workdir / "res").exists()
 
     @pytest.mark.parametrize("flag, text, message", [
         ("--results", "strategy,run,price\nadaptive,0,1.0\n",
          "r.csv: no 'class' column in the header"),
         ("--results", "", "r.csv: empty file, expected a CSV header"),
         ("--metrics", "", "r.csv: empty file, expected a CSV header"),
-        ("--windows", "", "r.csv: empty file, expected a CSV header"),
-        ("--windows", "class,strategy,window\nsmall,adaptive\n",
-         "r.csv line 2: 2 fields, header has 3"),
+        ("--results", "class,strategy,price,time,value,mitigation,injected,detected,adapted,"
+         "failed\nsmall,adaptive,1.0\n", "r.csv line 2: 3 fields, header has 10"),
         ("--results", "class,strategy,price,time,value,mitigation,injected,detected,adapted,"
          "failed\nsmall,adaptive,1.0,2.0,x,0.5,1,1,1,0\n",
          "r.csv line 2, column value: expected a number, got 'x'"),
         ("--results", "class,strategy,price,time,value,mitigation,injected,detected,adapted,"
          "failed\nsmall,adaptive,1.0,2.0,0.1,0.5,1,1.5,1,0\n",
          "r.csv line 2, column detected: expected an integer, got '1.5'"),
-    ], ids=["results-without-class", "results-empty", "metrics-empty", "windows-empty",
-            "windows-short-row", "results-bad-number", "results-bad-count"])
+    ], ids=["results-without-class", "results-empty", "metrics-empty", "results-short-row",
+            "results-bad-number", "results-bad-count"])
     def test_malformed_csv_is_usage_error_naming_the_file(self, workdir, capsys, flag, text,
                                                           message):
         (workdir / "r.csv").write_text(text)
@@ -355,7 +408,7 @@ class TestUsageErrors:
         "argv, line",
         [
             (["gen-data", "--set", "n=many"], "option 'n' must be an integer, got 'many'"),
-            (["compare", "--set", "window=[1]"], "option 'window' must be an integer, got [1]"),
+            (["report", "--set", "window=[1]"], "option 'window' must be an integer, got [1]"),
             (["gen-data", "--set", "seed=1e400"], "option 'seed' must be an integer, got inf"),
             (["compare", "--set", "rate=high"], "option 'rate' must be a number, got 'high'"),
             (["gen-data", "--set", "kind=xyz"],

@@ -181,6 +181,7 @@ class TestCsvRoundTrip:
         ("0,nan", r"intensity outside \[0, 1\]"),
         ("0,1.5", r"intensity outside \[0, 1\]"),
         ("0,-0.25", r"intensity outside \[0, 1\]"),
+        ("1,0.9", "row 1 listed twice"),
     ])
     def test_bad_metadata_line_rejected(self, line, reason):
         rows = "cpu_util,ram_util,bw_util,label\n0.1,0.2,0.3,normal\n0.4,0.5,0.6,dos\n"
@@ -188,6 +189,12 @@ class TestCsvRoundTrip:
         message = f"clf metadata line 3 {line!r}: {reason}"
         with pytest.raises(DataConfigError, match=message):
             with_metadata(dataset_from_csv(DatasetKind.CLF, rows), meta)
+
+    def test_unlisted_row_rejected(self):
+        rows = "cpu_util,ram_util,bw_util,label\n0.1,0.2,0.3,dos\n0.4,0.5,0.6,dos\n"
+        with pytest.raises(DataConfigError) as exc:
+            with_metadata(dataset_from_csv(DatasetKind.CLF, rows), "row,intensity\n0,0.2\n")
+        assert str(exc.value) == "clf metadata: no line for row 1"
 
     @pytest.mark.parametrize("meta, got", [
         ("", "''"),

@@ -11,9 +11,9 @@ import json
 
 import pytest
 
-from secflow import cli, rl, sim
+from secflow import cli, datagen, rl, sim
 from secflow.model import ACTION_ORDER, TenantConfig
-from tests.conftest import greedy_choice, weak_models
+from tests.conftest import greedy_choice, report_table, weak_models
 
 GOLDEN = {
     "compare/results.csv":
@@ -64,11 +64,15 @@ def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     out = {}
 
-    compare_cfg = {"seed": 5, "runs": 12, "rate": 0.8, "window": 5,
-                   "classes": "small", "train_n": 300}
-    results_csv, windows_csv, experiments = cli.run_compare(compare_cfg)
+    compare_cfg = {"seed": 5, "runs": 12, "rate": 0.8, "classes": "small", "train_n": 300}
+    results_csv, experiments = cli.run_compare(compare_cfg)
     out["compare/results.csv"] = results_csv.encode()
-    out["compare/windows.csv"] = windows_csv.encode()
+    # compare's rolling windows, as report computes them from its results.csv
+    (root / "results.csv").write_text(results_csv)
+    assert cli.main(["report", "--results", str(root / "results.csv"), "--window", "5",
+                     "--out", str(root / "report.md")]) == 0
+    windows = report_table((root / "report.md").read_text(), "Rolling windows")
+    out["compare/windows.csv"] = datagen.csv_text(*windows).encode()
     out["compare/events.jsonl"] = b"".join(
         cli._events_jsonl(experiments[key].runs).encode() for key in sorted(experiments)
     )
