@@ -335,7 +335,9 @@ def sample_features(kind: DatasetKind, label: str, intensity: float, rng) -> lis
     one row of `_sample_columns` does: each run of continuous features is
     one `standard_normal` block, and `loc + sd * z` is the double arithmetic
     of numpy's scalar `normal(loc, sd)`; protocol_type stays one scalar
-    `integers(0, 3)`, which draws from PCG64's buffered 32-bit half."""
+    `integers(0, 3)`, which draws from PCG64's buffered 32-bit half. The
+    clamps are the `>`/`<` tests of `min(max(v, 0.0), 1.0)`, so -0.0 and NaN
+    pass through as they do there."""
     record = []
     for run in _RUNS[kind, label]:
         if run is None:  # categorical protocol_type
@@ -343,8 +345,12 @@ def sample_features(kind: DatasetKind, label: str, intensity: float, rng) -> lis
             continue
         for (mean, sd, sig, capped), z in zip(run, rng.standard_normal(len(run)).tolist()):
             loc = mean if sig is None else mean + (sig[0] + sig[1] * intensity)
-            value = max(loc + sd * z, 0.0)
-            record.append(min(value, 1.0) if capped else value)
+            value = loc + sd * z
+            if 0.0 > value:
+                value = 0.0
+            elif capped and 1.0 < value:
+                value = 1.0
+            record.append(value)
     return record
 
 

@@ -111,46 +111,56 @@ def find_backup_service(
     return min(pool, key=lambda s: (s.price, s.id))
 
 
-def resolve_candidates(
-    task: Task,
-    spec: AttackSpec,
-    level: Severity,
-    detected_in: DatasetKind,
-    cfg: TenantConfig,
-    cloud: MultiCloud,
-    current: Service,
-) -> CandidateSet:
-    """The candidate set of a triggered selection: the intersection of the
-    severity tier's mitigation actions with the task's feasible actions
-    (Rework/Redundancy drop out when no backup resolves), each priced,
-    normalized and costed. Nothing here reads live state, so for one task
-    bound to `current` it depends only on (attack type, tier, detector kind)."""
-    allowed = spec.mitigation_actions[level] & set(task.feasible_actions)
-    final = [k for k in ACTION_ORDER if k in allowed]
+#: The kinds that run on a backup service and drop out when none resolves.
+BACKUP_KINDS = (ActionKind.REWORK, ActionKind.REDUNDANCY)
 
+
+def task_actions(
+    task: Task,
+    current: Service,
+    cloud: MultiCloud,
+    detected_in: DatasetKind,
+) -> tuple:
+    """(backup, params) of `task` bound to `current` under a detection in
+    `detected_in`: the backup service that prices Rework/Redundancy, or None,
+    and the params of each feasible kind in declaration order. Without a
+    backup, Rework and Redundancy drop out. Params are the explicit
+    modeling-time ones when present, else the built-in catalog row
+    instantiated against the bound service."""
+    kinds = [k for k in ACTION_ORDER if k in task.feasible_actions]
     backup = None
-    if ActionKind.REWORK in final or ActionKind.REDUNDANCY in final:
+    if any(k in BACKUP_KINDS for k in kinds):
         try:
             backup = find_backup_service(task, current, cloud, detected_in)
         except NoBackupError:
-            final = [
-                k for k in final if k not in (ActionKind.REWORK, ActionKind.REDUNDANCY)
-            ]
-    if not final:
-        return CandidateSet((), None, (), 0.0)
-
-    # explicit modeling-time params when present, else the built-in catalog
-    # row instantiated against the bound service
+            kinds = [k for k in kinds if k not in BACKUP_KINDS]
     params = {
-        k: task.feasible_actions.get(k) or builtin_action_properties(
+        k: task.feasible_actions[k] or builtin_action_properties(
             k, task_time=current.response_time, task_price=current.price,
             task_value=task.value, backup=backup)
-        for k in final
+        for k in kinds
     }
-    ms = {
-        k: mitigation_score(task.requirements, spec.impact, p.mitigation_impact)
-        for k, p in params.items()
-    }
+    return backup, params
+
+
+def resolve_candidates(
+    allowed,
+    backup: Service | None,
+    params: dict,
+    ms: dict,
+    cfg: TenantConfig,
+) -> CandidateSet:
+    """The candidate set of a triggered selection: the kinds of `params` (a
+    task's `task_actions`) that the severity tier's mitigation actions
+    `allowed` name, normalized, costed with their mitigation scores `ms` and
+    ranked. `backup` goes with the set only when Rework or Redundancy is in
+    it."""
+    final = [k for k in params if k in allowed]
+    if not final:
+        return CandidateSet((), None, (), 0.0)
+    if not any(k in BACKUP_KINDS for k in final):
+        backup = None
+    ms = {k: ms[k] for k in final}
     price_n = normalize({k: params[k].price for k in final})
     time_n = normalize({k: params[k].time for k in final})
     ms_n = normalize(ms)
@@ -185,9 +195,12 @@ def select_action(
     Below the tenant's trigger threshold, nothing happens. Otherwise the
     candidate set is `resolve_candidates`'s, ranked by adaptation cost
     (`cost_rank`); `CandidateSet.candidate` looks up the one to apply.
-    `memo` keeps resolved candidate sets by (task id, attack type, tier,
-    detector kind) across calls that share `cfg`, `cloud` and each task's
-    bound service `current`, as the instances of one experiment do.
+    `memo` serves calls that share `cfg`, `cloud`, each attack type's `spec`
+    and each task's bound service `current`, as the instances of one
+    experiment do. It keeps three things: each (task id, detector kind)'s
+    `task_actions`, so a backup is looked up at most once for it; each (task
+    id, attack type, detector kind)'s mitigation scores; and each (task id,
+    attack type, tier, detector kind)'s candidate set.
     """
     afr = trust.afr(event.service_id, event.attack_type)
     score = attack_score(task.requirements, spec.impact, afr, SEVERITY_LEVEL[event.level])
@@ -195,12 +208,22 @@ def select_action(
         return SelectionResult(score)
     if memo is None:
         memo = {}
-    key = (task.id, event.attack_type, event.level, event.detected_in)
+    at, detected_in = event.attack_type, event.detected_in
+    key = (task.id, at, event.level, detected_in)
     candidates = memo.get(key)
     if candidates is None:
+        actions = memo.get((task.id, detected_in))
+        if actions is None:
+            actions = memo[task.id, detected_in] = task_actions(task, current, cloud, detected_in)
+        backup, params = actions
+        ms = memo.get((task.id, at, detected_in))
+        if ms is None:
+            ms = memo[task.id, at, detected_in] = {
+                k: mitigation_score(task.requirements, spec.impact, p.mitigation_impact)
+                for k, p in params.items()
+            }
         candidates = memo[key] = resolve_candidates(
-            task, spec, event.level, event.detected_in, cfg, cloud, current
-        )
+            spec.mitigation_actions[event.level], backup, params, ms, cfg)
     return SelectionResult(score, candidates)
 
 
@@ -231,7 +254,7 @@ def apply_middleware_action(
     `backup`, and record the violation against the original service's
     trust."""
     kind, task_id = chosen.kind, event.task_id
-    if kind in (ActionKind.REWORK, ActionKind.REDUNDANCY) and backup is None:
+    if kind in BACKUP_KINDS and backup is None:
         raise NoBackupError(f"{kind.value} on {task_id!r} lost its backup service")
     if kind is ActionKind.REWORK:
         change = (backup.price, backup.response_time * state.late_multiplier(), 0.0)

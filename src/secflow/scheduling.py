@@ -59,13 +59,16 @@ class TrustRepository:
 
     def observe(self, hits):
         """One EWMA update of every rate: whether its (service id, AttackType)
-        pair is in `hits`. `_ewma` inline: its expression and clamp, in place,
-        in the table's key order."""
+        pair is in `hits`. The values of `_ewma`, in place, in the table's key
+        order: EWMA_BETA is added on a hit only (a miss adds `EWMA_BETA *
+        0.0`, which the clamp cannot tell from nothing), and the clamp is the
+        `>`/`<` tests of `min(1.0, max(0.0, ·))`, which send NaN and -0.0 to
+        0.0."""
         history = self.afr_history
         keep = 1.0 - EWMA_BETA
         for key, old in history.items():
-            new = keep * old + EWMA_BETA * (1.0 if key in hits else 0.0)
-            history[key] = min(1.0, max(0.0, new))
+            new = keep * old + EWMA_BETA if key in hits else keep * old
+            history[key] = (new if new < 1.0 else 1.0) if new > 0.0 else 0.0
 
     def scale_afr(self, service_id: str, attack_type: AttackType, factor: float):
         """Multiplicative AFR adjustment (used by reconfiguration actions)."""

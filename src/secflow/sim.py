@@ -171,8 +171,9 @@ class ExecutionState:
 
 class Layout:
     """The parts of a workflow that every instance reads and none changes:
-    the topological order, the tasks by id, the control edges into each task
-    and each task's data successors."""
+    the topological order, the tasks by id, the control edges into each task,
+    each task's control predecessors (the edges' sources, as a tuple in edge
+    order, keyed in topological order) and each task's data successors."""
 
     def __init__(self, workflow: Workflow):
         self.order = workflow.topological_order()
@@ -180,6 +181,7 @@ class Layout:
         self.incoming = {t.id: [] for t in workflow.tasks}
         for e in workflow.control_edges:
             self.incoming[e.dst].append(e)
+        self.preds = {tid: tuple(e.src for e in self.incoming[tid]) for tid in self.order}
         self.data_succ = {}
         for e in workflow.data_edges:
             self.data_succ.setdefault(e.src, set()).add(e.dst)
@@ -190,13 +192,16 @@ class Experiment:
     the plan checked against the cloud, each task's bound service, the cloud,
     the detectors (one per `DatasetKind`), the severity model, the tenant
     config, the trust repository the instances share, the attack rate and
-    the candidate sets resolved so far (`decision.select_action`'s memo,
-    valid while the cloud and the tenant config stay those of the
-    experiment). `run_experiment` builds one and passes it to every
-    instance; it is dropped with the experiment. `spreads`, which scale a
-    learner's rewards, hold each `rl.ATTR_NAMES` attribute's max - min over
-    the burn-in rounds, as `run_experiment` sets them, or 0. A spread of 0,
-    as after a burn-in of 0 or 1 rounds, contributes 0 to every reward.
+    `selections`, `decision.select_action`'s memo: each task's backup and
+    action params per detector kind, its mitigation scores per (attack
+    type, detector kind) and its candidate sets per (attack type, tier,
+    detector kind) resolved so far, valid while the cloud and the tenant
+    config stay those of the experiment. `run_experiment` builds one and
+    passes it to every instance; it is dropped with the experiment.
+    `spreads`, which scale a learner's rewards, hold each `rl.ATTR_NAMES`
+    attribute's max - min over the burn-in rounds, as `run_experiment` sets
+    them, or 0. A spread of 0, as after a burn-in of 0 or 1 rounds,
+    contributes 0 to every reward.
     `seed_words` maps an instance seed to its streams' `instance_seed_words`
     row; `run_experiment` fills it for all its seeds before the first
     instance, and an instance derives a seed it does not hold."""
@@ -247,11 +252,18 @@ def _executed_tasks(layout: Layout, branch_rng):
 
 def makespan(layout: Layout, durations):
     """Critical-path completion time; a task without a duration takes zero
-    time but still propagates its predecessors' finish times."""
+    time but still propagates its predecessors' finish times. A task starts
+    at the fold of its predecessors' finish times with `>` tests, from the
+    first one (0.0 without one), as `max` folds them."""
     finish = {}
-    for tid in layout.order:
-        start = max((finish[e.src] for e in layout.incoming[tid]), default=0.0)
-        finish[tid] = start + durations.get(tid, 0.0)
+    get = durations.get
+    for tid, preds in layout.preds.items():
+        start = finish[preds[0]] if preds else 0.0
+        for src in preds:
+            f = finish[src]
+            if f > start:
+                start = f
+        finish[tid] = start + get(tid, 0.0)
     return max(finish.values(), default=0.0)
 
 

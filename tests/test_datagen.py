@@ -304,3 +304,23 @@ def test_scalar_draw_matches_one_row_of_the_array_draw(kind, label, mode):
         assert record == _reference_row(kind, label, intensity, batch).tolist()
     # the whole state, with the 32-bit half `integers(0, 3)` leaves buffered
     assert scalar.bit_generator.state == batch.bit_generator.state
+
+
+def test_scalar_draw_clamps_at_both_bounds():
+    """At intensity 1.0, NTD probe records floor serror_rate at 0.0 and CLF
+    r2l records cap ram_util at 1.0; each record still equals the array
+    draw's row. protocol_type, whose values include 0.0 and 1.0, is left out
+    of both counts."""
+    floored = capped = 0
+    for kind, label in ((DatasetKind.NTD, "probe"), (DatasetKind.CLF, "r2l")):
+        scalar, batch = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(300):
+            record = datagen.sample_features(kind, label, 1.0, scalar)
+            assert record == _reference_row(kind, label, 1.0, batch).tolist()
+            for name, value in zip(datagen.FEATURES[kind], record):
+                if name == "protocol_type":
+                    continue
+                floored += value == 0.0
+                capped += name in datagen._UNIT_FEATURES and value == 1.0
+    assert floored > 0
+    assert capped > 0

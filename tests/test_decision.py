@@ -1,11 +1,14 @@
 """Decision engine: trigger, candidate intersection, backup resolution, and
 tenant/middleware action application."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secflow import decision
 from secflow.datagen import DatasetKind
 from secflow.decision import (
     AttackEvent,
@@ -266,6 +269,62 @@ class TestCandidateMemo:
             ) == fresh
         candidates = [s.candidates for s in selections.values()]
         assert all(a != b for i, a in enumerate(candidates) for b in candidates[i + 1:])
+
+    def test_backup_under_one_detector_kind_only(self, monkeypatch):
+        """The bound service's only alternative shares its provider: NTD
+        resolves it as the backup, CLF resolves none and drops Rework and
+        Redundancy. Memoized selections equal fresh ones for every tier and
+        both kinds, and the backup is looked up at most once per (task,
+        detector kind) for the memo."""
+        tasks = [make_task("t0", cia=(1.0, 1.0, 1.0)), make_task("t1", cia=(0.9, 0.9, 0.9))]
+        cloud = make_cloud([
+            make_service("p0-s0", "p0", price=2.0, time=10.0, afr=1.0),
+            make_service("p0-s1", "p0", price=1.0, time=12.0, afr=1.0),
+            make_service("p1-s0", "p1", price=3.0, time=8.0, afr=1.0,
+                         guarantees=(0.5, 0.5, 0.5)),
+        ])
+        trust = TrustRepository.from_cloud(cloud)
+        svc = cloud.service_map()["p0-s0"]
+        backup_kinds = {ActionKind.REWORK, ActionKind.REDUNDANCY}
+        by_id = {t.id: t for t in tasks}
+        cases = [(t.id, at, level, kind) for t in tasks for at in AttackType
+                 for level in Severity for kind in DatasetKind]
+
+        def select(tid, at, level, kind, *memo):
+            return select_action(by_id[tid], _event(at, level, kind, tid), CATALOG[at],
+                                 TenantConfig(), cloud, trust, svc, *memo)
+
+        fresh = {case: select(*case) for case in cases}
+        lookups = Counter()
+
+        def find_backup(task, current, cloud, detected_in):
+            lookups[task.id, detected_in] += 1
+            return find_backup_service(task, current, cloud, detected_in)
+
+        monkeypatch.setattr(decision, "find_backup_service", find_backup)
+        memo = {}
+        for _ in range(2):
+            for case in cases:
+                assert select(*case, memo) == fresh[case]
+        assert set(lookups.values()) == {1}
+        assert set(lookups) == {(t.id, kind) for t in tasks for kind in DatasetKind}
+
+        adapted = [(case, res.candidates) for case, res in fresh.items()
+                   if _outcome(res) == "adapted"]
+        ntd_backups = {c.backup.id for (*_, kind), c in adapted
+                       if kind is DatasetKind.NTD and c.backup is not None}
+        assert ntd_backups == {"p0-s1"}
+        # cases whose NTD set holds a backup kind that CLF drops from its own
+        assert any(_outcome(fresh[(*case[:3], DatasetKind.CLF)]) == "adapted"
+                   for case, c in adapted if c.backup is not None)
+        for (*_, kind), c in adapted:
+            if kind is DatasetKind.CLF:
+                assert c.backup is None
+                assert not backup_kinds & set(c.ranked)
+            elif c.backup is None:
+                assert not backup_kinds & set(c.ranked)
+            else:
+                assert backup_kinds & set(c.ranked)
 
     def _setup(self):
         task = make_task(cia=(1.0, 1.0, 1.0))

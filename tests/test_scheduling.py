@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secflow.model import AttackType, TenantConfig, Workflow
-from secflow.scheduling import TrustRepository, UnschedulableError, eligible_services, schedule
+from secflow.scheduling import (
+    TrustRepository,
+    UnschedulableError,
+    _ewma,
+    eligible_services,
+    schedule,
+)
 from tests.conftest import make_cloud, make_service, make_task
 
 
@@ -121,3 +127,25 @@ class TestTrustRepository:
                 assert after <= before + 1e-12
             else:
                 assert after >= before - 1e-12
+
+    def test_observe_equals_ewma_of_each_rate(self):
+        """Every rate after `observe(hits)` is bit-equal to `_ewma(old, key in
+        hits)`, in the same key order; a hit outside the table adds nothing.
+        The table holds both zeros, 1.0 hit and missed, out-of-range and NaN
+        rates for the clamp, and a rate that repeated hits saturate."""
+        rates = {"zero": 0.0, "neg-zero": -0.0, "one": 1.0, "one-hit": 1.0,
+                 "saturating": 0.95, "above": 1.5, "above-hit": 1.5, "below": -0.5,
+                 "below-hit": -0.5, "nan": float("nan"), "nan-hit": float("nan"),
+                 "neg-zero-hit": -0.0}
+        repo = TrustRepository({(name, AttackType.DOS): rate for name, rate in rates.items()})
+        hits = {(name, AttackType.DOS) for name in rates if name.endswith("hit")}
+        hits |= {("saturating", AttackType.DOS), ("absent", AttackType.DOS)}
+        order = list(repo.afr_history)
+        for _ in range(400):
+            want = {key: _ewma(old, key in hits) for key, old in repo.afr_history.items()}
+            repo.observe(hits)
+            assert list(repo.afr_history) == order
+            assert {k: v.hex() for k, v in repo.afr_history.items()} == {
+                k: v.hex() for k, v in want.items()}
+        saturated = repo.afr("saturating", AttackType.DOS)
+        assert 0.999 < saturated == _ewma(saturated, True)  # a fixed point under hits

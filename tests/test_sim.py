@@ -135,6 +135,33 @@ class TestMakespan:
         wf = Workflow(tasks=(), control_edges=(), data_edges=())
         assert makespan(Layout(wf), {}) == 0.0
 
+    @staticmethod
+    def _reference(wf, durations):
+        """Critical path with `max` over the incoming edges and over the
+        finish times."""
+        finish = {}
+        for tid in wf.topological_order():
+            start = max((finish[e.src] for e in wf.control_edges if e.dst == tid),
+                        default=0.0)
+            finish[tid] = start + durations.get(tid, 0.0)
+        return max(finish.values(), default=0.0)
+
+    @pytest.mark.parametrize("wf_class", list(WorkflowClass))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_max_reference_on_generated_workflows(self, wf_class, seed):
+        """Exactly the reference's float, on random durations (some zero,
+        some tied) with a random subset of tasks left without one."""
+        wf = generate_workflow_class(wf_class, seed)
+        layout = Layout(wf)
+        rng = random.Random(seed)
+        for _ in range(20):
+            durations = {t.id: rng.choice((0.0, 1.0, rng.uniform(0.0, 50.0)))
+                         for t in wf.tasks if rng.random() < 0.8}
+            got = makespan(layout, durations)
+            want = self._reference(wf, durations)
+            assert got == want
+            assert got.hex() == want.hex()
+
 
 class TestInjection:
     def _run(self, rate, seed=0):
