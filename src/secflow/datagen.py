@@ -333,17 +333,25 @@ def sample_features(kind: DatasetKind, label: str, intensity: float, rng) -> lis
     """Draw one record of `label` as a list of floats; `intensity` is its
     severity signal (ignored for normal records). Consumes `rng` exactly as
     one row of `_sample_columns` does: each run of continuous features is
-    one `standard_normal` block, and `loc + sd * z` is the double arithmetic
-    of numpy's scalar `normal(loc, sd)`; protocol_type stays one scalar
-    `integers(0, 3)`, which draws from PCG64's buffered 32-bit half. The
-    clamps are the `>`/`<` tests of `min(max(v, 0.0), 1.0)`, so -0.0 and NaN
-    pass through as they do there."""
+    one `standard_normal` block (a scalar draw for a run of one), and
+    `loc + sd * z` is the double arithmetic of numpy's scalar `normal(loc,
+    sd)`. protocol_type is numpy's bounded `integers(0, 3)` on the same
+    words: Lemire's multiply-shift of PCG64's `next_uint32`, which hands out
+    the buffered 32-bit half first, rejecting a word whose low product word
+    is below (2**32 - 3) % 3 == 1. The clamps are the `>`/`<` tests of
+    `min(max(v, 0.0), 1.0)`, so -0.0 and NaN pass through as they do
+    there."""
     record = []
     for run in _RUNS[kind, label]:
         if run is None:  # categorical protocol_type
-            record.append(float(rng.integers(0, 3)))
+            bitgen = rng.bit_generator.ctypes
+            m = bitgen.next_uint32(bitgen.state) * 3
+            while not m & 0xFFFFFFFF:
+                m = bitgen.next_uint32(bitgen.state) * 3
+            record.append(float(m >> 32))
             continue
-        for (mean, sd, sig, capped), z in zip(run, rng.standard_normal(len(run)).tolist()):
+        zs = [rng.standard_normal()] if len(run) == 1 else rng.standard_normal(len(run)).tolist()
+        for (mean, sd, sig, capped), z in zip(run, zs):
             loc = mean if sig is None else mean + (sig[0] + sig[1] * intensity)
             value = loc + sd * z
             if 0.0 > value:

@@ -6,6 +6,8 @@ middleware-level action to a running instance."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .datagen import DatasetKind
 from .model import (
@@ -32,9 +34,9 @@ class NoBackupError(RuntimeError):
     """No alternative service is available to price Rework/Redundancy."""
 
 
-@dataclass(frozen=True)
-class AttackEvent:
-    """A concrete detected attack occurrence on a bound task."""
+class AttackEvent(NamedTuple):
+    """A concrete detected attack occurrence on a bound task: an immutable
+    record, built for every detection, so a tuple."""
 
     attack_type: AttackType
     level: Severity
@@ -68,6 +70,14 @@ class CandidateSet:
     ranked: tuple  # candidate kinds, cheapest first
     ms_best: float
 
+    @cached_property
+    def audit(self) -> tuple:
+        """Each breakdown as the dict an adapted event lists, built once per
+        set; an event takes copies."""
+        return tuple({"kind": b.kind.value, "price": b.price, "time": b.time,
+                      "mitigation": b.mitigation, "value": b.value, "cost": b.total}
+                     for b in self.breakdowns)
+
     def candidate(self, kind: ActionKind) -> CostBreakdown:
         """The candidate of `kind`; a kind outside the set raises ValueError."""
         for b in self.breakdowns:
@@ -76,10 +86,10 @@ class CandidateSet:
         raise ValueError(f"{kind!r} is outside the candidate set")
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     """A selection's trigger score and its candidates: None below the trigger
-    threshold, an empty `ranked` when the attack is unmitigable."""
+    threshold, an empty `ranked` when the attack is unmitigable. An
+    immutable record, built for every detection, so a tuple."""
 
     trigger_score: float
     candidates: CandidateSet | None = None

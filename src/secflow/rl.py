@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 
-from .model import array_at, fields_at, load_document
+from .model import ActionKind, AttackType, Severity, array_at, fields_at, load_document
 
 
 class RLDomainError(ValueError):
@@ -75,8 +75,12 @@ def attr_bounds(rows) -> tuple:
             {n: max(r[n] for r in rows) for n in ATTR_NAMES})
 
 
+#: Each ActionKind's Q-table key, its value, read once.
+_ACTION_KEYS = {kind: kind.value for kind in ActionKind}
+
+
 def _action_key(action):
-    return action.value if hasattr(action, "value") else str(action)
+    return _ACTION_KEYS.get(action) or str(action)
 
 
 @dataclass
@@ -104,8 +108,9 @@ def q_update(table: QTable, state, action, r: float, next_state, next_candidates
 
 
 def predict(table: QTable, state, candidates):
-    """Greedy argmax over the candidate set; unseen pairs value 0; ties break
-    on candidate declaration order."""
+    """Greedy argmax over the candidate set; unseen pairs value 0; ties go to
+    the first candidate given. `sim.instance_episode` gives them ranked
+    cheapest-first, so there a tie goes to the cheapest."""
     if not candidates:
         raise RLDomainError("empty candidate set")
     return max(candidates, key=lambda a: table.q(state, a))  # max keeps the first
@@ -160,10 +165,13 @@ def run_training_episode(table, episode, epsilon, rng):
 # ---------------------------------------------------------------------------
 # State key
 
+_STATE_KEYS = {(at, level): f"{at.value}|{level.value}" for at in AttackType for level in Severity}
+
+
 def workflow_state_key(attack_type, level) -> str:
     """The state the learner sees at a decision: the detected `AttackType` and
     its `Severity` tier, as "<type>|<tier>" (e.g. "dos|high")."""
-    return f"{attack_type.value}|{level.value}"
+    return _STATE_KEYS[attack_type, level]
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,20 @@ class TrustRepository:
         rates = [self.afr_history[(service_id, at)] for at in AttackType]
         return min(1.0, max(0.0, 1.0 - sum(rates) / len(rates)))
 
+    def _unknown(self, service_id, attack_type) -> KeyError:
+        """The error for a (service id, attack type) pair the table lacks,
+        naming the part of it that is unknown."""
+        if not isinstance(attack_type, AttackType):
+            return KeyError(f"unknown attack type {attack_type!r}")
+        if all(sid != service_id for sid, _ in self.afr_history):
+            return KeyError(f"unknown service {service_id!r}")
+        return KeyError(f"no rate for service {service_id!r} and type {attack_type.value!r}")
+
     def update(self, service_id: str, attack_type: AttackType, detected: bool):
         """EWMA update of the per-type rate."""
         key = (service_id, attack_type)
         if key not in self.afr_history:
-            raise KeyError(f"unknown service {service_id!r}")
+            raise self._unknown(service_id, attack_type)
         self.afr_history[key] = _ewma(self.afr_history[key], detected)
 
     def observe(self, hits):
@@ -74,7 +83,7 @@ class TrustRepository:
         """Multiplicative AFR adjustment (used by reconfiguration actions)."""
         key = (service_id, attack_type)
         if key not in self.afr_history:
-            raise KeyError(f"unknown service {service_id!r}")
+            raise self._unknown(service_id, attack_type)
         self.afr_history[key] = min(1.0, max(0.0, self.afr_history[key] * factor))
 
 

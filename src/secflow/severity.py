@@ -125,28 +125,28 @@ class SeverityEntry(FittedModel):
 
     @cached_property
     def _lists(self):
-        # scale_mean, scale_std and centroids as Python floats
-        return self.scale_mean.tolist(), self.scale_std.tolist(), self.centroids.tolist()
+        # scale_mean, scale_std and centroids as Python floats, and each
+        # cluster's level as its SEVERITY_ORDER rank
+        return (self.scale_mean.tolist(), self.scale_std.tolist(), self.centroids.tolist(),
+                [SEVERITY_ORDER.index(level) for level in self.cluster_level])
 
     def assess(self, features) -> Severity:
-        """The severity of one record: its nearest centroid's level. The
-        distances are `np.sum((centroids - x) ** 2, axis=1)` on Python floats,
-        with the same operations in the same order (numpy sums fewer than 8
-        values as a left fold)."""
-        scale_mean, scale_std, centroids = self._lists
+        """The severity of one record: its nearest centroid's level;
+        equidistant clusters resolve to the lower severity, then to the lower
+        index. The distances are `np.sum((centroids - x) ** 2, axis=1)` on
+        Python floats, with the same operations in the same order (numpy sums
+        fewer than 8 values as a left fold), and the running best keeps the
+        order of `min` over (distance, rank) tuples."""
+        scale_mean, scale_std, centroids, rank = self._lists
         x = [(float(features[i]) - m) / s for i, m, s in
              zip(self.feature_indices, scale_mean, scale_std)]
-        d2 = []
-        for centroid in centroids:
-            total = 0.0
+        best = best_d2 = None
+        for j, centroid in enumerate(centroids):
+            d2 = 0.0
             for c, v in zip(centroid, x):
-                total += (c - v) * (c - v)
-            d2.append(total)
-        # equidistant clusters resolve to the lower severity
-        best = min(
-            range(len(d2)),
-            key=lambda j: (d2[j], SEVERITY_ORDER.index(self.cluster_level[j])),
-        )
+                d2 += (c - v) * (c - v)
+            if best is None or (d2 < best_d2 if d2 != best_d2 else rank[j] < rank[best]):
+                best, best_d2 = j, d2
         return self.cluster_level[best]
 
 

@@ -14,10 +14,8 @@ passes only `rl.predict` over a trained Q-table, which it leaves unchanged.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -268,6 +266,10 @@ def makespan(layout: Layout, durations):
 
 
 ATTACK_TYPES = list(AttackType)
+_ATTACK_BY_VALUE = {at.value: at for at in AttackType}
+#: The string of every enum member an event names, read once: `.value` is a
+#: property call.
+_VALUE = {m: m.value for members in (AttackType, Severity, ActionKind) for m in members}
 
 
 def _sample_attack_type(trust: TrustRepository, service_id, rng) -> AttackType:
@@ -275,7 +277,8 @@ def _sample_attack_type(trust: TrustRepository, service_id, rng) -> AttackType:
     or uniformly when every rate is 0. The float operations and the one
     double drawn are those of `rng.choice(len(types), p=weights / total)`:
     p is normalized by the left-fold sum, its running sum is divided by its
-    last value, and `bisect_right` places one `rng.random()`."""
+    last value, and the type drawn is the first whose normalized sum is
+    above one `rng.random()`, where `bisect_right` places it."""
     history = trust.afr_history
     weights = [history[service_id, at] for at in ATTACK_TYPES]
     total = 0.0
@@ -286,8 +289,14 @@ def _sample_attack_type(trust: TrustRepository, service_id, rng) -> AttackType:
         total += w
     if total <= 0:
         return ATTACK_TYPES[int(rng.integers(len(ATTACK_TYPES)))]
-    cdf = list(itertools.accumulate(w / total for w in weights))
-    return ATTACK_TYPES[bisect.bisect_right([c / cdf[-1] for c in cdf], rng.random())]
+    cdf, last = [], 0.0
+    for w in weights:
+        last += w / total
+        cdf.append(last)
+    u = rng.random()
+    for at, c in zip(ATTACK_TYPES, cdf):
+        if c / last > u:
+            return at
 
 
 # The hashing of numpy's SeedSequence (pool size 4, the constants of
@@ -434,7 +443,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
         true_type, label, intensity = None, NORMAL, 0.0
         if attack_rng.random() < attack_rate:
             true_type = _sample_attack_type(trust, svc.id, attack_rng)
-            label, intensity = true_type.value, 1.0 - attack_rng.random()  # (0, 1]
+            label, intensity = _VALUE[true_type], 1.0 - attack_rng.random()  # (0, 1]
         kind = DatasetKind.NTD if telem_rng.random() < 0.5 else DatasetKind.CLF
         record = datagen.sample_features(kind, label, intensity, telem_rng)
         predicted = detectors[kind].predict(record)
@@ -453,7 +462,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
         # the type an outcome reports, which `_reconcile_trust` feeds to trust:
         # the true one when the attack goes unseen, else the predicted one
         entry = {"task": tid, "service": svc.id,
-                 "type": true_type.value if predicted == NORMAL else predicted}
+                 "type": label if predicted == NORMAL else predicted}
         events.append(entry)
 
         if predicted == NORMAL:
@@ -463,18 +472,12 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
             continue
 
         detected += 1
-        pred_type = AttackType(predicted)
+        pred_type = _ATTACK_BY_VALUE[predicted]
         try:
             level = severity_model.assess(kind, pred_type, record)
         except AssessmentError:
             level = Severity.MEDIUM
-        event = AttackEvent(
-            attack_type=pred_type,
-            level=level,
-            detected_in=kind,
-            task_id=tid,
-            service_id=svc.id,
-        )
+        event = AttackEvent(pred_type, level, kind, tid, svc.id)
         result = select_action(
             task, event, ATTACK_CATALOG[pred_type], cfg, cloud, trust, svc, selections,
         )
@@ -491,7 +494,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
 
         # a real decision point; candidates are presented cheapest-first so a
         # cold-start greedy choice degrades to the nominal-cost ranking
-        breakdowns, ranked = candidates.breakdowns, candidates.ranked
+        ranked = candidates.ranked
         chosen = candidates.candidate(
             choose(rl.workflow_state_key(pred_type, level), ranked) if choose else ranked[0])
         before = state.accumulated() if learn else None
@@ -508,20 +511,10 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
         adapted += 1
         entry.update(
             outcome="adapted",
-            severity=level.value,
-            chosen=chosen.kind.value,
+            severity=_VALUE[level],
+            chosen=_VALUE[chosen.kind],
             level="middleware" if middleware else "tenant",
-            candidates=[
-                {
-                    "kind": b.kind.value,
-                    "price": b.price,
-                    "time": b.time,
-                    "mitigation": b.mitigation,
-                    "value": b.value,
-                    "cost": b.total,
-                }
-                for b in breakdowns
-            ],
+            candidates=[c.copy() for c in candidates.audit],
         )
         if learn is not None:
             # the decision's own share of the run metric: the ledger change it
@@ -674,7 +667,6 @@ def run_experiment(
 
 
 _DETECTED_OUTCOMES = frozenset({"adapted", "unmitigable", "below-threshold"})
-_ATTACK_BY_VALUE = {at.value: at for at in AttackType}
 
 
 def _reconcile_trust(trust: TrustRepository, result: RunResult):

@@ -1,5 +1,7 @@
 """Synthetic telemetry generation: schemas, mixes, determinism, intensity."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,45 @@ def test_scalar_draw_clamps_at_both_bounds():
                 capped += name in datagen._UNIT_FEATURES and value == 1.0
     assert floored > 0
     assert capped > 0
+
+
+def test_protocol_draw_leaves_the_state_of_integers():
+    """NTD records interleaved with CLF records and `random()` calls. Each NTD
+    record draws one 32-bit word for protocol_type, so PCG64's other half is
+    left buffered after an odd count of them and empty after an even one,
+    and the 64-bit draws between them keep it. After every step the whole
+    state equals that of a twin drawing protocol_type with `integers(0, 3)`
+    between an NTD record's one-value and six-value normal blocks."""
+    ours, twin = np.random.default_rng(21), np.random.default_rng(21)
+    steps = np.random.default_rng(22)
+    buffered = set()
+    for _ in range(600):
+        step = int(steps.integers(3))
+        if step == 0:
+            record = datagen.sample_features(DatasetKind.NTD, "probe", 0.5, ours)
+            twin.standard_normal()
+            assert record[1] == float(twin.integers(0, 3))
+            twin.standard_normal(6)
+        elif step == 1:
+            record = datagen.sample_features(DatasetKind.CLF, NORMAL, 0.0, ours)
+            assert record == _reference_row(DatasetKind.CLF, NORMAL, 0.0, twin).tolist()
+        else:
+            assert ours.random() == twin.random()
+        assert ours.bit_generator.state == twin.bit_generator.state
+        buffered.add(ours.bit_generator.state["has_uint32"])
+    assert buffered == {0, 1}
+
+
+def test_protocol_draw_rejects_a_zero_low_word():
+    """Lemire's step for range 3 rejects a word whose product with 3 has a
+    low word below (2**32 - 3) % 3 == 1, which only the word 0 has; the next
+    word, 2**31, gives (3 * 2**31) >> 32 == 1. No generator can be steered to
+    a zero word, so the words come from a stand-in."""
+    words = iter([0, 2 ** 31, 5])
+    rng = SimpleNamespace(
+        bit_generator=SimpleNamespace(ctypes=SimpleNamespace(
+            state=None, next_uint32=lambda state: next(words))),
+        standard_normal=lambda size=None: 0.0 if size is None else np.zeros(size))
+    record = datagen.sample_features(DatasetKind.NTD, NORMAL, 0.0, rng)
+    assert record[1] == 1.0
+    assert next(words) == 5

@@ -247,6 +247,20 @@ class TestStateKeys:
     def test_key_structure(self):
         assert workflow_state_key(AttackType.DOS, Severity.HIGH) == "dos|high"
 
+    def test_every_state_key_is_type_bar_tier(self):
+        keys = {workflow_state_key(at, level) for at in AttackType for level in Severity}
+        assert keys == {f"{at.value}|{level.value}" for at in AttackType for level in Severity}
+        assert len(keys) == 12
+
+    def test_action_kind_and_its_value_share_an_entry(self):
+        table = QTable()
+        for kind in ActionKind:
+            q_update(table, "dos|high", kind, 1.0, None, ())
+            q_update(table, "dos|high", kind.value, 1.0, None, ())
+        assert list(table.entries) == [("dos|high", kind.value) for kind in ActionKind]
+        for kind in ActionKind:
+            assert table.q("dos|high", kind) == table.q("dos|high", kind.value) == 0.1 + 0.09
+
     def test_table_json_round_trip(self):
         table = QTable(config=RLConfig(alpha=0.5, epsilon=0.2))
         table.entries[("dos|high", ActionKind.SKIP.value)] = 0.5

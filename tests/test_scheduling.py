@@ -1,5 +1,7 @@
 """Trust-aware scheduling and the provider trust repository."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,27 @@ class TestTrustRepository:
         repo = self._repo()
         with pytest.raises(KeyError):
             repo.update("nope", AttackType.DOS, detected=True)
+
+    @pytest.mark.parametrize("method, arg", [("update", True), ("scale_afr", 0.5)])
+    @pytest.mark.parametrize("service_id, attack_type, message", [
+        ("nope", AttackType.DOS, "unknown service 'nope'"),
+        ("p0-s0", "dos", "unknown attack type 'dos'"),
+        ("nope", "dos", "unknown attack type 'dos'"),
+    ])
+    def test_unknown_key_names_the_unknown_part(self, method, arg, service_id, attack_type,
+                                                message):
+        repo = self._repo()
+        before = dict(repo.afr_history)
+        with pytest.raises(KeyError, match=re.escape(message)):
+            getattr(repo, method)(service_id, attack_type, arg)
+        assert repo.afr_history == before
+
+    @pytest.mark.parametrize("method, arg", [("update", True), ("scale_afr", 0.5)])
+    def test_missing_pair_of_known_parts_names_both(self, method, arg):
+        repo = TrustRepository({("p0-s0", AttackType.DOS): 0.5})
+        with pytest.raises(KeyError, match="no rate for service 'p0-s0' and type 'probe'"):
+            getattr(repo, method)("p0-s0", AttackType.PROBE, arg)
+        assert repo.afr_history == {("p0-s0", AttackType.DOS): 0.5}
 
     def test_detection_never_increases_trust(self):
         repo = self._repo()

@@ -365,3 +365,63 @@ def test_equidistant_clusters_resolve_to_lower_severity():
     # standardized (0, 0) lies 0.25 from both the HIGH and the LOW centroid
     record = [0.0, 7.0, 1.0]
     assert entry.assess(record) == _reference_assess(entry, record) == Severity.LOW
+
+
+def _grid_entry(centroids, levels):
+    """An entry over every feature of a record, unscaled."""
+    centroids = np.asarray(centroids, dtype=float)
+    k, n = centroids.shape
+    return SeverityEntry(
+        feature_indices=tuple(range(n)),
+        scale_mean=np.zeros(n),
+        scale_std=np.ones(n),
+        centroids=centroids,
+        cluster_mean_intensity=np.zeros(k),
+        cluster_level=tuple(levels),
+    )
+
+
+def test_running_best_matches_min_on_tied_grids():
+    """Centroids and records on a small integer grid, so that many records
+    lie equidistant from two or more clusters, with levels that repeat: the
+    running best picks the level `min` over (distance, rank) picks."""
+    rng = np.random.default_rng(4)
+    ties = 0
+    for _ in range(200):
+        k, n = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        entry = _grid_entry(rng.integers(-2, 3, size=(k, n)),
+                            [SEVERITY_ORDER[i] for i in rng.integers(0, 3, size=k)])
+        for x in rng.integers(-3, 4, size=(20, n)).astype(float):
+            d2 = np.sum((entry.centroids - x) ** 2, axis=1)
+            ties += int(np.sum(d2 == d2.min()) > 1)
+            assert entry.assess(list(x)) is _reference_assess(entry, x)
+    assert ties > 100
+
+
+class _SameLevel:
+    """Equal to one severity level but not that member, so the level
+    `assess` returns shows which of two same-level clusters won."""
+
+    def __init__(self, level):
+        self.level = level
+
+    def __eq__(self, other):
+        return other is self.level or other is self
+
+    __hash__ = object.__hash__
+
+
+def test_equidistant_lower_severity_at_the_lower_index_is_kept():
+    """The lower-index order of `test_equidistant_clusters_resolve_to_lower_severity`."""
+    entry = _grid_entry([[0.5, 0.0], [-0.5, 0.0], [0.0, 3.0]],
+                        [Severity.LOW, Severity.HIGH, Severity.MEDIUM])
+    record = [0.0, 0.0]  # 0.25 from the first two centroids
+    assert entry.assess(record) is _reference_assess(entry, record) is Severity.LOW
+
+
+def test_equidistant_clusters_of_one_level_resolve_to_the_lower_index():
+    first, second = _SameLevel(Severity.MEDIUM), _SameLevel(Severity.MEDIUM)
+    entry = _grid_entry([[3.0, 3.0], [0.5, 0.0], [-0.5, 0.0]],
+                        [Severity.LOW, first, second])
+    record = [0.0, 0.0]  # 0.25 from the last two centroids
+    assert entry.assess(record) is _reference_assess(entry, record) is first

@@ -465,13 +465,21 @@ class _FixedDraw(np.random.Generator):
 
 
 def test_attack_type_draw_matches_numpy_choice_at_cdf_boundaries():
+    """`u` just below, on and just above every running sum, normalized or
+    not; some rates are 0, so a running sum repeats and a `u` on it must
+    pass every zero-rate type, as `bisect_right` does."""
     cloud = generate_multicloud(3)
     trust = TrustRepository.from_cloud(cloud)
     svc = next(iter(cloud.services())).id
     states = np.random.default_rng(2)
     unnormalized = 0  # draws whose cdf does not end at exactly 1
+    with_zeros = 0
     for _ in range(300):
         weights = states.random(4) * 10.0 ** states.integers(-3, 1, size=4)
+        weights[states.random(4) < 0.3] = 0.0
+        if not weights.any():
+            continue
+        with_zeros += not weights.all()
         for at, w in zip(AttackType, weights.tolist()):
             trust.afr_history[(svc, at)] = w
         cdf = np.cumsum(weights / weights.sum())
@@ -482,6 +490,7 @@ def test_attack_type_draw_matches_numpy_choice_at_cdf_boundaries():
                     assert sim._sample_attack_type(trust, svc, _FixedDraw(u)) is (
                         _reference_attack_type(trust, svc, _FixedDraw(u)))
     assert unnormalized > 0
+    assert with_zeros > 100
 
 
 @pytest.mark.parametrize("rate", [np.inf, np.nan, -0.1])
