@@ -190,8 +190,9 @@ def table_to_json(table: QTable) -> str:
 
 def table_from_json(text: str) -> QTable:
     """A Q-table from its JSON document. Malformed input raises RLDomainError
-    naming the JSON path. A document with `discretization` holds bucketed
-    state keys, which no decision's key matches, and is refused."""
+    naming the JSON path; an entry's `state` and `action` are strings, each
+    pair given once. A document with `discretization` holds bucketed state
+    keys, which no decision's key matches, and is refused."""
     doc = load_document(text, RLDomainError)
     with fields_at("$", doc, RLDomainError):
         config, entries = doc["config"], array_at("$.entries", doc["entries"], RLDomainError)
@@ -206,6 +207,12 @@ def table_from_json(text: str) -> QTable:
         path = f"$.entries[{i}]"
         with fields_at(path, e, RLDomainError):
             key, q, n = (e["state"], e["action"]), e["q"], e["n"]
+        for name, value in zip(("state", "action"), key):
+            if type(value) is not str:
+                raise RLDomainError(f"{path}.{name}: must be a string, got {value!r}")
+        if key in table.entries:  # each earlier entry added one key, in order
+            raise RLDomainError(f"{path}: repeats the (state, action) pair of "
+                                f"$.entries[{list(table.entries).index(key)}]")
         # `type`, not `isinstance`: a JSON boolean is an int subclass
         if type(q) not in (int, float) or not math.isfinite(q):
             raise RLDomainError(f"{path}.q: must be a finite number, got {q!r}")

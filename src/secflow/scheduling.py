@@ -28,8 +28,9 @@ class UnschedulableError(RuntimeError):
 @dataclass
 class TrustRepository:
     """Live attack-frequency rates per (service, attack type), and the trust
-    score computed from them. One writer updates it in run order: trust
-    reconciliation between instances, middleware actions during one."""
+    score computed from them. Only instances write to it, one at a time in
+    run order: middleware actions during an instance, and one `observe`
+    pass over its detections at its end."""
 
     afr_history: dict = field(default_factory=dict)  # (service id, AttackType) -> [0,1]
 

@@ -163,10 +163,19 @@ class SeverityModel:
         return entry.assess(features)
 
 
+def cluster_levels(cluster_mean_intensity) -> tuple:
+    """Each cluster's Severity: ascending mean intensity gives low, medium,
+    high, and intensity ties go to the lower cluster index, so the ranking is
+    always strict."""
+    rank = sorted(range(K_CLUSTERS), key=lambda j: (cluster_mean_intensity[j], j))
+    return tuple(SEVERITY_ORDER[rank.index(j)] for j in range(K_CLUSTERS))
+
+
 def fit_severity_entry(ds: Dataset, attack_type: AttackType, seed: int) -> SeverityEntry:
     """Cluster the type's attack records (k=3) on their chi-square-selected,
     standardized features (the top `DEFAULT_TOP_K`, or all when fewer);
-    rank clusters by mean hidden intensity ascending into Low/Medium/High."""
+    each cluster's level is its `cluster_levels` rank by mean hidden
+    intensity."""
     selected = chi_square_select(ds, attack_type, min(DEFAULT_TOP_K, ds.X.shape[1]))
     mask = ds.labels == attack_type.value
     X = ds.X[mask][:, selected]
@@ -184,19 +193,13 @@ def fit_severity_entry(ds: Dataset, attack_type: AttackType, seed: int) -> Sever
     cluster_intensity = np.array(
         [intensity[labels == j].mean() for j in range(K_CLUSTERS)]
     )
-    # ascending mean intensity -> Low, Medium, High; intensity ties break on
-    # cluster index so the ranking is always strict
-    rank = sorted(range(K_CLUSTERS), key=lambda j: (cluster_intensity[j], j))
-    cluster_level = [None] * K_CLUSTERS
-    for pos, j in enumerate(rank):
-        cluster_level[j] = SEVERITY_ORDER[pos]
     return SeverityEntry(
         feature_indices=tuple(selected),
         scale_mean=mean,
         scale_std=std,
         centroids=centroids,
         cluster_mean_intensity=cluster_intensity,
-        cluster_level=tuple(cluster_level),
+        cluster_level=cluster_levels(cluster_intensity),
     )
 
 
@@ -253,21 +256,25 @@ def _entry_from_obj(e, path, n_features) -> SeverityEntry:
                 and all(type(i) is int and 0 <= i < n_features for i in indices)):
             raise ValueError(f"{path}.feature_indices: must be a non-empty array of feature "
                              f"indices in [0, {n_features})")
-        n, k = len(indices), len(centroids) if isinstance(centroids, list) else 0
-        centroids = floats_at(f"{path}.centroids", centroids, (max(k, 1), n), ValueError)
-        if not (isinstance(levels, list) and len(levels) == k
-                and all(v in [s.value for s in Severity] for v in levels)):
-            raise ValueError(f"{path}.cluster_level: must be {k} severity levels")
+        n = len(indices)
+        centroids = floats_at(f"{path}.centroids", centroids, (K_CLUSTERS, n), ValueError)
+        if not (isinstance(levels, list) and len(levels) == K_CLUSTERS):
+            raise ValueError(f"{path}.cluster_level: must be {K_CLUSTERS} severity levels")
         scale_std = floats_at(f"{path}.scale_std", e["scale_std"], (n,), ValueError)
         for i, std in enumerate(scale_std.tolist()):
             if std <= 0:  # fitting scales a constant feature by 1.0
                 raise ValueError(f"{path}.scale_std[{i}]: must be > 0, got {std!r}")
+        intensity = floats_at(f"{path}.cluster_mean_intensity", e["cluster_mean_intensity"],
+                              (K_CLUSTERS,), ValueError)
+        ranked = cluster_levels(intensity.tolist())
+        if levels != (names := [lv.value for lv in ranked]):
+            raise ValueError(f"{path}.cluster_level: must rank cluster_mean_intensity ascending "
+                             f"as low, medium, high: {json.dumps(names)}, got {json.dumps(levels)}")
         return SeverityEntry(
             feature_indices=tuple(indices),
             scale_mean=floats_at(f"{path}.scale_mean", e["scale_mean"], (n,), ValueError),
             scale_std=scale_std,
             centroids=centroids,
-            cluster_mean_intensity=floats_at(f"{path}.cluster_mean_intensity",
-                                             e["cluster_mean_intensity"], (k,), ValueError),
-            cluster_level=tuple(Severity(v) for v in levels),
+            cluster_mean_intensity=intensity,
+            cluster_level=ranked,
         )

@@ -406,7 +406,10 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
     cheapest-first)`, or the cheapest kind when `choose` is None; the state
     key is the detected attack type and severity (`rl.workflow_state_key`).
     If `learn` is given, call `learn(r)` with the decision's reward after
-    applying it; without it (lowest-cost, frozen), no reward is computed."""
+    applying it; without it (lowest-cost, frozen), no reward is computed.
+    Every trust write of the instance is made here: middleware actions' as
+    applied, then one `TrustRepository.observe` of each detected attack's
+    (service, predicted type), so rates track the per-run attack frequency."""
     layout, bound, trust = experiment.layout, experiment.bound, experiment.trust
     detectors, severity_model = experiment.detectors, experiment.severity_model
     cloud, cfg, attack_rate = experiment.cloud, experiment.cfg, experiment.attack_rate
@@ -423,6 +426,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
 
     injected = detected = adapted = unmitigated = failures = false_alarms = 0
     events = []
+    hits = set()  # (service id, predicted AttackType) of every detected attack
 
     # the failure stream is drawn once per executed task, in order, and for
     # nothing else, so one block holds every draw
@@ -459,8 +463,8 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
         true_damage = 1.0 - attack_score(
             task.requirements, ATTACK_CATALOG[true_type].impact, afr_static, intensity
         )
-        # the type an outcome reports, which `_reconcile_trust` feeds to trust:
-        # the true one when the attack goes unseen, else the predicted one
+        # the type an outcome reports: the true one when the attack goes
+        # unseen, else the predicted one
         entry = {"task": tid, "service": svc.id,
                  "type": label if predicted == NORMAL else predicted}
         events.append(entry)
@@ -473,6 +477,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
 
         detected += 1
         pred_type = _ATTACK_BY_VALUE[predicted]
+        hits.add((svc.id, pred_type))
         try:
             level = severity_model.assess(kind, pred_type, record)
         except AssessmentError:
@@ -523,6 +528,7 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
             learn(sum(rl.REWARD_WEIGHTS[n] * (after[n] - before[n]) / spread
                       for n, spread in experiment.spreads.items() if spread > 0))
 
+    trust.observe(hits)
     total_time = makespan(layout, state.durations())
     acc = state.accumulated()
     return RunResult(
@@ -630,8 +636,9 @@ def run_experiment(
     it made to the ledger totals, with s = `Experiment.spreads` from the
     burn-in. With `burn_in` 0 or 1 every reward and Q value is 0.0, and the
     policy is epsilon-exploration over a cheapest-first greedy. "frozen"
-    takes `qtable`'s greedy choices and learns nothing. Trust updates carry
-    over between rounds in run-index order. Deterministic given `seed`."""
+    takes `qtable`'s greedy choices and learns nothing. The burn-in settles
+    the trust rates first, so every strategy starts from the same state; trust
+    carries over between rounds in run-index order. Deterministic given `seed`."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if burn_in < 0:
@@ -648,37 +655,11 @@ def run_experiment(
     experiment.seed_words = dict(zip(all_seeds, instance_seed_words(all_seeds)))
     rounds = POLICIES[strategy](experiment, run_seeds, qtable, seed)
 
-    # settle the trust repository's attack-frequency estimates before the
-    # recorded rounds so every strategy starts from the same steady state
-    burn_in_attrs = []
-    for s in burn_in_seeds:
-        result = run_instance(experiment, s)
-        _reconcile_trust(trust, result)
-        burn_in_attrs.append(result.reward_attrs())
+    burn_in_attrs = [run_instance(experiment, s).reward_attrs() for s in burn_in_seeds]
     if burn_in_attrs:
         mins, maxs = rl.attr_bounds(burn_in_attrs)
         experiment.spreads = {n: maxs[n] - mins[n] for n in rl.ATTR_NAMES}
-
-    results = []
-    for result in rounds:
-        _reconcile_trust(trust, result)
-        results.append(result)
-    return ExperimentResult(runs=results)
-
-
-_DETECTED_OUTCOMES = frozenset({"adapted", "unmitigable", "below-threshold"})
-
-
-def _reconcile_trust(trust: TrustRepository, result: RunResult):
-    """After each run, fold the run's observations into the trust repository:
-    every service/type pair is EWMA-updated with whether a verified attack of
-    that type landed on the service, so the live rate tracks the observed
-    per-run attack frequency instead of ratcheting monotonically."""
-    trust.observe({
-        (e["service"], _ATTACK_BY_VALUE[e["type"]])
-        for e in result.events
-        if e["outcome"] in _DETECTED_OUTCOMES
-    })
+    return ExperimentResult(runs=list(rounds))
 
 
 def composite_rewards(results):

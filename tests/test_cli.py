@@ -535,6 +535,11 @@ def _rename_dos_entry(doc):
     doc["severity"]["ntd-dos"] = doc["severity"].pop("ntd/dos")
 
 
+def _levels_against_intensity(doc):
+    doc["severity"]["ntd/dos"].update(cluster_mean_intensity=[0.9, 0.1, 0.5],
+                                      cluster_level=["high", "medium", "low"])
+
+
 def _swap_forests(doc):
     detectors = doc["detectors"]
     detectors["ntd/random_forest"], detectors["clf/random_forest"] = (
@@ -584,6 +589,11 @@ class TestInputFileErrors:
             ("q.json", '{"config": {}, "entries": [{"state": "s", "action": "skip", '
              '"q": 0.5, "n": 1.5}]}',
              "q.json: $.entries[0].n: must be a non-negative integer, got 1.5"),
+            ("q.json", '{"config": {}, "entries": [{"state": "s", "action": ["skip"], '
+             '"q": 0.5, "n": 1}]}', "q.json: $.entries[0].action: must be a string, got ['skip']"),
+            ("q.json", '{"config": {}, "entries": [{"state": "s", "action": "skip", '
+             '"q": 0.5, "n": 1}, {"state": "s", "action": "skip", "q": 0.25, "n": 2}]}',
+             "q.json: $.entries[1]: repeats the (state, action) pair of $.entries[0]"),
             ("cfg.json", "[1]", "cfg.json: $: must be an object"),
             ("m.json", _edit(*_NTD_RF, "kind", to=lambda _: "svm"),
              'm.json: $.detectors["ntd/random_forest"].kind: must be \'random_forest\' or '
@@ -607,6 +617,10 @@ class TestInputFileErrors:
              'm.json: $.severity["ntd/dos"].cluster_level: must be 3 severity levels'),
             ("m.json", _edit(*_DOS, "cluster_mean_intensity", to=lambda v: v[:-1]),
              'm.json: $.severity["ntd/dos"].cluster_mean_intensity: must be 3 finite numbers'),
+            ("m.json", _levels_against_intensity,
+             'm.json: $.severity["ntd/dos"].cluster_level: must rank cluster_mean_intensity '
+             'ascending as low, medium, high: ["high", "low", "medium"], '
+             'got ["high", "medium", "low"]'),
             ("m.json", _edit(*_DOS, "scale_std", to=lambda v: [0] * len(v)),
              'm.json: $.severity["ntd/dos"].scale_std[0]: must be > 0, got 0.0'),
             ("m.json", _edit(*_DOS, "scale_std", to=lambda v: v[:1] + [-1.0] + v[2:]),
@@ -617,11 +631,12 @@ class TestInputFileErrors:
         ],
         ids=["workflow-task-field", "workflow-tasks-array", "cloud-service-field",
              "cloud-not-json", "models-without-detectors", "models-version", "qtable-config-range",
-             "qtable-q-boolean", "qtable-n-fraction",
+             "qtable-q-boolean", "qtable-n-fraction", "qtable-action-list", "qtable-repeated-pair",
              "config-array", "detector-kind", "detector-classes", "detector-weights-shape",
              "severity-key", "severity-index-range", "severity-scale-mean-length",
              "severity-scale-std-length", "severity-centroids-shape",
              "severity-cluster-level-length", "severity-intensity-length",
+             "severity-cluster-level-order",
              "severity-scale-std-zero", "severity-scale-std-negative", "detectors-swapped"],
     )
     def test_one_line_names_file_and_path(self, workdir, capsys, models_file, name, content,

@@ -243,6 +243,32 @@ class TestConfigValidation:
             table_from_json(json.dumps(doc))
 
 
+class TestTableFile:
+    """`table_from_json` refuses an entry it cannot key, naming its path."""
+
+    @staticmethod
+    def _entries(*pairs):
+        return json.dumps({"config": {}, "entries": [
+            {"state": state, "action": action, "q": 0.5, "n": 1} for state, action in pairs]})
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([("dos|high", ["skip"])], "$.entries[0].action: must be a string, got ['skip']"),
+        ([("dos|high", "skip"), (1, "skip")], "$.entries[1].state: must be a string, got 1"),
+        ([("dos|high", "skip"), ("dos|low", "skip"), ("dos|high", "skip")],
+         "$.entries[2]: repeats the (state, action) pair of $.entries[0]"),
+        ([("dos|high", "skip"), ("dos|low", "skip"), ("dos|low", "skip")],
+         "$.entries[2]: repeats the (state, action) pair of $.entries[1]"),
+    ], ids=["action-list", "state-number", "repeated-first", "repeated-second"])
+    def test_unkeyable_entry_refused(self, pairs, message):
+        with pytest.raises(RLDomainError) as exc:
+            table_from_json(self._entries(*pairs))
+        assert str(exc.value) == message
+
+    def test_same_state_or_action_in_distinct_pairs_loads(self):
+        pairs = [("dos|high", "skip"), ("dos|high", "rework"), ("dos|low", "skip")]
+        assert list(table_from_json(self._entries(*pairs)).entries) == pairs
+
+
 class TestStateKeys:
     def test_key_structure(self):
         assert workflow_state_key(AttackType.DOS, Severity.HIGH) == "dos|high"

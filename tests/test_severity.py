@@ -1,6 +1,7 @@
 """Severity model: chi-square selection, k-means, cluster-to-level mapping."""
 
 import dataclasses
+import json
 import pickle
 
 import numpy as np
@@ -214,6 +215,35 @@ def test_non_positive_scale_refused_at_load(tmp_path, edit, where, shown):
         load_models(path)
     assert str(exc.value) == (f'{path}: $.severity["ntd/dos"].scale_std[{where}]: '
                               f"must be > 0, got {shown}")
+
+
+def test_cluster_levels_rank_intensity_ascending_with_ties_to_the_lower_index():
+    low, medium, high = SEVERITY_ORDER
+    assert severity.cluster_levels([0.9, 0.1, 0.5]) == (high, low, medium)
+    assert severity.cluster_levels([0.5, 0.5, 0.1]) == (medium, high, low)
+    assert severity.cluster_levels([0.3, 0.3, 0.3]) == (low, medium, high)
+
+
+@pytest.mark.parametrize("intensity, levels, ranked", [
+    ([0.2, 0.5, 0.8], ["low", "low", "low"], '["low", "medium", "high"]'),
+    ([0.9, 0.1, 0.5], ["high", "medium", "low"], '["high", "low", "medium"]'),
+    ([0.4, 0.4, 0.9], ["medium", "low", "high"], '["low", "medium", "high"]'),
+], ids=["repeated-level", "against-intensity", "tie-to-the-higher-index"])
+def test_cluster_levels_fitting_cannot_produce_refused_at_load(intensity, levels, ranked):
+    """A loaded entry's levels must be `cluster_levels` of its intensities:
+    the only levels fitting writes."""
+    mix = {NORMAL: 0.5, "dos": 0.5}
+    ds = generate(DatasetKind.CLF, 300, mix, 0, intensity_mode="banded")
+    obj = severity_to_obj(fit_severity({DatasetKind.CLF: ds}, 0))
+    obj["clf/dos"].update(cluster_mean_intensity=intensity, cluster_level=levels)
+    with pytest.raises(ValueError) as exc:
+        severity_from_obj(obj)
+    assert str(exc.value) == (
+        '$.severity["clf/dos"].cluster_level: must rank cluster_mean_intensity ascending '
+        f'as low, medium, high: {ranked}, got {json.dumps(levels)}')
+    obj["clf/dos"]["cluster_level"] = json.loads(ranked)
+    assert severity_from_obj(obj).entries[DatasetKind.CLF, AttackType.DOS].cluster_level == (
+        severity.cluster_levels(intensity))
 
 
 class TestFitSeverity:

@@ -503,20 +503,17 @@ def test_attack_type_draw_rejects_bad_rates(rate):
         sim._sample_attack_type(trust, svc, np.random.default_rng(0))
 
 
-def _reference_reconcile(trust, cloud, result):
-    """The per-pair `TrustRepository.update` loop the one-pass reconcile
+def _reference_observe(trust, cloud, hits):
+    """The per-pair `TrustRepository.update` loop the one-pass `observe`
     replaced."""
-    hit = {(e["service"], e["type"]) for e in result.events
-           if e["outcome"] in {"adapted", "unmitigable", "below-threshold"}}
     for s in cloud.services():
         for at in AttackType:
-            trust.update(s.id, at, detected=(s.id, at.value) in hit)
+            trust.update(s.id, at, detected=(s.id, at) in hits)
 
 
-def test_one_pass_reconcile_matches_update_loop():
+def test_observe_matches_update_loop():
     cloud = generate_multicloud(5)
     services = [s.id for s in cloud.services()]
-    outcomes = ["adapted", "unmitigable", "below-threshold", "undetected"]
     rng = np.random.default_rng(8)
     ours, reference = TrustRepository.from_cloud(cloud), TrustRepository.from_cloud(cloud)
     rates = set()
@@ -526,16 +523,102 @@ def test_one_pass_reconcile_matches_update_loop():
                 rate = float(rng.choice([0.0, 1.0, rng.random()]))
                 ours.afr_history[key] = reference.afr_history[key] = rate
                 rates.add(rate)
-        events = [{"service": services[int(rng.integers(len(services)))],
-                   "type": list(AttackType)[int(rng.integers(4))].value,
-                   "outcome": outcomes[int(rng.integers(4))]}
-                  for _ in range(int(rng.integers(0, 40)))]
-        result = sim.RunResult(0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0, 0, 0, events)
-        sim._reconcile_trust(ours, result)
-        _reference_reconcile(reference, cloud, result)
+        hits = {(services[int(rng.integers(len(services)))], list(AttackType)[int(rng.integers(4))])
+                for _ in range(int(rng.integers(0, 30)))}
+        ours.observe(hits)
+        _reference_observe(reference, cloud, hits)
         assert ours.afr_history == reference.afr_history
         assert list(ours.afr_history) == list(reference.afr_history)
     assert {0.0, 1.0} <= rates
+
+
+_DETECTED_OUTCOMES = {"adapted", "unmitigable", "below-threshold"}
+
+
+def test_an_instance_observes_the_pairs_of_its_detected_events(monkeypatch):
+    """An instance ends with one `observe` call, whose hits are the (service,
+    type) pairs of its adapted, unmitigable and below-threshold events: the
+    predicted type of each detected attack. Undetected attacks are no hit."""
+    observed = []
+    original = TrustRepository.observe
+
+    def recorded(self, hits):
+        observed.append(set(hits))
+        return original(self, hits)
+
+    monkeypatch.setattr(TrustRepository, "observe", recorded)
+    wf, cloud = generate_workflow_class(WorkflowClass.MEDIUM, 3), generate_multicloud(4)
+    plan = schedule(wf, cloud, TrustRepository.from_cloud(cloud), TenantConfig())
+    exp = sim.Experiment(wf, plan, cloud, DETECTORS, SEVERITY, TenantConfig(),
+                         TrustRepository.from_cloud(cloud), 0.8)
+    outcomes = set()
+    for seed in range(12):
+        result = run_instance(exp, seed)
+        assert len(observed) == seed + 1
+        assert observed[-1] == {(e["service"], AttackType(e["type"])) for e in result.events
+                                if e["outcome"] in _DETECTED_OUTCOMES}
+        outcomes |= {e["outcome"] for e in result.events}
+    assert outcomes == _DETECTED_OUTCOMES | {"undetected"}
+
+
+def _rotating_choice():
+    """A `choose` that takes every ranked kind in turn."""
+    calls = []
+
+    def choose(state, ranked):
+        calls.append(state)
+        return ranked[len(calls) % len(ranked)]
+
+    return choose
+
+
+@pytest.mark.parametrize("rotating", [False, True], ids=["cheapest", "rotating"])
+def test_an_instance_replays_from_a_trust_snapshot(rotating):
+    """Every trust write of an instance happens inside it: restoring the
+    table an instance started from and running it again gives the same
+    result and leaves the same table, key order included."""
+    exp = _adaptive_experiment()()
+    trust = exp.trust
+    run_instance(exp, 9)  # a burn-in round, so the snapshot is not the seed table
+    snapshot = dict(trust.afr_history)
+    runs, tables = [], []
+    for _ in range(2):
+        trust.afr_history = dict(snapshot)
+        runs.append(sim.instance_episode(exp, 5, _rotating_choice() if rotating else None))
+        tables.append(list(trust.afr_history.items()))
+    assert runs[0] == runs[1]
+    assert tables[0] == tables[1]
+    assert dict(tables[0]) != snapshot
+    assert any(e.get("level") == "middleware" for e in runs[0].events)
+
+
+def test_lowest_cost_experiment_is_its_bare_instances(monkeypatch):
+    """A lowest-cost experiment's rounds are its burn-in then its rounds as
+    bare `run_instance` calls on one experiment, and they leave the same
+    trust table: nothing writes to trust between instances."""
+    experiments = []
+
+    class Recorded(sim.Experiment):
+        def __init__(self, *args):
+            super().__init__(*args)
+            experiments.append(self)
+
+    monkeypatch.setattr(sim, "Experiment", Recorded)
+    wf, cloud = generate_workflow_class(WorkflowClass.MEDIUM, 3), generate_multicloud(4)
+    seed, n_runs, burn_in = 5, 6, 4
+    result = run_experiment(wf, cloud, DETECTORS, SEVERITY, TenantConfig(), n_runs,
+                            "lowest-cost", 0.8, seed=seed, burn_in=burn_in)
+
+    trust = TrustRepository.from_cloud(cloud)
+    plan = schedule(wf, cloud, trust, TenantConfig())
+    exp = sim.Experiment(wf, plan, cloud, DETECTORS, SEVERITY, TenantConfig(), trust, 0.8)
+    for s in np.random.SeedSequence([seed, 23]).generate_state(burn_in).tolist():
+        run_instance(exp, s)
+    run_seeds = np.random.SeedSequence(seed).generate_state(n_runs + 1)[1:].tolist()
+    assert [run_instance(exp, s) for s in run_seeds] == result.runs
+    assert sum(r.detected for r in result.runs) > 0
+    [recorded] = experiments[:1]
+    assert list(trust.afr_history.items()) == list(recorded.trust.afr_history.items())
 
 
 def test_every_adapted_event_gets_its_own_candidate_list():
