@@ -329,6 +329,23 @@ def _runs(params):
 _RUNS = {key: _runs(params) for key, params in _PARAMS.items()}
 
 
+def bounded_uint32(bitgen, high: int) -> int:
+    """A uniform integer in [0, high] (high < 2**32 - 1) drawn as numpy draws
+    one bounded integer: Lemire's multiply-shift of `next_uint32` on
+    `bitgen`, a bit generator's `ctypes` interface, which hands out PCG64's
+    buffered 32-bit half first. A word whose low product word is below
+    (2**32 - 1 - high) % (high + 1) is rejected and redrawn; `high` 0 takes
+    no word."""
+    if not high:
+        return 0
+    n = high + 1
+    threshold = (0xFFFFFFFF - high) % n
+    m = bitgen.next_uint32(bitgen.state) * n
+    while m & 0xFFFFFFFF < threshold:
+        m = bitgen.next_uint32(bitgen.state) * n
+    return m >> 32
+
+
 def sample_features(kind: DatasetKind, label: str, intensity: float, rng) -> list:
     """Draw one record of `label` as a list of floats; `intensity` is its
     severity signal (ignored for normal records). Consumes `rng` exactly as
@@ -336,19 +353,13 @@ def sample_features(kind: DatasetKind, label: str, intensity: float, rng) -> lis
     one `standard_normal` block (a scalar draw for a run of one), and
     `loc + sd * z` is the double arithmetic of numpy's scalar `normal(loc,
     sd)`. protocol_type is numpy's bounded `integers(0, 3)` on the same
-    words: Lemire's multiply-shift of PCG64's `next_uint32`, which hands out
-    the buffered 32-bit half first, rejecting a word whose low product word
-    is below (2**32 - 3) % 3 == 1. The clamps are the `>`/`<` tests of
+    words, `bounded_uint32(…, 2)`. The clamps are the `>`/`<` tests of
     `min(max(v, 0.0), 1.0)`, so -0.0 and NaN pass through as they do
     there."""
     record = []
     for run in _RUNS[kind, label]:
         if run is None:  # categorical protocol_type
-            bitgen = rng.bit_generator.ctypes
-            m = bitgen.next_uint32(bitgen.state) * 3
-            while not m & 0xFFFFFFFF:
-                m = bitgen.next_uint32(bitgen.state) * 3
-            record.append(float(m >> 32))
+            record.append(float(bounded_uint32(rng.bit_generator.ctypes, 2)))
             continue
         zs = [rng.standard_normal()] if len(run) == 1 else rng.standard_normal(len(run)).tolist()
         for (mean, sd, sig, capped), z in zip(run, zs):

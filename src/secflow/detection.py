@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .datagen import FEATURES, Dataset, LABELS, NORMAL
+from .datagen import FEATURES, Dataset, LABELS, NORMAL, bounded_uint32
 from .model import FittedModel, array_at, fields_at, floats_at, load_document, parse_file
 from .severity import severity_from_obj
 
@@ -228,15 +228,19 @@ def _best_splits(X, y, rank, rows, sizes, counts, cand, min_leaf):
     # indices row * d + feature into X and `rank`
     seg_sizes = np.tile(sizes, n_cand)
     seg_start = np.concatenate([[0], np.cumsum(seg_sizes)[:-1]])
-    seg = np.repeat(np.arange(m * n_cand), seg_sizes)
+    # the sort key seg * rows + rank sorts faster as int32, which holds it
+    # while it stays below 2**31 (a train-detect step: under 16,384 segments
+    # of 2,800 rows)
+    key_type = np.int32 if m * n_cand * len(rank) < 2 ** 31 else np.int64
+    seg = np.repeat(np.arange(m * n_cand, dtype=key_type), seg_sizes)
     flat = np.tile(rows, n_cand) * d + cand[node_of].T.ravel()
     # each segment sorted by value; equal values may come in any order, since
     # a cut falls only between two distinct values
     flat = flat[np.argsort(seg * len(rank) + rank.take(flat))]
     sv = X.take(flat)
     # cum[g]: class counts of the segment's sorted rows up to position g,
-    # plus those of the segments before it
-    cum = np.cumsum(np.eye(counts.shape[1], dtype=np.intp).take(y.take(flat // d), axis=0),
+    # plus those of the segments before it; no count exceeds the step's pairs
+    cum = np.cumsum(np.eye(counts.shape[1], dtype=np.int32).take(y.take(flat // d), axis=0),
                     axis=0)
     before = cum.take(seg_start - 1, axis=0)
     before[0] = 0
@@ -268,6 +272,23 @@ def _best_splits(X, y, rank, rows, sizes, counts, cand, min_leaf):
             np.isfinite(seg_best[best]))
 
 
+def _candidates(bitgen, d, k):
+    """k distinct features of [0, d) drawn from `bitgen`, a bit generator's
+    `ctypes` interface, as numpy's `Generator.choice(d, size=k,
+    replace=False)` draws them for d <= 10,000 (same words, same order, same
+    final state): Floyd's sampling (Bentley & Floyd, CACM 1987), where the
+    j-th draw on [0, j] keeps j in place of a value already taken, then a
+    Fisher-Yates shuffle of the k picks."""
+    picks = []
+    for j in range(d - k, d):
+        v = bounded_uint32(bitgen, j)
+        picks.append(j if v in picks else v)
+    for i in range(k - 1, 0, -1):
+        s = bounded_uint32(bitgen, i)
+        picks[i], picks[s] = picks[s], picks[i]
+    return picks
+
+
 def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
     """One tree per generator in `rngs`, each on a bootstrap of (X, y) it
     draws with `rng.integers`, all grown together.
@@ -275,14 +296,16 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
     Each tree keeps a preorder stack of (rows, depth, parent slot). A step
     takes the top node of every tree with nodes left, up to `STEP_PAIRS`
     (row, candidate) pairs, and searches their splits in one pass; each split
-    attempt draws its candidates with `rng.choice` in its tree's preorder.
-    Every tree equals the one a node-by-node recursive grower builds from the
-    same generator."""
-    n = len(y)
-    rank = np.empty(X.shape, dtype=np.intp)  # each value's dense rank in its column
-    for f in range(X.shape[1]):
+    attempt draws its candidates with `_candidates`, which is
+    `rng.choice(d, size=max_features, replace=False)` on the same words, in
+    its tree's preorder. Every tree equals the one a node-by-node recursive
+    grower builds from the same generator."""
+    n, d = X.shape
+    rank = np.empty(X.shape, dtype=np.int32)  # each value's dense rank in its column
+    for f in range(d):
         rank[:, f] = np.unique(X[:, f], return_inverse=True)[1]
     stacks = [[(rng.integers(0, n, size=n), 0, None)] for rng in rngs]
+    bitgens = [rng.bit_generator.ctypes for rng in rngs]
     nodes = [([], [], [], [], []) for _ in rngs]  # feature, threshold, left, right, proba
     while True:
         taken, pairs = [], 0
@@ -304,14 +327,14 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
         feature = np.full(len(items), -1)
         threshold = np.zeros(len(items))
         if len(attempt):
-            cand = np.array([rngs[taken[j]].choice(X.shape[1], size=max_features, replace=False)
-                             for j in attempt])
+            cand = np.array([_candidates(bitgens[taken[j]], d, max_features)
+                             for j in attempt.tolist()])
             f, thr, found = _best_splits(X, y, rank, rows[tries[node_of]], sizes[attempt],
                                          counts[attempt], cand, min_leaf)
             feature[attempt[found]] = f[found]
             threshold[attempt[found]] = thr[found]
         # one comparison partitions every split node's rows (a leaf's go unused)
-        go_left = X.take(rows * X.shape[1] + feature[node_of]) <= threshold[node_of]
+        go_left = X.take(rows * d + feature[node_of]) <= threshold[node_of]
         proba = counts / sizes[:, None]
         proba[feature >= 0] = 0.0
         start, ends = 0, np.cumsum(sizes).tolist()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 from .model import ActionKind, AttackType, Severity, array_at, fields_at, load_document
 
@@ -177,6 +177,9 @@ def workflow_state_key(attack_type, level) -> str:
 # ---------------------------------------------------------------------------
 # Serialization
 
+_CONFIG_FIELDS = {f.name for f in fields(RLConfig)}
+
+
 def table_to_json(table: QTable) -> str:
     doc = {
         "config": asdict(table.config),
@@ -190,18 +193,27 @@ def table_to_json(table: QTable) -> str:
 
 def table_from_json(text: str) -> QTable:
     """A Q-table from its JSON document. Malformed input raises RLDomainError
-    naming the JSON path; an entry's `state` and `action` are strings, each
-    pair given once. A document with `discretization` holds bucketed state
-    keys, which no decision's key matches, and is refused."""
+    naming the JSON path; `config` holds numbers for `RLConfig` fields only,
+    and an entry's `state` and `action` are strings, each pair given once. A
+    document with `discretization` holds bucketed state keys, which no
+    decision's key matches, and is refused."""
     doc = load_document(text, RLDomainError)
     with fields_at("$", doc, RLDomainError):
         config, entries = doc["config"], array_at("$.entries", doc["entries"], RLDomainError)
     if "discretization" in doc:
         raise RLDomainError("$.discretization: a Q-table with bucketed state keys; "
                             "retrain it with train-rl")
+    with fields_at("$.config", config, RLDomainError):
+        for name, value in config.items():
+            if name not in _CONFIG_FIELDS:
+                raise RLDomainError(f"$.config: unknown field {name!r}")
+            # `type`, not `isinstance`: a JSON boolean is an int subclass
+            if type(value) not in (int, float):
+                raise RLDomainError(f"$.config.{name}: must be a number, "
+                                    f"got {json.dumps(value)}")
     try:
         table = QTable(config=RLConfig(**config))
-    except (TypeError, ValueError) as exc:
+    except RLDomainError as exc:
         raise RLDomainError(f"$.config: {exc}") from None
     for i, e in enumerate(entries):
         path = f"$.entries[{i}]"

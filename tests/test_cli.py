@@ -584,6 +584,8 @@ class TestInputFileErrors:
              "m.json: $.version: unsupported model file version 2"),
             ("q.json", '{"config": {"alpha": 2}, "entries": []}',
              "q.json: $.config: alpha must be in (0,1]"),
+            ("q.json", '{"config": {"alpha": true}, "entries": []}',
+             "q.json: $.config.alpha: must be a number, got true"),
             ("q.json", '{"config": {}, "entries": [{"state": "s", "action": "skip", '
              '"q": true, "n": 1}]}', "q.json: $.entries[0].q: must be a finite number, got True"),
             ("q.json", '{"config": {}, "entries": [{"state": "s", "action": "skip", '
@@ -631,8 +633,9 @@ class TestInputFileErrors:
         ],
         ids=["workflow-task-field", "workflow-tasks-array", "cloud-service-field",
              "cloud-not-json", "models-without-detectors", "models-version", "qtable-config-range",
-             "qtable-q-boolean", "qtable-n-fraction", "qtable-action-list", "qtable-repeated-pair",
-             "config-array", "detector-kind", "detector-classes", "detector-weights-shape",
+             "qtable-config-boolean", "qtable-q-boolean", "qtable-n-fraction", "qtable-action-list",
+             "qtable-repeated-pair", "config-array", "detector-kind", "detector-classes",
+             "detector-weights-shape",
              "severity-key", "severity-index-range", "severity-scale-mean-length",
              "severity-scale-std-length", "severity-centroids-shape",
              "severity-cluster-level-length", "severity-intensity-length",

@@ -4,9 +4,12 @@ import dataclasses
 import json
 import pickle
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secflow import detection
 from secflow.cli import DEFAULT_MIX
@@ -274,6 +277,56 @@ def test_forest_fit_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), draws=st.lists(st.one_of(
+    st.integers(1, 64).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))),
+    st.sampled_from(["random", "uint32"])), min_size=1, max_size=12))
+def test_candidate_draw_is_numpys_choice(seed, draws):
+    """`_candidates` against `Generator.choice(d, size=k, replace=False)`,
+    with 64-bit `random()` and 32-bit `next_uint32` draws between them, so
+    draws start on the buffered half of a word as often as on a fresh one:
+    after every step the values and the whole generator state are equal."""
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for draw in draws:
+        if draw == "random":
+            assert ours.random() == twin.random()
+        elif draw == "uint32":
+            a, b = ours.bit_generator.ctypes, twin.bit_generator.ctypes
+            assert a.next_uint32(a.state) == b.next_uint32(b.state)
+        else:
+            d, k = draw
+            picks = detection._candidates(ours.bit_generator.ctypes, d, k)
+            assert picks == twin.choice(d, size=k, replace=False).tolist()
+        assert ours.bit_generator.state == twin.bit_generator.state
+
+
+def test_candidate_draw_rejects_a_word_and_keeps_j_for_a_taken_value():
+    """Scripted words, since no generator can be steered to them. choice(3,
+    size=2): the draw on [0, 1] takes 2**31, so 1; the draw on [0, 2] rejects
+    0 (its low product word 0 is below (2**32 - 3) % 3 == 1), then takes 2**31,
+    so 1 again, which is taken, so 2 is kept; the shuffle's draw on [0, 1]
+    takes 0 and swaps the two picks."""
+    words = iter([2**31, 0, 2**31, 0, 5])
+    bitgen = SimpleNamespace(state=None, next_uint32=lambda state: next(words))
+    assert detection._candidates(bitgen, 3, 2) == [2, 1]
+    assert next(words) == 5
+
+
+def test_split_search_past_an_int32_sort_key():
+    """16,384 two-row nodes over 140,000 ranked rows: seg * rows + rank reaches
+    2.29e9, past int32, and each node still cuts between its own two rows."""
+    n, m = 140_000, 16_384
+    X = np.arange(n, dtype=float)[:, None]
+    y = np.arange(n) % 2
+    rank = np.arange(n, dtype=np.int32)[:, None]
+    rows = np.arange(n - 2 * m, n)  # node j holds rows n - 2m + 2j and the next
+    feature, threshold, found = detection._best_splits(
+        X, y, rank, rows, np.full(m, 2), np.ones((m, 2), dtype=np.intp),
+        np.zeros((m, 1), dtype=np.intp), 1)
+    assert found.all() and not feature.any()
+    assert np.array_equal(threshold, rows[::2] + 0.5)
 
 
 class TestRandomForest:

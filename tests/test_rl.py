@@ -242,6 +242,24 @@ class TestConfigValidation:
         with pytest.raises(RLDomainError, match=r"\$\.config: epsilon_decay .* got -1"):
             table_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("config, message", [
+        ([0.1], "$.config: must be an object"),
+        ("alpha", "$.config: must be an object"),
+        ({"alpha": True}, "$.config.alpha: must be a number, got true"),
+        ({"alpha": 0.5, "epsilon": False}, "$.config.epsilon: must be a number, got false"),
+        ({"gamma": "0"}, '$.config.gamma: must be a number, got "0"'),
+        ({"epsilon_floor": None}, "$.config.epsilon_floor: must be a number, got null"),
+        ({"alpha": 0.5, "beta": 0.5}, "$.config: unknown field 'beta'"),
+    ], ids=["array", "string", "true", "false", "string-value", "null", "unknown-field"])
+    def test_config_checked_field_by_field(self, config, message):
+        with pytest.raises(RLDomainError) as exc:
+            table_from_json(json.dumps({"config": config, "entries": []}))
+        assert str(exc.value) == message
+
+    def test_config_takes_integers_and_leaves_missing_fields_at_their_defaults(self):
+        table = table_from_json(json.dumps({"config": {"alpha": 1, "gamma": 0}, "entries": []}))
+        assert table.config == RLConfig(alpha=1.0, gamma=0.0)
+
 
 class TestTableFile:
     """`table_from_json` refuses an entry it cannot key, naming its path."""
