@@ -1,5 +1,6 @@
-"""Experiment command line: data generation, detector/severity/policy
-training, simulation, strategy comparison, and report emission.
+"""Experiment command line, one command per pipeline stage: data generation,
+detector and severity training, simulation (which trains the adaptive
+policy), strategy comparison, and report emission.
 
 Every subcommand is a pure function of (config, seed) to its output files;
 re-running with the same inputs overwrites them byte-identically. Exit codes:
@@ -126,7 +127,12 @@ def _classes(key, value):
     elif not isinstance(value, list):
         raise UsageError(f"option {key!r} must be a list or a comma-separated string of "
                          f"{', '.join(WF_CLASSES)}, got {value!r}")
-    return [_cast(key, name, WF_CLASSES) for name in value]
+    classes = []
+    for name in value:
+        if _cast(key, name, WF_CLASSES) in classes:
+            raise UsageError(f"option {key!r} lists {name!r} more than once")
+        classes.append(name)
+    return classes
 
 
 def _write(path, text):
@@ -172,11 +178,13 @@ def _metrics_csv(rows):
 
 
 def cmd_train_detect(opts):
+    """The forest and the ridge detector of each kind, fitted on its training
+    split, and the severity model, fitted on the full datasets; models.json
+    and metrics.csv are written only once every fit has succeeded."""
     out, seed = Path(opts["out"]), opts["seed"]
-    out.mkdir(parents=True, exist_ok=True)
+    datasets = {kind: _load_dataset(opts["data"], kind) for kind in _kinds(opts)}
     models, rows = {}, []
-    for kind in _kinds(opts):
-        ds = _load_dataset(opts["data"], kind)
+    for kind, ds in datasets.items():
         train, test = datagen.split(ds, opts["train_fraction"], seed)
         fitted = {
             "random_forest": detection.train_random_forest(train, seed=seed),
@@ -190,21 +198,10 @@ def cmd_train_detect(opts):
                     [kind.value, name, cls, repr(metrics.accuracy),
                      repr(metrics.f1[cls]), repr(metrics.far.get(cls, 0.0))]
                 )
-    detection.save_models(out / "models.json", models)
-    _write(out / "metrics.csv", _metrics_csv(rows))
-    return 0
-
-
-def cmd_train_severity(opts):
-    out = Path(opts["out"])
-    datasets = {kind: _load_dataset(opts["data"], kind) for kind in _kinds(opts)}
-    model = severity.fit_severity(datasets, opts["seed"])
+    severity_obj = severity.severity_to_obj(severity.fit_severity(datasets, seed))
     out.mkdir(parents=True, exist_ok=True)
-    models_path = out / "models.json"
-    detectors = {}
-    if models_path.exists():
-        detectors, _ = detection.load_models(models_path)
-    detection.save_models(models_path, detectors, severity.severity_to_obj(model))
+    detection.save_models(out / "models.json", models, severity_obj)
+    _write(out / "metrics.csv", _metrics_csv(rows))
     return 0
 
 
@@ -231,19 +228,8 @@ def _load_runtime(opts):
         detectors[kind] = detectors_by_key[key]
     if severity_obj is None:
         raise UsageError(f"model file {models_path} carries no severity model; "
-                         "run train-severity")
+                         "run train-detect")
     return workflow, cloud, detectors, severity.severity_from_obj(severity_obj)
-
-
-def cmd_train_rl(opts):
-    workflow, cloud, detectors, sev = _load_runtime(opts)
-    table = rl.QTable()
-    sim.run_experiment(
-        workflow, cloud, detectors, sev, _tenant_config(opts), opts["episodes"],
-        "adaptive", opts["rate"], seed=opts["seed"], qtable=table,
-    )
-    _write(opts["out"], rl.table_to_json(table))
-    return 0
 
 
 def _events_jsonl(results):
@@ -254,14 +240,23 @@ def _events_jsonl(results):
 
 
 def cmd_simulate(opts):
+    """One strategy's results.csv and events.jsonl in `out`. The adaptive
+    strategy trains a fresh table, or the --qtable one, and writes it as
+    `out`/qtable.json; the --qtable file itself is never written."""
     out, strategy, path = Path(opts["out"]), opts["strategy"], opts["qtable"]
     if strategy == "lowest-cost" and path is not None:
         raise UsageError(f"--qtable {path} needs --strategy adaptive or frozen; "
                          "lowest-cost uses no Q-table")
     if strategy == "frozen" and path is None:
         raise UsageError("--strategy frozen needs --qtable, the trained table it deploys")
+    if strategy == "adaptive" and path and Path(path).resolve() == (out / "qtable.json").resolve():
+        raise UsageError(f"--qtable {path} is the table adaptive writes to --out {out}; "
+                         "give another --out")
     workflow, cloud, detectors, sev = _load_runtime(opts)
-    qtable = parse_file(path, rl.table_from_json) if path else None
+    if path is not None:
+        qtable = parse_file(path, rl.table_from_json)
+    else:
+        qtable = rl.QTable() if strategy == "adaptive" else None
     result = sim.run_experiment(
         workflow, cloud, detectors, sev, _tenant_config(opts), opts["runs"], strategy,
         opts["rate"], seed=opts["seed"], qtable=qtable,
@@ -269,6 +264,8 @@ def cmd_simulate(opts):
     _write(out / "results.csv", result.aggregate_csv(
         strategy, opts["wf_class"] or ("custom" if opts["workflow"] else "small")))
     _write(out / "events.jsonl", _events_jsonl(result.runs))
+    if strategy == "adaptive":
+        _write(out / "qtable.json", rl.table_to_json(qtable))
     return 0
 
 
@@ -418,29 +415,23 @@ REQUIRED = object()
 SEED = ("seed", int, 0, True)
 KIND = ("kind", KIND_CHOICES, "both", True)
 RATE = ("rate", float, 0.3, True)
-RUNTIME = (("workflow", str, None, True), ("cloud", str, None, True),
-           ("models", str, REQUIRED, True))
 WEIGHTS = tuple((f"w_{name}", float, 0.25, False)
                 for name in ("price", "time", "security", "value"))
 TENANT = (*WEIGHTS, ("threshold", float, 0.1, False))
-POLICY = (("detector", str, "random_forest", False), *TENANT)
 
 COMMANDS = {
     "gen-data": ("generate labeled telemetry CSVs", cmd_gen_data, (
         KIND, ("n", int, 2000, True), ("intensity_mode", datagen.INTENSITY_MODES, "uniform", True),
         ("out", str, "data", True), ("mix", dict, DEFAULT_MIX, False))),
-    "train-detect": ("fit detectors and emit metrics", cmd_train_detect, (
+    "train-detect": ("fit detectors and the severity model, emit metrics", cmd_train_detect, (
         KIND, ("data", str, "data", True), ("train_fraction", float, 0.7, True),
         ("out", str, "artifacts", True))),
-    "train-severity": ("fit the severity model", cmd_train_severity, (
-        KIND, ("data", str, "data", True), ("out", str, "artifacts", True))),
-    "train-rl": ("train the adaptive action policy", cmd_train_rl, (
-        *RUNTIME, ("wf_class", WF_CLASSES, "small", True), ("episodes", int, 300, True), RATE,
-        ("out", str, "artifacts/qtable.json", True), *POLICY)),
-    "simulate": ("run one strategy over a workflow", cmd_simulate, (
+    "simulate": ("run one strategy over a workflow; adaptive writes its Q-table", cmd_simulate, (
         ("strategy", tuple(sim.POLICIES), "lowest-cost", True), ("qtable", str, None, True),
-        *RUNTIME, ("wf_class", WF_CLASSES, None, True), ("runs", int, 100, True), RATE,
-        ("out", str, "results", True), *POLICY)),
+        ("workflow", str, None, True), ("cloud", str, None, True),
+        ("models", str, REQUIRED, True), ("wf_class", WF_CLASSES, None, True),
+        ("runs", int, 100, True), RATE, ("out", str, "results", True),
+        ("detector", str, "random_forest", False), *TENANT)),
     "compare": ("LowestCost vs Adaptive sweep", cmd_compare, (
         ("runs", int, 1000, True), RATE,
         ("classes", _classes, ["small", "medium", "large"], True), ("out", str, "results", True),

@@ -202,7 +202,7 @@ def table_from_json(text: str) -> QTable:
         config, entries = doc["config"], array_at("$.entries", doc["entries"], RLDomainError)
     if "discretization" in doc:
         raise RLDomainError("$.discretization: a Q-table with bucketed state keys; "
-                            "retrain it with train-rl")
+                            "retrain it with simulate --strategy adaptive")
     with fields_at("$.config", config, RLDomainError):
         for name, value in config.items():
             if name not in _CONFIG_FIELDS:

@@ -1,5 +1,6 @@
 """Shared builders for small deterministic fixtures used across the suite."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,19 @@ from secflow.model import (
     TenantConfig,
     Workflow,
 )
+
+# On a failing example, hypothesis' pytest plugin imports its patch writer,
+# which imports libcst, whose use of mypy_extensions.TypedDict warns with a
+# DeprecationWarning. pyproject turns that warning into an error, and the
+# plugin catches only ImportError, so the whole session would end. Imported
+# here once, with only that warning ignored, the plugin's import is a no-op.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", r"mypy_extensions\.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst the plugin skips its patch writer
+        pass
 
 
 class NoNoise:

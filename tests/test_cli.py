@@ -5,8 +5,10 @@ import json
 
 import pytest
 
-from secflow import cli
+from secflow import cli, detection, rl, severity, sim
 from secflow.cli import main
+from secflow.datagen import DatasetKind
+from secflow.model import TenantConfig
 from tests.conftest import report_table
 
 
@@ -125,12 +127,11 @@ class TestTrainDetect:
         assert capsys.readouterr().err == ("secflow: error: data/clf.meta.csv: clf metadata "
                                            "line 2 '0,1.5': intensity outside [0, 1]\n")
 
-    @pytest.mark.parametrize("command", ["train-detect", "train-severity"])
-    def test_missing_metadata_names_the_metadata_file(self, workdir, capsys, command):
+    def test_missing_metadata_names_the_metadata_file(self, workdir, capsys):
         """Without its .meta.csv every intensity would read as 0.0."""
         _gen_data(workdir, extra=["--kind", "clf"])
         (workdir / "data" / "clf.meta.csv").unlink()
-        assert _run([command, "--kind", "clf", "--data", "data", "--out", "art"]) == 1
+        assert _run(["train-detect", "--kind", "clf", "--data", "data", "--out", "art"]) == 1
         assert capsys.readouterr().err == ("secflow: error: [Errno 2] No such file or "
                                            "directory: 'data/clf.meta.csv'\n")
         assert not (workdir / "art" / "models.json").exists()
@@ -140,19 +141,49 @@ class TestTrainDetect:
         meta = workdir / "data" / "clf.meta.csv"
         lines = meta.read_text().splitlines(keepends=True)
         meta.write_text("".join(lines[1:]))
-        assert _run(["train-severity", "--kind", "clf", "--data", "data", "--out", "art"]) == 1
+        assert _run(["train-detect", "--kind", "clf", "--data", "data", "--out", "art"]) == 1
         assert capsys.readouterr().err == (
             "secflow: error: data/clf.meta.csv: clf metadata line 1: expected the header "
             f"'row,intensity', got {lines[1].strip()!r}\n")
         assert not (workdir / "art" / "models.json").exists()
+
+    def test_failing_severity_fit_writes_nothing(self, workdir, capsys, monkeypatch):
+        """The severity model is fitted after the detectors; when that fit
+        fails, neither models.json nor metrics.csv is written."""
+        def fail(datasets, seed):
+            raise severity.FittingError("no severity today")
+
+        _gen_data(workdir, extra=["--kind", "clf"])
+        monkeypatch.setattr(severity, "fit_severity", fail)
+        assert _run(["train-detect", "--kind", "clf", "--data", "data", "--out", "art"]) == 1
+        assert capsys.readouterr().err == "secflow: error: no severity today\n"
+        assert not (workdir / "art" / "models.json").exists()
+        assert not (workdir / "art" / "metrics.csv").exists()
+
+    def test_one_kind_fits_that_kinds_detectors_and_severity(self, workdir):
+        _gen_data(workdir, n=300, extra=["--kind", "clf"])
+        assert _run(["train-detect", "--kind", "clf", "--data", "data", "--out", "art"]) == 0
+        doc = json.loads((workdir / "art" / "models.json").read_text())
+        assert sorted(doc["detectors"]) == ["clf/linear", "clf/random_forest"]
+        assert doc["severity"] and all(key.startswith("clf/") for key in doc["severity"])
+
+    def test_one_fit_writes_detectors_and_severity(self, workdir):
+        """models.json holds the detectors of the training split and the
+        severity model of the full datasets, at the same seed."""
+        _gen_data(workdir, n=300)
+        assert _run(["train-detect", "--data", "data", "--out", "art", "--seed", "3"]) == 0
+        datasets = {kind: cli._load_dataset("data", kind) for kind in DatasetKind}
+        severity_obj = severity.severity_to_obj(severity.fit_severity(datasets, 3))
+        detectors, _ = detection.load_models("art/models.json")
+        detection.save_models("expected.json", detectors, severity_obj)
+        assert ((workdir / "art" / "models.json").read_bytes()
+                == (workdir / "expected.json").read_bytes())
 
 
 class TestSeverityAndSimulate:
     def _pipeline(self, workdir, seed=42):
         _gen_data(workdir, n=600, seed=seed, extra=["--intensity-mode", "banded"])
         assert _run(["train-detect", "--data", "data", "--out", "art",
-                     "--seed", str(seed)]) == 0
-        assert _run(["train-severity", "--data", "data", "--out", "art",
                      "--seed", str(seed)]) == 0
 
     def test_severity_embedded_in_models(self, workdir):
@@ -226,7 +257,9 @@ class TestSeverityAndSimulate:
     def test_linear_detector_end_to_end(self, workdir):
         self._pipeline(workdir)
         linear = ["--models", "art/models.json", "--set", "detector=linear"]
-        assert _run(["train-rl", *linear, "--episodes", "2", "--out", "art/qtable.json"]) == 0
+        assert _run(["simulate", *linear, "--strategy", "adaptive", "--runs", "2",
+                     "--out", "trained"]) == 0
+        assert (workdir / "trained" / "qtable.json").exists()
         assert _run(["simulate", *linear, "--runs", "3", "--out", "res"]) == 0
         with open(workdir / "res" / "results.csv") as fh:
             assert [row["run"] for row in csv.DictReader(fh)] == ["0", "1", "2"]
@@ -242,15 +275,69 @@ class TestSeverityAndSimulate:
 
     def test_simulate_frozen_deploys_the_trained_table(self, workdir):
         self._pipeline(workdir)
-        assert _run(["train-rl", "--models", "art/models.json", "--episodes", "3",
-                     "--rate", "0.8", "--out", "art/qtable.json"]) == 0
-        trained = (workdir / "art" / "qtable.json").read_bytes()
+        assert _run(["simulate", "--models", "art/models.json", "--strategy", "adaptive",
+                     "--runs", "3", "--rate", "0.8", "--out", "trained"]) == 0
+        trained = (workdir / "trained" / "qtable.json").read_bytes()
         assert _run(["simulate", "--models", "art/models.json", "--strategy", "frozen",
-                     "--qtable", "art/qtable.json", "--rate", "0.8", "--runs", "3",
+                     "--qtable", "trained/qtable.json", "--rate", "0.8", "--runs", "3",
                      "--out", "res"]) == 0
-        assert (workdir / "art" / "qtable.json").read_bytes() == trained
+        assert (workdir / "trained" / "qtable.json").read_bytes() == trained
         with open(workdir / "res" / "results.csv") as fh:
             assert {row["strategy"] for row in csv.DictReader(fh)} == {"frozen"}
+
+    @staticmethod
+    def _train(table, runs):
+        """rl.table_to_json of `table` after the adaptive experiment that
+        simulate runs at seed 42 and rate 0.8 with art/models.json."""
+        detectors_by_key, severity_obj = detection.load_models("art/models.json")
+        detectors = {kind: detectors_by_key[f"{kind.value}/random_forest"]
+                     for kind in DatasetKind}
+        sim.run_experiment(
+            sim.generate_workflow_class(sim.WorkflowClass.SMALL, 42), sim.generate_multicloud(42),
+            detectors, severity.severity_from_obj(severity_obj), TenantConfig(), runs,
+            "adaptive", 0.8, seed=42, qtable=table)
+        return rl.table_to_json(table)
+
+    @pytest.mark.parametrize("start", [False, True], ids=["fresh", "from-file"])
+    def test_adaptive_writes_the_table_it_trained(self, workdir, start):
+        """OUT/qtable.json is the table the run trained: a fresh one, or the
+        --qtable one, whose file is left as it is."""
+        self._pipeline(workdir)
+        table, qtable, before = rl.QTable(), [], None
+        if start:
+            before = self._train(rl.QTable(), 2)
+            (workdir / "start.json").write_text(before)
+            table, qtable = rl.table_from_json(before), ["--qtable", "start.json"]
+        assert _run(["simulate", "--models", "art/models.json", "--strategy", "adaptive",
+                     *qtable, "--runs", "4", "--rate", "0.8", "--seed", "42",
+                     "--out", "res"]) == 0
+        assert (workdir / "res" / "qtable.json").read_text() == self._train(table, 4)
+        if start:
+            assert (workdir / "start.json").read_text() == before
+
+    @pytest.mark.parametrize("strategy", ["lowest-cost", "frozen"])
+    def test_non_adaptive_strategies_write_no_table(self, workdir, strategy):
+        self._pipeline(workdir)
+        assert _run(["simulate", "--models", "art/models.json", "--strategy", "adaptive",
+                     "--runs", "2", "--out", "trained"]) == 0
+        trained = (workdir / "trained" / "qtable.json").read_bytes()
+        qtable = ["--qtable", "trained/qtable.json"] if strategy == "frozen" else []
+        assert _run(["simulate", "--models", "art/models.json", "--strategy", strategy,
+                     *qtable, "--runs", "2", "--out", "res"]) == 0
+        assert sorted(p.name for p in (workdir / "res").iterdir()) == ["events.jsonl",
+                                                                      "results.csv"]
+        assert (workdir / "trained" / "qtable.json").read_bytes() == trained
+
+    def test_adaptive_refuses_to_write_over_its_qtable(self, workdir, capsys):
+        """Refused before any file is read, so the input table stays as it is."""
+        (workdir / "res").mkdir()
+        (workdir / "res" / "qtable.json").write_text("{}")
+        assert _run(["simulate", "--models", "missing.json", "--strategy", "adaptive",
+                     "--qtable", "res/qtable.json", "--runs", "1", "--out", "res"]) == 2
+        assert capsys.readouterr().err == ("secflow: usage error: --qtable res/qtable.json is "
+                                           "the table adaptive writes to --out res; give "
+                                           "another --out\n")
+        assert (workdir / "res" / "qtable.json").read_text() == "{}"
 
     def test_simulate_without_detector_is_usage_error(self, workdir, capsys):
         self._pipeline(workdir)
@@ -277,14 +364,14 @@ class TestSeverityAndSimulate:
         assert named in capsys.readouterr().err
         assert not (workdir / "results").exists()
 
-    def test_simulate_without_severity_is_usage_error(self, workdir):
-        _gen_data(workdir)
-        assert _run(["train-detect", "--data", "data", "--out", "art",
-                     "--seed", "42"]) == 0
-        code = _run(
-            ["simulate", "--models", "art/models.json", "--runs", "1"]
-        )
-        assert code == 2
+    def test_simulate_without_severity_is_usage_error(self, workdir, capsys):
+        self._pipeline(workdir)
+        doc = json.loads((workdir / "art" / "models.json").read_text())
+        del doc["severity"]
+        (workdir / "art" / "models.json").write_text(json.dumps(doc))
+        assert _run(["simulate", "--models", "art/models.json", "--runs", "1"]) == 2
+        assert capsys.readouterr().err == ("secflow: usage error: model file art/models.json "
+                                           "carries no severity model; run train-detect\n")
 
 
 class TestCompareAndReport:
@@ -395,6 +482,14 @@ class TestUsageErrors:
     def test_unknown_subcommand_exit_2(self, workdir):
         assert _run(["transmogrify"]) == 2
 
+    @pytest.mark.parametrize("command", ["train-severity", "train-rl"])
+    def test_folded_commands_are_invalid_choices(self, workdir, capsys, command):
+        """train-detect fits the severity model, and simulate's adaptive
+        strategy writes the Q-table."""
+        assert _run([command, "--out", "out"]) == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
     def test_bad_set_syntax_exit_2(self, workdir):
         assert _run(["gen-data", "--set", "novalue"]) == 2
 
@@ -420,6 +515,10 @@ class TestUsageErrors:
             (["compare", "--set", "classes=5"],
              "option 'classes' must be a list or a comma-separated string of small, medium, "
              "large, got 5"),
+            (["compare", "--classes", "small,medium,small"],
+             "option 'classes' lists 'small' more than once"),
+            (["compare", "--set", 'classes=["large", "large"]'],
+             "option 'classes' lists 'large' more than once"),
             (["simulate", "--set", "strategy=greedy"],
              "option 'strategy' must be one of lowest-cost, adaptive, frozen, got 'greedy'"),
             (["gen-data", "--set", "intensity_mode=xyz"],
@@ -429,7 +528,8 @@ class TestUsageErrors:
             (["compare", "--set", "rate=true"], "option 'rate' must be a number, got True"),
         ],
         ids=["int-word", "int-list", "int-overflow", "float-word", "kind", "wf-class",
-             "classes", "classes-int", "strategy", "intensity-mode", "int-fraction",
+             "classes", "classes-int", "classes-repeated",
+             "classes-repeated-list", "strategy", "intensity-mode", "int-fraction",
              "int-bool", "float-bool"],
     )
     def test_bad_option_value_names_the_key(self, workdir, capsys, argv, line):
@@ -468,8 +568,8 @@ class TestOneTable:
             value = next(choice for choice in cast if choice != default)
         else:
             value = {int: "7", float: "0.5", cli._classes: "small,large"}.get(cast, "p.json")
-        # keys of other subcommands are allowed: --models is required by train-rl
-        # and simulate, and simulate's --qtable needs the adaptive strategy
+        # keys of other subcommands are allowed: --models is required by simulate,
+        # and simulate's --qtable needs the adaptive strategy
         base = [command, "--set", "models=m.json", "--set", "strategy=adaptive"]
         by_flag = _resolve([*base, "--" + name.replace("_", "-"), value])
         by_set = _resolve([*base, "--set", f"{name}={value}"])
@@ -501,6 +601,11 @@ class TestOneTable:
         assert _run(["simulate", *layer]) == 2
         assert capsys.readouterr().err == "secflow: usage error: unknown option 'w_pirce'\n"
 
+    def test_folded_commands_options_are_unknown(self, workdir, capsys):
+        """simulate's `runs` counts the rounds that train the adaptive table."""
+        assert _run(["simulate", "--set", "episodes=3"]) == 2
+        assert capsys.readouterr().err == "secflow: usage error: unknown option 'episodes'\n"
+
     def test_one_config_file_serves_two_subcommands(self, workdir):
         (workdir / "cfg.json").write_text(
             json.dumps({"n": 300, "data": "d", "train_fraction": 0.6}))
@@ -516,7 +621,6 @@ def models_file(tmp_path_factory):
     data, art = str(root / "data"), str(root / "art")
     assert _run(["gen-data", "--n", "300", "--seed", "42", "--out", data]) == 0
     assert _run(["train-detect", "--data", data, "--out", art]) == 0
-    assert _run(["train-severity", "--data", data, "--out", art]) == 0
     return root / "art" / "models.json"
 
 
@@ -659,7 +763,7 @@ class TestInputFileErrors:
         doc = {"config": {}, "entries": [], "discretization": {"time": [1.0, 2.0, 3.0]}}
         self._fails_with(workdir, capsys, models_file, "q.json", json.dumps(doc),
                          "q.json: $.discretization: a Q-table with bucketed state keys; "
-                         "retrain it with train-rl")
+                         "retrain it with simulate --strategy adaptive")
 
     def test_models_not_json(self, workdir, capsys, models_file):
         self._fails_with(workdir, capsys, models_file, "m.json", "not json",

@@ -34,7 +34,7 @@ GOLDEN = {
         "4b8205f7d2bdf44351bb82f1c35212608f839d2a857e7242081e977175c31a27",
     "train/models.json":
         "67e894fc0bd82fd314245709415e56a5525f79dc198d13e6e7b03f5c81ce2a62",
-    "train-rl/qtable.json":
+    "simulate-fresh/qtable.json":
         "bd9cf0d8f5d045431f1cf317252a8fed10c0f0cffafb138b1960b43a79bde893",
     "simulate-lowest-cost/results.csv":
         "df177b02903183b4e760c3d0ed52e93de72953e597ad0c6f9d40586a04856e7c",
@@ -79,14 +79,14 @@ def outputs(tmp_path_factory):
 
     data, art = root / "data", root / "art"
     models = str(art / "models.json")
-    qtable = root / "qtable.json"
+    # the adaptive run from a fresh table trains the table the others deploy
+    qtable = root / "simulate-fresh" / "qtable.json"
     steps = [
         ["gen-data", "--n", "300", "--seed", SEED, "--intensity-mode", "banded",
          "--out", str(data)],
         ["train-detect", "--data", str(data), "--out", str(art), "--seed", SEED],
-        ["train-severity", "--data", str(data), "--out", str(art), "--seed", SEED],
-        ["train-rl", "--models", models, "--episodes", "6", *RUNTIME,
-         "--out", str(qtable)],
+        ["simulate", "--models", models, "--strategy", "adaptive", "--runs", "6",
+         *RUNTIME, "--out", str(root / "simulate-fresh")],
         ["simulate", "--models", models, "--strategy", "lowest-cost", "--runs", "6",
          *RUNTIME, "--out", str(root / "simulate-lowest-cost")],
         ["simulate", "--models", models, "--strategy", "adaptive", "--runs", "6",
@@ -100,7 +100,7 @@ def outputs(tmp_path_factory):
         out[f"gen-data/{fname}"] = (data / fname).read_bytes()
     for fname in ("metrics.csv", "models.json"):
         out[f"train/{fname}"] = (art / fname).read_bytes()
-    out["train-rl/qtable.json"] = qtable.read_bytes()
+    out["simulate-fresh/qtable.json"] = qtable.read_bytes()
     for name in ("simulate-lowest-cost", "simulate-adaptive", "simulate-frozen"):
         for fname in ("results.csv", "events.jsonl"):
             out[f"{name}/{fname}"] = (root / name / fname).read_bytes()
@@ -132,9 +132,9 @@ def test_adaptive_run_picks_a_non_cheapest_candidate(outputs):
 
 
 def test_frozen_run_deploys_the_trained_tables_greedy_choices(outputs):
-    """Every decision of the deployed run is the train-rl table's greedy
+    """Every decision of the deployed run is the trained table's greedy
     choice, and some of them are not the cheapest candidate."""
-    table = rl.table_from_json(outputs["train-rl/qtable.json"].decode())
+    table = rl.table_from_json(outputs["simulate-fresh/qtable.json"].decode())
     adapted = _adapted_events(outputs, "simulate-frozen")
     assert adapted
     assert all(event["chosen"] == greedy_choice(table, event) for event in adapted)
