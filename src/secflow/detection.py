@@ -21,11 +21,11 @@ DEFAULT_N_TREES = 50
 DEFAULT_MAX_DEPTH = 10
 DEFAULT_MIN_LEAF = 2
 RIDGE = 1e-6  # regularization of the linear model's normal equations
-# The most (row, candidate feature) pairs one step of `_grow_forest` searches.
-# On 2,800-row forests of 50 trees (2-vCPU VM), 16,384 fit 2.1x (NTD) and
-# 3.3x (CLF) faster than growing one tree at a time, at a traced peak of
-# 3.9-4.4 MB against 5.7-7.5 MB; unbounded steps peaked at 27-44 MB, and
-# below one NTD root (5,600 pairs) most of the gain was lost.
+# The most (row, candidate feature) pairs, rows counted with repeats, that
+# one step of `_grow_forest` searches. On 2,800-row forests of 50 trees
+# (2-vCPU VM), 16,384 fit 3x (NTD) and 9x (CLF) faster than one node per
+# step, at a traced peak of 3.1-3.7 MiB; unbounded steps peaked at 17-28 MiB,
+# and at one NTD root (5,600 pairs) the NTD fit was 2.9x slower.
 STEP_PAIRS = 16_384
 
 
@@ -129,13 +129,14 @@ class _Forest:
     def predict(self, X: np.ndarray, n_classes: int) -> np.ndarray:
         """Class index per row: the majority of the per-tree votes, ties to
         the earliest class."""
-        n = X.shape[0]
+        n, d = X.shape
         rows = np.arange(n)[:, None]
+        values, start = X.ravel(), rows * d  # row r's feature f is values[r * d + f]
         node = self.roots  # broadcasts against `rows` to (n, n_trees)
         for _ in range(self.depth):
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            node = self.children[2 * node + go_left]
-        cells = (rows * n_classes + self.vote[node]).ravel()
+            go_left = values.take(start + self.feature.take(node)) <= self.threshold.take(node)
+            node = self.children.take(2 * node + go_left)
+        cells = (rows * n_classes + self.vote.take(node)).ravel()
         counts = np.bincount(cells, minlength=n * n_classes).reshape(n, n_classes)
         return counts.argmax(axis=1)
 
@@ -201,60 +202,75 @@ def _compile_walk(forest: _Forest, n_features: int, n_classes: int):
 
 
 def _gini(counts, sizes):
-    """Gini impurity of each row of class `counts` (k, n_classes) holding
+    """Gini impurity of each column of class `counts` (n_classes, k) holding
     `sizes` (k,) rows: 1 - sum of p * p, the squares added in class order
     (as `np.sum` adds fewer than 8 terms), so the floats match a per-node
     `np.sum(p * p, axis=-1)`."""
-    square_sum = 0.0
-    for c in range(counts.shape[1]):
-        p = counts[:, c] / sizes
-        square_sum = square_sum + p * p
+    sizes = sizes.astype(float)  # divides each count as an integer size would
+    square_sum = np.zeros(len(sizes))
+    for row in counts:
+        p = row / sizes
+        p *= p
+        square_sum += p
     return 1.0 - square_sum
 
 
-def _best_splits(X, y, rank, rows, sizes, counts, cand, min_leaf):
+def _best_splits(X, hot, rank, rows, mult, lens, cand, min_leaf):
     """The Gini split of each of m nodes, searched in one pass.
 
-    Node j holds `sizes[j]` rows of `rows` (in node order) with class
-    `counts[j]` and tries the features `cand[j]` (m, F). Returns (feature,
-    threshold, found) per node: the first feature in `cand[j]` order with the
-    strictly lowest impurity, its first minimal cut, and the midpoint of the
-    two values around it; `found` is False where no cut leaves `min_leaf`
-    rows on both sides."""
+    Node j holds `lens[j]` distinct rows of `rows` (in node order), row i
+    drawn `mult[i]` times, and tries the features `cand[j]` (m, F); `hot`
+    (n, n_classes) holds each row's class one-hot. `hot` and `mult` are
+    int32. Every count counts the repeats: the class counts, the sizes that
+    `min_leaf` bounds and the Gini weights. Returns (feature, threshold,
+    found, counts, left): per node the first feature in `cand[j]` order with
+    the strictly lowest impurity, the midpoint of the two values around its
+    first minimal cut, and False where no cut leaves `min_leaf` rows on both
+    sides; then, as columns of (n_classes, m) arrays, each node's class
+    counts and those on its cut's left (where found). Class-major, each
+    class's counts are one contiguous row for `_gini`."""
     m, n_cand = cand.shape
     d = X.shape[1]
-    node_of = np.repeat(np.arange(m), sizes)
+    node_of = np.repeat(np.arange(m), lens)
     # segment c * m + j holds node j's rows under its c-th candidate, as flat
     # indices row * d + feature into X and `rank`
-    seg_sizes = np.tile(sizes, n_cand)
+    seg_sizes = np.tile(lens, n_cand)
     seg_start = np.concatenate([[0], np.cumsum(seg_sizes)[:-1]])
-    # the sort key seg * rows + rank sorts faster as int32, which holds it
-    # while it stays below 2**31 (a train-detect step: under 16,384 segments
-    # of 2,800 rows)
+    # the sort key seg * rows + rank sorts faster as int32, and the counts add
+    # faster in it; both stay below m * F * n (a node holds at most n drawn
+    # rows), so int32 holds them while that is below 2**31 (a train-detect
+    # step: under 16,384 segments of 2,800 rows)
     key_type = np.int32 if m * n_cand * len(rank) < 2 ** 31 else np.int64
     seg = np.repeat(np.arange(m * n_cand, dtype=key_type), seg_sizes)
     flat = np.tile(rows, n_cand) * d + cand[node_of].T.ravel()
     # each segment sorted by value; equal values may come in any order, since
     # a cut falls only between two distinct values
-    flat = flat[np.argsort(seg * len(rank) + rank.take(flat))]
-    sv = X.take(flat)
-    # cum[g]: class counts of the segment's sorted rows up to position g,
-    # plus those of the segments before it; no count exceeds the step's pairs
-    cum = np.cumsum(np.eye(counts.shape[1], dtype=np.int32).take(y.take(flat // d), axis=0),
-                    axis=0)
-    before = cum.take(seg_start - 1, axis=0)
-    before[0] = 0
+    order = np.argsort(seg * len(rank) + rank.take(flat))
+    sv = X.take(flat.take(order))
+    entry = order % len(rows)  # the sorted pairs' positions in `rows`
+    # cum[:, g]: class counts of the segment's sorted rows up to position g,
+    # plus those of the segments before it, and drawn[g] their sum
+    cum = np.cumsum((hot.take(rows, axis=0) * mult[:, None]).take(entry, axis=0).T, axis=1,
+                    dtype=key_type)
+    drawn = np.cumsum(mult.take(entry), dtype=key_type)
+    before = cum.take(seg_start - 1, axis=1)
+    before[:, 0] = 0
+    drawn_before = drawn.take(seg_start - 1)
+    drawn_before[0] = 0
+    ends = seg_start[:m] + lens - 1
+    counts = cum.take(ends, axis=1) - before[:, :m]
+    sizes = np.tile(drawn.take(ends) - drawn_before[:m], n_cand)
 
     # a cut after sorted position g splits between two distinct values
     cut = np.flatnonzero((sv[:-1] < sv[1:]) & (seg[:-1] == seg[1:]))
     cut_seg = seg[cut]
-    n_seg = seg_sizes[cut_seg]
-    nl = cut + 1 - seg_start[cut_seg]
+    n_seg = sizes[cut_seg]
+    nl = drawn[cut] - drawn_before[cut_seg]
     ok = (nl >= min_leaf) & (n_seg - nl >= min_leaf)
     cut, cut_seg, n_seg, nl = cut[ok], cut_seg[ok], n_seg[ok], nl[ok]
     nr = n_seg - nl
-    left = cum.take(cut, axis=0) - before.take(cut_seg, axis=0)
-    right = counts.take(cut_seg % m, axis=0) - left
+    left = cum.take(cut, axis=1) - before.take(cut_seg, axis=1)
+    right = counts.take(cut_seg % m, axis=1) - left
     impurity = (nl * _gini(left, nl) + nr * _gini(right, nr)) / n_seg
 
     # the first minimal cut of each segment, then the first minimal candidate
@@ -269,7 +285,7 @@ def _best_splits(X, y, rank, rows, sizes, counts, cand, min_leaf):
     best = choice * m + np.arange(m)
     g = seg_cut[best]
     return (cand[np.arange(m), choice], (sv[g] + sv[g + 1]) / 2.0,
-            np.isfinite(seg_best[best]))
+            np.isfinite(seg_best[best]), counts, cum[:, g] - before[:, best])
 
 
 def _candidates(bitgen, d, k):
@@ -293,77 +309,135 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
     """One tree per generator in `rngs`, each on a bootstrap of (X, y) it
     draws with `rng.integers`, all grown together.
 
-    Each tree keeps a preorder stack of (rows, depth, parent slot). A step
-    takes the top node of every tree with nodes left, up to `STEP_PAIRS`
-    (row, candidate) pairs, and searches their splits in one pass; each split
-    attempt draws its candidates with `_candidates`, which is
-    `rng.choice(d, size=max_features, replace=False)` on the same words, in
-    its tree's preorder. Every tree equals the one a node-by-node recursive
-    grower builds from the same generator."""
+    A node holds the distinct rows of its tree's bootstrap and how often each
+    was drawn; its class counts, its size and the leaf probabilities count
+    the repeats. A node splits only if it is above `max_depth`, holds at least
+    `2 * min_leaf` rows and is not pure, which its parent's split already
+    tells, so a child that cannot split is recorded as a leaf right then. The
+    others wait on their tree's preorder stack. A step takes the top node of
+    every tree with nodes waiting, up to `STEP_PAIRS` (row, candidate) pairs
+    counted with repeats, draws each node's candidates with `_candidates`
+    (`rng.choice(d, size=max_features, replace=False)` on the same words, in
+    its tree's preorder) and searches their splits in one pass. Each step
+    records its nodes as arrays; at the end every node is numbered in its
+    tree's preorder from the subtree sizes. Every tree equals the one a
+    node-by-node recursive grower builds from the same generator."""
     n, d = X.shape
     rank = np.empty(X.shape, dtype=np.int32)  # each value's dense rank in its column
     for f in range(d):
         rank[:, f] = np.unique(X[:, f], return_inverse=True)[1]
-    stacks = [[(rng.integers(0, n, size=n), 0, None)] for rng in rngs]
+    hot = np.eye(n_classes, dtype=np.int32).take(y, axis=0)
     bitgens = [rng.bit_generator.ctypes for rng in rngs]
-    nodes = [([], [], [], [], []) for _ in rngs]  # feature, threshold, left, right, proba
+
+    def can_split(counts, depth):
+        sizes = counts.sum(axis=0)
+        return (depth < max_depth) & (sizes >= 2 * min_leaf) & (counts.max(axis=0) < sizes)
+
+    # the nodes in the order they are settled (a node's id is its position),
+    # three arrays per batch: the int rows tree, parent, side, depth and
+    # feature, the thresholds, and the class counts; few arrays, since many
+    # small ones living to the end of the fit fragment the heap
+    records, stacks, n_nodes = [], [[] for _ in rngs], 0
+    for k, rng in enumerate(rngs):
+        mult = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.int32)
+        rows = np.flatnonzero(mult)
+        counts = (hot.take(rows, axis=0) * mult[rows, None]).sum(axis=0)[:, None]
+        if can_split(counts, 0)[0]:
+            # a waiting node: (rows, multiplicities, size, parent, side, depth)
+            stacks[k].append((rows, mult[rows], n, -1, 0, 0))
+        else:
+            records.append((np.array([[k], [-1], [0], [0], [-1]]), np.zeros(1), counts))
+            n_nodes += 1
     while True:
         taken, pairs = [], 0
         for k, stack in enumerate(stacks):
-            if stack and (not taken or pairs + len(stack[-1][0]) * max_features <= STEP_PAIRS):
+            if stack and (not taken or pairs + stack[-1][2] * max_features <= STEP_PAIRS):
                 taken.append(k)
-                pairs += len(stack[-1][0]) * max_features
+                pairs += stack[-1][2] * max_features
         if not taken:
             break
         items = [stacks[k].pop() for k in taken]
-        sizes = np.array([len(rows) for rows, _, _ in items])
-        rows = np.concatenate([rows for rows, _, _ in items])
-        node_of = np.repeat(np.arange(len(items)), sizes)
-        counts = np.bincount(node_of * n_classes + y[rows],
-                             minlength=len(items) * n_classes).reshape(-1, n_classes)
-        depths = np.array([depth for _, depth, _ in items])
-        tries = (depths < max_depth) & (sizes >= 2 * min_leaf) & (counts.max(axis=1) < sizes)
-        attempt = np.flatnonzero(tries)
-        feature = np.full(len(items), -1)
-        threshold = np.zeros(len(items))
-        if len(attempt):
-            cand = np.array([_candidates(bitgens[taken[j]], d, max_features)
-                             for j in attempt.tolist()])
-            f, thr, found = _best_splits(X, y, rank, rows[tries[node_of]], sizes[attempt],
-                                         counts[attempt], cand, min_leaf)
-            feature[attempt[found]] = f[found]
-            threshold[attempt[found]] = thr[found]
-        # one comparison partitions every split node's rows (a leaf's go unused)
-        go_left = X.take(rows * d + feature[node_of]) <= threshold[node_of]
-        proba = counts / sizes[:, None]
-        proba[feature >= 0] = 0.0
-        start, ends = 0, np.cumsum(sizes).tolist()
-        for k, (node_rows, depth, slot), f, thr, p, end in zip(
-                taken, items, feature.tolist(), threshold.tolist(), proba, ends):
-            features, thresholds, lefts, rights, probas = nodes[k]
-            node = len(features)
-            if slot is not None:
-                slot[0][slot[1]] = node
-            features.append(f)
-            thresholds.append(thr)
-            lefts.append(-1)
-            rights.append(-1)
-            probas.append(p)
-            if f >= 0:
-                mask = go_left[start:end]
-                stacks[k].append((node_rows[~mask], depth + 1, (rights, node)))
-                stacks[k].append((node_rows[mask], depth + 1, (lefts, node)))
-            start = end
-    return [
-        DecisionTree(
-            feature=np.array(features, dtype=int),
-            threshold=np.array(thresholds, dtype=float),
-            left=np.array(lefts, dtype=int),
-            right=np.array(rights, dtype=int),
-            proba=np.vstack(probas),
-        )
-        for features, thresholds, lefts, rights, probas in nodes
-    ]
+        cand = np.array([_candidates(bitgens[k], d, max_features) for k in taken])
+        rows = np.concatenate([item[0] for item in items])
+        mult = np.concatenate([item[1] for item in items])
+        lens = np.array([len(item[0]) for item in items])
+        parent, side, depth = np.array([item[3:] for item in items]).T
+        f, thr, found, counts, left = _best_splits(X, hot, rank, rows, mult, lens, cand,
+                                                   min_leaf)
+        m, tree = len(items), np.array(taken)
+        feature = np.where(found, f, -1)
+        threshold = np.where(found, thr, 0.0)
+        records.append((np.array([tree, parent, side, depth, feature]), threshold, counts))
+        ids = n_nodes + np.arange(m)
+        n_nodes += m
+        split = np.flatnonzero(found)
+        if not len(split):
+            continue
+        # the children of split node split[s] are 2s (left) and 2s + 1 (right)
+        left = left[:, split]
+        child_counts = np.stack([left, counts[:, split] - left], axis=2).reshape(n_classes, -1)
+        child_depth = np.repeat(depth[split] + 1, 2)
+        grows = can_split(child_counts, child_depth)
+        leaf = np.flatnonzero(~grows)
+        up = split[leaf // 2]
+        records.append((np.array([tree[up], ids[up], leaf % 2, child_depth[leaf],
+                                  np.full(len(leaf), -1)]), np.zeros(len(leaf)),
+                        child_counts[:, leaf]))
+        n_nodes += len(leaf)
+        waiting = np.flatnonzero(grows)
+        if not len(waiting):
+            continue
+        # each row goes to its child's place among the waiting children, or -1
+        place = np.full((m, 2), -1)
+        place[split] = np.where(grows, np.cumsum(grows) - 1, -1).reshape(-1, 2)
+        node_of = np.repeat(np.arange(m), lens)
+        go_right = X.take(rows * d + feature[node_of]) > threshold[node_of]
+        dest = place.ravel()[2 * node_of + go_right]
+        keep = np.flatnonzero(dest >= 0)
+        dest = dest[keep].astype(np.min_scalar_type(len(waiting)))  # radix-sorted
+        order = keep[np.argsort(dest, kind="stable")]
+        rows, mult = rows[order], mult[order]
+        ends = np.cumsum(np.bincount(dest, minlength=len(waiting))).tolist()
+        up = split[waiting // 2]
+        children = zip(tree[up].tolist(), [0] + ends[:-1], ends,
+                       child_counts[:, waiting].sum(axis=0).tolist(), ids[up].tolist(),
+                       (waiting % 2).tolist(), child_depth[waiting].tolist())
+        # trees differ between nodes, so pushing in reverse puts each right
+        # child below its left sibling; the copies pin no array of this step
+        for k, a, b, size, parent_id, right, child_d in reversed(list(children)):
+            stacks[k].append((rows[a:b].copy(), mult[a:b].copy(), size, parent_id, right,
+                              child_d))
+    ints, threshold, counts = (np.concatenate(c, axis=-1) for c in zip(*records))
+    del records  # the per-step arrays, which would double the assembly's peak
+    return _assemble(len(rngs), *ints, threshold, counts)
+
+
+def _assemble(n_trees, tree, parent, side, depth, feature, threshold, counts):
+    """The trees of `_grow_forest`'s node records, each node numbered in its
+    tree's preorder: a left child follows its parent, and a right child
+    follows its parent and the whole left subtree."""
+    first = np.full(len(tree), -1)  # each split node's left child
+    is_left = (parent >= 0) & (side == 0)
+    first[parent[is_left]] = np.flatnonzero(is_left)
+    by_depth = np.argsort(depth, kind="stable")
+    levels = np.split(by_depth, np.cumsum(np.bincount(depth))[:-1])[1:]
+    size = np.ones(len(tree), dtype=np.intp)  # nodes in each subtree
+    for level in reversed(levels):
+        np.add.at(size, parent[level], size[level])
+    pre = np.zeros(len(tree), dtype=np.intp)
+    for level in levels:
+        up = parent[level]
+        pre[level] = pre[up] + 1 + side[level] * size[first[up]]
+    internal = feature >= 0
+    left = np.where(internal, pre + 1, -1)
+    right = np.where(internal, pre + 1 + size[first], -1)
+    proba = np.where(internal, 0.0, counts / counts.sum(axis=0)).T
+    order = np.lexsort((pre, tree))
+    bounds = np.cumsum(np.bincount(tree, minlength=n_trees))[:-1]
+    # each tree gathers its own arrays: a view of a forest-wide array would
+    # keep all of it alive, high on the heap, as long as the model lives
+    return [DecisionTree(feature[nodes], threshold[nodes], left[nodes], right[nodes],
+                         proba[nodes]) for nodes in np.split(order, bounds)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,6 +615,11 @@ def _tree_from_obj(obj, path, n_features, n_classes):
     if len(bad):
         raise EvaluationError(f"{path}.feature[{bad[0]}]: feature {tree.feature[bad[0]]} "
                               f"outside [-1, {n_features})")
+    # a leaf votes for its row's argmax, which NaN or a negative entry would skew
+    bad = np.flatnonzero(~(np.isfinite(tree.proba) & (tree.proba >= 0.0)).all(axis=1))
+    if len(bad):
+        raise EvaluationError(f"{path}.proba[{bad[0]}]: must hold finite, non-negative "
+                              f"probabilities, got {columns['proba'][bad[0]]}")
     return tree
 
 

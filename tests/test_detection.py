@@ -255,6 +255,11 @@ _GROWTH_CASES = {
     # every row identical: no cut is valid, so each root is a leaf after its draw
     "identical-rows": (lambda: _dataset(np.ones((40, 3)), [NORMAL, "dos"] * 20),
                        {"n_trees": 5}),
+    # 16 searched nodes hold under 6 distinct rows but 6-8 drawn ones: the
+    # repeats decide min_leaf
+    "repeats-decide-min-leaf": (lambda: _dataset(np.random.default_rng(0).normal(size=(12, 3)),
+                                                 [NORMAL, "dos", "probe"] * 4),
+                                {"n_trees": 20, "min_leaf": 3, "max_depth": 14}),
 }
 
 
@@ -267,9 +272,11 @@ def test_forest_equals_tree_by_tree_growth(case):
     assert json.dumps(model_to_obj(grown)) == json.dumps(model_to_obj(expected))
 
 
-def test_forest_fit_memory_is_bounded():
-    # a train-detect NTD fit; growing every tree's node in one step peaks at about 44 MB
-    train = _train_detect_split(DatasetKind.NTD)
+@pytest.mark.parametrize("kind", list(DatasetKind), ids=lambda kind: kind.value)
+def test_forest_fit_memory_is_bounded(kind):
+    # a train-detect fit peaks near 3.1 (NTD) and 3.7 MiB (CLF); with unbounded
+    # steps it peaks at 28 and 17 MiB
+    train = _train_detect_split(kind)
     tracemalloc.start()
     try:
         train_random_forest(train)
@@ -316,17 +323,19 @@ def test_candidate_draw_rejects_a_word_and_keeps_j_for_a_taken_value():
 
 def test_split_search_past_an_int32_sort_key():
     """16,384 two-row nodes over 140,000 ranked rows: seg * rows + rank reaches
-    2.29e9, past int32, and each node still cuts between its own two rows."""
+    2.29e9, past int32, and each node still cuts between its own two rows,
+    counting the second one's two draws."""
     n, m = 140_000, 16_384
     X = np.arange(n, dtype=float)[:, None]
-    y = np.arange(n) % 2
+    hot = np.eye(2, dtype=np.int32)[np.arange(n) % 2]
     rank = np.arange(n, dtype=np.int32)[:, None]
     rows = np.arange(n - 2 * m, n)  # node j holds rows n - 2m + 2j and the next
-    feature, threshold, found = detection._best_splits(
-        X, y, rank, rows, np.full(m, 2), np.ones((m, 2), dtype=np.intp),
+    feature, threshold, found, counts, left = detection._best_splits(
+        X, hot, rank, rows, np.tile(np.array([1, 2], dtype=np.int32), m), np.full(m, 2),
         np.zeros((m, 1), dtype=np.intp), 1)
     assert found.all() and not feature.any()
     assert np.array_equal(threshold, rows[::2] + 0.5)
+    assert (counts == [[1], [2]]).all() and (left == [[1], [0]]).all()
 
 
 class TestRandomForest:
@@ -826,12 +835,22 @@ def _break_proba_width(tree):
     return "trees[1].proba[2]: must hold 2 probabilities, one per class"
 
 
+def _break_proba_value(row):
+    def corrupt(tree):
+        leaf = tree["feature"].index(-1)
+        tree["proba"][leaf] = row
+        return (f"trees[1].proba[{leaf}]: must hold finite, non-negative probabilities, "
+                f"got {row}")
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_break_missing_key, _break_unequal_length, _break_child_range, _break_shared_node,
-     _break_cycle, _break_feature_range, _break_proba_width],
+     _break_cycle, _break_feature_range, _break_proba_width, _break_proba_value([float("nan"), 1.0]),
+     _break_proba_value([1.0, -5.0])],
     ids=["missing-key", "unequal-length", "child-range", "shared-node", "cycle",
-         "feature-range", "proba-width"],
+         "feature-range", "proba-width", "proba-nan", "proba-negative"],
 )
 def test_malformed_forest_refused_at_load(tmp_path, corrupt):
     ds = generate(DatasetKind.CLF, 300, {NORMAL: 0.5, "dos": 0.5}, seed=5)
