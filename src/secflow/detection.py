@@ -15,7 +15,7 @@ from .datagen import FEATURES, Dataset, LABELS, NORMAL, bounded_uint32
 from .model import FittedModel, array_at, fields_at, floats_at, load_document, parse_file
 from .severity import severity_from_obj
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 DEFAULT_N_TREES = 50
 DEFAULT_MAX_DEPTH = 10
@@ -44,13 +44,13 @@ class PredictionError(ValueError):
 @dataclass(frozen=True, eq=False)
 class DecisionTree(FittedModel):
     """Flat-array binary tree. Internal node i splits on feature[i] <=
-    threshold[i]; leaves have feature[i] == -1 and a class-probability row."""
+    threshold[i]; leaves have feature[i] == -1 and the class they vote for."""
 
     feature: np.ndarray  # (m,) int, -1 for leaf
     threshold: np.ndarray  # (m,) float
     left: np.ndarray  # (m,) int child index
     right: np.ndarray  # (m,) int child index
-    proba: np.ndarray  # (m, n_classes) leaf class probabilities
+    vote: np.ndarray  # (m,) int class index a leaf votes for, -1 at a split
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class _Forest:
     threshold: np.ndarray  # (nodes,)
     children: np.ndarray  # (2 * nodes,): node i goes to children[2i + (x <= threshold)]
     vote: np.ndarray  # (nodes,) class index a leaf votes for
-    depth: int
+    levels: tuple  # each level's split nodes, the roots' first: one step per level
 
     @classmethod
     def stack(cls, trees, path="$") -> "_Forest":
@@ -110,10 +110,10 @@ class _Forest:
                     raise EvaluationError(f"{pointer(p)[1]}: node {local[p]} reached twice")
                 reached.add(child[p])
         child = child.reshape(-1, 2)  # (left, right) of each node; a leaf's are itself
-        depth, level = 0, roots
+        levels, level = [], roots
         while len(level := level[feature[level] >= 0]):
+            levels.append(level)
             level = child[level].ravel()
-            depth += 1
         leaf = feature < 0
         feature[leaf] = 0
         threshold[leaf] = np.inf
@@ -122,8 +122,8 @@ class _Forest:
             feature=feature,
             threshold=threshold,
             children=child[:, ::-1].ravel(),
-            vote=np.concatenate([t.proba.argmax(axis=1) for t in trees]),
-            depth=depth,
+            vote=np.concatenate([t.vote for t in trees]),
+            levels=tuple(levels),
         )
 
     def predict(self, X: np.ndarray, n_classes: int) -> np.ndarray:
@@ -133,7 +133,7 @@ class _Forest:
         rows = np.arange(n)[:, None]
         values, start = X.ravel(), rows * d  # row r's feature f is values[r * d + f]
         node = self.roots  # broadcasts against `rows` to (n, n_trees)
-        for _ in range(self.depth):
+        for _ in self.levels:
             go_left = values.take(start + self.feature.take(node)) <= self.threshold.take(node)
             node = self.children.take(2 * node + go_left)
         cells = (rows * n_classes + self.vote.take(node)).ravel()
@@ -162,11 +162,7 @@ def _compile_walk(forest: _Forest, n_features: int, n_classes: int):
     the compiler's peak memory to one tree's."""
     right, left = forest.children[::2], forest.children[1::2]  # a leaf's are itself
     strahler = np.ones(len(forest.feature), dtype=np.intp)
-    levels, level = [], forest.roots
-    while len(level := level[left[level] != level]):
-        levels.append(level)
-        level = np.concatenate([left[level], right[level]])
-    for level in reversed(levels):
+    for level in reversed(forest.levels):
         a, b = strahler[left[level]], strahler[right[level]]
         strahler[level] = np.maximum(a, b) + (a == b)
     feature, threshold = forest.feature.tolist(), forest.threshold.tolist()
@@ -310,11 +306,11 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
     draws with `rng.integers`, all grown together.
 
     A node holds the distinct rows of its tree's bootstrap and how often each
-    was drawn; its class counts, its size and the leaf probabilities count
-    the repeats. A node splits only if it is above `max_depth`, holds at least
-    `2 * min_leaf` rows and is not pure, which its parent's split already
-    tells, so a child that cannot split is recorded as a leaf right then. The
-    others wait on their tree's preorder stack. A step takes the top node of
+    was drawn; its class counts, its size and its vote count the repeats. A
+    node splits only if it is above `max_depth`, holds at least `2 *
+    min_leaf` rows and is not pure, which its parent's split already tells,
+    so a child that cannot split is recorded as a leaf right then. The others
+    wait on their tree's preorder stack. A step takes the top node of
     every tree with nodes waiting, up to `STEP_PAIRS` (row, candidate) pairs
     counted with repeats, draws each node's candidates with `_candidates`
     (`rng.choice(d, size=max_features, replace=False)` on the same words, in
@@ -334,9 +330,10 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
         return (depth < max_depth) & (sizes >= 2 * min_leaf) & (counts.max(axis=0) < sizes)
 
     # the nodes in the order they are settled (a node's id is its position),
-    # three arrays per batch: the int rows tree, parent, side, depth and
-    # feature, the thresholds, and the class counts; few arrays, since many
-    # small ones living to the end of the fit fragment the heap
+    # two arrays per batch: the int rows tree, parent, side, depth, feature
+    # and vote (a leaf's most counted class, -1 at a split), and the
+    # thresholds; few arrays, since many small ones living to the end of the
+    # fit fragment the heap
     records, stacks, n_nodes = [], [[] for _ in rngs], 0
     for k, rng in enumerate(rngs):
         mult = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.int32)
@@ -346,7 +343,8 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
             # a waiting node: (rows, multiplicities, size, parent, side, depth)
             stacks[k].append((rows, mult[rows], n, -1, 0, 0))
         else:
-            records.append((np.array([[k], [-1], [0], [0], [-1]]), np.zeros(1), counts))
+            records.append((np.array([[k], [-1], [0], [0], [-1], counts.argmax(axis=0)]),
+                            np.zeros(1)))
             n_nodes += 1
     while True:
         taken, pairs = [], 0
@@ -367,7 +365,8 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
         m, tree = len(items), np.array(taken)
         feature = np.where(found, f, -1)
         threshold = np.where(found, thr, 0.0)
-        records.append((np.array([tree, parent, side, depth, feature]), threshold, counts))
+        records.append((np.array([tree, parent, side, depth, feature,
+                                  np.where(found, -1, counts.argmax(axis=0))]), threshold))
         ids = n_nodes + np.arange(m)
         n_nodes += m
         split = np.flatnonzero(found)
@@ -381,8 +380,8 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
         leaf = np.flatnonzero(~grows)
         up = split[leaf // 2]
         records.append((np.array([tree[up], ids[up], leaf % 2, child_depth[leaf],
-                                  np.full(len(leaf), -1)]), np.zeros(len(leaf)),
-                        child_counts[:, leaf]))
+                                  np.full(len(leaf), -1), child_counts[:, leaf].argmax(axis=0)]),
+                        np.zeros(len(leaf))))
         n_nodes += len(leaf)
         waiting = np.flatnonzero(grows)
         if not len(waiting):
@@ -407,12 +406,12 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
         for k, a, b, size, parent_id, right, child_d in reversed(list(children)):
             stacks[k].append((rows[a:b].copy(), mult[a:b].copy(), size, parent_id, right,
                               child_d))
-    ints, threshold, counts = (np.concatenate(c, axis=-1) for c in zip(*records))
+    ints, threshold = (np.concatenate(c, axis=-1) for c in zip(*records))
     del records  # the per-step arrays, which would double the assembly's peak
-    return _assemble(len(rngs), *ints, threshold, counts)
+    return _assemble(len(rngs), *ints, threshold)
 
 
-def _assemble(n_trees, tree, parent, side, depth, feature, threshold, counts):
+def _assemble(n_trees, tree, parent, side, depth, feature, vote, threshold):
     """The trees of `_grow_forest`'s node records, each node numbered in its
     tree's preorder: a left child follows its parent, and a right child
     follows its parent and the whole left subtree."""
@@ -431,13 +430,12 @@ def _assemble(n_trees, tree, parent, side, depth, feature, threshold, counts):
     internal = feature >= 0
     left = np.where(internal, pre + 1, -1)
     right = np.where(internal, pre + 1 + size[first], -1)
-    proba = np.where(internal, 0.0, counts / counts.sum(axis=0)).T
     order = np.lexsort((pre, tree))
     bounds = np.cumsum(np.bincount(tree, minlength=n_trees))[:-1]
     # each tree gathers its own arrays: a view of a forest-wide array would
     # keep all of it alive, high on the heap, as long as the model lives
     return [DecisionTree(feature[nodes], threshold[nodes], left[nodes], right[nodes],
-                         proba[nodes]) for nodes in np.split(order, bounds)]
+                         vote[nodes]) for nodes in np.split(order, bounds)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -588,7 +586,7 @@ def evaluate(model: DetectorModel, test: Dataset) -> DetectionMetrics:
 # Serialization
 
 # each tree array and the dtype it loads as, in file order
-_TREE_FIELDS = {"feature": int, "threshold": float, "left": int, "right": int, "proba": float}
+_TREE_FIELDS = {"feature": int, "threshold": float, "left": int, "right": int, "vote": int}
 
 
 def _tree_from_obj(obj, path, n_features, n_classes):
@@ -602,10 +600,6 @@ def _tree_from_obj(obj, path, n_features, n_classes):
             raise EvaluationError(f"{path}.{key}: must be a non-empty array")
         if len(column) != m:
             raise EvaluationError(f"{path}.{key}: {len(column)} entries, feature has {m}")
-    for i, row in enumerate(columns["proba"]):
-        if not isinstance(row, list) or len(row) != n_classes:
-            raise EvaluationError(f"{path}.proba[{i}]: must hold {n_classes} probabilities, "
-                                  "one per class")
     try:
         tree = DecisionTree(**{key: np.array(columns[key], dtype=dtype)
                                for key, dtype in _TREE_FIELDS.items()})
@@ -615,11 +609,14 @@ def _tree_from_obj(obj, path, n_features, n_classes):
     if len(bad):
         raise EvaluationError(f"{path}.feature[{bad[0]}]: feature {tree.feature[bad[0]]} "
                               f"outside [-1, {n_features})")
-    # a leaf votes for its row's argmax, which NaN or a negative entry would skew
-    bad = np.flatnonzero(~(np.isfinite(tree.proba) & (tree.proba >= 0.0)).all(axis=1))
+    leaf = tree.feature < 0
+    bad = np.flatnonzero(np.where(leaf, (tree.vote < 0) | (tree.vote >= n_classes),
+                                  tree.vote != -1))
     if len(bad):
-        raise EvaluationError(f"{path}.proba[{bad[0]}]: must hold finite, non-negative "
-                              f"probabilities, got {columns['proba'][bad[0]]}")
+        i, vote = bad[0], tree.vote[bad[0]]
+        raise EvaluationError(f"{path}.vote[{i}]: " + (
+            f"leaf vote {vote} outside [0, {n_classes})" if leaf[i] else
+            f"split vote {vote}, must be -1"))
     return tree
 
 
@@ -693,7 +690,9 @@ def load_models(path):
 def _models_from_json(text):
     doc = load_document(text, EvaluationError)
     if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise EvaluationError(f"$.version: unsupported model file version {doc.get('version')!r}")
+        raise EvaluationError(f"$.version: unsupported model file version {doc.get('version')!r}; "
+                              f"refit with `secflow train-detect`, which writes version "
+                              f"{MODEL_FORMAT_VERSION}")
     with fields_at("$", doc, EvaluationError):
         with fields_at("$.detectors", doc["detectors"], EvaluationError) as detectors:
             models = {key: model_from_obj(obj, f"$.detectors[{json.dumps(key)}]")

@@ -682,11 +682,9 @@ def generate_workflow_class(wf_class: WorkflowClass, seed: int) -> Workflow:
     n = int(rng.integers(lo, hi + 1))
     structure = _sp_structure(n, rng)
     tasks, edges = [], []
-    counter = [0]
 
     def emit_task():
-        tid = f"t{counter[0]}"
-        counter[0] += 1
+        tid = f"t{len(tasks)}"
         kinds = [k for k in ActionKind if rng.random() < 0.7]
         while len(kinds) < 2:
             extra = list(ActionKind)[int(rng.integers(len(ActionKind)))]

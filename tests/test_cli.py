@@ -683,9 +683,10 @@ class TestInputFileErrors:
              "cloud.json: $.providers[0].services[0]: missing field 'price'"),
             ("cloud.json", "{", "cloud.json: $: not valid JSON: Expecting property name "
              "enclosed in double quotes: line 1 column 2 (char 1)"),
-            ("m.json", '{"version": 1}', "m.json: $: missing field 'detectors'"),
-            ("m.json", '{"version": 2, "detectors": {}}',
-             "m.json: $.version: unsupported model file version 2"),
+            ("m.json", '{"version": 2}', "m.json: $: missing field 'detectors'"),
+            ("m.json", '{"version": 1, "detectors": {}}',
+             "m.json: $.version: unsupported model file version 1; refit with `secflow "
+             "train-detect`, which writes version 2"),
             ("q.json", '{"config": {"alpha": 2}, "entries": []}',
              "q.json: $.config: alpha must be in (0,1]"),
             ("q.json", '{"config": {"alpha": true}, "entries": []}',

@@ -43,7 +43,7 @@ UNIFORM_MIX = {label: 1.0 / len(LABELS) for label in LABELS}
 
 def _reference_votes(model, X):
     """Tree-by-tree scalar walk: each row's votes per class, each tree voting
-    for the most probable class of the leaf the row reaches."""
+    for the class of the leaf the row reaches."""
     tallies = []
     for x in X:
         votes = [0] * len(model.classes)
@@ -54,7 +54,7 @@ def _reference_votes(model, X):
                     node = tree.left[node]
                 else:
                     node = tree.right[node]
-            votes[int(np.argmax(tree.proba[node]))] += 1
+            votes[tree.vote[node]] += 1
         tallies.append(votes)
     return tallies
 
@@ -70,7 +70,7 @@ def _batch_walk(forest, X, n_classes):
     n = X.shape[0]
     rows = np.arange(n)[:, None]
     node = forest.roots
-    for _ in range(forest.depth):
+    for _ in forest.levels:
         go_left = X[rows, forest.feature[node]] <= forest.threshold[node]
         node = forest.children[2 * node + go_left]
     cells = (rows * n_classes + forest.vote[node]).ravel()
@@ -84,13 +84,13 @@ def _depth(tree, node=0):
     return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
 
 
-def _leaf(proba):
+def _leaf(vote):
     return DecisionTree(
         feature=np.array([-1]),
         threshold=np.array([0.0]),
         left=np.array([-1]),
         right=np.array([-1]),
-        proba=np.array([proba], dtype=float),
+        vote=np.array([vote]),
     )
 
 
@@ -139,16 +139,16 @@ def _gini_from_counts(counts):
 def _reference_grow_tree(X, y, n_classes, max_depth, min_leaf, max_features, rng):
     """One tree grown node by node, recursively: the grower the forest
     grower must reproduce byte for byte."""
-    features, thresholds, lefts, rights, probas = [], [], [], [], []
+    features, thresholds, lefts, rights, votes = [], [], [], [], []
 
     def leaf(idx):
-        counts = np.bincount(y[idx], minlength=n_classes).astype(float)
+        counts = np.bincount(y[idx], minlength=n_classes)
         node = len(features)
         features.append(-1)
         thresholds.append(0.0)
         lefts.append(-1)
         rights.append(-1)
-        probas.append(counts / counts.sum())
+        votes.append(int(np.argmax(counts)))
         return node
 
     def best_split(idx):
@@ -194,7 +194,7 @@ def _reference_grow_tree(X, y, n_classes, max_depth, min_leaf, max_features, rng
         thresholds.append(thr)
         lefts.append(-1)
         rights.append(-1)
-        probas.append(np.zeros(n_classes))
+        votes.append(-1)
         mask = X[idx, f] <= thr
         lefts[node] = build(idx[mask], depth + 1)
         rights[node] = build(idx[~mask], depth + 1)
@@ -206,7 +206,7 @@ def _reference_grow_tree(X, y, n_classes, max_depth, min_leaf, max_features, rng
         threshold=np.array(thresholds, dtype=float),
         left=np.array(lefts, dtype=int),
         right=np.array(rights, dtype=int),
-        proba=np.vstack(probas),
+        vote=np.array(votes, dtype=int),
     )
 
 
@@ -403,7 +403,7 @@ class TestRandomForest:
         assert [loaded.predict(x) for x in X[1200:]] == expected
 
     def test_forest_of_single_leaves(self):
-        model = _forest([_leaf([0.2, 0.8]), _leaf([0.9, 0.1]), _leaf([0.4, 0.6])])
+        model = _forest([_leaf(1), _leaf(0), _leaf(1)])
         X = np.random.default_rng(0).normal(size=(5, 3))
         assert list(model.predict_batch(X)) == ["dos"] * 5
         assert model.predict(X[0]) == "dos"
@@ -415,9 +415,9 @@ class TestRandomForest:
             threshold=np.array([0.5, 0.0, 0.0]),
             left=np.array([1, -1, -1]),
             right=np.array([2, -1, -1]),
-            proba=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            vote=np.array([-1, 0, 1]),
         )
-        trees = [split_tree, _leaf([0.0, 1.0]), _leaf([1.0, 0.0]), _leaf([0.0, 1.0])]
+        trees = [split_tree, _leaf(1), _leaf(0), _leaf(1)]
         # a row going left ties 2:2, one going right votes 3:1 for NORMAL
         model = _forest([trees[i] for i in order] + trees[2:], classes=("dos", NORMAL))
         X = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -446,9 +446,9 @@ def test_compiled_walk_equals_batch_walk(kind):
 
 
 def test_compiled_walk_on_depth_zero_forest():
-    model = _forest([_leaf([0.2, 0.8]), _leaf([0.9, 0.1]), _leaf([0.6, 0.4])])
+    model = _forest([_leaf(1), _leaf(0), _leaf(0)])
     forest = model._forest
-    assert forest.depth == 0
+    assert forest.levels == ()
     for x in np.random.default_rng(1).normal(size=(5, 3)):
         assert model.predict(x) == model.classes[_batch_walk(forest, x[None], 2)[0]]
     assert model.predict([0.0, np.nan, 1.0]) == NORMAL
@@ -486,7 +486,7 @@ def test_vote_stopped_at_a_majority_equals_batch_walk(forest_51, n_trees):
 ])
 def test_vote_asks_no_tree_after_a_strict_majority(votes, called):
     """Five trees: the vote ends at the first tree that gives a class three."""
-    model = _forest([_leaf([1.0 - v, float(v)]) for v in votes])
+    model = _forest([_leaf(v) for v in votes])
     forest = model._walk
     calls = []
     for k in range(len(votes)):
@@ -499,21 +499,21 @@ def test_vote_asks_no_tree_after_a_strict_majority(votes, called):
 def _chain(depth, lean, thresholds):
     """A tree as its JSON object: `depth` splits in a chain, each one's child
     on the `lean` side the next split and the other a leaf."""
-    feature, threshold, left, right, proba = [], [], [], [], []
+    feature, threshold, left, right, vote = [], [], [], [], []
     for j in range(depth):
         chain, leaf = 2 * j + 2, 2 * j + 1
         feature += [j % len(CLF_FEATURES), -1]
         threshold += [thresholds[j], 0.0]
         left += [chain if lean == "left" else leaf, -1]
         right += [leaf if lean == "left" else chain, -1]
-        proba += [[0.0, 0.0], [float(j % 2), float(1 - j % 2)]]
+        vote += [-1, 1 - j % 2]
     feature.append(-1)
     threshold.append(0.0)
     left.append(-1)
     right.append(-1)
-    proba.append([1.0, 0.0])
+    vote.append(0)
     return {"feature": feature, "threshold": threshold, "left": left, "right": right,
-            "proba": proba}
+            "vote": vote}
 
 
 def test_deep_chains_with_non_finite_thresholds_from_a_model_file(tmp_path):
@@ -529,7 +529,7 @@ def test_deep_chains_with_non_finite_thresholds_from_a_model_file(tmp_path):
            "trees": [_chain(150, "left", thresholds[0].tolist()),
                      _chain(150, "right", (-thresholds[1]).tolist())]}
     path = tmp_path / "models.json"
-    path.write_text(json.dumps({"version": 1, "detectors": {"clf/random_forest": obj}}))
+    path.write_text(json.dumps({"version": 2, "detectors": {"clf/random_forest": obj}}))
     save_models(path, load_models(path)[0])
     model = load_models(path)[0]["clf/random_forest"]
     X = rng.normal(size=(300, 3)) * 1.5
@@ -830,27 +830,26 @@ def _break_feature_range(tree):
     return f"trees[1].feature[0]: feature {len(CLF_FEATURES)} outside [-1, {len(CLF_FEATURES)})"
 
 
-def _break_proba_width(tree):
-    tree["proba"][2].pop()
-    return "trees[1].proba[2]: must hold 2 probabilities, one per class"
-
-
-def _break_proba_value(row):
+def _break_leaf_vote(vote):
     def corrupt(tree):
         leaf = tree["feature"].index(-1)
-        tree["proba"][leaf] = row
-        return (f"trees[1].proba[{leaf}]: must hold finite, non-negative probabilities, "
-                f"got {row}")
+        tree["vote"][leaf] = vote
+        return f"trees[1].vote[{leaf}]: leaf vote {vote} outside [0, 2)"
     return corrupt
+
+
+def _break_split_vote(tree):
+    tree["vote"][0] = 0
+    return "trees[1].vote[0]: split vote 0, must be -1"
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [_break_missing_key, _break_unequal_length, _break_child_range, _break_shared_node,
-     _break_cycle, _break_feature_range, _break_proba_width, _break_proba_value([float("nan"), 1.0]),
-     _break_proba_value([1.0, -5.0])],
+     _break_cycle, _break_feature_range, _break_leaf_vote(2), _break_leaf_vote(-2),
+     _break_split_vote],
     ids=["missing-key", "unequal-length", "child-range", "shared-node", "cycle",
-         "feature-range", "proba-width", "proba-nan", "proba-negative"],
+         "feature-range", "vote-outside-classes", "vote-negative", "vote-at-split"],
 )
 def test_malformed_forest_refused_at_load(tmp_path, corrupt):
     ds = generate(DatasetKind.CLF, 300, {NORMAL: 0.5, "dos": 0.5}, seed=5)

@@ -33,7 +33,7 @@ GOLDEN = {
     "train/metrics.csv":
         "4b8205f7d2bdf44351bb82f1c35212608f839d2a857e7242081e977175c31a27",
     "train/models.json":
-        "67e894fc0bd82fd314245709415e56a5525f79dc198d13e6e7b03f5c81ce2a62",
+        "d24f00ecd8e681ece3ff34d6d9cac66de9cc9887ad7b7f67f1f1f4f6a7f82e3d",
     "simulate-fresh/qtable.json":
         "bd9cf0d8f5d045431f1cf317252a8fed10c0f0cffafb138b1960b43a79bde893",
     "simulate-lowest-cost/results.csv":
