@@ -128,17 +128,33 @@ class _Forest:
 
     def predict(self, X: np.ndarray, n_classes: int) -> np.ndarray:
         """Class index per row: the majority of the per-tree votes, ties to
-        the earliest class."""
+        the earliest class.
+
+        Like the compiled walk, a row stops at a strict majority: every row
+        counts the first `half + 1` trees' votes, and a row whose top count is
+        above `half` is settled, since that class holds more than half of all
+        the trees' votes and so is the full count's unique argmax. Only the
+        rows still open walk the other trees."""
         n, d = X.shape
-        rows = np.arange(n)[:, None]
-        values, start = X.ravel(), rows * d  # row r's feature f is values[r * d + f]
-        node = self.roots  # broadcasts against `rows` to (n, n_trees)
+        values, start = X.ravel(), np.arange(n)[:, None] * d  # row r's feature f: values[r * d + f]
+        half = len(self.roots) // 2
+        counts = self._counts(values, start, self.roots[:half + 1], n_classes)
+        rest = self.roots[half + 1:]
+        open_rows = np.flatnonzero(counts.max(axis=1) <= half)
+        if len(rest) and len(open_rows):
+            counts[open_rows] += self._counts(values, start[open_rows], rest, n_classes)
+        return counts.argmax(axis=1)
+
+    def _counts(self, values, start, roots, n_classes):
+        """(rows, n_classes) votes of the trees rooted at `roots` for the rows
+        whose features begin at `start` (rows, 1) in `values`, walked one level
+        per step."""
+        node = roots  # broadcasts against `start` to (rows, trees)
         for _ in self.levels:
             go_left = values.take(start + self.feature.take(node)) <= self.threshold.take(node)
             node = self.children.take(2 * node + go_left)
-        cells = (rows * n_classes + self.vote.take(node)).ravel()
-        counts = np.bincount(cells, minlength=n * n_classes).reshape(n, n_classes)
-        return counts.argmax(axis=1)
+        cells = (np.arange(len(start))[:, None] * n_classes + self.vote.take(node)).ravel()
+        return np.bincount(cells, minlength=len(start) * n_classes).reshape(-1, n_classes)
 
 
 def _compile_walk(forest: _Forest, n_features: int, n_classes: int):
@@ -474,8 +490,10 @@ class DetectorModel(FittedModel):
         scores = np.column_stack([X, np.ones(X.shape[0])]) @ self.weights
         return scores.argmax(axis=1)
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.classes[i] for i in self._class_indices(X)])
+    def predict_batch(self, X: np.ndarray, as_indices: bool = False) -> np.ndarray:
+        """Each row's class label, or with `as_indices` its index in `classes`."""
+        indices = self._class_indices(X)
+        return indices if as_indices else np.array([self.classes[i] for i in indices])
 
     def predict(self, features) -> str:
         """The class of one record; a forest walks its compiled trees."""
@@ -562,23 +580,32 @@ def train_linear(train: Dataset) -> DetectorModel:
 
 
 def evaluate(model: DetectorModel, test: Dataset) -> DetectionMetrics:
+    """Accuracy, per-class F1 and per-attack-class false-alarm rate, from one
+    confusion matrix of true against predicted class index. A test label the
+    model has no class for is its own true row: a miss for every class."""
+    if len(test) == 0:
+        raise EvaluationError("empty test dataset")
     if tuple(test.feature_names) != tuple(model.feature_names):
         raise EvaluationError(
             f"schema mismatch: model {model.feature_names} vs data {test.feature_names}"
         )
-    pred = model.predict_batch(test.X)
-    truth = test.labels
-    accuracy = float(np.mean(pred == truth))
+    k, n = len(model.classes), len(test)
+    pred = model.predict_batch(test.X, as_indices=True)
+    truth = np.full(n, k)
+    for i, c in enumerate(model.classes):
+        truth[test.labels == c] = i
+    confusion = np.bincount(truth * k + pred, minlength=(k + 1) * k).reshape(k + 1, k)
+    tp = confusion.diagonal()
+    fp = confusion.sum(axis=0) - tp
+    fn = confusion.sum(axis=1)[:k] - tp
+    tn = n - tp - fp - fn
+    accuracy = float(tp.sum() / n)  # correctly rounded, as the mean of a 0/1 array is
     f1, far = {}, {}
-    for c in model.classes:
-        tp = np.sum((pred == c) & (truth == c))
-        fp = np.sum((pred == c) & (truth != c))
-        fn = np.sum((pred != c) & (truth == c))
-        tn = np.sum((pred != c) & (truth != c))
-        denom = 2 * tp + fp + fn
-        f1[c] = float(2 * tp / denom) if denom > 0 else 0.0
+    for i, c in enumerate(model.classes):
+        denom = 2 * tp[i] + fp[i] + fn[i]
+        f1[c] = float(2 * tp[i] / denom) if denom > 0 else 0.0
         if c != NORMAL:
-            far[c] = float(fp / (fp + tn)) if (fp + tn) > 0 else 0.0
+            far[c] = float(fp[i] / (fp[i] + tn[i])) if (fp[i] + tn[i]) > 0 else 0.0
     return DetectionMetrics(accuracy=accuracy, f1=f1, far=far)
 
 
@@ -590,21 +617,30 @@ _TREE_FIELDS = {"feature": int, "threshold": float, "left": int, "right": int, "
 
 
 def _tree_from_obj(obj, path, n_features, n_classes):
-    """A tree from its JSON object, refusing arrays the forest cannot stack;
-    `_Forest.stack` checks the child pointers."""
+    """A tree from its JSON object, refusing arrays the forest cannot stack
+    and entries of the wrong type: an int array takes only integers, and the
+    thresholds only numbers. `_Forest.stack` checks the child pointers."""
     with fields_at(path, obj, EvaluationError):
         columns = {key: obj[key] for key in _TREE_FIELDS}
     m = len(columns["feature"]) if isinstance(columns["feature"], list) else 0
+    arrays = {}
     for key, column in columns.items():
         if not (isinstance(column, list) and m):
             raise EvaluationError(f"{path}.{key}: must be a non-empty array")
         if len(column) != m:
             raise EvaluationError(f"{path}.{key}: {len(column)} entries, feature has {m}")
-    try:
-        tree = DecisionTree(**{key: np.array(columns[key], dtype=dtype)
-                               for key, dtype in _TREE_FIELDS.items()})
-    except (TypeError, ValueError) as exc:
-        raise EvaluationError(f"{path}: {exc}") from None
+        # exact types: a JSON boolean is not a number, and a cast would
+        # truncate a fractional index or vote
+        dtype = _TREE_FIELDS[key]
+        allowed, what = ({int}, "an integer") if dtype is int else ({int, float}, "a number")
+        if not set(map(type, column)) <= allowed:
+            i = next(i for i, v in enumerate(column) if type(v) not in allowed)
+            raise EvaluationError(f"{path}.{key}[{i}]: must be {what}, got {column[i]!r}")
+        try:
+            arrays[key] = np.array(column, dtype=dtype)
+        except OverflowError as exc:  # an integer too large for the array's type
+            raise EvaluationError(f"{path}.{key}: {exc}") from None
+    tree = DecisionTree(**arrays)
     bad = np.flatnonzero((tree.feature < -1) | (tree.feature >= n_features))
     if len(bad):
         raise EvaluationError(f"{path}.feature[{bad[0]}]: feature {tree.feature[bad[0]]} "

@@ -496,6 +496,56 @@ def test_vote_asks_no_tree_after_a_strict_majority(votes, called):
     assert calls == called
 
 
+_GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]  # the property's thresholds, and values that sit on them
+
+
+@st.composite
+def _small_forests(draw):
+    """A forest of 1-7 random trees at most 3 deep over the 3 CLF features,
+    each leaf voting for one of 2-5 classes."""
+    n_classes = draw(st.integers(2, 5))
+    trees = []
+    for _ in range(draw(st.integers(1, 7))):
+        feature, threshold, left, right, vote = [], [], [], [], []
+
+        def grow(depth):
+            i = len(feature)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            vote.append(-1)
+            if depth < 3 and draw(st.booleans()):
+                feature[i] = draw(st.integers(0, 2))
+                threshold[i] = draw(st.sampled_from(_GRID))
+                left[i] = grow(depth + 1)
+                right[i] = grow(depth + 1)
+            else:
+                vote[i] = draw(st.integers(0, n_classes - 1))
+            return i
+
+        grow(0)
+        trees.append(DecisionTree(*map(np.array, (feature, threshold, left, right, vote))))
+    return _forest(trees, classes=LABELS[:n_classes])
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=_small_forests(), rows=st.lists(
+    st.lists(st.sampled_from(_GRID + [-2.0, 2.0, np.nan]), min_size=3, max_size=3),
+    max_size=40))
+def test_batch_walk_stopped_at_a_majority_counts_as_every_tree(model, rows):
+    """The batch walk's two phases (the first half + 1 trees for every row,
+    the rest for the rows with no strict majority yet) give the argmax of
+    every tree's votes, ties to the earliest class, and the compiled walk's
+    class for each row; no rows give no classes."""
+    X = np.array(rows, dtype=float).reshape(-1, 3)
+    n_classes = len(model.classes)
+    full = [votes.index(max(votes)) for votes in _reference_votes(model, X)]
+    assert model._forest.predict(X, n_classes).tolist() == full
+    assert [model._walk(*x) for x in X.tolist()] == full
+    assert model._forest.predict(np.empty((0, 3)), n_classes).shape == (0,)
+
+
 def _chain(depth, lean, thresholds):
     """A tree as its JSON object: `depth` splits in a chain, each one's child
     on the `lean` side the next split and the other a leaf."""
@@ -715,6 +765,49 @@ class TestEvaluate:
                 weighted += mask.mean() * np.mean(pred[mask] == c)
         assert metrics.accuracy == pytest.approx(weighted)
 
+    @staticmethod
+    def _per_class_reference(model, test):
+        """The metrics counted class by class from the predicted labels, with
+        four comparisons per class."""
+        pred = model.predict_batch(test.X)
+        truth = test.labels
+        accuracy = float(np.mean(pred == truth))
+        f1, far = {}, {}
+        for c in model.classes:
+            tp = np.sum((pred == c) & (truth == c))
+            fp = np.sum((pred == c) & (truth != c))
+            fn = np.sum((pred != c) & (truth == c))
+            tn = np.sum((pred != c) & (truth != c))
+            denom = 2 * tp + fp + fn
+            f1[c] = float(2 * tp / denom) if denom > 0 else 0.0
+            if c != NORMAL:
+                far[c] = float(fp / (fp + tn)) if (fp + tn) > 0 else 0.0
+        return detection.DetectionMetrics(accuracy=accuracy, f1=f1, far=far)
+
+    @pytest.mark.parametrize("kind", list(DatasetKind), ids=lambda kind: kind.value)
+    def test_confusion_matrix_metrics_equal_the_per_class_counts(self, kind):
+        """Every float is the per-class reference's, to the last bit, on the
+        train-detect split and on test labels the model never saw: those
+        count as a miss for every class."""
+        ds = generate(kind, 4000, DEFAULT_MIX, seed=0)
+        train, test = split(ds, 0.7, seed=0)
+        seen = np.isin(train.labels, [NORMAL, "dos", "probe"])
+        narrow = Dataset(kind, train.feature_names, train.X[seen], train.labels[seen],
+                         train.intensity[seen])
+        for model in (train_random_forest(train, n_trees=15, seed=0), train_linear(train),
+                      train_random_forest(narrow, n_trees=15, seed=0), train_linear(narrow)):
+            metrics = evaluate(model, test)
+            assert repr(metrics) == repr(self._per_class_reference(model, test))
+            indices = model.predict_batch(test.X, as_indices=True)
+            assert [model.classes[i] for i in indices] == list(model.predict_batch(test.X))
+        assert set(test.labels) - set(model.classes) == {"r2l", "u2r"}
+        assert metrics.accuracy <= 1 - np.isin(test.labels, ["r2l", "u2r"]).mean()
+
+    def test_empty_test_set_rejected(self):
+        model = train_random_forest(_xor_dataset(), n_trees=3, seed=0)
+        with pytest.raises(EvaluationError, match="^empty test dataset$"):
+            evaluate(model, _dataset(np.zeros((0, 3)), []))
+
 
 class TestPredict:
     def test_wrong_arity_rejected(self):
@@ -843,13 +936,41 @@ def _break_split_vote(tree):
     return "trees[1].vote[0]: split vote 0, must be -1"
 
 
+def _break_entry(key, value, shown):
+    """Tree 1's `key` entry at its first leaf (feature at its root) set to
+    `value`, which a cast would have loaded as a valid number."""
+    def corrupt(tree):
+        i = 0 if key == "feature" else tree["feature"].index(-1)
+        tree[key][i] = value
+        return f"trees[1].{key}[{i}]: {shown}"
+    return corrupt
+
+
+def _break_overflow(tree):
+    tree["vote"][tree["feature"].index(-1)] = 2 ** 64
+    return "trees[1].vote: Python int too large to convert to C long"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_break_missing_key, _break_unequal_length, _break_child_range, _break_shared_node,
      _break_cycle, _break_feature_range, _break_leaf_vote(2), _break_leaf_vote(-2),
-     _break_split_vote],
+     _break_split_vote,
+     _break_entry("vote", 0.9, "must be an integer, got 0.9"),
+     _break_entry("vote", 1.0, "must be an integer, got 1.0"),
+     _break_entry("left", 1.5, "must be an integer, got 1.5"),
+     _break_entry("right", "2", "must be an integer, got '2'"),
+     _break_entry("feature", True, "must be an integer, got True"),
+     _break_entry("vote", False, "must be an integer, got False"),
+     _break_entry("threshold", True, "must be a number, got True"),
+     _break_entry("threshold", "0.5", "must be a number, got '0.5'"),
+     _break_entry("threshold", [0.5], "must be a number, got [0.5]"),
+     _break_overflow],
     ids=["missing-key", "unequal-length", "child-range", "shared-node", "cycle",
-         "feature-range", "vote-outside-classes", "vote-negative", "vote-at-split"],
+         "feature-range", "vote-outside-classes", "vote-negative", "vote-at-split",
+         "vote-fraction", "vote-float", "left-fraction", "right-string", "feature-boolean",
+         "vote-boolean", "threshold-boolean", "threshold-string", "threshold-array",
+         "vote-overflow"],
 )
 def test_malformed_forest_refused_at_load(tmp_path, corrupt):
     ds = generate(DatasetKind.CLF, 300, {NORMAL: 0.5, "dos": 0.5}, seed=5)
