@@ -24,7 +24,14 @@ from .model import (
     builtin_action_properties,
 )
 from .scheduling import TrustRepository, eligible_services
-from .scoring import adaptation_cost, attack_score, mitigation_score, normalize
+from .scoring import (  # attack_score: perfbench/spans.py counts calls through this name
+    adaptation_cost,
+    attack_score,
+    impact_factor,
+    mitigation_score,
+    normalize_column,
+    scaled_attack_score,
+)
 
 #: AFR multiplier applied to the attacked service by a reconfiguration action.
 RECONFIG_AFR_FACTOR = 0.5
@@ -45,10 +52,10 @@ class AttackEvent(NamedTuple):
     service_id: str
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):
     """One candidate of a selection: its kind, its nominal price, time and
-    value, its mitigation score and its adaptation cost (`total`)."""
+    value, its mitigation score and its adaptation cost (`total`). An
+    immutable record, so a tuple."""
 
     kind: ActionKind
     price: float
@@ -170,24 +177,24 @@ def resolve_candidates(
         return CandidateSet((), None, (), 0.0)
     if not any(k in BACKUP_KINDS for k in final):
         backup = None
-    ms = {k: ms[k] for k in final}
-    price_n = normalize({k: params[k].price for k in final})
-    time_n = normalize({k: params[k].time for k in final})
-    ms_n = normalize(ms)
-    value_n = normalize({k: params[k].value for k in final})
-    breakdowns = tuple(
-        CostBreakdown(
-            kind=k,
-            price=params[k].price,
-            time=params[k].time,
-            mitigation=ms[k],
-            value=params[k].value,
-            total=adaptation_cost(cfg, price_n[k], time_n[k], ms_n[k], value_n[k]),
-        )
-        for k in final
-    )
+    # each candidate's price, time, mitigation score and value, and the same
+    # rows after each column is normalized once
+    raw = [(params[k].price, params[k].time, ms[k], params[k].value) for k in final]
+    normalized = zip(*(normalize_column(final, column) for column in zip(*raw)))
+    breakdowns = tuple(CostBreakdown(k, *row, adaptation_cost(cfg, *scaled))
+                       for k, row, scaled in zip(final, raw, normalized))
     ranked = tuple(b.kind for b in sorted(breakdowns, key=cost_rank))
-    return CandidateSet(breakdowns, backup, ranked, max(ms.values()))
+    return CandidateSet(breakdowns, backup, ranked, max(row[2] for row in raw))
+
+
+def task_impact(task: Task, spec: AttackSpec, memo: dict) -> float:
+    """`scoring.impact_factor` of `spec`'s attack on `task`, computed once per
+    (task id, attack type) and kept in `memo`."""
+    key = (task.id, spec.attack_type)
+    factor = memo.get(key)
+    if factor is None:
+        factor = memo[key] = impact_factor(task.requirements, spec.impact)
+    return factor
 
 
 def select_action(
@@ -207,28 +214,34 @@ def select_action(
     (`cost_rank`); `CandidateSet.candidate` looks up the one to apply.
     `memo` serves calls that share `cfg`, `cloud`, each attack type's `spec`
     and each task's bound service `current`, as the instances of one
-    experiment do. It keeps three things: each (task id, detector kind)'s
+    experiment do. It keeps four things: each (task id, attack type)'s
+    impact factor (`task_impact`), which the trigger score scales by the
+    live AFR and the tier's level; each (task id, detector kind)'s
     `task_actions`, so a backup is looked up at most once for it; each (task
-    id, attack type, detector kind)'s mitigation scores; and each (task id,
-    attack type, tier, detector kind)'s candidate set.
+    id, attack type, backup id)'s mitigation scores; and each (task id,
+    attack type, tier, backup id)'s candidate set. A task's action params
+    depend on the detector kind only through the backup it resolves (None
+    without one), so detections of either kind that resolve the same backup
+    share their scores and sets.
     """
-    afr = trust.afr(event.service_id, event.attack_type)
-    score = attack_score(task.requirements, spec.impact, afr, SEVERITY_LEVEL[event.level])
-    if score <= cfg.adapt_trigger_threshold:
-        return SelectionResult(score)
     if memo is None:
         memo = {}
+    afr = trust.afr(event.service_id, event.attack_type)
+    score = scaled_attack_score(task_impact(task, spec, memo), afr, SEVERITY_LEVEL[event.level])
+    if score <= cfg.adapt_trigger_threshold:
+        return SelectionResult(score)
     at, detected_in = event.attack_type, event.detected_in
-    key = (task.id, at, event.level, detected_in)
+    actions = memo.get((task.id, detected_in))
+    if actions is None:
+        actions = memo[task.id, detected_in] = task_actions(task, current, cloud, detected_in)
+    backup, params = actions
+    backup_id = None if backup is None else backup.id
+    key = (task.id, at, event.level, backup_id)
     candidates = memo.get(key)
     if candidates is None:
-        actions = memo.get((task.id, detected_in))
-        if actions is None:
-            actions = memo[task.id, detected_in] = task_actions(task, current, cloud, detected_in)
-        backup, params = actions
-        ms = memo.get((task.id, at, detected_in))
+        ms = memo.get((task.id, at, backup_id))
         if ms is None:
-            ms = memo[task.id, at, detected_in] = {
+            ms = memo[task.id, at, backup_id] = {
                 k: mitigation_score(task.requirements, spec.impact, p.mitigation_impact)
                 for k, p in params.items()
             }

@@ -491,9 +491,11 @@ class DetectorModel(FittedModel):
         return scores.argmax(axis=1)
 
     def predict_batch(self, X: np.ndarray, as_indices: bool = False) -> np.ndarray:
-        """Each row's class label, or with `as_indices` its index in `classes`."""
+        """Each row's class label, or with `as_indices` its index in `classes`.
+        The labels are a unicode array as wide as the widest class name,
+        also for an empty batch."""
         indices = self._class_indices(X)
-        return indices if as_indices else np.array([self.classes[i] for i in indices])
+        return indices if as_indices else np.array(self.classes).take(indices)
 
     def predict(self, features) -> str:
         """The class of one record; a forest walks its compiled trees."""

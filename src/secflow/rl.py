@@ -113,7 +113,8 @@ def predict(table: QTable, state, candidates):
     cheapest-first, so there a tie goes to the cheapest."""
     if not candidates:
         raise RLDomainError("empty candidate set")
-    return max(candidates, key=lambda a: table.q(state, a))  # max keeps the first
+    get = table.entries.get  # `QTable.q` without a method call per candidate
+    return max(candidates, key=lambda a: get((state, _action_key(a)), 0.0))  # max keeps the first
 
 
 def train(table: QTable, episodes, rng):

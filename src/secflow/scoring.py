@@ -20,6 +20,23 @@ def _require_unit(name, value):
         raise ScoringDomainError(f"{name} must be in [0,1], got {value!r}")
 
 
+def impact_factor(requirements: SecurityVector, impact: SecurityVector) -> float:
+    """The CIA impact factor of an attack on a task: 1 - prod over CIA of
+    (1 - req*impact). It depends on the task and the attack type alone."""
+    # the fold from 1.0, whose first product is exact
+    return 1.0 - ((1.0 - requirements.c * impact.c) * (1.0 - requirements.i * impact.i)
+                  * (1.0 - requirements.a * impact.a))
+
+
+def scaled_attack_score(factor: float, afr: float, level: float) -> float:
+    """The attack score of an `impact_factor`: factor * afr * level, with
+    afr and level in [0,1]."""
+    if not (0.0 <= afr <= 1.0 and 0.0 <= level <= 1.0):
+        _require_unit("afr", afr)
+        _require_unit("level", level)
+    return factor * afr * level
+
+
 def attack_score(
     requirements: SecurityVector,
     impact: SecurityVector,
@@ -28,12 +45,7 @@ def attack_score(
 ) -> float:
     """Impact of a detected attack on a task:
     (1 - prod over CIA of (1 - req*impact)) * afr * level."""
-    _require_unit("afr", afr)
-    _require_unit("level", level)
-    # the fold from 1.0, whose first product is exact
-    prod = ((1.0 - requirements.c * impact.c) * (1.0 - requirements.i * impact.i)
-            * (1.0 - requirements.a * impact.a))
-    return (1.0 - prod) * afr * level
+    return scaled_attack_score(impact_factor(requirements, impact), afr, level)
 
 
 def mitigation_score(
@@ -51,24 +63,29 @@ def mitigation_score(
     return total
 
 
-def normalize(values: dict) -> dict:
-    """Min-max normalize a map of candidate-action values.
+def normalize_column(keys, values) -> list:
+    """Min-max normalize `values`, the candidate values of `keys` in order.
 
     Three cases: a single candidate keeps its raw value (no normalization
     needed), all-equal values map to 0, otherwise (x - min) / (max - min).
     """
     if not values:
         raise ScoringDomainError("cannot normalize an empty candidate map")
-    for k, v in values.items():
+    for k, v in zip(keys, values):
         if not math.isfinite(v):
             raise ScoringDomainError(f"non-finite value for {k!r}: {v!r}")
     if len(values) == 1:
-        return dict(values)
-    lo = min(values.values())
-    hi = max(values.values())
+        return list(values)
+    lo = min(values)
+    hi = max(values)
     if hi - lo <= EQUAL_TOL:
-        return {k: 0.0 for k in values}
-    return {k: (v - lo) / (hi - lo) for k, v in values.items()}
+        return [0.0] * len(values)
+    return [(v - lo) / (hi - lo) for v in values]
+
+
+def normalize(values: dict) -> dict:
+    """`normalize_column` of a map of candidate-action values."""
+    return dict(zip(values, normalize_column(tuple(values), tuple(values.values()))))
 
 
 def adaptation_cost(

@@ -125,9 +125,12 @@ class SeverityEntry(FittedModel):
 
     @cached_property
     def _lists(self):
-        # scale_mean, scale_std and centroids as Python floats, and each
-        # cluster's level as its SEVERITY_ORDER rank
-        return (self.scale_mean.tolist(), self.scale_std.tolist(), self.centroids.tolist(),
+        # one (feature index, mean, std) row per selected feature and the
+        # centroids as Python floats, and each cluster's level as its
+        # SEVERITY_ORDER rank
+        return (tuple(zip(self.feature_indices, self.scale_mean.tolist(),
+                          self.scale_std.tolist())),
+                self.centroids.tolist(),
                 [SEVERITY_ORDER.index(level) for level in self.cluster_level])
 
     def assess(self, features) -> Severity:
@@ -137,9 +140,8 @@ class SeverityEntry(FittedModel):
         Python floats, with the same operations in the same order (numpy sums
         fewer than 8 values as a left fold), and the running best keeps the
         order of `min` over (distance, rank) tuples."""
-        scale_mean, scale_std, centroids, rank = self._lists
-        x = [(float(features[i]) - m) / s for i, m, s in
-             zip(self.feature_indices, scale_mean, scale_std)]
+        scaling, centroids, rank = self._lists
+        x = [(float(features[i]) - m) / s for i, m, s in scaling]
         best = best_d2 = None
         for j, centroid in enumerate(centroids):
             d2 = 0.0

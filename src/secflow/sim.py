@@ -30,6 +30,7 @@ from .decision import (
     apply_middleware_action,
     apply_tenant_action,
     select_action,
+    task_impact,
 )
 from .model import (
     ActionKind,
@@ -48,7 +49,7 @@ from .model import (
     builtin_attack_catalog,
 )
 from .scheduling import TrustRepository, schedule
-from .scoring import attack_score
+from .scoring import attack_score, scaled_attack_score  # attack_score: see decision's import
 from .severity import AssessmentError
 
 
@@ -157,14 +158,11 @@ class ExecutionState:
         return (self._done[1] + self._current[1]) + self._adapted[1]
 
     def accumulated(self):
-        price, time, value = (d + c for d, c in zip(self._done, self._current))
-        adapted = self._adapted
-        return {
-            "price": price + adapted[0],
-            "time": time + adapted[1],
-            "value": value + adapted[2],
-            "mitigation": adapted[3],
-        }
+        """The ledger totals, in `RESULTS_FLOATS` order: price, time, value
+        and mitigation."""
+        done, current, adapted = self._done, self._current, self._adapted
+        return ((done[0] + current[0]) + adapted[0], (done[1] + current[1]) + adapted[1],
+                (done[2] + current[2]) + adapted[2], adapted[3])
 
 
 class Layout:
@@ -190,11 +188,13 @@ class Experiment:
     the plan checked against the cloud, each task's bound service, the cloud,
     the detectors (one per `DatasetKind`), the severity model, the tenant
     config, the trust repository the instances share, the attack rate and
-    `selections`, `decision.select_action`'s memo: each task's backup and
-    action params per detector kind, its mitigation scores per (attack
-    type, detector kind) and its candidate sets per (attack type, tier,
-    detector kind) resolved so far, valid while the cloud and the tenant
-    config stay those of the experiment. `run_experiment` builds one and
+    `selections`, `decision.select_action`'s memo: each task's impact factor
+    per attack type (`decision.task_impact`), which a trigger score and a
+    landed attack's true damage both scale, its backup and action params
+    per detector kind, its mitigation scores per (attack type, backup) and
+    its candidate sets per (attack type, tier, backup) resolved so far,
+    valid while the cloud and the tenant config stay those of the
+    experiment. `run_experiment` builds one and
     passes it to every instance; it is dropped with the experiment.
     `spreads`, which scale a learner's rewards, hold each `rl.ATTR_NAMES`
     attribute's max - min over the burn-in rounds, as `run_experiment` sets
@@ -414,6 +414,10 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
     detectors, severity_model = experiment.detectors, experiment.severity_model
     cloud, cfg, attack_rate = experiment.cloud, experiment.cfg, experiment.attack_rate
     selections = experiment.selections
+    # a decision's reward terms: (ledger total's index, weight, spread) of
+    # each attribute whose spread is nonzero
+    terms = [(RESULTS_FLOATS.index(n), rl.REWARD_WEIGHTS[n], spread)
+             for n, spread in experiment.spreads.items() if spread > 0]
 
     words = experiment.seed_words.get(seed)
     if words is None:
@@ -460,9 +464,8 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
         # actual harm of a landed attack is anchored to the service's static
         # AFR so the learned live rate cannot argue the damage away
         afr_static = svc.afr.get(true_type, 0.0)
-        true_damage = 1.0 - attack_score(
-            task.requirements, ATTACK_CATALOG[true_type].impact, afr_static, intensity
-        )
+        true_damage = 1.0 - scaled_attack_score(
+            task_impact(task, ATTACK_CATALOG[true_type], selections), afr_static, intensity)
         # the type an outcome reports: the true one when the attack goes
         # unseen, else the predicted one
         entry = {"task": tid, "service": svc.id,
@@ -525,17 +528,16 @@ def instance_episode(experiment: Experiment, seed: int, choose=None, learn=None)
             # the decision's own share of the run metric: the ledger change it
             # made, damage included, weighed as `rl.reward` weighs a run
             after = state.accumulated()
-            learn(sum(rl.REWARD_WEIGHTS[n] * (after[n] - before[n]) / spread
-                      for n, spread in experiment.spreads.items() if spread > 0))
+            learn(sum(w * (after[i] - before[i]) / spread for i, w, spread in terms))
 
     trust.observe(hits)
     total_time = makespan(layout, state.durations())
-    acc = state.accumulated()
+    price, _, value, mitigation = state.accumulated()
     return RunResult(
-        price=acc["price"],
+        price=price,
         time=total_time,
-        value=acc["value"],
-        mitigation=acc["mitigation"],
+        value=value,
+        mitigation=mitigation,
         injected=injected,
         detected=detected,
         adapted=adapted,

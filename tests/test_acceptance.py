@@ -27,6 +27,7 @@ from secflow.scoring import adaptation_cost, attack_score, mitigation_score, nor
 from secflow.severity import fit_severity
 from secflow.sim import (
     POLICIES,
+    RESULTS_FLOATS,
     ExecutionState,
     Layout,
     WorkflowClass,
@@ -331,7 +332,7 @@ def test_criterion_6a_ledger_conservation():
             expected["time"] += t
             expected["value"] += dv
             expected["mitigation"] += ms
-        acc = state.accumulated()
+        acc = dict(zip(RESULTS_FLOATS, state.accumulated()))
         for key in expected:
             assert abs(acc[key] - expected[key]) <= 1e-9
     print(f"\n[PASS] criterion 6: ledger conservation, {N_CASES} cases within 1e-9")

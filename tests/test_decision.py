@@ -12,27 +12,44 @@ from secflow import decision
 from secflow.datagen import DatasetKind
 from secflow.decision import (
     AttackEvent,
+    CandidateSet,
     CostBreakdown,
     NoBackupError,
     RECONFIG_AFR_FACTOR,
     apply_middleware_action,
     apply_tenant_action,
     find_backup_service,
+    resolve_candidates,
     select_action,
+    task_impact,
 )
 from secflow.model import (
+    ACTION_ORDER,
+    SEVERITY_LEVEL,
     ActionKind,
+    ActionParams,
     AttackType,
     ControlEdge,
     DataEdge,
     MIDDLEWARE_KINDS,
+    SecurityVector,
     Severity,
     TenantConfig,
     Workflow,
     builtin_attack_catalog,
 )
 from secflow.scheduling import TrustRepository, schedule
+from secflow.scoring import (
+    EQUAL_TOL,
+    ScoringDomainError,
+    adaptation_cost,
+    attack_score,
+    impact_factor,
+    normalize,
+    scaled_attack_score,
+)
 from secflow.sim import (
+    RESULTS_FLOATS,
     ExecutionState,
     Layout,
     WorkflowClass,
@@ -250,8 +267,9 @@ class TestCandidateMemo:
         assert len(memo) == resolved > 0
 
     def test_resolution_differs_by_tier_and_detector_kind(self):
-        """The memo key needs both: the tier picks the mitigation set, and a
-        CLF detection excludes the attacked provider from the backups."""
+        """The memo key needs the tier and the backup: the tier picks the
+        mitigation set, and here a CLF detection, which excludes the
+        attacked provider, resolves another backup than an NTD one."""
         task, cloud, trust, svc = self._setup()
         selections = {
             (level, kind): select_action(
@@ -326,6 +344,42 @@ class TestCandidateMemo:
             else:
                 assert backup_kinds & set(c.ranked)
 
+    def test_detector_kinds_with_one_backup_share_their_sets(self, monkeypatch):
+        """The cheapest alternative is on another provider, so both detector
+        kinds resolve it: their selections share one set per (attack type,
+        tier), resolved once, and equal fresh ones."""
+        task = make_task(cia=(1.0, 1.0, 1.0))
+        cloud = make_cloud([
+            make_service("p0-s0", "p0", price=2.0, time=10.0, afr=1.0),
+            make_service("p1-s0", "p1", price=1.0, time=12.0, afr=1.0),
+        ])
+        trust = TrustRepository.from_cloud(cloud)
+        svc = cloud.service_map()["p0-s0"]
+        cases = [(at, level, kind) for at in AttackType for level in Severity
+                 for kind in DatasetKind]
+
+        def select(at, level, kind, *memo):
+            return select_action(task, _event(at, level, kind), CATALOG[at], TenantConfig(),
+                                 cloud, trust, svc, *memo)
+
+        fresh = {case: select(*case) for case in cases}
+        resolved = []
+
+        def counted(*args):
+            resolved.append(args)
+            return resolve_candidates(*args)
+
+        monkeypatch.setattr(decision, "resolve_candidates", counted)
+        memo = {}
+        shared = {case: select(*case, memo) for case in cases}
+        assert shared == fresh
+        assert len(resolved) == len(AttackType) * len(Severity)
+        assert {memo[task.id, kind][0].id for kind in DatasetKind} == {"p1-s0"}
+        for at in AttackType:
+            for level in Severity:
+                ntd, clf = (shared[at, level, kind].candidates for kind in DatasetKind)
+                assert ntd is clf and ntd.ranked
+
     def _setup(self):
         task = make_task(cia=(1.0, 1.0, 1.0))
         cloud = make_cloud([
@@ -335,6 +389,176 @@ class TestCandidateMemo:
         ])
         trust = TrustRepository.from_cloud(cloud)
         return task, cloud, trust, cloud.service_map()["p0-s0"]
+
+
+class TestImpactFactorMemo:
+    """The CIA impact factor is computed once per (task id, attack type) and
+    scaled by the live AFR and level at each call: the trigger score and a
+    landed attack's true damage equal `scoring.attack_score`'s bit for bit,
+    with the memo cold or warm."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cia=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        at=st.sampled_from(list(AttackType)),
+        level=st.sampled_from(list(Severity)),
+        afr=st.floats(0.0, 1.0),
+        intensity=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_memoized_factor_reproduces_attack_score(self, cia, at, level, afr, intensity):
+        task = make_task(cia=cia)
+        spec = CATALOG[at]
+        req, imp = task.requirements, spec.impact
+        # the score's float operations, in order
+        exact = (1.0 - (1.0 - req.c * imp.c) * (1.0 - req.i * imp.i)
+                 * (1.0 - req.a * imp.a)) * afr * intensity
+        assert attack_score(req, imp, afr, intensity) == exact
+        cloud = make_cloud([make_service("p0-s0", "p0", afr=afr),
+                            make_service("p1-s0", "p1", afr=afr)])
+        trust = TrustRepository.from_cloud(cloud)
+        svc = cloud.service_map()["p0-s0"]
+        trigger = attack_score(req, imp, afr, SEVERITY_LEVEL[level])
+        damage = 1.0 - attack_score(req, imp, afr, intensity)
+        select_memo, damage_memo = {}, {}
+        for _ in range(2):  # each memo cold, then warm
+            res = select_action(task, _event(at, level), spec, TenantConfig(), cloud, trust,
+                                svc, select_memo)
+            assert res.trigger_score == trigger
+            factor = task_impact(task, spec, damage_memo)
+            assert 1.0 - scaled_attack_score(factor, afr, intensity) == damage
+        assert select_memo[task.id, at] == damage_memo[task.id, at] == impact_factor(req, imp)
+
+    @pytest.mark.parametrize("afr, level, message", [
+        (1.5, None, "afr must be in [0,1], got 1.5"),
+        (-0.1, None, "afr must be in [0,1], got -0.1"),
+        (float("nan"), None, "afr must be in [0,1], got nan"),
+        (0.5, 1.5, "level must be in [0,1], got 1.5"),
+        (0.5, -0.25, "level must be in [0,1], got -0.25"),
+        (2.0, 1.5, "afr must be in [0,1], got 2.0"),  # the rate is checked first
+    ])
+    def test_out_of_range_rate_or_level_raises_with_a_warm_memo(self, monkeypatch, afr, level,
+                                                                message):
+        task = make_task(cia=(1.0, 1.0, 1.0))
+        cloud = make_cloud([make_service("p0-s0", "p0", afr=0.5),
+                            make_service("p1-s0", "p1", afr=0.5)])
+        trust = TrustRepository.from_cloud(cloud)
+        svc = cloud.service_map()["p0-s0"]
+        spec = CATALOG[AttackType.DOS]
+        memo = {}
+        args = (task, _event(), spec, TenantConfig(), cloud, trust, svc, memo)
+        assert _outcome(select_action(*args)) == "adapted"
+        assert (task.id, AttackType.DOS) in memo
+        trust.afr_history[svc.id, AttackType.DOS] = afr
+        if level is not None:
+            monkeypatch.setitem(decision.SEVERITY_LEVEL, Severity.HIGH, level)
+        with pytest.raises(ScoringDomainError) as expected:
+            attack_score(task.requirements, spec.impact, afr, decision.SEVERITY_LEVEL[Severity.HIGH])
+        with pytest.raises(ScoringDomainError) as got:
+            select_action(*args)
+        assert str(got.value) == str(expected.value) == message
+
+
+def _reference_candidates(allowed, backup, params, ms, cfg):
+    """`resolve_candidates` kind by kind: each column normalized as a map, each
+    candidate costed on its own."""
+    final = [k for k in params if k in allowed]
+    if not final:
+        return CandidateSet((), None, (), 0.0)
+    columns = [normalize({k: value(k) for k in final}) for value in (
+        lambda k: params[k].price, lambda k: params[k].time, lambda k: ms[k],
+        lambda k: params[k].value)]
+    breakdowns = tuple(
+        CostBreakdown(kind=k, price=params[k].price, time=params[k].time, mitigation=ms[k],
+                      value=params[k].value,
+                      total=adaptation_cost(cfg, *(column[k] for column in columns)))
+        for k in final)
+    ranked = tuple(b.kind for b in sorted(breakdowns, key=decision.cost_rank))
+    keeps_backup = any(k in decision.BACKUP_KINDS for k in final)
+    return CandidateSet(breakdowns, backup if keeps_backup else None, ranked,
+                        max(ms[k] for k in final))
+
+
+# a column's values: spread out, or all within EQUAL_TOL of one another
+_spread = st.floats(0.0, 50.0)
+_near = st.sampled_from([0.0, EQUAL_TOL / 4, EQUAL_TOL / 2])
+
+
+@st.composite
+def _candidate_inputs(draw):
+    kinds = draw(st.lists(st.sampled_from(ACTION_ORDER), min_size=1, unique=True))
+    kinds.sort(key=ACTION_ORDER.index)  # task_actions keeps declaration order
+
+    def column():
+        if draw(st.booleans()):
+            return [draw(_spread) for _ in kinds]
+        base = draw(_spread)
+        return [base + draw(_near) for _ in kinds]
+
+    price, time, value, ms = column(), column(), column(), column()
+    params = {k: ActionParams(p, t, SecurityVector(0.5, 0.5, 0.5), v)
+              for k, p, t, v in zip(kinds, price, time, value)}
+    allowed = frozenset(draw(st.lists(st.sampled_from(ACTION_ORDER), unique=True)))
+    weights = draw(st.tuples(*[st.floats(0.0, 1.0)] * 4).filter(any))
+    return allowed, params, dict(zip(kinds, ms)), TenantConfig(*weights)
+
+
+class TestResolveCandidates:
+    """`resolve_candidates` against a reference that normalizes each column
+    with `scoring.normalize` and costs each kind with `adaptation_cost`."""
+
+    BACKUP = make_service("p1-s0", "p1")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_candidate_inputs(), st.booleans())
+    def test_equals_the_kind_by_kind_reference(self, inputs, with_backup):
+        allowed, params, ms, cfg = inputs
+        backup = self.BACKUP if with_backup else None
+        got = resolve_candidates(allowed, backup, params, ms, cfg)
+        expected = _reference_candidates(allowed, backup, params, ms, cfg)
+        assert got == expected
+        assert repr(got) == repr(expected)
+        assert got.audit == expected.audit
+
+    def _params(self, *prices):
+        return {k: ActionParams(p, 2.0, SecurityVector(0.5, 0.5, 0.5), 1.0)
+                for k, p in zip(ACTION_ORDER, prices)}
+
+    def test_single_candidate_keeps_raw_values(self):
+        params = self._params(3.0, 4.0)
+        ms = {ActionKind.SKIP: 0.75, ActionKind.SWITCH: 2.0}
+        got = resolve_candidates({ActionKind.SWITCH}, self.BACKUP, params, ms, TenantConfig())
+        assert got == _reference_candidates({ActionKind.SWITCH}, self.BACKUP, params, ms,
+                                            TenantConfig())
+        (only,) = got.breakdowns
+        # price 4, time 2, mitigation 2 and value 1, each kept raw
+        assert only.total == 0.25 * 4.0 + 0.25 * 2.0 - 0.25 * 2.0 - 0.25 * 1.0
+        assert got.backup is None and got.ranked == (ActionKind.SWITCH,)
+
+    def test_all_equal_within_tolerance_costs_zero(self):
+        params = self._params(1.0, 1.0 + EQUAL_TOL / 2, 1.0 + EQUAL_TOL / 4)
+        ms = dict.fromkeys(params, 1.5)
+        got = resolve_candidates(set(params), self.BACKUP, params, ms, TenantConfig())
+        assert got == _reference_candidates(set(params), self.BACKUP, params, ms,
+                                            TenantConfig())
+        assert [b.total for b in got.breakdowns] == [0.0, 0.0, 0.0]
+        assert got.ranked == ACTION_ORDER[:3]  # ties go to declaration order
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_mitigation_raises_as_the_reference(self, bad):
+        params = self._params(1.0, 2.0, 3.0)
+        ms = {k: 1.0 for k in params}
+        ms[ACTION_ORDER[1]] = bad
+        with pytest.raises(ScoringDomainError) as expected:
+            _reference_candidates(set(params), None, params, ms, TenantConfig())
+        with pytest.raises(ScoringDomainError) as got:
+            resolve_candidates(set(params), None, params, ms, TenantConfig())
+        assert str(got.value) == str(expected.value)
+        assert "non-finite value for" in str(got.value)
+
+
+def _totals(state):
+    """The ledger totals of `state` by name."""
+    return dict(zip(RESULTS_FLOATS, state.accumulated()))
 
 
 class TestApplyTenant:
@@ -374,9 +598,9 @@ class TestApplyTenant:
         )
         if chosen.kind is not ActionKind.SKIP:
             pytest.skip("skip not selected")
-        before = state.accumulated()["value"]
+        before = _totals(state)["value"]
         apply_tenant_action(state, event, chosen)
-        after = state.accumulated()
+        after = _totals(state)
         assert before - after["value"] == pytest.approx(1.0)
         assert state.degraded == {"t1": 1, "t2": 1}
 
@@ -387,9 +611,9 @@ class TestApplyTenant:
         chosen, event, _ = self._selected(
             [ActionKind.INSERT], at=AttackType.DOS, level=Severity.MEDIUM
         )
-        before = state.accumulated()
+        before = _totals(state)
         apply_tenant_action(state, event, chosen)
-        after = state.accumulated()
+        after = _totals(state)
         # Insert defaults: 0.2*P, 0.2*T, 0.1*V of the violated task
         assert after["price"] - before["price"] == pytest.approx(0.2 * 2.0)
         assert after["time"] - before["time"] == pytest.approx(0.2 * 10.0)
@@ -418,11 +642,11 @@ class TestApplyMiddleware:
             cloud.service_map()["p0-s0"],
         )
         assert _outcome(res) == "adapted"
-        before = state.accumulated()
+        before = _totals(state)
         apply_middleware_action(
             state, event, res.candidates.candidate(chosen), res.candidates.backup, trust
         )
-        return before, state.accumulated(), trust
+        return before, _totals(state), trust
 
     def test_rework_charges_backup(self):
         before, after, _ = self._run(ActionKind.REWORK)
@@ -614,7 +838,7 @@ class TestLedgerConservation:
         state.start_task("t1", 1.0, 5.0, 0.5)
         state.add_adaptation("t0", price=0.4, time=2.0, value_delta=0.1, mitigation=1.2)
         state.add_adaptation("t1", price=3.0, time=8.0, value_delta=0.0, mitigation=0.9)
-        acc = state.accumulated()
+        acc = _totals(state)
         assert acc["price"] == pytest.approx(2.0 + 1.0 + 0.4 + 3.0, abs=1e-9)
         assert acc["time"] == pytest.approx(10.0 + 5.0 + 2.0 + 8.0, abs=1e-9)
         assert acc["value"] == pytest.approx(1.0 + 0.5 + 0.1, abs=1e-9)
@@ -649,14 +873,13 @@ class TestLedgerConservation:
                         adapt.append({"task": target, "price": p, "time": t,
                                       "value_delta": dv, "mitigation": ms})
                     base = state.base.values()
-                    assert state.accumulated() == {
-                        "price": sum(v[0] for v in base) + sum(a["price"] for a in adapt),
-                        "time": sum(v[1] for v in base) + sum(a["time"] for a in adapt),
-                        "value": sum(v[2] for v in base)
-                        + sum(a["value_delta"] for a in adapt),
-                        "mitigation": sum(a["mitigation"] for a in adapt),
-                    }
-                    assert state.accumulated_time() == state.accumulated()["time"]
+                    assert state.accumulated() == (
+                        sum(v[0] for v in base) + sum(a["price"] for a in adapt),
+                        sum(v[1] for v in base) + sum(a["time"] for a in adapt),
+                        sum(v[2] for v in base) + sum(a["value_delta"] for a in adapt),
+                        sum(a["mitigation"] for a in adapt),
+                    )
+                    assert state.accumulated_time() == state.accumulated()[1]
                     extra = {}
                     for a in adapt:
                         extra[a["task"]] = extra.get(a["task"], 0) + a["time"]

@@ -831,6 +831,22 @@ class TestPredict:
             assert type(label) is str
             assert label == model.classes[_batch_walk(model._forest, row, len(model.classes))[0]]
 
+    def test_batch_labels_are_as_wide_as_the_widest_class_name(self):
+        """The labels are gathered from the class names, so their dtype is the
+        widest name's whatever the rows predict, and an empty batch is an
+        empty array of that dtype."""
+        ds = _xor_dataset()
+        wide = ("normal", "dos")
+        for model in (train_random_forest(ds, seed=0), train_linear(ds), _forest([_leaf(1)], wide)):
+            dtype = np.dtype(f"<U{max(map(len, model.classes))}")
+            labels = model.predict_batch(ds.X)
+            assert labels.dtype == dtype
+            assert labels.tolist() == [model.classes[i]
+                                       for i in model.predict_batch(ds.X, as_indices=True)]
+            empty = model.predict_batch(ds.X[:0])
+            assert empty.dtype == dtype and empty.shape == (0,)
+        assert model.predict_batch(ds.X).tolist() == ["dos"] * len(ds)  # no row predicts "normal"
+
 
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path):

@@ -707,6 +707,7 @@ def test_each_reward_is_the_decisions_share_of_the_run_metric(monkeypatch):
     result = sim.instance_episode(exp, 5, choose, learn)
     assert len(decisions) == result.adapted > 0
     for before, after, r in decisions:
+        before, after = (dict(zip(sim.RESULTS_FLOATS, totals)) for totals in (before, after))
         share = sum(w * (after[n] - before[n]) / exp.spreads[n]
                     for n, w in rl.REWARD_WEIGHTS.items() if exp.spreads[n])
         assert r == pytest.approx(share, rel=1e-12, abs=1e-15)
