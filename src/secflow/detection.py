@@ -24,8 +24,9 @@ RIDGE = 1e-6  # regularization of the linear model's normal equations
 # The most (row, candidate feature) pairs, rows counted with repeats, that
 # one step of `_grow_forest` searches. On 2,800-row forests of 50 trees
 # (2-vCPU VM), 16,384 fit 3x (NTD) and 9x (CLF) faster than one node per
-# step, at a traced peak of 3.1-3.7 MiB; unbounded steps peaked at 17-28 MiB,
-# and at one NTD root (5,600 pairs) the NTD fit was 2.9x slower.
+# step; they peak at 2.5 MiB traced (NTD and CLF), unbounded steps at 21
+# (NTD) and 12 MiB (CLF), and at one NTD root (5,600 pairs) the NTD fit was
+# 2.9x slower.
 STEP_PAIRS = 16_384
 
 
@@ -227,20 +228,27 @@ def _gini(counts, sizes):
     return 1.0 - square_sum
 
 
-def _best_splits(X, hot, rank, rows, mult, lens, cand, min_leaf):
+def _best_splits(X, y, hot, rank, rows, mult, lens, cand, min_leaf):
     """The Gini split of each of m nodes, searched in one pass.
 
-    Node j holds `lens[j]` distinct rows of `rows` (in node order), row i
-    drawn `mult[i]` times, and tries the features `cand[j]` (m, F); `hot`
-    (n, n_classes) holds each row's class one-hot. `hot` and `mult` are
-    int32. Every count counts the repeats: the class counts, the sizes that
-    `min_leaf` bounds and the Gini weights. Returns (feature, threshold,
-    found, counts, left): per node the first feature in `cand[j]` order with
-    the strictly lowest impurity, the midpoint of the two values around its
+    Node j holds `lens[j]` distinct rows of `rows` (in node order, any order
+    within a node), row i drawn `mult[i]` times, and tries the features
+    `cand[j]` (m, F); `y` holds each row's class index and `hot` (n,
+    n_classes) the same one-hot. `hot` and `mult` are int32. Every count
+    counts the repeats: the class counts, the sizes that `min_leaf` bounds
+    and the Gini weights. Only cuts that can be a segment's first minimum
+    are scored: a class change, the edge of a tie block, or a cut within
+    `min_leaf` positions of the segment's ends. Returns (feature, threshold, found, counts, left, entry,
+    start, g): per node the first feature in `cand[j]` order with the
+    strictly lowest impurity, the midpoint of the two values around its
     first minimal cut, and False where no cut leaves `min_leaf` rows on both
     sides; then, as columns of (n_classes, m) arrays, each node's class
     counts and those on its cut's left (where found). Class-major, each
-    class's counts are one contiguous row for `_gini`."""
+    class's counts are one contiguous row for `_gini`. Last, the sorted
+    pairs' positions in `rows` and, per node, where its chosen feature's
+    sorted segment starts and the position of its cut: where found, the
+    left child's rows are `rows[entry[start:g + 1]]` and the right child's
+    `rows[entry[g + 1:start + lens]]`."""
     m, n_cand = cand.shape
     d = X.shape[1]
     node_of = np.repeat(np.arange(m), lens)
@@ -273,8 +281,24 @@ def _best_splits(X, hot, rank, rows, mult, lens, cand, min_leaf):
     counts = cum.take(ends, axis=1) - before[:, :m]
     sizes = np.tile(drawn.take(ends) - drawn_before[:m], n_cand)
 
-    # a cut after sorted position g splits between two distinct values
-    cut = np.flatnonzero((sv[:-1] < sv[1:]) & (seg[:-1] == seg[1:]))
+    # a cut after sorted position g splits between two distinct values of
+    # one segment
+    step = sv[:-1] < sv[1:]
+    step[seg_start[1:] - 1] = False
+    # Inside a run of one-row value blocks of one class, the weighted Gini is
+    # strictly concave in the class weight a cut moves (unless both sides are
+    # pure, and a pure node does not search), so an inner cut of the run is
+    # never minimal. Kept: class changes, the edges of tie blocks, and the
+    # cuts within min_leaf positions of a segment's ends, where the run's
+    # neighbouring cuts may leave under min_leaf rows on a side.
+    label = y.take(rows).take(entry)
+    keep = label[:-1] != label[1:]
+    keep[1:] |= ~step[:-1]
+    keep[:-1] |= ~step[1:]
+    reach = np.arange(min_leaf + 1)
+    keep[np.minimum(seg_start[:, None] + reach, len(step) - 1)] = True
+    keep[np.maximum((seg_start + seg_sizes - 2)[:, None] - reach, 0)] = True
+    cut = np.flatnonzero(step & keep)
     cut_seg = seg[cut]
     n_seg = sizes[cut_seg]
     nl = drawn[cut] - drawn_before[cut_seg]
@@ -297,7 +321,8 @@ def _best_splits(X, hot, rank, rows, mult, lens, cand, min_leaf):
     best = choice * m + np.arange(m)
     g = seg_cut[best]
     return (cand[np.arange(m), choice], (sv[g] + sv[g + 1]) / 2.0,
-            np.isfinite(seg_best[best]), counts, cum[:, g] - before[:, best])
+            np.isfinite(seg_best[best]), counts, cum[:, g] - before[:, best], entry,
+            seg_start[best], g)
 
 
 def _candidates(bitgen, d, k):
@@ -330,9 +355,13 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
     every tree with nodes waiting, up to `STEP_PAIRS` (row, candidate) pairs
     counted with repeats, draws each node's candidates with `_candidates`
     (`rng.choice(d, size=max_features, replace=False)` on the same words, in
-    its tree's preorder) and searches their splits in one pass. Each step
-    records its nodes as arrays; at the end every node is numbered in its
-    tree's preorder from the subtree sizes. Every tree equals the one a
+    its tree's preorder) and searches their splits in one pass. That pass
+    sorts each node's rows on each candidate, and a waiting child takes its
+    rows as one slice of its parent's rows sorted on the split feature, so
+    no second sort routes them (a node's row order never changes its split,
+    since a cut falls only between distinct values). Each step records its
+    nodes as arrays; at the end every node is numbered in its tree's
+    preorder from the subtree sizes. Every tree equals the one a
     node-by-node recursive grower builds from the same generator."""
     n, d = X.shape
     rank = np.empty(X.shape, dtype=np.int32)  # each value's dense rank in its column
@@ -376,8 +405,8 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
         mult = np.concatenate([item[1] for item in items])
         lens = np.array([len(item[0]) for item in items])
         parent, side, depth = np.array([item[3:] for item in items]).T
-        f, thr, found, counts, left = _best_splits(X, hot, rank, rows, mult, lens, cand,
-                                                   min_leaf)
+        f, thr, found, counts, left, entry, start, g = _best_splits(
+            X, y, hot, rank, rows, mult, lens, cand, min_leaf)
         m, tree = len(items), np.array(taken)
         feature = np.where(found, f, -1)
         threshold = np.where(found, thr, 0.0)
@@ -402,26 +431,20 @@ def _grow_forest(X, y, n_classes, max_depth, min_leaf, max_features, rngs):
         waiting = np.flatnonzero(grows)
         if not len(waiting):
             continue
-        # each row goes to its child's place among the waiting children, or -1
-        place = np.full((m, 2), -1)
-        place[split] = np.where(grows, np.cumsum(grows) - 1, -1).reshape(-1, 2)
-        node_of = np.repeat(np.arange(m), lens)
-        go_right = X.take(rows * d + feature[node_of]) > threshold[node_of]
-        dest = place.ravel()[2 * node_of + go_right]
-        keep = np.flatnonzero(dest >= 0)
-        dest = dest[keep].astype(np.min_scalar_type(len(waiting)))  # radix-sorted
-        order = keep[np.argsort(dest, kind="stable")]
-        rows, mult = rows[order], mult[order]
-        ends = np.cumsum(np.bincount(dest, minlength=len(waiting))).tolist()
+        # a child's rows are a slice of its parent's segment sorted on the
+        # split feature: the left child's up to the cut, the right one's after
         up = split[waiting // 2]
-        children = zip(tree[up].tolist(), [0] + ends[:-1], ends,
+        child_side = waiting % 2
+        bounds = np.stack([start, g + 1, start + lens])
+        children = zip(tree[up].tolist(), bounds[child_side, up].tolist(),
+                       bounds[child_side + 1, up].tolist(),
                        child_counts[:, waiting].sum(axis=0).tolist(), ids[up].tolist(),
-                       (waiting % 2).tolist(), child_depth[waiting].tolist())
+                       child_side.tolist(), child_depth[waiting].tolist())
         # trees differ between nodes, so pushing in reverse puts each right
-        # child below its left sibling; the copies pin no array of this step
+        # child below its left sibling; the gathers pin no array of this step
         for k, a, b, size, parent_id, right, child_d in reversed(list(children)):
-            stacks[k].append((rows[a:b].copy(), mult[a:b].copy(), size, parent_id, right,
-                              child_d))
+            at = entry[a:b]
+            stacks[k].append((rows.take(at), mult.take(at), size, parent_id, right, child_d))
     ints, threshold = (np.concatenate(c, axis=-1) for c in zip(*records))
     del records  # the per-step arrays, which would double the assembly's peak
     return _assemble(len(rngs), *ints, threshold)

@@ -235,6 +235,13 @@ def _small_ntd():
     return split(generate(DatasetKind.NTD, 800, DEFAULT_MIX, seed=3), 0.7, seed=3)[0]
 
 
+def _tied_dataset(labels, columns):
+    """Integer-valued features (one column per array in `columns`), named
+    f0, f1, ..., so that nodes try several candidates."""
+    return _dataset(np.column_stack(columns), labels,
+                    names=tuple(f"f{i}" for i in range(len(columns))))
+
+
 def _const_feature():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(300, 3))
@@ -260,6 +267,12 @@ _GROWTH_CASES = {
     "repeats-decide-min-leaf": (lambda: _dataset(np.random.default_rng(0).normal(size=(12, 3)),
                                                  [NORMAL, "dos", "probe"] * 4),
                                 {"n_trees": 20, "min_leaf": 3, "max_depth": 14}),
+    # integer features: tie blocks that hold several classes next to long
+    # one-class runs of distinct values, the cuts the split search skips
+    "tied-mixed-blocks": (lambda: _tied_dataset(
+        [NORMAL] * 14 + [NORMAL, "dos", "probe", "dos"] * 5 + ["probe"] * 12 + ["dos"] * 14,
+        [np.arange(60), np.arange(60) // 4, np.random.default_rng(5).integers(0, 4, 60),
+         np.arange(60) % 7]), {"n_trees": 5, "min_leaf": 3, "max_depth": 14, "seed": 2}),
 }
 
 
@@ -272,10 +285,34 @@ def test_forest_equals_tree_by_tree_growth(case):
     assert json.dumps(model_to_obj(grown)) == json.dumps(model_to_obj(expected))
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), runs=st.lists(st.tuples(st.sampled_from([NORMAL, "dos", "probe"]),
+                                               st.integers(1, 15)), min_size=1, max_size=8),
+       n_trees=st.integers(1, 5), min_leaf=st.sampled_from([0, 1, 2, 3, 5]),
+       max_depth=st.integers(1, 14), seed=st.integers(0, 2**32 - 1))
+def test_forest_equals_tree_by_tree_growth_on_tied_values(data, runs, n_trees, min_leaf,
+                                                          max_depth, seed):
+    """Integer-valued features under long one-class runs of labels: one
+    column rises with the rows (a tie wherever it steps by 0), the others
+    are drawn from a few values, so value blocks hold several classes. The
+    split search skips the cuts inside one-class runs of one-row blocks;
+    every tree still equals the tree-by-tree grower's."""
+    labels = [label for label, length in runs for _ in range(length)][:60]
+    n = len(labels)
+    rising = np.cumsum(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    drawn = [data.draw(st.lists(st.integers(0, high), min_size=n, max_size=n))
+             for high in data.draw(st.lists(st.integers(1, 6), min_size=0, max_size=4))]
+    train = _tied_dataset(labels, [rising, *drawn])
+    params = {"n_trees": n_trees, "max_depth": max_depth, "min_leaf": min_leaf, "seed": seed}
+    grown = train_random_forest(train, **params)
+    expected = _reference_forest(train, **params)
+    assert json.dumps(model_to_obj(grown)) == json.dumps(model_to_obj(expected))
+
+
 @pytest.mark.parametrize("kind", list(DatasetKind), ids=lambda kind: kind.value)
 def test_forest_fit_memory_is_bounded(kind):
-    # a train-detect fit peaks near 3.1 (NTD) and 3.7 MiB (CLF); with unbounded
-    # steps it peaks at 28 and 17 MiB
+    # a train-detect fit peaks near 2.5 MiB (NTD and CLF); with unbounded
+    # steps it peaks at 21 and 12 MiB
     train = _train_detect_split(kind)
     tracemalloc.start()
     try:
@@ -324,18 +361,24 @@ def test_candidate_draw_rejects_a_word_and_keeps_j_for_a_taken_value():
 def test_split_search_past_an_int32_sort_key():
     """16,384 two-row nodes over 140,000 ranked rows: seg * rows + rank reaches
     2.29e9, past int32, and each node still cuts between its own two rows,
-    counting the second one's two draws."""
+    counting the second one's two draws; its sorted segment hands the left
+    child the first row and the right child the second."""
     n, m = 140_000, 16_384
     X = np.arange(n, dtype=float)[:, None]
-    hot = np.eye(2, dtype=np.int32)[np.arange(n) % 2]
+    y = np.arange(n) % 2
+    hot = np.eye(2, dtype=np.int32)[y]
     rank = np.arange(n, dtype=np.int32)[:, None]
     rows = np.arange(n - 2 * m, n)  # node j holds rows n - 2m + 2j and the next
-    feature, threshold, found, counts, left = detection._best_splits(
-        X, hot, rank, rows, np.tile(np.array([1, 2], dtype=np.int32), m), np.full(m, 2),
+    lens = np.full(m, 2)
+    feature, threshold, found, counts, left, entry, start, g = detection._best_splits(
+        X, y, hot, rank, rows, np.tile(np.array([1, 2], dtype=np.int32), m), lens,
         np.zeros((m, 1), dtype=np.intp), 1)
     assert found.all() and not feature.any()
     assert np.array_equal(threshold, rows[::2] + 0.5)
     assert (counts == [[1], [2]]).all() and (left == [[1], [0]]).all()
+    left_rows = [rows[entry[a:b + 1]].tolist() for a, b in zip(start, g)]
+    right_rows = [rows[entry[b + 1:a + size]].tolist() for a, b, size in zip(start, g, lens)]
+    assert left_rows == rows[::2, None].tolist() and right_rows == rows[1::2, None].tolist()
 
 
 class TestRandomForest:

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from secflow import cli, datagen, rl, sim
+from secflow import cli, datagen, detection, rl, sim
 from secflow.model import ACTION_ORDER, TenantConfig
 from tests.conftest import greedy_choice, report_table, weak_models
 
@@ -170,3 +170,22 @@ def test_run_result_digest(strategy):
     for counter in ("false_alarms", "unmitigated", "failures"):
         assert sum(getattr(r, counter) for r in exp.runs) > 0, counter
     assert _sha(_run_result_lines(exp.runs).encode()) == RUN_RESULT_GOLDEN[strategy]
+
+
+# The split search scores only the cuts that can be a node's first minimum;
+# the margin by which a skipped cut loses shrinks as nodes grow, so these pin
+# the forests fit on 8,400 rows (12,000 records, a 0.7 split), larger than
+# any other fit here. Recorded before the search skipped any cut.
+LARGE_FOREST_GOLDEN = {
+    "ntd": "d027d2d29406ded522f4d6f11cc8ac7b11d07d981422ae118f6a637241a63deb",
+    "clf": "44aa31b3087d545a2cca85bf51a6656705e6fbca3bdb87c812da2ff880ac0d80",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_FOREST_GOLDEN))
+def test_large_forest_digest(kind):
+    records = datagen.generate(datagen.DatasetKind(kind), 12000, cli.DEFAULT_MIX, 7)
+    train = datagen.split(records, 0.7, seed=7)[0]
+    assert len(train) == 8400
+    model = detection.train_random_forest(train)
+    assert _sha(json.dumps(detection.model_to_obj(model)).encode()) == LARGE_FOREST_GOLDEN[kind]
