@@ -4,8 +4,10 @@ versioned JSON model format."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -681,16 +683,24 @@ def _tree_from_obj(obj, path, n_features, n_classes):
     return tree
 
 
-def model_to_obj(model: DetectorModel):
-    obj = {
+def _tree_to_obj(tree: DecisionTree):
+    return {key: getattr(tree, key).tolist() for key in _TREE_FIELDS}
+
+
+def _head_to_obj(model: DetectorModel):
+    """A detector's fields before its trees or weights."""
+    return {
         "kind": model.kind,
         "dataset_kind": model.dataset_kind,
         "feature_names": list(model.feature_names),
         "classes": list(model.classes),
     }
+
+
+def model_to_obj(model: DetectorModel):
+    obj = _head_to_obj(model)
     if model.kind == "random_forest":
-        obj["trees"] = [{key: getattr(t, key).tolist() for key in _TREE_FIELDS}
-                        for t in model.trees]
+        obj["trees"] = [_tree_to_obj(t) for t in model.trees]
     else:
         obj["weights"] = model.weights.tolist()
     return obj
@@ -729,17 +739,41 @@ def model_from_obj(obj, path) -> DetectorModel:
     return DetectorModel(kind, dataset_kind, names, classes, trees=trees)
 
 
+def _document_pieces(models: dict, severity_obj):
+    """The model file's text in document order, one tree per piece, joined
+    as `json.dumps` joins the whole document."""
+    yield f'{{"version": {json.dumps(MODEL_FORMAT_VERSION)}, "detectors": {{'
+    for i, (key, model) in enumerate(models.items()):
+        yield f'{", " if i else ""}{json.dumps(key)}: '
+        if model.kind != "random_forest":
+            yield json.dumps(model_to_obj(model))
+            continue
+        yield json.dumps(_head_to_obj(model))[:-1] + ', "trees": ['
+        for k, tree in enumerate(model.trees):
+            yield (", " if k else "") + json.dumps(_tree_to_obj(tree))
+        yield "]}"
+    yield "}"
+    if severity_obj is not None:
+        yield f', "severity": {json.dumps(severity_obj)}'
+    yield "}"
+
+
 def save_models(path, models: dict, severity_obj=None):
     """Write detectors (and optionally a severity model) to one versioned
-    JSON file keyed by '<dataset_kind>/<model_kind>'."""
-    doc = {
-        "version": MODEL_FORMAT_VERSION,
-        "detectors": {key: model_to_obj(m) for key, m in models.items()},
-    }
-    if severity_obj is not None:
-        doc["severity"] = severity_obj
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc))  # the C encoder; json.dump encodes in Python
+    JSON file keyed by '<dataset_kind>/<model_kind>'. The file is written one
+    tree at a time, each piece by the C encoder (`json.dump` encodes in pure
+    Python), and its bytes are those of `json.dumps` of the whole document.
+    It goes to a temporary sibling first, which replaces `path` only once
+    complete, so a failed save leaves an earlier file as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(_document_pieces(models, severity_obj))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_models(path):
